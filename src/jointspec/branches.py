@@ -308,29 +308,6 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_to
 
 
 @dataclass(frozen=True)
-class DerivativeEstimate:
-    d1: complex
-    d2: complex
-    d1_error: float
-    d2_error: float
-
-
-def branch_derivatives(b: Branch):
-    """Richardson-extrapolated derivatives of a branch at t = 0.
-
-    Needs at least 5 ladder samples; the exact limit value (1/lambda or 0)
-    anchors the difference quotients.
-    """
-    if len(b.samples) < 5:
-        raise TrackingError("branch derivatives need at least 5 ladder samples")
-    ts = np.array([t for t, _ in b.samples])
-    vals = [v for _, v in b.samples]
-    d1, e1 = extrapolate.first_derivative(ts, vals, b.limit_value)
-    d2, e2 = extrapolate.second_derivative(ts, vals, b.limit_value)
-    return DerivativeEstimate(d1=d1, d2=d2, d1_error=e1, d2_error=e2)
-
-
-@dataclass(frozen=True)
 class RegularityReport:
     """Numeric proxies for the local regularity conditions at lambda.
 
@@ -361,7 +338,10 @@ class RegularityReport:
 
 
 def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1e-6):
-    """Check conditions a) and b) (or their lambda = 0 analogues) along xhat."""
+    """Check conditions a) and b) (or their lambda = 0 analogues) along xhat.
+
+    A tracking failure is reported as a failed condition a), with its message.
+    """
     try:
         branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples)
     except (BranchCollisionError, TrackingError) as exc:
@@ -374,7 +354,11 @@ def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1
             tangency_ok=False,
             failure=str(exc),
         )
+    return regularity_report(branches, gap_tol=gap_tol)
 
+
+def regularity_report(branches, gap_tol=1e-6):
+    """Conditions a) and b) from the branches local_branches tracked at one lambda."""
     cond_a = all(b.multiplicity == 1 for b in branches)
 
     # expand derivatives by multiplicity: a repeated sheet has gap 0
@@ -411,17 +395,3 @@ def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1
         branches=tuple(branches),
     )
 
-
-def probe_regularity(t: MatrixTuple, lam, n_directions=4, seed=0, **kwargs):
-    """check_regularity along several seeded random complex directions.
-
-    For n > 2 a single direction only tests condition b) necessarily, not
-    sufficiently; probing many directions tightens (but cannot complete)
-    the test.
-    """
-    rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(n_directions):
-        v = rng.standard_normal(t.n - 1) + 1j * rng.standard_normal(t.n - 1)
-        reports.append(check_regularity(t, lam, v / np.linalg.norm(v), **kwargs))
-    return reports

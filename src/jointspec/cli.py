@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import check_regularity, local_branches
+from .branches import local_branches, regularity_report
 from .coxeter import CoxeterMatrix, CoxeterRep, build_representation, rigidity_check
 from .errors import DimensionMismatchError, JointSpecError, NotNormalError, ProjectionBlowupError
 from .fixtures import blowup_demo_pair
@@ -127,7 +127,7 @@ def _cmd_analyze(config: RunConfig):
         "is_diagonalizable": norm.is_diagonalizable,
     }
     branches = local_branches(tup, lam, xhat, t_max=config.t_max, samples=config.samples)
-    reg = check_regularity(tup, lam, xhat, t_max=config.t_max, samples=config.samples)
+    reg = regularity_report(branches)
     report["branches"] = [b.to_json() for b in branches]
     report["regularity"] = reg.to_json()
     report["projections"] = []

@@ -111,24 +111,6 @@ def det_proper(t: MatrixTuple, x):
     return complex(np.linalg.det(evaluate_pencil(t, c) - np.eye(t.dim)))
 
 
-def det_projective(t: MatrixTuple, x, w):
-    """det(A(x) - w I): homogeneous form; w = 1 recovers det_proper."""
-    c = _coords(t, x)
-    return complex(np.linalg.det(evaluate_pencil(t, c) - complex(w) * np.eye(t.dim)))
-
-
-def det_chart_first(t: MatrixTuple, xhat, w):
-    """Chart x_1 = 1: det(A_1 + x_2 A_2 + ... + x_n A_n - w I).
-
-    This is the chart used for the spectral analysis at eigenvalue 0 of A_1.
-    """
-    xhat = np.asarray(xhat, dtype=complex).reshape(-1)
-    if xhat.shape[0] != t.n - 1:
-        raise DimensionMismatchError(f"xhat must have n-1={t.n - 1} coordinates")
-    m = t.matrices[0] + sum(ck * mk for ck, mk in zip(xhat, t.matrices[1:]))
-    return complex(np.linalg.det(m - complex(w) * np.eye(t.dim)))
-
-
 def is_spectral_point(t: MatrixTuple, x, tol=1e-10):
     """Whether A(x) - I is singular at relative tolerance tol.
 

@@ -2,9 +2,13 @@
 
 Every identity is checked in operator norm; a RelationReport records the
 residual, the tolerance used, and the verdict.  The pair-level aggregator
-gates on the regularity hypotheses (normal leading matrix, conditions a/b at
-every eigenvalue, multiplicity-1 branches) and refuses otherwise;
-check_hypotheses=False computes residuals anyway with no pass/fail claim.
+computes one analysis per (pair, eigenvalue): it tracks the branches of
+(A1, A2) and (A1, A1 A2) once at each eigenvalue of A1, derives the
+regularity gate from those branches (normal leading matrix, conditions a/b
+at every eigenvalue, multiplicity-1 branches) and refuses when it fails;
+projection ladders and limits are built once from the same branches and
+serve every identity at that eigenvalue.  check_hypotheses=False computes
+residuals anyway with no pass/fail claim.
 """
 
 from dataclasses import dataclass
@@ -14,12 +18,12 @@ import numpy as np
 from .branches import (
     SpectralResolution,
     TOperator,
-    check_regularity,
     local_branches,
+    regularity_report,
     spectral_resolution,
     t_operator,
 )
-from .errors import JointSpecError, PairingAmbiguityError
+from .errors import BranchCollisionError, JointSpecError, PairingAmbiguityError, TrackingError
 from .extrapolate import first_derivative as _ext_d1
 from .extrapolate import richardson_limit
 from .pencil import MatrixTuple, opnorm
@@ -198,7 +202,6 @@ def analyze_pair(
     t_max=1e-2,
     samples=8,
     quad_points=32,
-    stab_tol=1e-10,
     quad_cap=2**14,
     resolution=None,
 ):
@@ -209,8 +212,14 @@ def analyze_pair(
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples)
-    quads = dict(quad_points=quad_points, stab_tol=stab_tol, quad_cap=quad_cap)
-    ladders = tuple(projection_ladder(t, b, **quads) for b in branches)
+    return _analysis(t, branches, resolution, quad_points, quad_cap)
+
+
+def _analysis(t: MatrixTuple, branches, resolution, quad_points, quad_cap):
+    """Projection ladders and limit projections of branches already tracked."""
+    ladders = tuple(
+        projection_ladder(t, b, quad_points=quad_points, quad_cap=quad_cap) for b in branches
+    )
     limits = tuple(
         limit_projection(t, b, ladder=lad) for b, lad in zip(branches, ladders)
     )
@@ -245,27 +254,45 @@ def _pair_by_derivative(x_branches, z_branches, lam):
     return pairing
 
 
+def _product_pair_reports(ax: PairAnalysis, az: PairAnalysis, tol):
+    """Same-projection and square reports from the analyses of (A1, A2) and
+    (A1, A1 A2) at one lam != 0, with branches matched through z'(0) = lam * x'(0)."""
+    if any(b.multiplicity != 1 for b in ax.branches + az.branches):
+        raise HypothesisNotMet(
+            "the same-projection and square identities require multiplicity-1 branches"
+        )
+    lam0 = ax.lam
+    a2 = ax.tup.matrices[1]
+    pairing = _pair_by_derivative(ax.branches, az.branches, lam0)
+    same = square = 0.0
+    for j, bx in enumerate(ax.branches):
+        bz = az.branches[pairing[j]]
+        p = ax.limits[j].matrix
+        same = max(same, opnorm(p - az.limits[pairing[j]].matrix))
+        coeff = (bz.d2 + 2.0 * lam0**3 * bx.d1**2 - lam0**2 * bx.d2) / (2.0 * lam0)
+        square = max(square, opnorm(p @ a2 @ a2 @ p - coeff * p))
+    indices = tuple(b.index for b in ax.branches)
+    return (
+        _report("same_projection_lemma", lam0, indices, same, tol),
+        _report("square_relation", lam0, indices, square, tol),
+    )
+
+
+def _product_pair_analyses(t: MatrixTuple, lam, identity, opts):
+    if t.n != 2:
+        raise ValueError(f"the {identity} identity is stated for pairs")
+    if abs(complex(lam)) < 1e-12:
+        raise ValueError(f"the {identity} identity requires lam != 0")
+    a1, a2 = t.matrices
+    ax = analyze_pair(t, lam, **opts)
+    az = analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution, **opts)
+    return ax, az
+
+
 def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5, **opts):
     """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0."""
-    if t.n != 2:
-        raise ValueError("the same-projection identity is stated for pairs")
-    if abs(complex(lam)) < 1e-12:
-        raise ValueError("the same-projection identity requires lam != 0")
-    a1, a2 = t.matrices
-    t2 = MatrixTuple([a1, a1 @ a2])
-    ax = analyze_pair(t, lam, **opts)
-    az = analyze_pair(t2, lam, resolution=ax.resolution, **opts)
-    if any(b.multiplicity != 1 for b in ax.branches + az.branches):
-        raise HypothesisNotMet("same-projection identity requires multiplicity-1 branches")
-    pairing = _pair_by_derivative(ax.branches, az.branches, ax.lam)
-    residual = max(
-        opnorm(ax.limits[j].matrix - az.limits[pairing[j]].matrix)
-        for j in range(len(ax.branches))
-    )
-    return _report(
-        "same_projection_lemma", ax.lam,
-        tuple(b.index for b in ax.branches), residual, tol,
-    )
+    ax, az = _product_pair_analyses(t, lam, "same-projection", opts)
+    return _product_pair_reports(ax, az, tol)[0]
 
 
 def verify_square_relation(t: MatrixTuple, lam, tol=1e-5, **opts):
@@ -275,26 +302,28 @@ def verify_square_relation(t: MatrixTuple, lam, tol=1e-5, **opts):
     derivative of the matched branch for (A1, A1 A2); branches are matched
     through z'(0) = lam * x'(0).
     """
-    if t.n != 2:
-        raise ValueError("the square identity is stated for pairs")
-    if abs(complex(lam)) < 1e-12:
-        raise ValueError("the square identity requires lam != 0")
-    a1, a2 = t.matrices
-    t2 = MatrixTuple([a1, a1 @ a2])
-    ax = analyze_pair(t, lam, **opts)
-    az = analyze_pair(t2, lam, resolution=ax.resolution, **opts)
-    if any(b.multiplicity != 1 for b in ax.branches + az.branches):
-        raise HypothesisNotMet("the square identity requires multiplicity-1 branches")
-    lam0 = ax.lam
-    pairing = _pair_by_derivative(ax.branches, az.branches, lam0)
-    residual = 0.0
-    for j, bx in enumerate(ax.branches):
-        bz = az.branches[pairing[j]]
-        coeff = (bz.d2 + 2.0 * lam0**3 * bx.d1**2 - lam0**2 * bx.d2) / (2.0 * lam0)
-        p = ax.limits[j].matrix
-        residual = max(residual, opnorm(p @ a2 @ a2 @ p - coeff * p))
-    return _report(
-        "square_relation", lam0, tuple(b.index for b in ax.branches), residual, tol,
+    ax, az = _product_pair_analyses(t, lam, "square", opts)
+    return _product_pair_reports(ax, az, tol)[1]
+
+
+_PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
+
+
+def _gated_branches(t: MatrixTuple, lv, pair, t_max, samples):
+    """Branches of t at lv; HypothesisNotMet unless they are regular."""
+    failure = None
+    try:
+        branches = local_branches(t, lv, [1.0], t_max=t_max, samples=samples)
+    except (BranchCollisionError, TrackingError) as exc:
+        failure = str(exc)
+    else:
+        rep = regularity_report(branches)
+        if rep.condition_a and rep.condition_b:
+            return branches
+    detail = f": {failure or 'conditions a/b'}" if pair == 0 else ""
+    raise HypothesisNotMet(
+        f"regularity fails at lambda={lv} for {_PAIR_NAMES[pair]}{detail}; "
+        f"pass check_hypotheses=False to report residuals without a claim"
     )
 
 
@@ -303,14 +332,16 @@ def verify_pair(
     lam=None,
     tol=1e-5,
     check_hypotheses=True,
-    include_product_pair=True,
     t_max=1e-2,
     samples=8,
     quad_points=32,
-    stab_tol=1e-10,
     quad_cap=2**14,
 ):
     """Run every identity check for a pair, at one or all eigenvalues of A1.
+
+    (A1, A2) and (A1, A1 A2) are tracked once per eigenvalue of A1.  The
+    regularity gate reads those branches at every eigenvalue of both pairs,
+    also when lam is given, and the analyses at lam reuse them.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -320,31 +351,22 @@ def verify_pair(
         raise ValueError("verify_pair is defined for pairs (n = 2)")
     a1, a2 = t.matrices
     res = spectral_resolution(a1)
-    lams = list(res.eigenvalues) if lam is None else [complex(lam)]
-    opts = dict(t_max=t_max, samples=samples, quad_points=quad_points,
-                stab_tol=stab_tol, quad_cap=quad_cap)
-
+    pairs = (t, MatrixTuple([a1, a1 @ a2]))
+    eigs = res.eigenvalues
     if check_hypotheses:
-        for lv in res.eigenvalues:
-            rep = check_regularity(t, lv, [1.0], t_max=t_max, samples=samples)
-            if not (rep.condition_a and rep.condition_b):
-                raise HypothesisNotMet(
-                    f"regularity fails at lambda={lv} for (A1, A2): {rep.failure or 'conditions a/b'}; "
-                    f"pass check_hypotheses=False to report residuals without a claim"
-                )
-        if include_product_pair:
-            t2 = MatrixTuple([a1, a1 @ a2])
-            for lv in res.eigenvalues:
-                rep = check_regularity(t2, lv, [1.0], t_max=t_max, samples=samples)
-                if not (rep.condition_a and rep.condition_b):
-                    raise HypothesisNotMet(
-                        f"regularity fails at lambda={lv} for (A1, A1*A2); "
-                        f"pass check_hypotheses=False to report residuals without a claim"
-                    )
+        gated = [[_gated_branches(tt, lv, pair, t_max, samples) for lv in eigs]
+                 for pair, tt in enumerate(pairs)]
+
+    def analysis(pair, k):
+        if check_hypotheses:
+            branches = gated[pair][k]
+        else:
+            branches = local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max, samples=samples)
+        return _analysis(pairs[pair], branches, res, quad_points, quad_cap)
 
     reports = []
-    for lv in lams:
-        ax = analyze_pair(t, lv, resolution=res, **opts)
+    for k in range(len(eigs)) if lam is None else [res.index_of(lam)]:
+        ax = analysis(0, k)
         reports.extend(verify_orthogonality_and_resolution(ax.limits, res, ax.lam, tol=tol))
         for i in range(len(ax.limits)):
             for j in range(len(ax.limits)):
@@ -356,10 +378,9 @@ def verify_pair(
                 reports.append(verify_first_moment(lp, a2, b.d1, tol=tol))
                 reports.append(verify_second_moment(lp, a2, t_op, b.d2, tol=tol))
         reports.extend(verify_prime_relations(ax.ladders, a1, a2, ax.branches, tol=tol))
-        if include_product_pair and abs(ax.lam) > 1e-12:
+        if abs(ax.lam) > 1e-12:
             try:
-                reports.append(verify_same_projection_lemma(t, ax.lam, tol=tol, **opts))
-                reports.append(verify_square_relation(t, ax.lam, tol=tol, **opts))
+                reports.extend(_product_pair_reports(ax, analysis(1, k), tol))
             except HypothesisNotMet:
                 if check_hypotheses:
                     raise

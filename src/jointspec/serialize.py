@@ -25,10 +25,3 @@ def matrix_to_json(m):
 def json_to_matrix(rows):
     return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
 
-
-def vector_to_json(v):
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
-
-
-def json_to_vector(items):
-    return np.array([pair_to_complex(v) for v in items], dtype=complex)

@@ -157,31 +157,29 @@ class TestLocalBranches:
 
 
 class TestBranchDerivatives:
+    # the derivatives local_branches extrapolates and stores on each Branch
+
     def test_affine(self):
         b = [bb for bb in js.local_branches(two_line_variant(), 1.0, [1.0])
              if bb.d1.real < 0][0]
-        est = js.branch_derivatives(b)
-        assert abs(est.d1 - (-1.0)) <= 1e-10
-        assert abs(est.d2) <= 1e-8
+        assert abs(b.d1 - (-1.0)) <= 1e-10
+        assert abs(b.d2) <= 1e-8
 
     def test_dihedral_values(self):
         b = js.local_branches(dihedral_pair(np.pi / 3), 1.0, [1.0])[0]
-        est = js.branch_derivatives(b)
-        assert abs(est.d1 - (-0.5)) <= 1e-7
-        assert abs(est.d2 - (-0.75)) <= 1e-7
-        assert est.d1_error < 1e-7 and est.d2_error < 1e-6
+        assert abs(b.d1 - (-0.5)) <= 1e-7
+        assert abs(b.d2 - (-0.75)) <= 1e-7
+        assert b.d1_error < 1e-7 and b.d2_error < 1e-6
 
     def test_product_pair_branch(self):
         a1, a2 = dihedral_pair(np.pi / 3).matrices
         z = js.MatrixTuple([a1, a1 @ a2])
         b = js.local_branches(z, 1.0, [1.0])[0]
-        est = js.branch_derivatives(b)
-        assert abs(est.d2 - 0.75) <= 1e-7
+        assert abs(b.d2 - 0.75) <= 1e-7
 
     def test_needs_five_samples(self):
         b = js.local_branches(dihedral_pair(1.0), 1.0, [1.0], samples=4)[0]
-        with pytest.raises(js.TrackingError):
-            js.branch_derivatives(b)
+        assert b.d1 is None and b.d2 is None
 
 
 class TestCheckRegularity:
@@ -214,17 +212,11 @@ class TestCheckRegularity:
         rep = js.check_regularity(t, 0.0, [1.0])
         assert rep.condition_a and rep.condition_b
 
-
-class TestProbeRegularity:
-    def test_multiple_directions_on_three_matrix_tuple(self):
-        rng = np.random.default_rng(3)
-        a1 = np.diag([1.0, -1.0, 0.5])
-        a2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        t = js.MatrixTuple([a1, a2 / js.opnorm(a2), a3 / js.opnorm(a3)])
-        reports = js.probe_regularity(t, 1.0, n_directions=3, seed=0)
-        assert len(reports) == 3
-        assert all(r.condition_a for r in reports)
+    def test_report_is_a_function_of_the_tracked_branches(self):
+        for tup, lam in [(two_line_variant(), 1.0), (dihedral_pair(0.8), -1.0),
+                         (js.MatrixTuple([np.diag([1.0, 1.0]), np.eye(2)]), 1.0)]:
+            branches = js.local_branches(tup, lam, [1.0])
+            assert js.regularity_report(branches) == js.check_regularity(tup, lam, [1.0])
 
 
 class TestCrossModuleDerivativePrediction:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec.fixtures import blowup_demo_pair, commuting_diagonal_pair, dihedral_pair
+from jointspec.fixtures import blowup_demo_pair, dihedral_pair
 
 from oracles import quadratic_roots
 
@@ -56,25 +56,6 @@ class TestDetProper:
         for x1, x2 in [(0.9, 0.1), (0.0, 1.0), (0.3 - 0.2j, 0.8)]:
             ellipse = x1**2 + 2 * c * x1 * x2 + x2**2 - 1
             assert_allclose(js.det_proper(t, (x1, x2)), -ellipse, atol=1e-12)
-
-    def test_projective_form_matches_at_one(self, two_lines):
-        x = (0.7, 0.2)
-        assert_allclose(js.det_projective(two_lines, x, 1.0), js.det_proper(two_lines, x))
-
-    def test_first_coordinate_chart(self):
-        # chart x1 = 1: det(A1 + x2 A2 - w I) for the commuting diagonal pair
-        t = commuting_diagonal_pair()
-        for x2, w in [(0.3, 0.2), (0.5, -1.0)]:
-            expected = (1 + x2 - w) * (1 - x2 - w)
-            assert_allclose(js.det_chart_first(t, [x2], w), expected, atol=1e-12)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
-    def test_homogeneity_property(self, x1, x2, w):
-        t = blowup_demo_pair()
-        lhs = js.det_projective(t, (x1, x2), w)
-        expected = (x1 + x2 - w) * (x1 - x2 - w)
-        assert abs(lhs - expected) <= 1e-10 * (1.0 + abs(expected))
 
     def test_degree_bound_polynomial_interpolation(self):
         # det_proper has total degree <= N: a fitted degree-N surface must

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jointspec as js
+from jointspec import relations
 from jointspec.fixtures import (
     blowup_demo_pair,
     commuting_diagonal_pair,
@@ -298,12 +299,65 @@ class TestVerifyPair:
         lam = max(res.eigenvalues, key=lambda z: abs(z - 1.0))
         scaled = js.MatrixTuple([a1 / lam, a2])
         orig = {r.relation_id: r.residual
-                for r in js.verify_pair(t, lam=lam, tol=1e-5, include_product_pair=True)}
+                for r in js.verify_pair(t, lam=lam, tol=1e-5)}
         rescaled = {r.relation_id: r.residual
-                    for r in js.verify_pair(scaled, lam=1.0, tol=1e-5, include_product_pair=True)}
+                    for r in js.verify_pair(scaled, lam=1.0, tol=1e-5)}
         assert orig.keys() == rescaled.keys()
         for key in orig:
             assert abs(orig[key] - rescaled[key]) <= 1e-8
+
+
+class TestOneAnalysisPerEigenvalue:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Branch lists tracked and ladders built by the relations layer."""
+        counts = {"tracked": [], "ladders": 0}
+        track, ladder = relations.local_branches, relations.projection_ladder
+
+        def counted_track(*args, **kwargs):
+            out = track(*args, **kwargs)
+            counts["tracked"].append(out)
+            return out
+
+        def counted_ladder(*args, **kwargs):
+            counts["ladders"] += 1
+            return ladder(*args, **kwargs)
+
+        monkeypatch.setattr(relations, "local_branches", counted_track)
+        monkeypatch.setattr(relations, "projection_ladder", counted_ladder)
+        return counts
+
+    def test_each_pair_tracked_once_per_eigenvalue(self, work):
+        t, _ = regular_random_pair(17, 4)
+        eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
+        assert all(abs(lv) > 1e-12 for lv in eigs)
+        js.verify_pair(t)
+        assert len(work["tracked"]) == 2 * len(eigs)
+        # every eigenvalue is nonzero: one analysis per tracked list, one ladder per branch
+        assert work["ladders"] == sum(len(bs) for bs in work["tracked"])
+
+    def test_gate_covers_every_eigenvalue_when_lam_is_given(self, work):
+        t, _ = regular_random_pair(17, 4)
+        eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
+        js.verify_pair(t, lam=1.0)
+        assert len(work["tracked"]) == 2 * len(eigs)
+        at_one = [bs for bs in work["tracked"] if abs(bs[0].lam - 1.0) < 1e-9]
+        assert len(at_one) == 2
+        assert work["ladders"] == sum(len(bs) for bs in at_one)
+
+    def test_wrapper_matches_verify_pair(self):
+        t = dihedral_pair(np.pi / 3)
+        inside = [r for r in js.verify_pair(t)
+                  if r.relation_id == "same_projection_lemma" and abs(r.lam - 1.0) < 1e-12]
+        assert inside == [js.verify_same_projection_lemma(t, 1.0)]
+
+
+class TestRegularRandomPair:
+    def test_default_gap_fits_verify_pair(self):
+        # with min_gap=0.05 this seed accepts an N=32 instance whose gap at 1
+        # is 0.0504, which verify_pair's finest rung cannot separate
+        t, _ = regular_random_pair(1213521000, 32)
+        assert js.check_regularity(t, 1.0, [1.0]).branch_derivative_gaps >= 0.1
 
 
 class TestReportSerialization:
