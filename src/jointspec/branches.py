@@ -19,7 +19,7 @@ from .errors import (
     TrackingError,
     UnknownEigenvalueError,
 )
-from .pencil import MatrixTuple, det_proper, normality_report, opnorm
+from .pencil import MatrixTuple, _singular_extremes, normality_report, opnorm
 from .pencil import slice_roots as _slice_roots
 from .serialize import complex_to_pair
 
@@ -123,6 +123,9 @@ class Branch:
     samples runs down the ladder (largest t first); values are x_1 for the
     nonzero kind and x_{n+1} (the tracked eigenvalue) for the zero kind.
     multiplicity is the size of the coincident-root cluster the branch tracks.
+    residuals[k] is the relative smallest singular value s_min / (1 + s_max)
+    of the pencil matrix at samples[k]: v A_1 + t xhat.A_rest - I for the
+    nonzero kind, A_1 + t xhat.A_rest - v I for the zero kind.
     """
 
     lam: complex
@@ -180,23 +183,15 @@ def _roots_at(t: MatrixTuple, kind, xhat, tval):
     return _slice_roots(t, xhat, tval).finite
 
 
-def _det_along(t: MatrixTuple, kind, xhat, tval, v):
-    if kind == "zero":
-        b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        m = t.matrices[0] + tval * b - v * np.eye(t.dim)
-        return complex(np.linalg.det(m))
-    x = np.concatenate(([v], tval * xhat))
-    return det_proper(t, x)
-
-
 def _sample_residual(t, kind, xhat, tval, v):
-    # Newton-step length relative to |v|: a scale-free distance-to-root proxy.
-    h = 1e-6 * (1.0 + abs(v))
-    f = _det_along(t, kind, xhat, tval, v)
-    fp = (_det_along(t, kind, xhat, tval, v + h) - _det_along(t, kind, xhat, tval, v - h)) / (2 * h)
-    if fp == 0:
-        return float("inf") if f != 0 else 0.0
-    return abs(f / fp) / (1.0 + abs(v))
+    """Relative smallest singular value s_min / (1 + s_max) of the pencil at a sample."""
+    rest = tval * sum(c * m for c, m in zip(xhat, t.matrices[1:]))
+    if kind == "zero":
+        m = t.matrices[0] + rest - v * np.eye(t.dim)
+    else:
+        m = v * t.matrices[0] + rest - np.eye(t.dim)
+    smin, smax = _singular_extremes(m)
+    return float(smin / (1.0 + smax))
 
 
 def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_tol=None):

@@ -4,7 +4,7 @@ The projection attached to a branch at ladder parameter t is the Riesz
 integral of the resolvent of the frozen pencil around the branch's own
 eigenvalue (1 for the nonzero kind, 0 for the zero kind).  Along a
 non-tangential line the family extends analytically to t = 0; the limit and
-its first two t-derivatives are produced by the same ladder extrapolation
+its first t-derivative P'(0) are produced by the same ladder extrapolation
 used for branch values.  For non-normal leading matrices the family may
 instead blow up like a power of t; that outcome is detected, fitted, and
 reported as a first-class diagnostic rather than hidden in an exception
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import extrapolate
-from .branches import Branch
+from .branches import Branch, _roots_at
 from .errors import (
     EigenvalueOnContourError,
     ProjectionBlowupError,
@@ -137,8 +137,6 @@ def _branch_value_at(t: MatrixTuple, b: Branch, tparam):
         if abs(tk - tparam) <= 1e-12 * max(tk, tparam):
             return v
     # re-solve the slice and take the root nearest the local model
-    from .branches import _roots_at  # shared slice kernel
-
     xhat = np.asarray(b.direction, dtype=complex)
     roots = _roots_at(t, b.kind, xhat, tparam)
     center = b.limit_value
@@ -234,7 +232,7 @@ def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None, **quad_kwarg
 
 @dataclass(frozen=True)
 class LimitProjection:
-    """Extrapolated limit of the component projections at t = 0."""
+    """Extrapolated limit P of the component projections at t = 0 and P'(0)."""
 
     branch_index: int
     lam: complex
@@ -244,14 +242,10 @@ class LimitProjection:
     extrapolation_error: float
     rank: int
     idempotency_residual: float
-    derivative: np.ndarray = None
-    second_derivative: np.ndarray = None
-    derivative_error: float = None
-    second_derivative_error: float = None
-    blowup_exponent: float = None
+    derivative: np.ndarray
 
     def to_json(self):
-        out = {
+        return {
             "j": self.branch_index,
             "lambda": complex_to_pair(self.lam),
             "P": matrix_to_json(self.matrix),
@@ -259,20 +253,17 @@ class LimitProjection:
             "rank": self.rank,
             "extrapolation_error": self.extrapolation_error,
         }
-        if self.blowup_exponent is not None:
-            out["blowup_exponent"] = self.blowup_exponent
-        return out
 
 
 def limit_projection(
     t: MatrixTuple,
     b: Branch,
     ladder=None,
-    derivatives=True,
     blowup_threshold=-0.25,
     **quad_kwargs,
 ):
-    """Richardson limit of the component projections along the branch ladder.
+    """Richardson limit P and derivative P'(0) of the component projections
+    along the branch ladder, each extrapolated once.
 
     Diverging norms (power-law exponent below blowup_threshold) raise
     ProjectionBlowupError carrying the fitted exponent and the profile;
@@ -287,11 +278,7 @@ def limit_projection(
         raise ProjectionBlowupError(profile.exponent, profile)
 
     p, err = extrapolate.richardson_limit(ts, mats)
-    d1 = d2 = None
-    e1 = e2 = None
-    if derivatives:
-        d1, e1 = extrapolate.first_derivative(ts, mats, p)
-        d2, e2 = extrapolate.second_derivative(ts, mats, p)
+    dp, _ = extrapolate.first_derivative(ts, mats, p)
     return LimitProjection(
         branch_index=b.index,
         lam=b.lam,
@@ -301,8 +288,5 @@ def limit_projection(
         extrapolation_error=err,
         rank=int(round(np.trace(p).real)),
         idempotency_residual=opnorm(p @ p - p),
-        derivative=d1,
-        second_derivative=d2,
-        derivative_error=e1,
-        second_derivative_error=e2,
+        derivative=dp,
     )

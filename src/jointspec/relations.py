@@ -24,8 +24,6 @@ from .branches import (
     t_operator,
 )
 from .errors import BranchCollisionError, JointSpecError, PairingAmbiguityError, TrackingError
-from .extrapolate import first_derivative as _ext_d1
-from .extrapolate import richardson_limit
 from .pencil import MatrixTuple, opnorm
 from .projections import limit_projection, projection_ladder
 from .serialize import complex_to_pair
@@ -134,30 +132,22 @@ def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
     return _report(rel, proj.lam, (proj.branch_index,), r, tol)
 
 
-def verify_prime_relations(ladders, a1, a2, branches, tol=1e-5):
+def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
     """The four derivative identities linking P, P' and the branch derivatives.
 
-    ladders[k] is the component-projection ladder of branches[k]; all
-    branches must share the eigenvalue.  The cross relations (3, 4) are
-    reported with residual 0 when there is no sibling branch.
+    limits[k] is the LimitProjection of branches[k]; P and P'(0) are read
+    from its matrix and derivative.  All branches must share the eigenvalue.  The cross relations (3, 4) are reported with
+    residual 0 when there is no sibling branch.
     """
-    if len(ladders) != len(branches):
-        raise ValueError("one projection ladder per branch is required")
+    if len(limits) != len(branches):
+        raise ValueError("one limit projection per branch is required")
     a1 = np.asarray(a1, dtype=complex)
     a2 = np.asarray(a2, dtype=complex)
     eye = np.eye(a1.shape[0])
 
-    limits = []
-    for b, lad in zip(branches, ladders):
-        ts = np.array([cp.t for cp in lad])
-        mats = [cp.matrix for cp in lad]
-        p, _ = richardson_limit(ts, mats)
-        dp, _ = _ext_d1(ts, mats, p)
-        limits.append((p, dp))
-
     reports = []
     for k, b in enumerate(branches):
-        p, dp = limits[k]
+        p, dp = limits[k].matrix, limits[k].derivative
         if b.kind == "zero":
             r_op = a2 - b.d1 * eye
             rhs = (b.d2 / 2.0) * p
@@ -172,7 +162,7 @@ def verify_prime_relations(ladders, a1, a2, branches, tol=1e-5):
         for i, bi in enumerate(branches):
             if i == k:
                 continue
-            pi, _ = limits[i]
+            pi = limits[i].matrix
             r3 = max(r3, opnorm(dp @ r_op @ pi))
             r4 = max(r4, opnorm(pi @ r_op @ dp))
         others = tuple(bb.index for i, bb in enumerate(branches) if i != k)
@@ -377,7 +367,7 @@ def verify_pair(
             if b.multiplicity == 1:
                 reports.append(verify_first_moment(lp, a2, b.d1, tol=tol))
                 reports.append(verify_second_moment(lp, a2, t_op, b.d2, tol=tol))
-        reports.extend(verify_prime_relations(ax.ladders, a1, a2, ax.branches, tol=tol))
+        reports.extend(verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol))
         if abs(ax.lam) > 1e-12:
             try:
                 reports.extend(_product_pair_reports(ax, analysis(1, k), tol))

@@ -49,6 +49,16 @@ def pencil_root_near(a1, b, t, target):
     return vals[np.argmin(np.abs(vals - target))]
 
 
+def real_slice_roots(a1, a2, x2):
+    """All x1 with det(x1 a1 + x2 a2 - I) = 0, for invertible a1.
+
+    The standard eigenproblem of a1^-1 (I - x2 a2), not the generalized one.
+    """
+    a1 = np.asarray(a1, dtype=complex)
+    eye = np.eye(a1.shape[0])
+    return np.linalg.eigvals(np.linalg.solve(a1, eye - x2 * np.asarray(a2)))
+
+
 def first_order_eigenvalue_derivative(a2, i):
     """d/dt of the i-th diagonal eigenvalue of diag + t*A2 (simple eigenvalue)."""
     return complex(np.asarray(a2)[i, i])

@@ -1,12 +1,16 @@
 """Tests for spectral resolutions, branch tracking, and regularity checks."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
 from jointspec.coxeter import random_unitary
-from jointspec.fixtures import commuting_diagonal_pair, dihedral_pair
+from jointspec.fixtures import commuting_diagonal_pair, dihedral_pair, regular_random_pair
 
 
 def two_line_variant():
@@ -154,6 +158,33 @@ class TestLocalBranches:
     def test_affine_branches_have_zero_second_derivative(self):
         for b in js.local_branches(two_line_variant(), 1.0, [1.0]):
             assert abs(b.d2) <= 1e-8
+
+
+@lru_cache(maxsize=1)
+def _random_regular_pair():
+    return regular_random_pair(17, 4)[0]
+
+
+class TestUnitaryConjugation:
+    # det(x1 U A1 U* + x2 U A2 U* - I) = det(x1 A1 + x2 A2 - I).  d2 gets the
+    # branch-derivative tolerance of the acceptance suite: its second-difference
+    # quotients scale sample rounding by 4 / t^2, and conjugation moves d2 by up
+    # to about 1.4e-8 on dihedral pairs, the size of its own d2_error estimate
+    @settings(deadline=None, max_examples=6)
+    @given(st.booleans(), st.floats(0.3, 2.8), st.integers(0, 2**16))
+    def test_branches_and_residuals_invariant(self, random_pair, angle, seed):
+        t = _random_regular_pair() if random_pair else dihedral_pair(angle)
+        u = random_unitary(t.dim, np.random.default_rng(seed))
+        conj = js.MatrixTuple([u @ m @ u.conj().T for m in t.matrices])
+        for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
+            before = js.local_branches(t, lam, [1.0])
+            after = js.local_branches(conj, lam, [1.0])
+            assert len(before) == len(after)
+            for b, c in zip(before, after):
+                assert max(abs(v - w) for (_, v), (_, w) in zip(b.samples, c.samples)) <= 1e-9
+                assert abs(b.d1 - c.d1) <= 1e-9
+                assert abs(b.d2 - c.d2) <= 1e-7
+                assert max(c.residuals) <= 1e-9
 
 
 class TestBranchDerivatives:

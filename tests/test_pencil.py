@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec.fixtures import blowup_demo_pair, dihedral_pair
+from jointspec import pencil
+from jointspec.fixtures import blowup_demo_pair, dihedral_pair, regular_random_pair
 
-from oracles import quadratic_roots
+from oracles import quadratic_roots, real_slice_roots
 
 
 @pytest.fixture
@@ -170,6 +171,54 @@ class TestSampleSpectrumCurve:
         pts = js.sample_spectrum_curve(two_lines, ((-2, 2), (-2, 2)), (15, 15))
         keys = [(p.coords[0].real, p.coords[0].imag, p.coords[1].real) for p in pts]
         assert keys == sorted(keys)
+
+    def test_returns_every_attributed_root(self):
+        # oracle roots within 0.75 dx of an x1 grid node, inside the window,
+        # deduplicated per column: exactly the points the sampler returns
+        t, _ = regular_random_pair(11, 8)
+        x1s = np.linspace(-2.0, 2.0, 61)
+        dx = 4.0 / 60
+        expected = []
+        for x2 in np.linspace(-2.0, 2.0, 61):
+            col = []
+            for r in real_slice_roots(*t.matrices, x2):
+                if (np.min(np.abs(r - x1s)) <= 0.75 * dx and -2.0 - 1e-9 <= r.real <= 2.0 + 1e-9
+                        and all(abs(r - c) > 1e-8 * (1.0 + abs(r)) for c in col)):
+                    col.append(r)
+            expected.extend((r, x2) for r in col)
+        got = [p.coords for p in js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (61, 61))]
+        assert len(got) == len(expected)
+        for x1, x2 in expected:
+            assert min(abs(x1 - g[0]) + abs(x2 - g[1]) for g in got) <= 1e-9
+
+
+class TestNoDeterminants:
+    """Branch tracking, plot sampling and verify_pair compute no determinant."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_det(self, monkeypatch):
+        def det(*args, **kwargs):
+            raise AssertionError("determinant computed")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        monkeypatch.setattr(pencil, "det_proper", det)
+
+    def test_local_branches_nonzero_kind(self):
+        branches = js.local_branches(dihedral_pair(np.pi / 3), 1.0, [1.0])
+        assert [b.kind for b in branches] == ["nonzero"]
+        assert max(branches[0].residuals) <= 1e-9
+
+    def test_local_branches_zero_kind(self):
+        t = js.MatrixTuple([np.diag([0.0, 2.0]), np.eye(2)])
+        branches = js.local_branches(t, 0.0, [1.0])
+        assert [b.kind for b in branches] == ["zero"]
+        assert max(branches[0].residuals) <= 1e-9
+
+    def test_sample_spectrum_curve(self):
+        assert js.sample_spectrum_curve(dihedral_pair(np.pi / 3), grid=(21, 21))
+
+    def test_verify_pair(self):
+        assert all(r.passed for r in js.verify_pair(dihedral_pair(np.pi / 3)))
 
 
 class TestMatrixTuple:

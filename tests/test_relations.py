@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import relations
+from jointspec import extrapolate, relations
 from jointspec.fixtures import (
     blowup_demo_pair,
     commuting_diagonal_pair,
     dihedral_pair,
+    random_normal_pair,
     regular_random_pair,
 )
 
@@ -192,20 +193,20 @@ class TestPrimeRelations:
     def test_dihedral_all_four(self):
         t = dihedral_pair(np.pi / 3)
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.ladders, *t.matrices, ax.branches, tol=1e-6)
+        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert len(reports) == 4
         assert all(r.residual <= 1e-6 for r in reports)
 
     def test_commuting_diagonal_reduce_to_zero(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.ladders, *t.matrices, ax.branches, tol=1e-8)
+        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-8)
         assert all(r.residual <= 1e-8 for r in reports)
 
     def test_two_line_variant(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.ladders, *t.matrices, ax.branches, tol=1e-6)
+        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert {r.relation_id for r in reports} == {
             "prime_relation_1", "prime_relation_2", "prime_relation_3", "prime_relation_4"
         }
@@ -217,7 +218,7 @@ class TestPrimeRelations:
         a2 /= js.opnorm(a2)
         t = js.MatrixTuple([np.diag([0.0, 1.5, -2.0]), a2])
         ax = analysis(t, 0.0)
-        reports = js.verify_prime_relations(ax.ladders, *t.matrices, ax.branches, tol=1e-6)
+        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert all(r.residual <= 1e-6 for r in reports)
 
 
@@ -345,6 +346,24 @@ class TestOneAnalysisPerEigenvalue:
         assert len(at_one) == 2
         assert work["ladders"] == sum(len(bs) for bs in at_one)
 
+    def test_each_limit_and_derivative_extrapolated_once(self, monkeypatch):
+        calls = []
+        limit = extrapolate.richardson_limit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return limit(*args, **kwargs)
+
+        monkeypatch.setattr(extrapolate, "richardson_limit", counted)
+        t = dihedral_pair(np.pi / 3)
+        js.verify_pair(t)
+        # two pairs x two eigenvalues x one branch: d1, d2, P and P'(0) each
+        assert len(calls) == 16
+        ax = analysis(t, 1.0)
+        calls.clear()
+        js.verify_prime_relations(ax.limits, *t.matrices, ax.branches)
+        assert calls == []
+
     def test_wrapper_matches_verify_pair(self):
         t = dihedral_pair(np.pi / 3)
         inside = [r for r in js.verify_pair(t)
@@ -358,6 +377,11 @@ class TestRegularRandomPair:
         # is 0.0504, which verify_pair's finest rung cannot separate
         t, _ = regular_random_pair(1213521000, 32)
         assert js.check_regularity(t, 1.0, [1.0]).branch_derivative_gaps >= 0.1
+
+    def test_eigenvalue_draws_are_bounded(self):
+        # 64 eigenvalues 0.45 apart do not fit the sampling annulus
+        with pytest.raises(ValueError, match="dim=64"):
+            random_normal_pair(0, 64)
 
 
 class TestReportSerialization:
