@@ -194,7 +194,65 @@ def _sample_residual(t, kind, xhat, tval, v):
     return float(smin / (1.0 + smax))
 
 
-def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_tol=None):
+def _unit_direction(t: MatrixTuple, xhat):
+    xhat = np.asarray(xhat, dtype=complex).reshape(-1)
+    if xhat.shape[0] != t.n - 1:
+        raise TrackingError(f"direction must have n-1={t.n - 1} coordinates")
+    nrm = np.linalg.norm(xhat)
+    if nrm == 0:
+        raise TrackingError("direction must be nonzero")
+    return xhat / nrm
+
+
+def _kinds(t: MatrixTuple, values):
+    tol = 1e-9 * max(1.0, opnorm(t.matrices[0]))
+    return ["zero" if abs(v) <= tol else "nonzero" for v in values]
+
+
+@dataclass(frozen=True)
+class SliceLadder:
+    """Slice roots along t*xhat on the ladder t_k = t_max * 2^-k, solved once.
+
+    reference holds the eigenvalue clusters of A_1; roots maps each kind to
+    the roots at every t_k: x_1 of the slice for "nonzero", the eigenvalues
+    of A_1 + t_k xhat.A_rest for "zero".  The roots depend on the tuple,
+    the direction and the ladder only, so one ladder serves local_branches
+    at every eigenvalue of A_1.
+    """
+
+    direction: tuple
+    t_max: float
+    samples: int
+    reference: tuple
+    roots: dict
+
+
+def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds):
+    ts = t_max * 2.0 ** (-np.arange(samples))
+    return SliceLadder(
+        direction=tuple(xhat.tolist()),
+        t_max=t_max,
+        samples=samples,
+        reference=tuple(reference),
+        roots={k: tuple(_roots_at(t, k, xhat, tk) for tk in ts) for k in kinds},
+    )
+
+
+def slice_ladder(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
+    """The slice roots local_branches tracks, for every eigenvalue of A_1.
+
+    Solves the nonzero kind when A_1 has a nonzero eigenvalue and the zero
+    kind when 0 is an eigenvalue; pass the result to local_branches(...,
+    ladder=...) at each eigenvalue instead of re-solving the slices.
+    """
+    xhat = _unit_direction(t, xhat)
+    refs = _reference_spectrum(t)
+    kinds = sorted(set(_kinds(t, [c for c, _ in refs])))
+    return _solve_ladder(t, xhat, t_max, samples, refs, kinds)
+
+
+def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_tol=None,
+                   ladder=None):
     """Track the spectrum branches through 1/lambda (or 0) along the line t*xhat.
 
     Solves the slice eigenproblem on the geometric ladder t_k = t_max * 2^-k,
@@ -202,20 +260,31 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_to
     adjacent levels by predicted nearest-neighbor matching.  A match is
     accepted only when the nearest candidate is 4x closer than the second
     nearest; anything else is reported as a branch collision.
+
+    ladder is a SliceLadder of t from slice_ladder(t, xhat, t_max, samples);
+    its roots are tracked instead of solving the slices again, with the same
+    result.  A ladder for another direction, t_max or samples, or without
+    the kind lambda needs, raises ValueError.  With no ladder only the kind
+    lambda needs is solved.
     """
-    xhat = np.asarray(xhat, dtype=complex).reshape(-1)
-    if xhat.shape[0] != t.n - 1:
-        raise TrackingError(f"direction must have n-1={t.n - 1} coordinates")
-    nrm = np.linalg.norm(xhat)
-    if nrm == 0:
-        raise TrackingError("direction must be nonzero")
-    xhat = xhat / nrm
+    xhat = _unit_direction(t, xhat)
     if samples < 2:
         raise TrackingError("need at least two ladder levels")
 
-    refs = _reference_spectrum(t)
+    refs = _reference_spectrum(t) if ladder is None else ladder.reference
     lam0, mult_lam = _match_reference(refs, lam)
-    kind = "zero" if abs(lam0) <= 1e-9 * max(1.0, opnorm(t.matrices[0])) else "nonzero"
+    kind = _kinds(t, [lam0])[0]
+    if ladder is None:
+        ladder = _solve_ladder(t, xhat, t_max, samples, refs, (kind,))
+    elif (ladder.t_max != t_max or ladder.samples != samples
+          or ladder.direction != tuple(xhat.tolist())):
+        raise ValueError(
+            f"ladder solved for t_max={ladder.t_max}, samples={ladder.samples} along "
+            f"{ladder.direction}; tracking asks for t_max={t_max}, samples={samples} "
+            f"along {tuple(xhat.tolist())}"
+        )
+    elif kind not in ladder.roots:
+        raise ValueError(f"ladder has no {kind}-kind roots for lambda={lam}")
     if kind == "zero":
         center = 0.0 + 0.0j
         others = [c for c, _ in refs if abs(c - lam0) > 0]
@@ -231,8 +300,7 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_to
 
     ts = t_max * 2.0 ** (-np.arange(samples))
     levels = []
-    for tk in ts:
-        roots = _roots_at(t, kind, xhat, tk)
+    for roots in ladder.roots[kind]:
         sel = roots[np.abs(roots - center) <= sel_radius]
         clusters = [(c, len(idx)) for c, idx in _cluster_values(sel, coincide_tol)]
         levels.append(clusters)
@@ -332,13 +400,15 @@ class RegularityReport:
         }
 
 
-def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1e-6):
+def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1e-6,
+                     ladder=None):
     """Check conditions a) and b) (or their lambda = 0 analogues) along xhat.
 
     A tracking failure is reported as a failed condition a), with its message.
+    ladder is passed on to local_branches.
     """
     try:
-        branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples)
+        branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples, ladder=ladder)
     except (BranchCollisionError, TrackingError) as exc:
         return RegularityReport(
             lam=complex(lam),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .branches import check_regularity, spectral_resolution
+from .branches import check_regularity, slice_ladder, spectral_resolution
 from .coxeter import CoxeterRep, random_unitary
 from .pencil import MatrixTuple, opnorm
 
@@ -104,8 +104,9 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, max_tries=40, min_gap=
         res = spectral_resolution(a1)
         ok = True
         for tt in (t, t2):
+            ladder = slice_ladder(tt, [1.0])
             for lv in res.eigenvalues:
-                rep = check_regularity(tt, lv, [1.0])
+                rep = check_regularity(tt, lv, [1.0], ladder=ladder)
                 if not (rep.condition_a and rep.condition_b):
                     ok = False
                     break

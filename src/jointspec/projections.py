@@ -14,7 +14,6 @@ trace.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import extrapolate
 from .branches import Branch, _roots_at
@@ -47,34 +46,36 @@ class ContourSpec:
             raise ValueError("quad_points must be a power of two >= 8")
 
 
-def _pairwise_sum(terms):
-    # deterministic tree reduction; matches the parallel summation order
-    while len(terms) > 1:
-        terms = [
-            terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-            for i in range(0, len(terms), 2)
-        ]
-    return terms[0]
+# Matrix entries held by one stacked inverse: the nodes of a set are solved in
+# chunks of max(1, _STACK_ENTRIES // N^2), so a chunk and its inverse take
+# 32 MiB whatever the node count.
+_STACK_ENTRIES = 2**20
 
 
 def _quad_nodes(m, center, radius, thetas):
+    """sum_k e_k (w_k I - m)^-1 over the nodes w_k = center + radius e_k,
+    e_k = exp(i theta_k), from stacked inverses."""
     n = m.shape[0]
-    eye = np.eye(n)
-    terms = []
-    for th in thetas:
-        e = np.exp(1j * th)
-        w = center + radius * e
-        lu, piv = scipy.linalg.lu_factor(w * eye - m)
-        terms.append(e * scipy.linalg.lu_solve((lu, piv), eye))
-    return terms
+    es = np.exp(1j * np.asarray(thetas))
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    acc = np.zeros((n, n), dtype=complex)
+    for k in range(0, es.size, chunk):
+        e = es[k:k + chunk]
+        stack = np.multiply.outer(center + radius * e, np.eye(n))
+        stack -= m
+        acc += (e @ np.linalg.inv(stack).reshape(e.size, n * n)).reshape(n, n)
+    return acc
 
 
 def riesz_projection_info(m, contour: ContourSpec, stab_tol=1e-10, quad_cap=2**14):
     """Spectral projection onto the eigenvalues of m strictly inside the circle.
 
-    Trapezoid quadrature of the resolvent; the node count doubles (reusing
-    previous nodes) until two successive results differ by <= stab_tol or the
-    cap is hit.  Returns (projection, nodes_used).
+    Trapezoid quadrature of the resolvent; the node count doubles from
+    contour.quad_points, the new nodes interleaving the old ones, until two
+    successive results differ by <= stab_tol or the cap is hit.  Each node
+    set is solved as stacked inverses, in chunks of a fixed number of matrix
+    entries, so memory does not grow with the node count.  Returns
+    (projection, nodes_used).
     """
     m = np.asarray(m, dtype=complex)
     evs = np.linalg.eigvals(m)
@@ -86,12 +87,12 @@ def riesz_projection_info(m, contour: ContourSpec, stab_tol=1e-10, quad_cap=2**1
 
     q = contour.quad_points
     thetas = 2.0 * np.pi * np.arange(q) / q
-    acc = _pairwise_sum(_quad_nodes(m, contour.center, contour.radius, thetas))
+    acc = _quad_nodes(m, contour.center, contour.radius, thetas)
     prev = (contour.radius / q) * acc
     while q < quad_cap:
         # new nodes interleave the old ones
         new_thetas = 2.0 * np.pi * (np.arange(q) + 0.5) / q
-        acc = acc + _pairwise_sum(_quad_nodes(m, contour.center, contour.radius, new_thetas))
+        acc = acc + _quad_nodes(m, contour.center, contour.radius, new_thetas)
         q *= 2
         cur = (contour.radius / q) * acc
         if opnorm(cur - prev) <= stab_tol:

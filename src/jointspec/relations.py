@@ -20,6 +20,7 @@ from .branches import (
     TOperator,
     local_branches,
     regularity_report,
+    slice_ladder,
     spectral_resolution,
     t_operator,
 )
@@ -299,11 +300,11 @@ def verify_square_relation(t: MatrixTuple, lam, tol=1e-5, **opts):
 _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 
-def _gated_branches(t: MatrixTuple, lv, pair, t_max, samples):
+def _gated_branches(t: MatrixTuple, lv, pair, t_max, samples, ladder):
     """Branches of t at lv; HypothesisNotMet unless they are regular."""
     failure = None
     try:
-        branches = local_branches(t, lv, [1.0], t_max=t_max, samples=samples)
+        branches = local_branches(t, lv, [1.0], t_max=t_max, samples=samples, ladder=ladder)
     except (BranchCollisionError, TrackingError) as exc:
         failure = str(exc)
     else:
@@ -329,9 +330,10 @@ def verify_pair(
 ):
     """Run every identity check for a pair, at one or all eigenvalues of A1.
 
-    (A1, A2) and (A1, A1 A2) are tracked once per eigenvalue of A1.  The
-    regularity gate reads those branches at every eigenvalue of both pairs,
-    also when lam is given, and the analyses at lam reuse them.
+    The slices of each pair are solved once (one slice_ladder per pair) and
+    (A1, A2) and (A1, A1 A2) are tracked on them once per eigenvalue of A1.
+    The regularity gate reads those branches at every eigenvalue of both
+    pairs, also when lam is given, and the analyses at lam reuse them.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -343,15 +345,17 @@ def verify_pair(
     res = spectral_resolution(a1)
     pairs = (t, MatrixTuple([a1, a1 @ a2]))
     eigs = res.eigenvalues
+    ladders = [slice_ladder(tt, [1.0], t_max=t_max, samples=samples) for tt in pairs]
     if check_hypotheses:
-        gated = [[_gated_branches(tt, lv, pair, t_max, samples) for lv in eigs]
+        gated = [[_gated_branches(tt, lv, pair, t_max, samples, ladders[pair]) for lv in eigs]
                  for pair, tt in enumerate(pairs)]
 
     def analysis(pair, k):
         if check_hypotheses:
             branches = gated[pair][k]
         else:
-            branches = local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max, samples=samples)
+            branches = local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max,
+                                      samples=samples, ladder=ladders[pair])
         return _analysis(pairs[pair], branches, res, quad_points, quad_cap)
 
     reports = []

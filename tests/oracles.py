@@ -41,6 +41,22 @@ def eigenprojection_direct(m, center, radius):
     return p
 
 
+def schur_projection(m, center, radius):
+    """Spectral projection onto the eigenvalues inside a disk, from a Schur form.
+
+    With the inside eigenvalues sorted first, Q* m Q = [[T11, T12], [0, T22]];
+    X with T11 X - X T22 = T12 gives P = Q [[I, X], [0, 0]] Q*.  No resolvent,
+    no quadrature.
+    """
+    m = np.asarray(m, dtype=complex)
+    t, q, k = scipy.linalg.schur(m, output="complex", sort=lambda z: abs(z - center) < radius)
+    x = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
+    p = np.zeros_like(t)
+    p[:k, :k] = np.eye(k)
+    p[:k, k:] = x
+    return q @ p @ q.conj().T
+
+
 def pencil_root_near(a1, b, t, target):
     """Generalized eigenvalue of det(x a1 + t b - I) = 0 nearest to target."""
     n = a1.shape[0]

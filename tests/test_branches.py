@@ -1,5 +1,6 @@
 """Tests for spectral resolutions, branch tracking, and regularity checks."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -155,9 +156,55 @@ class TestLocalBranches:
         with pytest.raises((js.TrackingError, js.BranchCollisionError)):
             js.local_branches(t, 1.0, [1.0])
 
+    def test_branch_leaving_the_selection_disk_is_refused(self):
+        # x1 = 1 - 10 t: outside |x1 - 1| <= 1/3 for t >= 1/30
+        t = js.MatrixTuple([np.diag([1.0, 3.0]), np.diag([10.0, 0.0])])
+        for kw in ({}, {"ladder": js.slice_ladder(t, [1.0], t_max=0.1, samples=4)}):
+            with pytest.raises(js.TrackingError, match="cluster count changed"):
+                js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=4, **kw)
+        for kw in ({}, {"ladder": js.slice_ladder(t, [1.0], t_max=0.1, samples=2)}):
+            with pytest.raises(js.TrackingError, match="total multiplicity 0"):
+                js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=2, **kw)
+
     def test_affine_branches_have_zero_second_derivative(self):
         for b in js.local_branches(two_line_variant(), 1.0, [1.0]):
             assert abs(b.d2) <= 1e-8
+
+
+class TestSliceLadder:
+    def test_tracking_on_a_ladder_matches_solving_again(self):
+        t = regular_random_pair(100, 4, zero_eigenvalue=True)[0]
+        ladder = js.slice_ladder(t, [1.0])
+        assert sorted(ladder.roots) == ["nonzero", "zero"]
+        for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
+            assert js.local_branches(t, lam, [1.0], ladder=ladder) == js.local_branches(t, lam, [1.0])
+
+    def test_zero_kind_only_when_zero_is_an_eigenvalue(self):
+        assert list(js.slice_ladder(dihedral_pair(0.9), [1.0]).roots) == ["nonzero"]
+        t = js.MatrixTuple([np.diag([0.0, 0.0]), np.eye(2)])
+        assert list(js.slice_ladder(t, [1.0]).roots) == ["zero"]
+
+    def test_mismatched_ladder_rejected(self):
+        t = dihedral_pair(0.9)
+        ladder = js.slice_ladder(t, [1.0])
+        with pytest.raises(ValueError, match="t_max"):
+            js.local_branches(t, 1.0, [1.0], t_max=0.1, ladder=ladder)
+        with pytest.raises(ValueError, match="samples"):
+            js.local_branches(t, 1.0, [1.0], samples=6, ladder=ladder)
+        with pytest.raises(ValueError, match="along"):
+            js.local_branches(t, 1.0, [-1.0], ladder=ladder)
+        z = js.MatrixTuple([np.diag([0.0, 2.0]), np.eye(2)])
+        ladder = js.slice_ladder(z, [1.0])
+        nonzero_only = dataclasses.replace(ladder, roots={"nonzero": ladder.roots["nonzero"]})
+        with pytest.raises(ValueError, match="zero-kind"):
+            js.local_branches(z, 0.0, [1.0], ladder=nonzero_only)
+
+    def test_regularity_on_a_ladder(self):
+        t = _random_regular_pair()
+        ladder = js.slice_ladder(t, [1.0])
+        for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
+            assert (js.check_regularity(t, lam, [1.0], ladder=ladder)
+                    == js.check_regularity(t, lam, [1.0]))
 
 
 @lru_cache(maxsize=1)

@@ -1,13 +1,17 @@
 """Tests for contour projections, limits at t = 0, and blow-up diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import jointspec as js
+from jointspec import projections
+from jointspec.coxeter import random_unitary
 from jointspec.fixtures import blowup_demo_pair, commuting_diagonal_pair, dihedral_pair
 
-from oracles import eigenprojection_2x2, eigenprojection_direct
+from oracles import eigenprojection_2x2, eigenprojection_direct, schur_projection
 
 
 class TestRieszProjection:
@@ -57,6 +61,65 @@ class TestRieszProjection:
             js.ContourSpec(0.0, 1.0, quad_points=12)
         with pytest.raises(ValueError):
             js.ContourSpec(0.0, 1.0, quad_points=4)
+
+
+class TestSchurOracle:
+    """The stacked quadrature against a sorted Schur form and a Sylvester solve."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_random_nonnormal(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert not js.normality_report(m).is_normal
+        evs = np.linalg.eigvals(m)
+        center = evs[0]
+        radius = 0.5 * np.min(np.abs(evs[1:] - center))
+        p = js.riesz_projection(m, js.ContourSpec(center, radius))
+        ref = schur_projection(m, center, radius)
+        assert js.opnorm(p - ref) <= 1e-10 * js.opnorm(ref)
+
+    def test_blowup_demo_frozen_pencil(self):
+        t = blowup_demo_pair()
+        b = js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=10)[0]
+        cp = js.component_projection(t, b, 0.1)
+        x1 = dict(b.samples)[0.1]
+        m = x1 * t.matrices[0] + 0.1 * t.matrices[1]
+        ref = schur_projection(m, 1.0, cp.radius)
+        assert js.opnorm(cp.matrix - ref) <= 1e-10 * js.opnorm(ref)
+
+
+class TestStackedQuadrature:
+    def test_chunks_sum_like_a_node_loop(self, monkeypatch):
+        # chunks of 3 nodes leave a short last chunk: 32 = 10 * 3 + 2
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        center, radius = 0.1 + 0.2j, 0.7
+        thetas = 2.0 * np.pi * np.arange(32) / 32
+        loop = sum(
+            np.exp(1j * th) * np.linalg.inv((center + radius * np.exp(1j * th)) * np.eye(8) - m)
+            for th in thetas
+        )
+        monkeypatch.setattr(projections, "_STACK_ENTRIES", 3 * 64)
+        chunked = projections._quad_nodes(m, center, radius, thetas)
+        assert js.opnorm(chunked - loop) <= 1e-13 * js.opnorm(loop)
+
+
+class TestQuadratureMemory:
+    def test_unstable_quadrature_is_bounded_in_memory(self):
+        # an eigenvalue 5e-4 outside the unit contour: the trapezoid error
+        # decays like 1.0005^-q, still ~3e-4 at the 2^14-node cap
+        rng = np.random.default_rng(0)
+        evs = np.concatenate(([0.1, 1.0005 * np.exp(0.7j)], rng.uniform(3.0, 4.0, 30)))
+        u = random_unitary(32, rng)
+        m = u @ np.diag(evs) @ u.conj().T
+        tracemalloc.start()
+        try:
+            with pytest.raises(js.QuadratureError, match="16384"):
+                js.riesz_projection_info(m, js.ContourSpec(0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestComponentProjection:

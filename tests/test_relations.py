@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import extrapolate, relations
+from jointspec import extrapolate, fixtures, pencil, relations
 from jointspec.fixtures import (
     blowup_demo_pair,
     commuting_diagonal_pair,
@@ -363,6 +363,53 @@ class TestOneAnalysisPerEigenvalue:
         calls.clear()
         js.verify_prime_relations(ax.limits, *t.matrices, ax.branches)
         assert calls == []
+
+    @pytest.fixture
+    def slice_solves(self, monkeypatch):
+        """Calls of the one generalized slice eigensolver, pencil.line_roots."""
+        calls = []
+        solve = pencil.line_roots
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pencil, "line_roots", counted)
+        return calls
+
+    def test_one_slice_ladder_per_pair(self, slice_solves):
+        # two pairs x eight rungs, whatever the number of eigenvalues
+        t, _ = regular_random_pair(5, 8)
+        slice_solves.clear()
+        js.verify_pair(t)
+        assert len(slice_solves) == 16
+        slice_solves.clear()
+        js.verify_pair(dihedral_pair(np.pi / 3))
+        assert len(slice_solves) == 16
+
+    def test_fixture_solves_one_slice_ladder_per_pair(self, slice_solves, monkeypatch):
+        tries = []
+        draw = fixtures.random_normal_pair
+
+        def counted(*args, **kwargs):
+            tries.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(fixtures, "random_normal_pair", counted)
+        regular_random_pair(5, 8)
+        assert len(tries) == 1
+        assert len(slice_solves) == 16 * len(tries)
+
+    @pytest.mark.parametrize("args, kwargs, accepted", [
+        ((5, 8), {}, 50000),
+        ((17, 4), {}, 170000),
+        ((100, 4), {"zero_eigenvalue": True}, 1000000),
+    ])
+    def test_fixture_accepts_the_same_instance(self, args, kwargs, accepted):
+        t, seed = regular_random_pair(*args, **kwargs)
+        assert seed == accepted
+        drawn = random_normal_pair(seed, args[1], **kwargs)
+        assert all(np.array_equal(a, b) for a, b in zip(t.matrices, drawn.matrices))
 
     def test_wrapper_matches_verify_pair(self):
         t = dihedral_pair(np.pi / 3)
