@@ -1,7 +1,8 @@
 """Command-line front end: load instances, run analyses, emit reports.
 
 Exit status contract: 0 all requested checks pass, 1 a check failed,
-2 input/config parse error, 3 numerical refusal (blow-up, non-normal
+2 input/config parse error (also a representation assignment that breaks
+a relation of the Coxeter matrix), 3 numerical refusal (blow-up, non-normal
 leading matrix, failed hypotheses) with a diagnostic report.
 """
 
@@ -15,7 +16,13 @@ import numpy as np
 
 from .branches import local_branches, regularity_report
 from .coxeter import CoxeterMatrix, CoxeterRep, build_representation, rigidity_check
-from .errors import DimensionMismatchError, JointSpecError, NotNormalError, ProjectionBlowupError
+from .errors import (
+    AssignmentError,
+    DimensionMismatchError,
+    JointSpecError,
+    NotNormalError,
+    ProjectionBlowupError,
+)
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
 from .projections import limit_projection, projection_ladder, projection_norm_profile
@@ -307,7 +314,8 @@ def main(argv=None):
         if config.command != "demo-blowup" and not config.input:
             raise ValueError(f"{config.command} requires --input")
         return _COMMANDS[config.command](config)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, DimensionMismatchError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, DimensionMismatchError,
+            AssignmentError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except (NotNormalError, ProjectionBlowupError, HypothesisNotMet) as exc:

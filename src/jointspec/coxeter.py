@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AssignmentError, EmptySubspaceError
+from .errors import AssignmentError, ChamberSeparationError, EmptySubspaceError
 from .pencil import MatrixTuple, is_spectral_point, line_roots, opnorm
 from .serialize import matrix_to_json
 
@@ -201,27 +201,39 @@ class CoxeterRep:
         return res
 
 
+def _cosine_form(cm: CoxeterMatrix):
+    """B_ij = -cos(pi / m_ij), with -1 where m_ij is infinite."""
+    return np.array([[-1.0 if math.isinf(m) else -math.cos(math.pi / m) for m in row]
+                     for row in cm.orders])
+
+
+def is_finite_type(cm: CoxeterMatrix):
+    """W is finite exactly when the cosine form is positive definite."""
+    return bool(np.linalg.eigvalsh(_cosine_form(cm))[0] > 1e-12)
+
+
+def _unitarized_reflections(b):
+    """B^{1/2} and the reflections s_i = I - 2 e_i b_i^T conjugated by it.
+
+    In these coordinates the cosine form is the Euclidean inner product, so
+    the reflections are real orthogonal involutions.
+    """
+    n = len(b)
+    sqrt_b = scipy.linalg.sqrtm(b).real
+    inv_sqrt_b = np.linalg.inv(sqrt_b)
+    eye = np.eye(n)
+    return sqrt_b, [sqrt_b @ (eye - 2.0 * np.outer(eye[i], b[i])) @ inv_sqrt_b for i in range(n)]
+
+
 def geometric_representation(cm: CoxeterMatrix):
     """Unitarized reflection representation from the cosine form.
 
     Only defined for finite type (positive-definite cosine matrix).
     """
-    n = cm.n
-    b = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m = cm.order(i, j)
-            b[i, j] = -math.cos(math.pi / m) if not math.isinf(m) else -1.0
-    evs = np.linalg.eigvalsh(b)
-    if evs[0] <= 1e-12:
+    if not is_finite_type(cm):
         raise AssignmentError("geometric summand needs a finite-type Coxeter matrix")
-    sqrt_b = scipy.linalg.sqrtm(b).real
-    inv_sqrt_b = np.linalg.inv(sqrt_b)
-    gens = []
-    for i in range(n):
-        s = np.eye(n) - 2.0 * np.outer(np.eye(n)[i], b[i])
-        gens.append((sqrt_b @ s @ inv_sqrt_b).astype(complex))
-    return gens
+    _, gens = _unitarized_reflections(_cosine_form(cm))
+    return [g.astype(complex) for g in gens]
 
 
 def _block_diag(mats):
@@ -279,7 +291,7 @@ def build_representation(cm: CoxeterMatrix, assignment, seed=None):
     for (i, j), r in rep.relation_residuals().items():
         if r > 1e-10:
             raise AssignmentError(
-                f"assignment breaks the relation (g{i} g{j})^{cm.order(i - 1, j - 1)} = 1 "
+                f"assignment breaks the relation (g{i} g{j})^{int(cm.order(i - 1, j - 1))} = 1 "
                 f"(residual {r:.2e})"
             )
     return rep
@@ -561,24 +573,145 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
     )
 
 
+# Finite W with more elements than this fall back to words; the bound covers
+# every irreducible finite type of rank <= 5 (the largest is H4, 14,400).
+_MAX_GROUP_ORDER = 20_000
+# Decimals of the rounded chamber image that keys a group element.  Images
+# of distinct elements are at least 2 apart, so rounding never merges two.
+_KEY_DECIMALS = 6
+# Length of the longest word compared where W is infinite or too large.
+_WORD_LENGTH_CAP = 8
+
+
 @dataclass(frozen=True)
 class EquivalenceEvidence:
+    """Character comparison of two generator tuples of one Coxeter group.
+
+    method 'group_elements' (finite W): every non-identity element once,
+    words_checked = |W| - 1.  relation_discrepancy is the largest gap, over
+    both tuples, between the images of two words of the same element (one per
+    edge of the Cayley graph); separation is the smallest distance between
+    the chamber images of distinct elements, at least 2 in exact arithmetic.
+    method 'words': the words of length <= 8 with no repeated adjacent
+    letter; relation_discrepancy is the largest defining-relation residual of
+    the two tuples and separation is None.
+    """
+
     max_discrepancy: float
     words_checked: int
     worst_word: tuple
+    method: str
+    relation_discrepancy: float
+    separation: float = None
 
 
-def equivalence_evidence(generators_a, generators_b, word_length_cap=8):
-    """Compare traces of all generator words up to the cap.
+@dataclass(frozen=True)
+class _ChamberWalk:
+    """Elements of finite W in BFS order by length.
 
-    For unitary representations of a finite group whose classes are
-    exhausted by short words, equal character tables imply equivalence;
-    for infinite groups this is evidence only.
+    Element 0 is the identity; element j > 0 is s_{letter[j]} times element
+    parent[j]; edges[i, k] is s_k times element i.  edges is None when the
+    walk stopped at _MAX_GROUP_ORDER elements.
     """
-    a = [np.asarray(g, dtype=complex) for g in generators_a]
-    b = [np.asarray(g, dtype=complex) for g in generators_b]
-    if a[0].shape != b[0].shape or len(a) != len(b):
-        raise ValueError("trace comparison needs tuples of equal shape")
+
+    images: np.ndarray
+    parent: list
+    letter: list
+    edges: np.ndarray
+
+    @property
+    def separation(self):
+        """Smallest distance between the images of two stored elements.
+
+        W acts by orthogonal maps, so every image has the norm of v and the
+        distance is sqrt(2 |v|^2 - 2 x.y): one Gram matrix, in row blocks of
+        at most 2^20 entries.  This avoids importing scipy.spatial (about
+        9 MiB and 0.16 s).
+        """
+        x = self.images
+        step = max(1, 2**20 // len(x))
+        most = -np.inf
+        for i in range(0, len(x), step):
+            gram = x[i : i + step] @ x.T
+            rows = np.arange(len(gram))
+            gram[rows, i + rows] = -np.inf
+            most = max(most, gram.max())
+        return float(np.sqrt(max(2.0 * (x[0] @ x[0] - most), 0.0)))
+
+    def word(self, j):
+        out = []
+        while j:
+            out.append(self.letter[j] + 1)
+            j = self.parent[j]
+        return tuple(out)
+
+
+def _chamber_walk(cm: CoxeterMatrix):
+    """BFS over finite W, keyed by the rounded image w.v of one point v.
+
+    v = B^{-1} 1 in the unitarized coordinates of geometric_representation
+    lies in the fundamental chamber at distance 1 from every reflecting
+    hyperplane.  W acts simply transitively on the chambers (Humphreys,
+    Reflection Groups and Coxeter Groups, 5.13), so distinct elements have
+    images at least 2 apart.
+    """
+    b = _cosine_form(cm)
+    sqrt_b, refl = _unitarized_reflections(b)
+    images = [sqrt_b @ np.linalg.solve(b, np.ones(cm.n))]
+    index = {tuple(np.round(images[0], _KEY_DECIMALS).tolist()): 0}
+    parent, letter, edges = [-1], [-1], []
+    start = 0
+    while start < len(images):
+        stop = len(images)
+        level = np.array(images[start:stop])
+        targets = np.empty((stop - start, cm.n), dtype=int)
+        for k, r in enumerate(refl):
+            cand = level @ r.T
+            for row, key in enumerate(np.round(cand, _KEY_DECIMALS).tolist()):
+                j = index.setdefault(tuple(key), len(images))
+                if j == len(images):
+                    if j == _MAX_GROUP_ORDER:
+                        return _ChamberWalk(np.array(images), parent, letter, None)
+                    images.append(cand[row])
+                    parent.append(start + row)
+                    letter.append(k)
+                targets[row, k] = j
+        edges.append(targets)
+        start = stop
+    return _ChamberWalk(np.array(images), parent, letter, np.concatenate(edges))
+
+
+def _element_matrices(gens, walk: _ChamberWalk):
+    """The matrix of every element of the walk under one generator tuple."""
+    mats = np.empty((len(walk.parent),) + gens[0].shape, dtype=complex)
+    mats[0] = np.eye(gens[0].shape[0])
+    for j in range(1, len(mats)):
+        mats[j] = gens[walk.letter[j]] @ mats[walk.parent[j]]
+    return mats
+
+
+def _element_evidence(a, b, walk: _ChamberWalk, separation):
+    """Traces on every element and relation gaps on every edge of the walk."""
+    ma, mb = _element_matrices(a, walk), _element_matrices(b, walk)
+    relation = max(
+        np.linalg.norm(g @ mats - mats[walk.edges[:, k]], 2, axis=(1, 2)).max()
+        for gens, mats in ((a, ma), (b, mb))
+        for k, g in enumerate(gens)
+    )
+    gaps = np.abs(np.einsum("wii->w", ma) - np.einsum("wii->w", mb))[1:]
+    j = int(np.argmax(gaps))
+    return EquivalenceEvidence(
+        max_discrepancy=float(gaps[j]),
+        words_checked=int(gaps.size),
+        worst_word=walk.word(j + 1) if gaps[j] > 0 else (),
+        method="group_elements",
+        relation_discrepancy=float(relation),
+        separation=separation,
+    )
+
+
+def _word_evidence(a, b, cm: CoxeterMatrix):
+    """Traces of the words up to the cap with no repeated adjacent letter."""
     worst = ()
     worst_gap = 0.0
     count = 0
@@ -591,10 +724,48 @@ def equivalence_evidence(generators_a, generators_b, word_length_cap=8):
             if gap > worst_gap:
                 worst_gap = gap
                 worst = word
-        if len(word) < word_length_cap:
+        if len(word) < _WORD_LENGTH_CAP:
             for k in reversed(range(len(a))):
-                stack.append((word + (k + 1,), pa @ a[k], pb @ b[k]))
-    return EquivalenceEvidence(max_discrepancy=float(worst_gap), words_checked=count, worst_word=worst)
+                if not word or word[-1] != k + 1:
+                    stack.append((word + (k + 1,), pa @ a[k], pb @ b[k]))
+    relation = max(max(CoxeterRep(cm=cm, generators=tuple(g)).relation_residuals().values())
+                   for g in (a, b))
+    return EquivalenceEvidence(
+        max_discrepancy=float(worst_gap),
+        words_checked=count,
+        worst_word=worst,
+        method="words",
+        relation_discrepancy=float(relation),
+    )
+
+
+def equivalence_evidence(generators_a, generators_b, cm: CoxeterMatrix):
+    """Compare the characters of two generator tuples of the Coxeter group of cm.
+
+    For finite W with at most _MAX_GROUP_ORDER elements the traces are
+    compared once on every element, so equal characters of unitary
+    representations mean equivalent representations; the edge check (see
+    EquivalenceEvidence) shows both tuples factor through W.  Elsewhere the
+    words up to length 8 with no repeated adjacent letter are compared, which
+    is evidence only.  Raises ChamberSeparationError when two stored chamber
+    images come within distance 1: the element count would not be trusted.
+    """
+    a = [np.asarray(g, dtype=complex) for g in generators_a]
+    b = [np.asarray(g, dtype=complex) for g in generators_b]
+    if a[0].shape != b[0].shape or len(a) != len(b) or len(a) != cm.n:
+        raise ValueError("trace comparison needs tuples of equal shape, one matrix per generator")
+    if not is_finite_type(cm):
+        return _word_evidence(a, b, cm)
+    walk = _chamber_walk(cm)
+    separation = walk.separation
+    if separation < 1.0:
+        raise ChamberSeparationError(
+            f"chamber images of two group elements are {separation:.3e} apart "
+            f"(2 in exact arithmetic); the group elements cannot be told apart"
+        )
+    if walk.edges is None:
+        return _word_evidence(a, b, cm)
+    return _element_evidence(a, b, walk, separation)
 
 
 def coxeter_type(cm: CoxeterMatrix):
@@ -703,13 +874,20 @@ class RigidityReport:
                 "max_discrepancy": self.equivalence.max_discrepancy,
                 "words_checked": self.equivalence.words_checked,
                 "worst_word": list(self.equivalence.worst_word),
+                "method": self.equivalence.method,
+                "relation_discrepancy": self.equivalence.relation_discrepancy,
+                "separation": self.equivalence.separation,
             }
         return out
 
 
 def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120,
-                   seed=0, word_length_cap=8, tol=1e-8):
+                   seed=0, tol=1e-8):
     """Run the full rigidity pipeline for a candidate tuple against rep.
+
+    The last step compares the characters of the restriction to L and of rep
+    with equivalence_evidence: on every element of W when W is finite (up to
+    _MAX_GROUP_ORDER elements), on short words otherwise.
 
     When the multiplicity-free condition fails the report is marked not
     applicable: the invariant subspace is still extracted for inspection,
@@ -738,8 +916,7 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=1
         restriction = verify_restriction(sub, rep.cm, rep=rep,
                                          sample_count=sample_count, seed=seed + 2, tol=tol)
         if sub.dim == rep.dim:
-            equivalence = equivalence_evidence(sub.restrictions, rep.generators,
-                                               word_length_cap=word_length_cap)
+            equivalence = equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
     except EmptySubspaceError as exc:
         failure = str(exc)
 

@@ -75,6 +75,21 @@ def real_slice_roots(a1, a2, x2):
     return np.linalg.eigvals(np.linalg.solve(a1, eye - x2 * np.asarray(a2)))
 
 
+def word_character_gap(a, b, cap):
+    """Largest |tr a(w) - tr b(w)| over all generator words w of length 1..cap.
+
+    Every word, repeated letters included: no group structure is used.
+    """
+    a = [np.asarray(g, dtype=complex) for g in a]
+    b = [np.asarray(g, dtype=complex) for g in b]
+    worst = 0.0
+    level = [(np.eye(a[0].shape[0]), np.eye(b[0].shape[0]))]
+    for _ in range(cap):
+        level = [(pa @ ga, pb @ gb) for pa, pb in level for ga, gb in zip(a, b)]
+        worst = max([worst] + [abs(np.trace(pa) - np.trace(pb)) for pa, pb in level])
+    return worst
+
+
 def first_order_eigenvalue_derivative(a2, i):
     """d/dt of the i-th diagonal eigenvalue of diag + t*A2 (simple eigenvalue)."""
     return complex(np.asarray(a2)[i, i])

@@ -153,6 +153,20 @@ class TestCoxeterCheckCommand:
         assert rep["rigidity"]["condition_II"]["2+"] is False
 
 
+    def test_relation_breaking_assignment_exits_two(self, tmp_path, capsys):
+        # a right-angle two_dim irrep has (g1 g2)^4 = 1, not (g1 g2)^3 = 1
+        obj = {
+            "schema_version": 1,
+            "tuple": dihedral_pair(2 * math.pi / 3).to_json(),
+            "coxeter_matrix": js.dihedral(3).to_json(),
+            "rep": {"assignment": [["two_dim", math.pi / 2]]},
+        }
+        inp = write_json(tmp_path / "cox.json", obj)
+        assert main(["coxeter-check", "--input", inp]) == 2
+        err = capsys.readouterr().err
+        assert "(g1 g2)^3 = 1" in err and "^3.0" not in err
+
+
 class TestParseErrors:
     def test_missing_file(self):
         assert main(["verify", "--input", "/nonexistent/x.json"]) == 2

@@ -7,8 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jointspec as js
+from jointspec import coxeter
 from jointspec.coxeter import coxeter_type, geometric_representation, is_nonspecial
 from jointspec.fixtures import dihedral_pair, planted_tuple
+from oracles import word_character_gap
 
 
 def a3_matrix():
@@ -17,6 +19,23 @@ def a3_matrix():
 
 def b3_matrix():
     return js.CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
+
+
+def type_a(n):
+    return js.CoxeterMatrix([[1 if i == j else 3 if abs(i - j) == 1 else 2
+                              for j in range(n)] for i in range(n)])
+
+
+def b4_matrix():
+    return js.CoxeterMatrix([[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+
+
+def d4_matrix():
+    return js.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+
+
+def h3_matrix():
+    return js.CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 
 
 def random_block(dim, scale, seed):
@@ -32,6 +51,14 @@ def planted_dihedral(m, angle_index=1, seed=7, extra=("one_dim_pp",)):
     b1 = np.diag([0.3, -0.22 + 0.1j])
     b2 = random_block(2, 0.3, seed)
     return planted_tuple(rep, [b1, b2], seed=seed), rep
+
+
+def planted_geometric(cm, seed):
+    """Geometric representation of cm plus a planted block of the same size."""
+    rep = js.CoxeterRep(cm=cm, generators=tuple(geometric_representation(cm)))
+    diag = [0.28, -0.2 + 0.12j, 0.1 - 0.3j, -0.15 - 0.05j, 0.22 + 0.2j][: cm.n]
+    blocks = [np.diag(diag)] + [random_block(cm.n, 0.3, seed + k) for k in range(1, cm.n)]
+    return planted_tuple(rep, blocks, seed=seed), rep
 
 
 class TestCoxeterMatrix:
@@ -57,8 +84,7 @@ class TestCoxeterMatrix:
             [1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
         assert coxeter_type(d4) == "D"
         assert is_nonspecial(js.dihedral(7))
-        h3 = js.CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
-        assert not is_nonspecial(h3)
+        assert not is_nonspecial(h3_matrix())
 
 
 class TestBuildRepresentation:
@@ -274,7 +300,7 @@ class TestVerifyRestriction:
 class TestEquivalenceEvidence:
     def test_identical_inputs(self):
         rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)])
-        ev = js.equivalence_evidence(rep.generators, rep.generators)
+        ev = js.equivalence_evidence(rep.generators, rep.generators, rep.cm)
         assert ev.max_discrepancy == 0.0
 
     def test_trivial_vs_sign(self):
@@ -282,15 +308,103 @@ class TestEquivalenceEvidence:
         cm = js.dihedral(3)
         triv = js.build_representation(cm, ["trivial"])
         sign = js.build_representation(cm, ["sign"])
-        ev = js.equivalence_evidence(triv.generators, sign.generators, word_length_cap=3)
+        ev = js.equivalence_evidence(triv.generators, sign.generators, cm)
         assert abs(ev.max_discrepancy - 2.0) <= 1e-14
         assert len(ev.worst_word) == 1
 
     def test_planted_equivalence(self):
         t, rep = planted_dihedral(4, extra=("one_dim_pm",))
         sub = js.extract_invariant_subspace(t)
-        ev = js.equivalence_evidence(sub.restrictions, rep.generators)
+        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
         assert ev.max_discrepancy <= 1e-7
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_elements_match_the_word_oracle_dihedral(self, m):
+        # every element of I2(m), m <= 5, has a word of length <= 8
+        t, rep = planted_dihedral(m, extra=("one_dim_pm",) if m % 2 == 0 else ("one_dim_pp",))
+        sub = js.extract_invariant_subspace(t)
+        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
+        assert ev.method == "group_elements" and ev.words_checked == 2 * m - 1
+        oracle = word_character_gap(sub.restrictions, rep.generators, 8)
+        assert abs(ev.max_discrepancy - oracle) <= 1e-12
+
+    def test_elements_match_the_word_oracle_a3(self):
+        # the longest element of A3 has length 6
+        t, rep = planted_geometric(a3_matrix(), seed=11)
+        sub = js.extract_invariant_subspace(t)
+        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
+        assert ev.words_checked == 23
+        oracle = word_character_gap(sub.restrictions, rep.generators, 8)
+        assert abs(ev.max_discrepancy - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("cm, order", [
+        (js.dihedral(3), 6), (js.dihedral(4), 8), (js.dihedral(5), 10), (js.dihedral(8), 16),
+        (type_a(3), 24), (type_a(4), 120), (type_a(5), 720),
+        (b4_matrix(), 384), (d4_matrix(), 192), (h3_matrix(), 120),
+    ])
+    def test_group_orders(self, cm, order):
+        gens = geometric_representation(cm)
+        conj = js.build_representation(cm, ["geometric"], seed=5).generators
+        ev = js.equivalence_evidence(gens, conj, cm)
+        assert ev.method == "group_elements"
+        assert ev.words_checked + 1 == order
+        assert ev.max_discrepancy <= 1e-12
+        assert ev.relation_discrepancy <= 1e-10
+        assert ev.separation >= 1.0
+
+    def test_inequivalent_characters_differ(self):
+        cm = a3_matrix()
+        geo = js.build_representation(cm, ["geometric"])
+        other = js.build_representation(cm, ["trivial", "sign", "sign"])
+        ev = js.equivalence_evidence(geo.generators, other.generators, cm)
+        assert ev.words_checked == 23
+        assert ev.max_discrepancy >= 1.0
+        # the longest element of A3 has length 6
+        oracle = word_character_gap(geo.generators, other.generators, 6)
+        assert abs(ev.max_discrepancy - oracle) <= 1e-12
+        assert ev.relation_discrepancy <= 1e-10
+
+    def test_broken_relation_is_measured(self):
+        # g2 becomes another unitary reflection, so (g1 g2)^3 = 1 fails; traces
+        # alone cannot see this, the edges of the Cayley graph do
+        cm = a3_matrix()
+        gens = geometric_representation(cm)
+        u = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+        broken = list(gens)
+        broken[1] = np.eye(3) - 2.0 * np.outer(u, u)
+        assert js.opnorm(np.linalg.matrix_power(broken[0] @ broken[1], 3) - np.eye(3)) > 0.1
+        ev = js.equivalence_evidence(broken, gens, cm)
+        assert ev.method == "group_elements" and ev.words_checked == 23
+        assert ev.relation_discrepancy >= 0.1
+
+    def test_infinite_dihedral_takes_the_word_path(self):
+        cm = js.dihedral(math.inf)
+        rep = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.0)])
+        ev = js.equivalence_evidence(rep.generators, rep.generators, cm)
+        assert ev.method == "words" and ev.separation is None
+        assert ev.words_checked == 16  # 2 reduced words of each length 1..8
+        assert ev.max_discrepancy == 0.0 and ev.relation_discrepancy <= 1e-12
+        t = planted_tuple(rep, [np.diag([0.3, -0.22]), random_block(2, 0.3, 4)], seed=6)
+        rig = js.rigidity_check(t, rep, seed=0)
+        assert rig.dim_L == 2 and rig.equivalence.words_checked == 16
+        assert rig.to_json()["equivalence"]["method"] == "words"
+
+    def test_large_finite_group_takes_the_word_path(self, monkeypatch):
+        monkeypatch.setattr(coxeter, "_MAX_GROUP_ORDER", 100)
+        cm = type_a(4)
+        gens = geometric_representation(cm)
+        ev = js.equivalence_evidence(gens, gens, cm)
+        assert ev.method == "words" and ev.separation is None
+        assert ev.words_checked == sum(4 * 3 ** (k - 1) for k in range(1, 9))
+
+    def test_unkeyable_elements_are_refused(self, monkeypatch):
+        # keys at full precision split one element into several: the walk
+        # must refuse rather than report a wrong group order
+        monkeypatch.setattr(coxeter, "_KEY_DECIMALS", 17)
+        cm = type_a(3)
+        gens = geometric_representation(cm)
+        with pytest.raises(js.ChamberSeparationError):
+            js.equivalence_evidence(gens, gens, cm)
 
 
 class TestRigidityPipeline:
@@ -312,3 +426,17 @@ class TestRigidityPipeline:
         assert rig.condition_star == {2: False}
         assert rig.condition_I and all(rig.condition_II.values())
         assert not rig.applicable
+
+    @pytest.mark.parametrize("cm, order", [(type_a(5), 720), (b4_matrix(), 384),
+                                           (d4_matrix(), 192)])
+    def test_planted_rank_ge4(self, cm, order):
+        # commuting generator pairs repeat a 1-dim character, so (*) fails;
+        # L and the characters still match, on every element of W
+        t, rep = planted_geometric(cm, seed=31)
+        rig = js.rigidity_check(t, rep, seed=0)
+        assert rig.dim_L == rep.dim
+        ev = rig.equivalence
+        assert ev.max_discrepancy <= 1e-6
+        assert ev.words_checked == order - 1
+        assert ev.relation_discrepancy <= 1e-10 and ev.separation >= 1.0
+        assert rig.to_json()["equivalence"]["method"] == "group_elements"
