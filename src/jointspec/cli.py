@@ -2,8 +2,9 @@
 
 Exit status contract: 0 all requested checks pass, 1 a check failed,
 2 input/config parse error (also a representation assignment that breaks
-a relation of the Coxeter matrix), 3 numerical refusal (blow-up, non-normal
-leading matrix, failed hypotheses) with a diagnostic report.
+a relation of the Coxeter matrix, and a lambda that is not an eigenvalue of
+A1), 3 numerical refusal (blow-up, non-normal leading matrix, failed
+hypotheses, failed tracking or separation) with a diagnostic report.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .errors import (
     JointSpecError,
     NotNormalError,
     ProjectionBlowupError,
+    UnknownEigenvalueError,
 )
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
@@ -45,7 +47,6 @@ class RunConfig:
     samples: int = 8
     seed: int = 0
     epsilon: float = 0.15
-    quad_cap: int = 2**14
 
     def validate(self):
         if self.tol <= 0:
@@ -56,8 +57,6 @@ class RunConfig:
             raise ValueError("--t-max must be positive")
         if self.epsilon <= 0:
             raise ValueError("--epsilon must be positive")
-        if self.quad_cap < 16:
-            raise ValueError("--quad-cap must be at least 16")
 
 
 def _clean(obj):
@@ -98,7 +97,6 @@ def _provenance(config: RunConfig):
             "samples": config.samples,
             "seed": config.seed,
             "epsilon": config.epsilon,
-            "quad_cap": config.quad_cap,
         },
     }
 
@@ -140,7 +138,7 @@ def _cmd_analyze(config: RunConfig):
     report["projections"] = []
     refusal = None
     for b in branches:
-        ladder = projection_ladder(tup, b, quad_cap=config.quad_cap)
+        ladder = projection_ladder(tup, b)
         profile = projection_norm_profile(tup, b, ladder=ladder)
         entry = {"j": b.index, "norm_profile": profile.to_json(),
                  "ladder": [cp.to_json() for cp in ladder]}
@@ -165,10 +163,7 @@ def _cmd_verify(config: RunConfig):
     tup = _tuple_from(obj)
     report = _provenance(config)
     try:
-        reports = verify_pair(
-            tup, tol=config.tol, t_max=config.t_max, samples=config.samples,
-            quad_cap=config.quad_cap,
-        )
+        reports = verify_pair(tup, tol=config.tol, t_max=config.t_max, samples=config.samples)
     except (NotNormalError, HypothesisNotMet, ProjectionBlowupError) as exc:
         report["refusal"] = str(exc)
         _emit(report, config)
@@ -262,7 +257,7 @@ def _cmd_demo_blowup(config: RunConfig):
     report["profiles"] = []
     exponents = []
     for b in branches:
-        profile = projection_norm_profile(tup, b, quad_cap=config.quad_cap)
+        profile = projection_norm_profile(tup, b)
         report["profiles"].append({"j": b.index, **profile.to_json()})
         exponents.append(profile.exponent)
     report["refusal"] = (
@@ -297,7 +292,6 @@ def build_parser():
         p.add_argument("--samples", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epsilon", type=float, default=0.15)
-        p.add_argument("--quad-cap", dest="quad_cap", type=int, default=2**14)
     return parser
 
 
@@ -307,7 +301,7 @@ def main(argv=None):
     config = RunConfig(
         command=args.command, input=args.input, out=args.out, tol=args.tol,
         t_max=args.t_max, samples=args.samples, seed=args.seed,
-        epsilon=args.epsilon, quad_cap=args.quad_cap,
+        epsilon=args.epsilon,
     )
     try:
         config.validate()
@@ -315,14 +309,15 @@ def main(argv=None):
             raise ValueError(f"{config.command} requires --input")
         return _COMMANDS[config.command](config)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, DimensionMismatchError,
-            AssignmentError) as exc:
+            AssignmentError, UnknownEigenvalueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except (NotNormalError, ProjectionBlowupError, HypothesisNotMet) as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return EXIT_REFUSED
     except JointSpecError as exc:
         sys.stderr.write(f"refused: {exc}\n")
+        report = _provenance(config)
+        report["refusal"] = str(exc)
+        report["error"] = type(exc).__name__
+        _emit(report, config)
         return EXIT_REFUSED
 
 

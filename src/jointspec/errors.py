@@ -43,16 +43,8 @@ class ExtrapolationError(JointSpecError):
     """Richardson extrapolation did not converge on the supplied samples."""
 
 
-class EigenvalueOnContourError(JointSpecError):
-    """An eigenvalue lies (numerically) on the quadrature contour."""
-
-
-class QuadratureError(JointSpecError):
-    """Contour quadrature failed to stabilize below the node cap."""
-
-
 class SeparationError(JointSpecError):
-    """No admissible contour radius separates the target eigenvalue cluster."""
+    """The target eigenvalue cluster is not separated from the rest of the spectrum."""
 
 
 class ProjectionBlowupError(JointSpecError):

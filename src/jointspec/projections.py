@@ -1,114 +1,61 @@
-"""Contour-integral component projections and their limits at t = 0.
+"""Component spectral projections and their limits at t = 0.
 
 The projection attached to a branch at ladder parameter t is the Riesz
-integral of the resolvent of the frozen pencil around the branch's own
-eigenvalue (1 for the nonzero kind, 0 for the zero kind).  Along a
-non-tangential line the family extends analytically to t = 0; the limit and
-its first t-derivative P'(0) are produced by the same ladder extrapolation
-used for branch values.  For non-normal leading matrices the family may
-instead blow up like a power of t; that outcome is detected, fitted, and
-reported as a first-class diagnostic rather than hidden in an exception
-trace.
+projection of the frozen pencil onto the eigenvalues at the branch's own
+eigenvalue (1 for the nonzero kind, 0 for the zero kind).  It comes from one
+sorted complex Schur form and one Sylvester solve on its triangular blocks.
+Along a non-tangential line the family extends analytically to t = 0; the
+limit and its first t-derivative P'(0) are produced by the same ladder
+extrapolation used for branch values.  For non-normal leading matrices the
+family may instead blow up like a power of t; that outcome is detected,
+fitted, and reported as a first-class diagnostic rather than hidden in an
+exception trace.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrsyl
 
 from . import extrapolate
 from .branches import Branch, _roots_at
-from .errors import (
-    EigenvalueOnContourError,
-    ProjectionBlowupError,
-    QuadratureError,
-    SeparationError,
-    TrackingError,
-)
+from .errors import ProjectionBlowupError, SeparationError, TrackingError
 from .pencil import MatrixTuple, opnorm
 from .serialize import complex_to_pair, matrix_to_json
 
-_EPS = np.finfo(float).eps
 
+def _spectral_projection(m, center, tol):
+    """Spectral projection of m onto its eigenvalues within tol of center.
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle contour for resolvent quadrature."""
-
-    center: complex
-    radius: float
-    quad_points: int = 32
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
-        q = self.quad_points
-        if q < 8 or (q & (q - 1)) != 0:
-            raise ValueError("quad_points must be a power of two >= 8")
-
-
-# Matrix entries held by one stacked inverse: the nodes of a set are solved in
-# chunks of max(1, _STACK_ENTRIES // N^2), so a chunk and its inverse take
-# 32 MiB whatever the node count.
-_STACK_ENTRIES = 2**20
-
-
-def _quad_nodes(m, center, radius, thetas):
-    """sum_k e_k (w_k I - m)^-1 over the nodes w_k = center + radius e_k,
-    e_k = exp(i theta_k), from stacked inverses."""
-    n = m.shape[0]
-    es = np.exp(1j * np.asarray(thetas))
-    chunk = max(1, _STACK_ENTRIES // (n * n))
-    acc = np.zeros((n, n), dtype=complex)
-    for k in range(0, es.size, chunk):
-        e = es[k:k + chunk]
-        stack = np.multiply.outer(center + radius * e, np.eye(n))
-        stack -= m
-        acc += (e @ np.linalg.inv(stack).reshape(e.size, n * n)).reshape(n, n)
-    return acc
-
-
-def riesz_projection_info(m, contour: ContourSpec, stab_tol=1e-10, quad_cap=2**14):
-    """Spectral projection onto the eigenvalues of m strictly inside the circle.
-
-    Trapezoid quadrature of the resolvent; the node count doubles from
-    contour.quad_points, the new nodes interleaving the old ones, until two
-    successive results differ by <= stab_tol or the cap is hit.  Each node
-    set is solved as stacked inverses, in chunks of a fixed number of matrix
-    entries, so memory does not grow with the node count.  Returns
-    (projection, nodes_used).
+    With those eigenvalues sorted first, Q* m Q = [[T11, T12], [0, T22]], and
+    X with T11 X - X T22 = T12 gives P = Q [[I, X], [0, 0]] Q* (Golub & Van
+    Loan, Matrix Computations, 7.6).  Returns (P, rank, excluded eigenvalues).
     """
-    m = np.asarray(m, dtype=complex)
-    evs = np.linalg.eigvals(m)
-    margin = 10.0 * _EPS * (1.0 + opnorm(m))
-    if np.any(np.abs(np.abs(evs - contour.center) - contour.radius) <= margin):
-        raise EigenvalueOnContourError(
-            f"eigenvalue on the contour |w - {contour.center}| = {contour.radius}"
+    try:
+        t, q, k = scipy.linalg.schur(
+            m, output="complex", sort=lambda z: abs(z - center) <= tol
         )
-
-    q = contour.quad_points
-    thetas = 2.0 * np.pi * np.arange(q) / q
-    acc = _quad_nodes(m, contour.center, contour.radius, thetas)
-    prev = (contour.radius / q) * acc
-    while q < quad_cap:
-        # new nodes interleave the old ones
-        new_thetas = 2.0 * np.pi * (np.arange(q) + 0.5) / q
-        acc = acc + _quad_nodes(m, contour.center, contour.radius, new_thetas)
-        q *= 2
-        cur = (contour.radius / q) * acc
-        if opnorm(cur - prev) <= stab_tol:
-            return cur, q
-        prev = cur
-    raise QuadratureError(f"quadrature did not stabilize below {quad_cap} nodes")
-
-
-def riesz_projection(m, contour: ContourSpec, stab_tol=1e-10, quad_cap=2**14):
-    p, _ = riesz_projection_info(m, contour, stab_tol=stab_tol, quad_cap=quad_cap)
-    return p
+    except np.linalg.LinAlgError as exc:
+        # no Schur form, or reordering moved an eigenvalue across |z - center| = tol
+        raise SeparationError(f"eigenvalue cluster at {center} is not separated: {exc}")
+    n = t.shape[0]
+    x = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:
+        x, scale, info = ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        if info != 0:
+            raise SeparationError(
+                f"eigenvalues inside and outside the cluster at {center} nearly coincide"
+            )
+        x = x / scale
+    q1 = q[:, :k]
+    p = q1 @ (q1.conj().T + x @ q[:, k:].conj().T)
+    return p, k, np.diag(t)[k:]
 
 
 @dataclass(frozen=True)
 class ComponentProjection:
-    """Riesz projection of the frozen pencil at one ladder parameter."""
+    """Spectral projection of the frozen pencil at one ladder parameter."""
 
     branch_index: int
     lam: complex
@@ -118,7 +65,6 @@ class ComponentProjection:
     idempotency_residual: float
     rank: int
     radius: float
-    quad_points_used: int
 
     def to_json(self):
         return {
@@ -129,7 +75,6 @@ class ComponentProjection:
             "idempotency": self.idempotency_residual,
             "rank": self.rank,
             "radius": self.radius,
-            "quad_points": self.quad_points_used,
         }
 
 
@@ -161,39 +106,30 @@ def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):
     return value * t.matrices[0] + rest, 1.0 + 0.0j
 
 
-def component_projection(
-    t: MatrixTuple,
-    b: Branch,
-    tparam,
-    quad_points=32,
-    stab_tol=1e-10,
-    quad_cap=2**14,
-):
+def component_projection(t: MatrixTuple, b: Branch, tparam):
     """Component projection of a branch at line parameter tparam.
 
-    The contour is centered at the branch eigenvalue (1 or 0) with radius
-    half the distance to the nearest excluded eigenvalue of the frozen
-    pencil; too-small separation signals a regularity failure and raises.
+    The projection is onto the eigenvalues of the frozen pencil within
+    own_tol of the branch eigenvalue (1 or 0).  The nearest excluded
+    eigenvalue must be farther than 2 own_tol, else the component is not
+    separated (a regularity failure) and SeparationError is raised; the
+    reported radius is half that distance, the circle the projection is
+    the Riesz integral over.
     """
     value = _branch_value_at(t, b, tparam)
     m, center = _frozen_pencil(t, b, tparam, value)
-    evs = np.linalg.eigvals(m)
     own_tol = 1e-6 * (1.0 + abs(center))
-    excluded = evs[np.abs(evs - center) > own_tol]
+    p, rank, excluded = _spectral_projection(m, center, own_tol)
     if excluded.size:
         dmin = float(np.min(np.abs(excluded - center)))
         if dmin <= 2.0 * own_tol:
             raise SeparationError(
                 f"nearest excluded eigenvalue at distance {dmin:.3e} from the "
-                f"contour center; component is not separated (t={tparam})"
+                f"branch eigenvalue; component is not separated (t={tparam})"
             )
         radius = 0.5 * dmin
     else:
         radius = 0.5 * (1.0 + abs(center))
-    p, q_used = riesz_projection_info(
-        m, ContourSpec(center=center, radius=radius, quad_points=quad_points),
-        stab_tol=stab_tol, quad_cap=quad_cap,
-    )
     return ComponentProjection(
         branch_index=b.index,
         lam=b.lam,
@@ -201,15 +137,14 @@ def component_projection(
         t=float(tparam),
         matrix=p,
         idempotency_residual=opnorm(p @ p - p),
-        rank=int(round(np.trace(p).real)),
+        rank=rank,
         radius=radius,
-        quad_points_used=q_used,
     )
 
 
-def projection_ladder(t: MatrixTuple, b: Branch, **quad_kwargs):
+def projection_ladder(t: MatrixTuple, b: Branch):
     """Component projections at every ladder sample of the branch."""
-    return [component_projection(t, b, tk, **quad_kwargs) for tk, _ in b.samples]
+    return [component_projection(t, b, tk) for tk, _ in b.samples]
 
 
 @dataclass(frozen=True)
@@ -221,10 +156,10 @@ class NormProfile:
         return {"points": [[t, v] for t, v in self.points], "exponent": self.exponent}
 
 
-def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None, **quad_kwargs):
+def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None):
     """Projection norms down the ladder with a fitted power-law exponent."""
     if ladder is None:
-        ladder = projection_ladder(t, b, **quad_kwargs)
+        ladder = projection_ladder(t, b)
     pts = tuple((cp.t, opnorm(cp.matrix)) for cp in ladder)
     ts = [p[0] for p in pts]
     ns = [p[1] for p in pts]
@@ -256,13 +191,7 @@ class LimitProjection:
         }
 
 
-def limit_projection(
-    t: MatrixTuple,
-    b: Branch,
-    ladder=None,
-    blowup_threshold=-0.25,
-    **quad_kwargs,
-):
+def limit_projection(t: MatrixTuple, b: Branch, ladder=None, blowup_threshold=-0.25):
     """Richardson limit P and derivative P'(0) of the component projections
     along the branch ladder, each extrapolated once.
 
@@ -271,7 +200,7 @@ def limit_projection(
     this is the expected outcome for non-normal leading matrices.
     """
     if ladder is None:
-        ladder = projection_ladder(t, b, **quad_kwargs)
+        ladder = projection_ladder(t, b)
     ts = np.array([cp.t for cp in ladder])
     mats = [cp.matrix for cp in ladder]
     profile = projection_norm_profile(t, b, ladder=ladder)

@@ -192,8 +192,6 @@ def analyze_pair(
     xhat=None,
     t_max=1e-2,
     samples=8,
-    quad_points=32,
-    quad_cap=2**14,
     resolution=None,
 ):
     """Track branches at lam, build projection ladders, extrapolate limits."""
@@ -203,14 +201,12 @@ def analyze_pair(
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples)
-    return _analysis(t, branches, resolution, quad_points, quad_cap)
+    return _analysis(t, branches, resolution)
 
 
-def _analysis(t: MatrixTuple, branches, resolution, quad_points, quad_cap):
+def _analysis(t: MatrixTuple, branches, resolution):
     """Projection ladders and limit projections of branches already tracked."""
-    ladders = tuple(
-        projection_ladder(t, b, quad_points=quad_points, quad_cap=quad_cap) for b in branches
-    )
+    ladders = tuple(projection_ladder(t, b) for b in branches)
     limits = tuple(
         limit_projection(t, b, ladder=lad) for b, lad in zip(branches, ladders)
     )
@@ -325,8 +321,6 @@ def verify_pair(
     check_hypotheses=True,
     t_max=1e-2,
     samples=8,
-    quad_points=32,
-    quad_cap=2**14,
 ):
     """Run every identity check for a pair, at one or all eigenvalues of A1.
 
@@ -356,7 +350,7 @@ def verify_pair(
         else:
             branches = local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max,
                                       samples=samples, ladder=ladders[pair])
-        return _analysis(pairs[pair], branches, res, quad_points, quad_cap)
+        return _analysis(pairs[pair], branches, res)
 
     reports = []
     for k in range(len(eigs)) if lam is None else [res.index_of(lam)]:

@@ -5,6 +5,7 @@ library (closed forms, direct eigensolves, quadratic formula, first-order
 perturbation), so the tests stay two-sided.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -41,20 +42,39 @@ def eigenprojection_direct(m, center, radius):
     return p
 
 
-def schur_projection(m, center, radius):
-    """Spectral projection onto the eigenvalues inside a disk, from a Schur form.
+def quadrature_projection(m, center, radius, nodes):
+    """Spectral projection onto the eigenvalues inside a circle, by quadrature.
 
-    With the inside eigenvalues sorted first, Q* m Q = [[T11, T12], [0, T22]];
-    X with T11 X - X T22 = T12 gives P = Q [[I, X], [0, 0]] Q*.  No resolvent,
-    no quadrature.
+    Trapezoid rule with a fixed number of nodes on |w - center| = radius for
+    (1 / 2 pi i) of the contour integral of (w I - m)^-1, one inverse per node.
     """
     m = np.asarray(m, dtype=complex)
-    t, q, k = scipy.linalg.schur(m, output="complex", sort=lambda z: abs(z - center) < radius)
-    x = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
-    p = np.zeros_like(t)
-    p[:k, :k] = np.eye(k)
-    p[:k, k:] = x
-    return q @ p @ q.conj().T
+    n = m.shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    for k in range(nodes):
+        e = np.exp(2j * np.pi * k / nodes)
+        acc += e * np.linalg.inv((center + radius * e) * np.eye(n) - m)
+    return (radius / nodes) * acc
+
+
+def exact_projection(m, center, radius, dps=40):
+    """Spectral projection onto the eigenvalues inside a disk, in high precision.
+
+    An mpmath eigendecomposition of m (taken as exact) at dps digits, with left
+    and right eigenvectors: P = R (L R)^-1 L over the selected eigenvalues.
+    """
+    with mpmath.workdps(dps):
+        a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in np.asarray(m)])
+        w, left, right = mpmath.eig(a, left=True, right=True)
+        sel = [i for i in range(len(w)) if abs(w[i] - center) < radius]
+        r = mpmath.matrix(a.rows, len(sel))
+        lt = mpmath.matrix(len(sel), a.rows)
+        for j, i in enumerate(sel):
+            for k in range(a.rows):
+                r[k, j] = right[k, i]
+                lt[j, k] = left[i, k]
+        p = r * mpmath.inverse(lt * r) * lt
+        return np.array([[complex(p[i, j]) for j in range(a.cols)] for i in range(a.rows)])
 
 
 def pencil_root_near(a1, b, t, target):

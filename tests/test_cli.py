@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jointspec as js
+from jointspec import cli
 from jointspec.cli import main
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, planted_tuple
 
@@ -77,6 +78,25 @@ class TestAnalyzeCommand:
         assert "refusal" in rep
         exps = [p["norm_profile"]["exponent"] for p in rep["projections"]]
         assert all(abs(e + 1.0) <= 0.1 for e in exps)
+
+
+    def test_lambda_not_an_eigenvalue_exits_two(self, tmp_path, capsys):
+        obj = {**dihedral_pair(np.pi / 3).to_json(), "schema_version": 1, "lambda": [0.3, 0]}
+        inp = write_json(tmp_path / "bad_lambda.json", obj)
+        assert main(["analyze", "--input", inp]) == 2
+        assert "not an eigenvalue" in capsys.readouterr().err
+
+    def test_numerical_refusal_writes_a_report(self, dihedral_input, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise js.TrackingError("branch lost at t=0.005")
+
+        monkeypatch.setattr(cli, "local_branches", fail)
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--input", dihedral_input, "--out", str(out)]) == 3
+        rep = json.loads(out.read_text())
+        assert rep["error"] == "TrackingError"
+        assert rep["refusal"] == "branch lost at t=0.005"
+        assert rep["command"] == "analyze" and rep["schema_version"] == 1
 
 
 class TestPlotCommand:

@@ -1,27 +1,40 @@
-"""Tests for contour projections, limits at t = 0, and blow-up diagnostics."""
-
-import tracemalloc
+"""Tests for component projections, limits at t = 0, and blow-up diagnostics."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import jointspec as js
 from jointspec import projections
-from jointspec.coxeter import random_unitary
-from jointspec.fixtures import blowup_demo_pair, commuting_diagonal_pair, dihedral_pair
+from jointspec.fixtures import (
+    blowup_demo_pair,
+    commuting_diagonal_pair,
+    dihedral_pair,
+    regular_random_pair,
+)
+from jointspec.projections import _spectral_projection
 
-from oracles import eigenprojection_2x2, eigenprojection_direct, schur_projection
+from oracles import (
+    eigenprojection_2x2,
+    eigenprojection_direct,
+    exact_projection,
+    quadrature_projection,
+)
 
 
 class TestRieszProjection:
+    """The Schur kernel on matrices with known spectral projections."""
+
     def test_diagonal(self):
-        p = js.riesz_projection(np.diag([1.0, -1.0]), js.ContourSpec(1.0, 0.5))
+        p, rank, _ = _spectral_projection(np.diag([1.0, -1.0]), 1.0, 0.5)
+        assert rank == 1
         assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_non_orthogonal_projection(self):
         m = np.array([[1.0, 1.0], [0.0, 2.0]])
-        p = js.riesz_projection(m, js.ContourSpec(1.0, 0.4))
+        p, _, excluded = _spectral_projection(m, 1.0, 0.4)
+        assert_allclose(excluded, [2.0], atol=1e-12)
         assert_allclose(p, [[1.0, -1.0], [0.0, 0.0]], atol=1e-11)
         assert_allclose(p, eigenprojection_2x2(m, 1.0), atol=1e-11)
 
@@ -30,7 +43,7 @@ class TestRieszProjection:
         m = g1 + 0.1 * g2
         evs = np.linalg.eigvals(m)
         top = evs[np.argmax(evs.real)]
-        p = js.riesz_projection(m, js.ContourSpec(top, 0.3))
+        p, _, _ = _spectral_projection(m, top, 0.3)
         assert abs(np.trace(p) - 1.0) <= 1e-10
         assert_allclose(p, eigenprojection_direct(m, top, 0.3), atol=1e-9)
 
@@ -41,30 +54,34 @@ class TestRieszProjection:
             evs = np.linalg.eigvals(m)
             center = evs[0]
             radius = 0.45 * min(abs(e - center) for e in evs[1:])
-            p = js.riesz_projection(m, js.ContourSpec(center, radius))
+            p, _, _ = _spectral_projection(m, center, radius)
             assert_allclose(p, eigenprojection_direct(m, center, radius), atol=1e-9)
 
     def test_radius_independence(self):
         m = np.diag([1.0, -1.0, 3.0])
-        p1 = js.riesz_projection(m, js.ContourSpec(1.0, 0.3))
-        p2 = js.riesz_projection(m, js.ContourSpec(1.0, 0.9))
+        p1, _, _ = _spectral_projection(m, 1.0, 0.3)
+        p2, _, _ = _spectral_projection(m, 1.0, 0.9)
         assert js.opnorm(p1 - p2) <= 1e-9
 
-    def test_eigenvalue_on_contour_rejected(self):
-        with pytest.raises(js.EigenvalueOnContourError):
-            js.riesz_projection(np.diag([1.0, 2.0]), js.ContourSpec(1.0, 1.0))
+    def test_reordering_failure_is_a_separation_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading eigenvalues do not satisfy the sort condition")
 
-    def test_contour_spec_validation(self):
-        with pytest.raises(ValueError):
-            js.ContourSpec(0.0, -1.0)
-        with pytest.raises(ValueError):
-            js.ContourSpec(0.0, 1.0, quad_points=12)
-        with pytest.raises(ValueError):
-            js.ContourSpec(0.0, 1.0, quad_points=4)
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        with pytest.raises(js.SeparationError):
+            _spectral_projection(np.diag([1.0, 2.0]), 1.0, 0.5)
+
+    def test_perturbed_sylvester_solve_is_refused(self, monkeypatch):
+        # ztrsyl reports info = 1 when it had to perturb coinciding eigenvalues
+        monkeypatch.setattr(projections, "ztrsyl", lambda *args, **kwargs: (np.ones((1, 1)), 1.0, 1))
+        with pytest.raises(js.SeparationError):
+            _spectral_projection(np.array([[1.0, 1.0], [0.0, 2.0]]), 1.0, 0.5)
 
 
 class TestSchurOracle:
-    """The stacked quadrature against a sorted Schur form and a Sylvester solve."""
+    """The Schur kernel against a trapezoid quadrature of the resolvent."""
+
+    NODES = 128
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
     def test_random_nonnormal(self, n):
@@ -74,8 +91,8 @@ class TestSchurOracle:
         evs = np.linalg.eigvals(m)
         center = evs[0]
         radius = 0.5 * np.min(np.abs(evs[1:] - center))
-        p = js.riesz_projection(m, js.ContourSpec(center, radius))
-        ref = schur_projection(m, center, radius)
+        p, _, _ = _spectral_projection(m, center, radius)
+        ref = self.oracle(m, center, radius)
         assert js.opnorm(p - ref) <= 1e-10 * js.opnorm(ref)
 
     def test_blowup_demo_frozen_pencil(self):
@@ -84,42 +101,29 @@ class TestSchurOracle:
         cp = js.component_projection(t, b, 0.1)
         x1 = dict(b.samples)[0.1]
         m = x1 * t.matrices[0] + 0.1 * t.matrices[1]
-        ref = schur_projection(m, 1.0, cp.radius)
+        ref = self.oracle(m, 1.0, cp.radius)
         assert js.opnorm(cp.matrix - ref) <= 1e-10 * js.opnorm(ref)
 
-
-class TestStackedQuadrature:
-    def test_chunks_sum_like_a_node_loop(self, monkeypatch):
-        # chunks of 3 nodes leave a short last chunk: 32 = 10 * 3 + 2
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        center, radius = 0.1 + 0.2j, 0.7
-        thetas = 2.0 * np.pi * np.arange(32) / 32
-        loop = sum(
-            np.exp(1j * th) * np.linalg.inv((center + radius * np.exp(1j * th)) * np.eye(8) - m)
-            for th in thetas
-        )
-        monkeypatch.setattr(projections, "_STACK_ENTRIES", 3 * 64)
-        chunked = projections._quad_nodes(m, center, radius, thetas)
-        assert js.opnorm(chunked - loop) <= 1e-13 * js.opnorm(loop)
+    def oracle(self, m, center, radius):
+        # converged: doubling the nodes does not move the quadrature
+        ref = quadrature_projection(m, center, radius, self.NODES)
+        finer = quadrature_projection(m, center, radius, 2 * self.NODES)
+        assert js.opnorm(ref - finer) <= 1e-12 * js.opnorm(finer)
+        return ref
 
 
-class TestQuadratureMemory:
-    def test_unstable_quadrature_is_bounded_in_memory(self):
-        # an eigenvalue 5e-4 outside the unit contour: the trapezoid error
-        # decays like 1.0005^-q, still ~3e-4 at the 2^14-node cap
-        rng = np.random.default_rng(0)
-        evs = np.concatenate(([0.1, 1.0005 * np.exp(0.7j)], rng.uniform(3.0, 4.0, 30)))
-        u = random_unitary(32, rng)
-        m = u @ np.diag(evs) @ u.conj().T
-        tracemalloc.start()
-        try:
-            with pytest.raises(js.QuadratureError, match="16384"):
-                js.riesz_projection_info(m, js.ContourSpec(0.0, 1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+class TestExactProjection:
+    """Every ladder rung against a 40-digit eigendecomposition of the same pencil."""
+
+    @pytest.mark.parametrize("seed, dim", [(17, 4), (5, 8)])
+    def test_ladder_rungs(self, seed, dim):
+        t, _ = regular_random_pair(seed, dim)
+        a1, a2 = t.matrices
+        for b in js.local_branches(t, 1.0, [1.0]):
+            for cp in js.projection_ladder(t, b):
+                v = dict(b.samples)[cp.t]
+                exact = exact_projection(v * a1 + cp.t * a2, 1.0, cp.radius)
+                assert js.opnorm(cp.matrix - exact) <= 1e-10 * js.opnorm(exact)
 
 
 class TestComponentProjection:
@@ -164,6 +168,16 @@ class TestComponentProjection:
         assert b.multiplicity == 2
         cp = js.component_projection(t, b, 0.01)
         assert cp.rank == 2
+
+
+    def test_unseparated_component_refused(self):
+        # the sibling branch of diag(0, 0.5) is 3e-6 away at t = 6e-6: outside
+        # own_tol = 2e-6 but within 2 own_tol, so no cluster is separated
+        t = js.MatrixTuple([np.eye(2), np.diag([0.0, 0.5])])
+        b = js.local_branches(t, 1.0, [1.0])[0]
+        with pytest.raises(js.SeparationError, match="3.000e-06"):
+            js.component_projection(t, b, 6e-6)
+        assert js.component_projection(t, b, 1e-5).rank == 1
 
 
 class TestLimitProjection:
