@@ -58,21 +58,30 @@ class SpectralResolution:
     projections: tuple
     multiplicities: tuple
 
-    def projection_for(self, lam, tol=1e-6):
-        i = self.index_of(lam, tol)
-        return self.projections[i]
+    def projection_for(self, lam):
+        return self.projections[self.index_of(lam)]
 
-    def index_of(self, lam, tol=1e-6):
-        d = np.abs(self.eigenvalues - complex(lam))
-        i = int(np.argmin(d))
-        if d[i] > tol * (1.0 + abs(lam)):
-            raise UnknownEigenvalueError(
-                f"{lam} is not an eigenvalue of the resolved matrix (nearest: {self.eigenvalues[i]})"
-            )
-        return i
+    def index_of(self, lam):
+        return _nearest_eigenvalue(self.eigenvalues, lam, "the resolved matrix")
 
 
-def spectral_resolution(a1, cluster_tol=None):
+def _nearest_eigenvalue(eigenvalues, lam, matrix_name):
+    """Index of the eigenvalue nearest lam; it must lie within 1e-6 (1 + |lam|)."""
+    d = np.abs(eigenvalues - complex(lam))
+    i = int(np.argmin(d))
+    if d[i] > 1e-6 * (1.0 + abs(lam)):
+        raise UnknownEigenvalueError(
+            f"{lam} is not an eigenvalue of {matrix_name} (nearest: {eigenvalues[i]})"
+        )
+    return i
+
+
+def _eigenvalue_clusters(a1, eigenvalues):
+    """Eigenvalues of a1 clustered at 1e-8 max(1, ||a1||)."""
+    return _cluster_values(eigenvalues, 1e-8 * max(1.0, opnorm(a1)))
+
+
+def spectral_resolution(a1):
     """Eigenvalue clusters and orthogonal spectral projections of a normal matrix.
 
     Rejects non-normal input: limit projections can diverge there, and the
@@ -82,10 +91,8 @@ def spectral_resolution(a1, cluster_tol=None):
     rep = normality_report(a1)
     if not rep.is_normal:
         raise NotNormalError(rep.commutator_norm, rep.tolerance)
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * max(1.0, opnorm(a1))
     t, z = scipy.linalg.schur(a1, output="complex")
-    clusters = _cluster_values(np.diag(t), cluster_tol)
+    clusters = _eigenvalue_clusters(a1, np.diag(t))
     eigenvalues = np.array([c for c, _ in clusters])
     projections = []
     multiplicities = []
@@ -158,22 +165,9 @@ class Branch:
         }
 
 
-def _reference_spectrum(t: MatrixTuple, cluster_tol=None):
+def _reference_spectrum(t: MatrixTuple):
     a1 = t.matrices[0]
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * max(1.0, opnorm(a1))
-    return _cluster_values(np.linalg.eigvals(a1), cluster_tol)
-
-
-def _match_reference(clusters, lam):
-    centers = np.array([c for c, _ in clusters])
-    d = np.abs(centers - complex(lam))
-    i = int(np.argmin(d))
-    if d[i] > 1e-6 * (1.0 + abs(lam)):
-        raise UnknownEigenvalueError(
-            f"{lam} is not an eigenvalue of A1 (nearest: {centers[i]})"
-        )
-    return centers[i], len(clusters[i][1])
+    return _eigenvalue_clusters(a1, np.linalg.eigvals(a1))
 
 
 def _roots_at(t: MatrixTuple, kind, xhat, tval):
@@ -251,8 +245,7 @@ def slice_ladder(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
     return _solve_ladder(t, xhat, t_max, samples, refs, kinds)
 
 
-def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_tol=None,
-                   ladder=None):
+def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
     """Track the spectrum branches through 1/lambda (or 0) along the line t*xhat.
 
     Solves the slice eigenproblem on the geometric ladder t_k = t_max * 2^-k,
@@ -272,7 +265,8 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_to
         raise TrackingError("need at least two ladder levels")
 
     refs = _reference_spectrum(t) if ladder is None else ladder.reference
-    lam0, mult_lam = _match_reference(refs, lam)
+    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
+    lam0, mult_lam = refs[i][0], len(refs[i][1])
     kind = _kinds(t, [lam0])[0]
     if ladder is None:
         ladder = _solve_ladder(t, xhat, t_max, samples, refs, (kind,))
@@ -295,8 +289,7 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, coincide_to
         sel_radius = 0.5 * min(
             (abs(1.0 / c - center) for c in others), default=1.0 + abs(center)
         )
-    if coincide_tol is None:
-        coincide_tol = 1e-6 * (1.0 + abs(center))
+    coincide_tol = 1e-6 * (1.0 + abs(center))
 
     ts = t_max * 2.0 ** (-np.arange(samples))
     levels = []
@@ -400,8 +393,7 @@ class RegularityReport:
         }
 
 
-def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1e-6,
-                     ladder=None):
+def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
     """Check conditions a) and b) (or their lambda = 0 analogues) along xhat.
 
     A tracking failure is reported as a failed condition a), with its message.
@@ -419,10 +411,10 @@ def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, gap_tol=1
             tangency_ok=False,
             failure=str(exc),
         )
-    return regularity_report(branches, gap_tol=gap_tol)
+    return regularity_report(branches)
 
 
-def regularity_report(branches, gap_tol=1e-6):
+def regularity_report(branches):
     """Conditions a) and b) from the branches local_branches tracked at one lambda."""
     cond_a = all(b.multiplicity == 1 for b in branches)
 
@@ -437,7 +429,7 @@ def regularity_report(branches, gap_tol=1e-6):
             abs(d1s[i] - d1s[j]) for i in range(len(d1s)) for j in range(i + 1, len(d1s))
         )
     scale = 1.0 + max((abs(d) for d in d1s), default=0.0)
-    cond_b = bool(gap > gap_tol * scale)
+    cond_b = bool(gap > 1e-6 * scale)
 
     if len(branches) < 2:
         margin = 0.0 if not cond_b else float("inf")

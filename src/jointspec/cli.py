@@ -21,14 +21,13 @@ from .errors import (
     AssignmentError,
     DimensionMismatchError,
     JointSpecError,
-    NotNormalError,
     ProjectionBlowupError,
     UnknownEigenvalueError,
 )
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
 from .projections import limit_projection, projection_ladder, projection_norm_profile
-from .relations import HypothesisNotMet, verify_pair
+from .relations import verify_pair
 from .serialize import SCHEMA_VERSION, json_to_matrix, pair_to_complex
 
 EXIT_OK = 0
@@ -136,7 +135,7 @@ def _cmd_analyze(config: RunConfig):
     report["branches"] = [b.to_json() for b in branches]
     report["regularity"] = reg.to_json()
     report["projections"] = []
-    refusal = None
+    blowup = None
     for b in branches:
         ladder = projection_ladder(tup, b)
         profile = projection_norm_profile(tup, b, ladder=ladder)
@@ -148,26 +147,20 @@ def _cmd_analyze(config: RunConfig):
         except ProjectionBlowupError as exc:
             entry["limit"] = None
             entry["blowup_exponent"] = exc.exponent
-            refusal = str(exc)
+            blowup = exc
         report["projections"].append(entry)
-    if refusal is not None:
-        report["refusal"] = refusal
-        _emit(report, config)
-        return EXIT_REFUSED
+    if blowup is not None:
+        report["refusal"] = str(blowup)
+        report["error"] = type(blowup).__name__
     _emit(report, config)
-    return EXIT_OK
+    return EXIT_OK if blowup is None else EXIT_REFUSED
 
 
 def _cmd_verify(config: RunConfig):
     obj = _load_json(config.input)
     tup = _tuple_from(obj)
+    reports = verify_pair(tup, tol=config.tol, t_max=config.t_max, samples=config.samples)
     report = _provenance(config)
-    try:
-        reports = verify_pair(tup, tol=config.tol, t_max=config.t_max, samples=config.samples)
-    except (NotNormalError, HypothesisNotMet, ProjectionBlowupError) as exc:
-        report["refusal"] = str(exc)
-        _emit(report, config)
-        return EXIT_REFUSED
     report["instance"] = tup.to_json()
     report["tolerances"] = {"relation": config.tol}
     report["reports"] = [r.to_json() for r in reports]
@@ -199,7 +192,8 @@ def _cmd_coxeter_check(config: RunConfig):
         and rig.restriction.spectra_match
         and rig.restriction.exponents_ok
     )
-    ok = rig.applicable and rig.dim_L == rep.dim and restriction_ok
+    characters_ok = rig.equivalence is None or rig.equivalence.max_discrepancy <= config.tol
+    ok = rig.applicable and rig.dim_L == rep.dim and restriction_ok and characters_ok
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -264,16 +258,19 @@ def _cmd_demo_blowup(config: RunConfig):
         f"component projections blow up as t -> 0 (fitted exponents "
         f"{[round(e, 3) for e in exponents]}); the leading matrix is not normal"
     )
+    report["error"] = ProjectionBlowupError.__name__
     _emit(report, config)
     return EXIT_REFUSED
 
 
+# Each command with the numeric flags it reads; every command takes --out and
+# all but demo-blowup take --input.  Unread values keep their RunConfig default.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "coxeter-check": _cmd_coxeter_check,
-    "plot": _cmd_plot,
-    "demo-blowup": _cmd_demo_blowup,
+    "analyze": (_cmd_analyze, ("t_max", "samples")),
+    "verify": (_cmd_verify, ("tol", "t_max", "samples")),
+    "coxeter-check": (_cmd_coxeter_check, ("tol", "seed", "epsilon")),
+    "plot": (_cmd_plot, ()),
+    "demo-blowup": (_cmd_demo_blowup, ("samples",)),
 }
 
 
@@ -283,31 +280,26 @@ def build_parser():
         description="Determinantal hypersurface analyses for matrix tuples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", help="input JSON path")
+        if name != "demo-blowup":
+            p.add_argument("--input", help="input JSON path")
         p.add_argument("--out", help="output path (JSON, CSV or SVG)")
-        p.add_argument("--tol", type=float, default=1e-5)
-        p.add_argument("--t-max", dest="t_max", type=float, default=1e-2)
-        p.add_argument("--samples", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epsilon", type=float, default=0.15)
+        for dest in flags:
+            default = getattr(RunConfig, dest)
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(default),
+                           default=default)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command, input=args.input, out=args.out, tol=args.tol,
-        t_max=args.t_max, samples=args.samples, seed=args.seed,
-        epsilon=args.epsilon,
-    )
+    config = RunConfig(**vars(parser.parse_args(argv)))
     try:
         config.validate()
         if config.command != "demo-blowup" and not config.input:
             raise ValueError(f"{config.command} requires --input")
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, DimensionMismatchError,
             AssignmentError, UnknownEigenvalueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -185,10 +185,6 @@ class CoxeterRep:
     def as_tuple(self):
         return MatrixTuple(self.generators)
 
-    def pair(self, i):
-        """The (g1, g_i) pair as a matrix tuple (i is 1-based, 2 <= i <= n)."""
-        return MatrixTuple([self.generators[0], self.generators[i - 1]])
-
     def relation_residuals(self):
         res = {}
         for i in range(self.n):
@@ -297,14 +293,16 @@ def build_representation(cm: CoxeterMatrix, assignment, seed=None):
     return rep
 
 
-def dihedral_pair_decomposition(u1, u2, angle_tol=1e-8):
+def dihedral_pair_decomposition(u1, u2):
     """Decompose the representation generated by two unitary involutions.
 
     Returns a list of (kind, angle, multiplicity) with angle None for the
     one-dimensional kinds.  Grouping uses the rotation u1 u2: eigenvalue
     pairs e^{±i theta} give two_dim(theta) copies; the ±1 eigenspaces split
-    one-dimensional characters by the sign of u1 on them.
+    one-dimensional characters by the sign of u1 on them.  Eigenvalues and
+    angles within 1e-8 are grouped.
     """
+    angle_tol = 1e-8
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
     w = u1 @ u2
@@ -344,11 +342,11 @@ def dihedral_pair_decomposition(u1, u2, angle_tol=1e-8):
     return out
 
 
-def check_condition_star(rep: CoxeterRep, angle_tol=1e-8):
+def check_condition_star(rep: CoxeterRep):
     """No irreducible repeats in any (g1, g_i) pair restriction."""
     result = {}
     for i in range(2, rep.n + 1):
-        dec = dihedral_pair_decomposition(rep.generators[0], rep.generators[i - 1], angle_tol)
+        dec = dihedral_pair_decomposition(rep.generators[0], rep.generators[i - 1])
         result[i] = all(mult <= 1 for _, _, mult in dec)
     return result
 
@@ -358,12 +356,11 @@ def _random_direction(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng, tries=None):
+def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
     """Points of the proper joint spectrum within the ball |x - center| <= radius."""
     center = np.asarray(center, dtype=complex)
     pts = []
-    tries = tries if tries is not None else 8 * count
-    for _ in range(tries):
+    for _ in range(8 * count):
         if len(pts) >= count:
             break
         y = center + 0.4 * radius * _random_direction(rng, tup.n) * rng.uniform()
@@ -376,42 +373,52 @@ def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng, tries=No
     return pts[:count]
 
 
-def check_condition_I(t: MatrixTuple, rep: CoxeterRep, sample_count=200, seed=0, tol=1e-8):
-    """Sampled inclusion sigma_p(rep) in sigma_p(t); returns (ok, witness)."""
-    if rep.n != t.n:
+# Relative tolerance of is_spectral_point for points sampled on one spectrum
+# and tested for membership in another.
+_MEMBERSHIP_TOL = 1e-8
+
+
+def _sampled_inclusion(src: MatrixTuple, dst: MatrixTuple, sample_count, seed):
+    """Sampled inclusion sigma_p(src) in sigma_p(dst); returns (ok, witness)."""
+    if src.n != dst.n:
         raise ValueError("tuple and representation must have the same number of generators")
+    n = src.n
     rng = np.random.default_rng(seed)
-    rep_tup = rep.as_tuple()
     checked = 0
-    # random lines through the origin across the full representation spectrum
+    # random lines through the origin across the full spectrum of src
     for _ in range(4 * sample_count):
         if checked >= sample_count // 2:
             break
-        u = _random_direction(rng, t.n)
-        for s in line_roots(rep_tup, np.zeros(t.n), u).finite:
+        u = _random_direction(rng, n)
+        for s in line_roots(src, np.zeros(n), u).finite:
             if abs(s) > 4.0:
                 continue
             p = s * u
-            if not is_spectral_point(t, p, tol):
+            if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
                 return False, p
             checked += 1
-    # lines in the coordinate planes of each (g1, g_i) pair
+    # lines in the coordinate planes of each (A_1, A_i) pair of src
     for _ in range(4 * sample_count):
         if checked >= sample_count:
             break
-        i = int(rng.integers(2, rep.n + 1))
+        i = int(rng.integers(2, n + 1))
         u2 = _random_direction(rng, 2)
-        pair = rep.pair(i)
+        pair = MatrixTuple([src.matrices[0], src.matrices[i - 1]])
         for s in line_roots(pair, np.zeros(2), u2).finite:
             if abs(s) > 4.0:
                 continue
-            p = np.zeros(t.n, dtype=complex)
+            p = np.zeros(n, dtype=complex)
             p[0] = s * u2[0]
             p[i - 1] = s * u2[1]
-            if not is_spectral_point(t, p, tol):
+            if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
                 return False, p
             checked += 1
     return True, None
+
+
+def check_condition_I(t: MatrixTuple, rep: CoxeterRep, sample_count=200, seed=0):
+    """Sampled inclusion sigma_p(rep) in sigma_p(t); returns (ok, witness)."""
+    return _sampled_inclusion(rep.as_tuple(), t, sample_count, seed)
 
 
 def extended_tuple(t: MatrixTuple):
@@ -420,9 +427,7 @@ def extended_tuple(t: MatrixTuple):
     return MatrixTuple(list(t.matrices) + [a1 @ m for m in t.matrices[1:]])
 
 
-def check_condition_II(
-    t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=40, seed=0, tol=1e-8
-):
+def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=40, seed=0):
     """Two-sided sampled set equality near the coordinate points.
 
     For every generator coordinate j and sign, points of either extended
@@ -441,7 +446,7 @@ def check_condition_II(
             ok = True
             for src, dst in ((ext_r, ext_a), (ext_a, ext_r)):
                 for p in _sample_spectrum_near(src, center, epsilon, sample_count, rng):
-                    if not is_spectral_point(dst, p, tol):
+                    if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
                         ok = False
                         witnesses[(j, sign)] = p
                         break
@@ -461,13 +466,14 @@ class InvariantSubspace:
     restrictions: tuple
 
 
-def extract_invariant_subspace(t: MatrixTuple, eig_tol=1e-8):
-    """L = span of the ±1-eigenvectors of A1, with invariance diagnostics."""
+def extract_invariant_subspace(t: MatrixTuple):
+    """L = span of the ±1-eigenvectors of A1 (within 1e-8 max(1, ||A1||)),
+    with invariance diagnostics."""
     a1 = t.matrices[0]
-    scale = max(1.0, opnorm(a1))
+    tol = 1e-8 * max(1.0, opnorm(a1))
     tri, z = scipy.linalg.schur(np.asarray(a1, dtype=complex), output="complex")
     evs = np.diag(tri)
-    mask = (np.abs(evs - 1.0) <= eig_tol * scale) | (np.abs(evs + 1.0) <= eig_tol * scale)
+    mask = (np.abs(evs - 1.0) <= tol) | (np.abs(evs + 1.0) <= tol)
     if not mask.any():
         raise EmptySubspaceError("A1 has no eigenvalues at +1 or -1")
     v = z[:, mask]
@@ -480,25 +486,29 @@ def extract_invariant_subspace(t: MatrixTuple, eig_tol=1e-8):
     )
 
 
-def recovered_pair_order(u1, u2, max_order=24, tol=1e-8):
-    """Smallest m <= max_order with (u1 u2)^m = 1, or None."""
+# Largest pair order m_ij that the restriction checks recover.
+_MAX_PAIR_ORDER = 24
+
+
+def recovered_pair_order(u1, u2):
+    """Smallest m <= _MAX_PAIR_ORDER with ||(u1 u2)^m - 1|| <= 1e-8, or None."""
     w = np.asarray(u1, dtype=complex) @ np.asarray(u2, dtype=complex)
     p = np.eye(w.shape[0], dtype=complex)
-    for m in range(1, max_order + 1):
+    for m in range(1, _MAX_PAIR_ORDER + 1):
         p = p @ w
-        if opnorm(p - np.eye(w.shape[0])) <= tol:
+        if opnorm(p - np.eye(w.shape[0])) <= 1e-8:
             return m
     return None
 
 
-def exponent_candidates(angle, max_order=24, tol=1e-9):
-    """All coprime (k, m) with |angle - 2 pi k / m| <= tol, m <= max_order."""
+def exponent_candidates(angle):
+    """All coprime (k, m) with |angle - 2 pi k / m| <= 1e-9, m <= _MAX_PAIR_ORDER."""
     out = []
-    for m in range(2, max_order + 1):
+    for m in range(2, _MAX_PAIR_ORDER + 1):
         for k in range(1, m // 2 + 1):
             if math.gcd(k, m) != 1:
                 continue
-            if abs(angle - 2.0 * math.pi * k / m) <= tol:
+            if abs(angle - 2.0 * math.pi * k / m) <= 1e-9:
                 out.append((k, m))
     return out
 
@@ -519,13 +529,13 @@ class RestrictionReport:
     spectra_witness: object
 
 
-def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRep = None,
-                       sample_count=120, seed=0, tol=1e-8):
+def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRep,
+                       sample_count=120, seed=0):
     """Check the restricted generators are a unitary self-adjoint Coxeter tuple.
 
-    When rep is given, the joint spectra of the restriction and of rep are
-    compared by two-sided sampled inclusion, and the pair orders recovered
-    from the restriction are compared with the orders of rep's pairs.
+    The joint spectra of the restriction and of rep are compared by
+    two-sided sampled inclusion, and the pair orders recovered from the
+    restriction are compared with the orders of rep's pairs.
     """
     gens = sub.restrictions
     eye = np.eye(sub.dim)
@@ -540,24 +550,17 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
     ambiguous = False
     for i in range(2, len(gens) + 1):
         recovered[i] = recovered_pair_order(gens[0], gens[i - 1])
-        if rep is not None:
-            expected[i] = recovered_pair_order(rep.generators[0], rep.generators[i - 1])
+        expected[i] = recovered_pair_order(rep.generators[0], rep.generators[i - 1])
         dec = dihedral_pair_decomposition(gens[0], gens[i - 1])
         angs = [a for kind, a, _ in dec if kind == "two_dim"]
         cands = [exponent_candidates(a) for a in angs]
         candidates[i] = cands
         ambiguous = ambiguous or any(len(c) != 1 for c in cands)
-    exponents_ok = rep is None or all(recovered[i] == expected[i] for i in recovered)
+    exponents_ok = all(recovered[i] == expected[i] for i in recovered)
 
-    match, witness = True, None
-    if rep is not None:
-        rt = MatrixTuple(gens)
-        ok1, w1 = check_condition_I(rt, rep, sample_count=sample_count, seed=seed, tol=tol)
-        rep_as = CoxeterRep(cm=cm, generators=tuple(rt.matrices))
-        ok2, w2 = check_condition_I(rep.as_tuple(), rep_as, sample_count=sample_count,
-                                    seed=seed + 1, tol=tol)
-        match = ok1 and ok2
-        witness = w1 if w1 is not None else w2
+    rt, rep_tup = MatrixTuple(gens), rep.as_tuple()
+    ok1, w1 = _sampled_inclusion(rep_tup, rt, sample_count, seed)
+    ok2, w2 = _sampled_inclusion(rt, rep_tup, sample_count, seed + 1)
 
     return RestrictionReport(
         unitary_residuals=unit,
@@ -568,8 +571,8 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
         exponents_ok=exponents_ok,
         exponent_candidates=candidates,
         exponent_ambiguous=ambiguous,
-        spectra_match=match,
-        spectra_witness=witness,
+        spectra_match=ok1 and ok2,
+        spectra_witness=w1 if w1 is not None else w2,
     )
 
 
@@ -881,8 +884,7 @@ class RigidityReport:
         return out
 
 
-def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120,
-                   seed=0, tol=1e-8):
+def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120, seed=0):
     """Run the full rigidity pipeline for a candidate tuple against rep.
 
     The last step compares the characters of the restriction to L and of rep
@@ -896,10 +898,9 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=1
     norms = tuple(opnorm(m) for m in t.matrices)
     norms_ok = all(abs(v - 1.0) <= 1e-8 for v in norms[1:])
     star = check_condition_star(rep)
-    cond1, w1 = check_condition_I(t, rep, sample_count=sample_count, seed=seed, tol=tol)
+    cond1, w1 = check_condition_I(t, rep, sample_count=sample_count, seed=seed)
     cond2, w2 = check_condition_II(t, rep, epsilon=epsilon,
-                                   sample_count=max(sample_count // 3, 20),
-                                   seed=seed + 1, tol=tol)
+                                   sample_count=max(sample_count // 3, 20), seed=seed + 1)
     applicable = all(star.values()) and cond1 and all(cond2.values()) and norms_ok
 
     failure = None
@@ -913,8 +914,8 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=1
         dim_l = sub.dim
         basis = sub.basis
         inv_res = sub.invariance_residuals
-        restriction = verify_restriction(sub, rep.cm, rep=rep,
-                                         sample_count=sample_count, seed=seed + 2, tol=tol)
+        restriction = verify_restriction(sub, rep.cm, rep, sample_count=sample_count,
+                                         seed=seed + 2)
         if sub.dim == rep.dim:
             equivalence = equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
     except EmptySubspaceError as exc:

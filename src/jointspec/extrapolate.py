@@ -32,16 +32,16 @@ def _check_halving(ts):
     return ts
 
 
-def richardson_limit(ts, values, max_rel_err=1e-2, safe=2.0):
+def richardson_limit(ts, values):
     """Extrapolate samples v(t_k) on a halving ladder to t = 0.
 
     The tableau grows row by row (one row per ladder level, fine levels
     last); per-entry errors compare against both parents.  Once a whole new
-    row is `safe` times worse than the best entry seen, roundoff from the
-    fine levels has taken over and the tableau stops growing.
+    row is twice as bad as the best entry seen, roundoff from the fine
+    levels has taken over and the tableau stops growing.
 
     Returns (limit, error_estimate).  Raises ExtrapolationError when the
-    best entry cannot be trusted to max_rel_err relative accuracy.
+    best entry cannot be trusted to 1e-2 relative accuracy.
     """
     ts = _check_halving(ts)
     vals = [np.asarray(v, dtype=complex) for v in values]
@@ -64,11 +64,11 @@ def richardson_limit(ts, values, max_rel_err=1e-2, safe=2.0):
                 best_err = err
                 best = entry
         prev_row = row
-        if k >= 3 and row_best >= safe * best_err:
+        if k >= 3 and row_best >= 2.0 * best_err:
             break
 
     scale = 1.0 + _mag(best)
-    if not np.isfinite(best_err) or best_err > max_rel_err * scale:
+    if not np.isfinite(best_err) or best_err > 1e-2 * scale:
         raise ExtrapolationError(
             f"extrapolation did not converge (error estimate {best_err:.3e})"
         )
@@ -77,14 +77,14 @@ def richardson_limit(ts, values, max_rel_err=1e-2, safe=2.0):
     return best, float(best_err)
 
 
-def first_derivative(ts, values, v0, max_rel_err=1e-2):
+def first_derivative(ts, values, v0):
     """d/dt at 0 from samples and the exact value v0 = v(0)."""
     ts = _check_halving(ts)
     quotients = [(np.asarray(v, dtype=complex) - v0) / t for t, v in zip(ts, values)]
-    return richardson_limit(ts, quotients, max_rel_err=max_rel_err)
+    return richardson_limit(ts, quotients)
 
 
-def second_derivative(ts, values, v0, max_rel_err=1e-2):
+def second_derivative(ts, values, v0):
     """d^2/dt^2 at 0 from ladder pairs (t, t/2) and the exact v0 = v(0).
 
     4 (v(t) - 2 v(t/2) + v0) / t^2 = v''(0) + O(t), then extrapolated.
@@ -96,7 +96,7 @@ def second_derivative(ts, values, v0, max_rel_err=1e-2):
     quotients = [
         4.0 * (vals[k] - 2.0 * vals[k + 1] + v0) / ts[k] ** 2 for k in range(ts.size - 1)
     ]
-    return richardson_limit(ts[:-1], quotients, max_rel_err=max_rel_err)
+    return richardson_limit(ts[:-1], quotients)
 
 
 def fit_power_law(ts, magnitudes):

@@ -84,19 +84,20 @@ def random_normal_pair(seed, dim, zero_eigenvalue=False):
     return MatrixTuple([a1, a2])
 
 
-def regular_random_pair(seed, dim, zero_eigenvalue=False, max_tries=40, min_gap=0.1):
+def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
     """Rejection-sample random_normal_pair until regularity holds everywhere.
 
     Both (A1, A2) and (A1, A1 A2) must satisfy conditions a) and b) at every
     eigenvalue of A1, with separated branch derivatives so the ladder
-    extrapolations stay well conditioned.  Returns (tuple, accepted_seed).
+    extrapolations stay well conditioned.  Returns (tuple, accepted_seed);
+    gives up after 40 draws.
 
     min_gap bounds those gaps from below.  verify_pair's finest ladder rung,
     t = 1e-2 * 2^-7, parts two branches by about gap * t, and
     component_projection refuses at 4e-6 or less, i.e. for gaps up to about
     0.051; the default 0.1 keeps every instance inside verify_pair's defaults.
     """
-    for k in range(max_tries):
+    for k in range(40):
         sub = 10_000 * seed + k
         t = random_normal_pair(sub, dim, zero_eigenvalue)
         a1, a2 = t.matrices

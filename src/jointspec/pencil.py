@@ -230,12 +230,12 @@ class NormalityReport:
     tolerance: float
 
 
-def normality_report(a, tol=1e-10):
-    """Test ||A A* - A* A|| against tol * (1 + ||A||^2) and diagonalizability."""
+def normality_report(a):
+    """Test ||A A* - A* A|| against 1e-10 (1 + ||A||^2) and diagonalizability."""
     a = np.asarray(a, dtype=complex)
     comm = a @ a.conj().T - a.conj().T @ a
     cnorm = opnorm(comm)
-    scaled = tol * (1.0 + opnorm(a) ** 2)
+    scaled = 1e-10 * (1.0 + opnorm(a) ** 2)
     vals, vecs = np.linalg.eig(a)
     try:
         cond = np.linalg.cond(vecs)

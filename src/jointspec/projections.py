@@ -191,11 +191,11 @@ class LimitProjection:
         }
 
 
-def limit_projection(t: MatrixTuple, b: Branch, ladder=None, blowup_threshold=-0.25):
+def limit_projection(t: MatrixTuple, b: Branch, ladder=None):
     """Richardson limit P and derivative P'(0) of the component projections
     along the branch ladder, each extrapolated once.
 
-    Diverging norms (power-law exponent below blowup_threshold) raise
+    Diverging norms (power-law exponent below -0.25) raise
     ProjectionBlowupError carrying the fitted exponent and the profile;
     this is the expected outcome for non-normal leading matrices.
     """
@@ -204,7 +204,7 @@ def limit_projection(t: MatrixTuple, b: Branch, ladder=None, blowup_threshold=-0
     ts = np.array([cp.t for cp in ladder])
     mats = [cp.matrix for cp in ladder]
     profile = projection_norm_profile(t, b, ladder=ladder)
-    if profile.exponent < blowup_threshold:
+    if profile.exponent < -0.25:
         raise ProjectionBlowupError(profile.exponent, profile)
 
     p, err = extrapolate.richardson_limit(ts, mats)

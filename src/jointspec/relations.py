@@ -18,13 +18,13 @@ import numpy as np
 from .branches import (
     SpectralResolution,
     TOperator,
+    check_regularity,
     local_branches,
-    regularity_report,
     slice_ladder,
     spectral_resolution,
     t_operator,
 )
-from .errors import BranchCollisionError, JointSpecError, PairingAmbiguityError, TrackingError
+from .errors import JointSpecError, PairingAmbiguityError
 from .pencil import MatrixTuple, opnorm
 from .projections import limit_projection, projection_ladder
 from .serialize import complex_to_pair
@@ -298,16 +298,10 @@ _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 def _gated_branches(t: MatrixTuple, lv, pair, t_max, samples, ladder):
     """Branches of t at lv; HypothesisNotMet unless they are regular."""
-    failure = None
-    try:
-        branches = local_branches(t, lv, [1.0], t_max=t_max, samples=samples, ladder=ladder)
-    except (BranchCollisionError, TrackingError) as exc:
-        failure = str(exc)
-    else:
-        rep = regularity_report(branches)
-        if rep.condition_a and rep.condition_b:
-            return branches
-    detail = f": {failure or 'conditions a/b'}" if pair == 0 else ""
+    rep = check_regularity(t, lv, [1.0], t_max=t_max, samples=samples, ladder=ladder)
+    if rep.condition_a and rep.condition_b:
+        return rep.branches
+    detail = f": {rep.failure or 'conditions a/b'}" if pair == 0 else ""
     raise HypothesisNotMet(
         f"regularity fails at lambda={lv} for {_PAIR_NAMES[pair]}{detail}; "
         f"pass check_hypotheses=False to report residuals without a claim"

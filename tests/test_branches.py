@@ -38,7 +38,7 @@ class TestSpectralResolution:
         # construction oracle: conjugate diag(1, 1 + 1e-14) by a random unitary
         u = random_unitary(2, np.random.default_rng(5))
         a1 = u @ np.diag([1.0, 1.0 + 1e-14]) @ u.conj().T
-        res = js.spectral_resolution(a1, cluster_tol=1e-10)
+        res = js.spectral_resolution(a1)
         assert res.eigenvalues.size == 1
         assert res.multiplicities[0] == 2
 

@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface and its exit contract."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import jointspec as js
-from jointspec import cli
+from jointspec import cli, coxeter
 from jointspec.cli import main
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, planted_tuple
 
@@ -48,12 +49,26 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         code = main(["verify", "--input", nonnormal_input, "--out", str(out)])
         assert code == 3
-        assert "refusal" in json.loads(out.read_text())
+        rep = json.loads(out.read_text())
+        assert "refusal" in rep
+        assert rep["error"] == "NotNormalError"
+
+    def test_duplicated_irrep_refused_with_exit_3(self, tmp_path):
+        # two copies of one irrep: a repeated branch fails regularity condition b)
+        a1, a2 = dihedral_pair(np.pi / 3).matrices
+        z = np.zeros((2, 2))
+        tup = js.MatrixTuple([np.block([[a1, z], [z, a1]]), np.block([[a2, z], [z, a2]])])
+        inp = write_json(tmp_path / "dup.json", {**tup.to_json(), "schema_version": 1})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", inp, "--out", str(out)]) == 3
+        rep = json.loads(out.read_text())
+        assert rep["error"] == "HypothesisNotMet"
+        assert "regularity fails" in rep["refusal"]
 
     def test_deterministic_reports(self, dihedral_input, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--input", dihedral_input, "--seed", "5", "--out", str(out1)]) == 0
-        assert main(["verify", "--input", dihedral_input, "--seed", "5", "--out", str(out2)]) == 0
+        assert main(["verify", "--input", dihedral_input, "--out", str(out1)]) == 0
+        assert main(["verify", "--input", dihedral_input, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -76,6 +91,7 @@ class TestAnalyzeCommand:
         assert code == 3
         rep = json.loads(out.read_text())
         assert "refusal" in rep
+        assert rep["error"] == "ProjectionBlowupError"
         exps = [p["norm_profile"]["exponent"] for p in rep["projections"]]
         assert all(abs(e + 1.0) <= 0.1 for e in exps)
 
@@ -133,6 +149,7 @@ class TestDemoBlowupCommand:
         for prof in rep["profiles"]:
             assert abs(prof["exponent"] + 1.0) <= 0.05
         assert "refusal" in rep
+        assert rep["error"] == "ProjectionBlowupError"
 
 
 class TestCoxeterCheckCommand:
@@ -172,6 +189,27 @@ class TestCoxeterCheckCommand:
         rep = json.loads(out.read_text())
         assert rep["rigidity"]["condition_II"]["2+"] is False
 
+    def test_character_mismatch_exits_one(self, tmp_path, monkeypatch):
+        evidence = coxeter.equivalence_evidence
+
+        def mismatch(*args, **kwargs):
+            return dataclasses.replace(evidence(*args, **kwargs), max_discrepancy=1.0)
+
+        monkeypatch.setattr(coxeter, "equivalence_evidence", mismatch)
+        inp = self.make_input(tmp_path)
+        out = tmp_path / "rigidity.json"
+        assert main(["coxeter-check", "--input", inp, "--tol", "1e-7", "--out", str(out)]) == 1
+        rig = json.loads(out.read_text())["rigidity"]
+        assert rig["applicable"] is True and rig["dim_L"] == 3
+        assert rig["equivalence"]["max_discrepancy"] == 1.0
+
+    def test_deterministic_reports(self, tmp_path):
+        inp = self.make_input(tmp_path)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["coxeter-check", "--input", inp, "--seed", "5", "--out", str(out1)]) == 0
+        assert main(["coxeter-check", "--input", inp, "--seed", "5", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["rigidity"]["seed"] == 5
 
     def test_relation_breaking_assignment_exits_two(self, tmp_path, capsys):
         # a right-angle two_dim irrep has (g1 g2)^4 = 1, not (g1 g2)^3 = 1
@@ -207,3 +245,13 @@ class TestParseErrors:
 
     def test_missing_input_flag(self):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["plot", "--input", "x.json", "--tol", "1"],
+        ["analyze", "--input", "x.json", "--seed", "1"],
+        ["demo-blowup", "--input", "x.json"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -296,6 +296,24 @@ class TestVerifyRestriction:
         assert max(rr.unitary_residuals) <= 1e-12
         assert rr.recovered_orders == {2: 3}
 
+    @pytest.mark.parametrize("restricted, compared", [
+        ("with_line", "without_line"),
+        ("without_line", "with_line"),
+    ])
+    def test_spectra_differ_in_either_direction(self, restricted, compared):
+        # two_dim(pi/2) + one_dim_pm adds the line x1 - x2 = 1 to the ellipse
+        # of two_dim(pi/2) alone; both have (g1 g2)^4 = 1
+        cm = js.dihedral(4)
+        irrep = js.DihedralIrrep("two_dim", math.pi / 2)
+        reps = {"with_line": js.build_representation(cm, [irrep, "one_dim_pm"]),
+                "without_line": js.build_representation(cm, [irrep])}
+        sub = js.extract_invariant_subspace(reps[restricted].as_tuple())
+        rr = js.verify_restriction(sub, cm, reps[compared], seed=0)
+        assert rr.exponents_ok
+        assert not rr.spectra_match
+        x1, x2 = rr.spectra_witness
+        assert abs(x1 - x2 - 1.0) <= 1e-8
+
 
 class TestEquivalenceEvidence:
     def test_identical_inputs(self):

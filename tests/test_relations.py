@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import extrapolate, fixtures, pencil, relations
+from jointspec import branches, extrapolate, fixtures, pencil, relations
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -329,9 +329,10 @@ class TestUnitaryConjugation:
 class TestOneAnalysisPerEigenvalue:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Branch lists tracked and ladders built by the relations layer."""
+        """Branch lists tracked (the gate tracks through check_regularity) and
+        ladders built by the relations layer."""
         counts = {"tracked": [], "ladders": 0}
-        track, ladder = relations.local_branches, relations.projection_ladder
+        track, ladder = branches.local_branches, relations.projection_ladder
 
         def counted_track(*args, **kwargs):
             out = track(*args, **kwargs)
@@ -342,12 +343,13 @@ class TestOneAnalysisPerEigenvalue:
             counts["ladders"] += 1
             return ladder(*args, **kwargs)
 
-        monkeypatch.setattr(relations, "local_branches", counted_track)
+        monkeypatch.setattr(branches, "local_branches", counted_track)
         monkeypatch.setattr(relations, "projection_ladder", counted_ladder)
         return counts
 
     def test_each_pair_tracked_once_per_eigenvalue(self, work):
         t, _ = regular_random_pair(17, 4)
+        work["tracked"].clear()  # the fixture's own regularity checks
         eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
         assert all(abs(lv) > 1e-12 for lv in eigs)
         js.verify_pair(t)
@@ -357,6 +359,7 @@ class TestOneAnalysisPerEigenvalue:
 
     def test_gate_covers_every_eigenvalue_when_lam_is_given(self, work):
         t, _ = regular_random_pair(17, 4)
+        work["tracked"].clear()  # the fixture's own regularity checks
         eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
         js.verify_pair(t, lam=1.0)
         assert len(work["tracked"]) == 2 * len(eigs)
