@@ -329,8 +329,8 @@ class TestUnitaryConjugation:
 class TestOneAnalysisPerEigenvalue:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Branch lists tracked (the gate tracks through check_regularity) and
-        ladders built by the relations layer."""
+        """Branch lists tracked, through the gate's check_regularity or by the
+        relations layer directly, and ladders built by the relations layer."""
         counts = {"tracked": [], "ladders": 0}
         track, ladder = branches.local_branches, relations.projection_ladder
 
@@ -344,6 +344,7 @@ class TestOneAnalysisPerEigenvalue:
             return ladder(*args, **kwargs)
 
         monkeypatch.setattr(branches, "local_branches", counted_track)
+        monkeypatch.setattr(relations, "local_branches", counted_track)
         monkeypatch.setattr(relations, "projection_ladder", counted_ladder)
         return counts
 
