@@ -35,6 +35,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_REFUSED = 3
 
+# demo-blowup fits the blow-up exponent on a halving ladder from t = 0.1 of
+# at least this many rungs; it is also the command's --samples default.
+_DEMO_MIN_SAMPLES = 10
+
 
 @dataclass
 class RunConfig:
@@ -52,6 +56,8 @@ class RunConfig:
             raise ValueError("--tol must be positive")
         if self.samples < 5:
             raise ValueError("--samples must be at least 5")
+        if self.command == "demo-blowup" and self.samples < _DEMO_MIN_SAMPLES:
+            raise ValueError(f"demo-blowup --samples must be at least {_DEMO_MIN_SAMPLES}")
         if self.t_max <= 0:
             raise ValueError("--t-max must be positive")
         if self.epsilon <= 0:
@@ -244,10 +250,9 @@ def _write_svg(path, points, window, size=600):
 
 def _cmd_demo_blowup(config: RunConfig):
     tup = blowup_demo_pair()
-    samples = max(config.samples, 10)
-    branches = local_branches(tup, 1.0, [1.0], t_max=0.1, samples=samples)
+    branches = local_branches(tup, 1.0, [1.0], t_max=0.1, samples=config.samples)
     report = _provenance(config)
-    report["ladder"] = {"t_max": 0.1, "samples": samples}
+    report["ladder"] = {"t_max": 0.1, "samples": config.samples}
     report["profiles"] = []
     exponents = []
     for b in branches:
@@ -264,7 +269,8 @@ def _cmd_demo_blowup(config: RunConfig):
 
 
 # Each command with the numeric flags it reads; every command takes --out and
-# all but demo-blowup take --input.  Unread values keep their RunConfig default.
+# all but demo-blowup take --input.  Unread values keep their RunConfig default,
+# and demo-blowup's --samples defaults to _DEMO_MIN_SAMPLES.
 _COMMANDS = {
     "analyze": (_cmd_analyze, ("t_max", "samples")),
     "verify": (_cmd_verify, ("tol", "t_max", "samples")),
@@ -289,6 +295,8 @@ def build_parser():
             default = getattr(RunConfig, dest)
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(default),
                            default=default)
+        if name == "demo-blowup":
+            p.set_defaults(samples=_DEMO_MIN_SAMPLES)
     return parser
 
 

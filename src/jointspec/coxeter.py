@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssignmentError, ChamberSeparationError, EmptySubspaceError
-from .pencil import MatrixTuple, is_spectral_point, line_roots, opnorm
+from .pencil import MatrixTuple, line_roots_batch, opnorm, spectral_mask
 from .serialize import matrix_to_json
 
 INF = math.inf
@@ -356,63 +356,101 @@ def _random_direction(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _lines_needed(missing, tup: MatrixTuple):
+    """Fewest lines that can supply `missing` spectrum points.
+
+    A line meets the proper joint spectrum at most N times, so a chunk of
+    this many lines is used to its last line, as lines taken one at a time
+    would be: chunked sampling draws exactly the same random stream.
+    """
+    return -(-missing // tup.dim)
+
+
 def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
-    """Points of the proper joint spectrum within the ball |x - center| <= radius."""
+    """Points of the proper joint spectrum within the ball |x - center| <= radius.
+
+    Random lines near the center, at most 8 * count, are drawn and solved in
+    chunks of _lines_needed lines, one line_roots_batch call each.
+    """
     center = np.asarray(center, dtype=complex)
     pts = []
-    for _ in range(8 * count):
-        if len(pts) >= count:
-            break
-        y = center + 0.4 * radius * _random_direction(rng, tup.n) * rng.uniform()
-        u = _random_direction(rng, tup.n)
-        roots = line_roots(tup, y, u).finite
-        for s in roots:
-            p = y + s * u
-            if np.linalg.norm(p - center) <= radius:
-                pts.append(p)
+    budget = 8 * count
+    while budget > 0 and len(pts) < count:
+        size = min(_lines_needed(count - len(pts), tup), budget)
+        budget -= size
+        ys, us = [], []
+        for _ in range(size):
+            ys.append(center + 0.4 * radius * _random_direction(rng, tup.n) * rng.uniform())
+            us.append(_random_direction(rng, tup.n))
+        for y, u, roots in zip(ys, us, line_roots_batch(tup, ys, us)):
+            for s in roots.finite:
+                p = y + s * u
+                if np.linalg.norm(p - center) <= radius:
+                    pts.append(p)
     return pts[:count]
 
 
-# Relative tolerance of is_spectral_point for points sampled on one spectrum
-# and tested for membership in another.
+# Relative tolerance of spectral_mask for points sampled on one spectrum and
+# tested for membership in another.
 _MEMBERSHIP_TOL = 1e-8
 
 
+def _first_outside(dst: MatrixTuple, pts):
+    """The first of pts not in sigma_p(dst), or None; one spectral_mask call."""
+    inside = spectral_mask(dst, pts, _MEMBERSHIP_TOL)
+    return None if inside.all() else pts[int(np.argmin(inside))]
+
+
 def _sampled_inclusion(src: MatrixTuple, dst: MatrixTuple, sample_count, seed):
-    """Sampled inclusion sigma_p(src) in sigma_p(dst); returns (ok, witness)."""
+    """Sampled inclusion sigma_p(src) in sigma_p(dst); returns (ok, witness).
+
+    The points are the roots with |s| <= 4 on random lines through the
+    origin: sample_count // 2 of them on lines across the full spectrum of
+    src, then the rest on lines in the coordinate plane of a random
+    (A_1, A_i) pair, from at most 4 * sample_count lines each.  Lines are
+    drawn, solved and tested in chunks of _lines_needed lines (one
+    line_roots_batch and one spectral_mask call each); the witness is the
+    first point outside sigma_p(dst).
+    """
     if src.n != dst.n:
         raise ValueError("tuple and representation must have the same number of generators")
     n = src.n
     rng = np.random.default_rng(seed)
-    checked = 0
-    # random lines through the origin across the full spectrum of src
-    for _ in range(4 * sample_count):
-        if checked >= sample_count // 2:
-            break
-        u = _random_direction(rng, n)
-        for s in line_roots(src, np.zeros(n), u).finite:
-            if abs(s) > 4.0:
-                continue
-            p = s * u
-            if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
-                return False, p
-            checked += 1
-    # lines in the coordinate planes of each (A_1, A_i) pair of src
-    for _ in range(4 * sample_count):
-        if checked >= sample_count:
-            break
+
+    def full_line():
+        return _random_direction(rng, n), None
+
+    def plane_line():
         i = int(rng.integers(2, n + 1))
-        u2 = _random_direction(rng, 2)
-        pair = MatrixTuple([src.matrices[0], src.matrices[i - 1]])
-        for s in line_roots(pair, np.zeros(2), u2).finite:
-            if abs(s) > 4.0:
-                continue
-            p = np.zeros(n, dtype=complex)
-            p[0] = s * u2[0]
-            p[i - 1] = s * u2[1]
-            if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
-                return False, p
-            checked += 1
+        u = np.zeros(n, dtype=complex)
+        u[[0, i - 1]] = _random_direction(rng, 2)
+        return u, i - 1
+
+    checked = 0
+    for draw, goal in ((full_line, sample_count // 2), (plane_line, sample_count)):
+        budget = 4 * sample_count
+        while budget > 0 and checked < goal:
+            size = min(_lines_needed(goal - checked, src), budget)
+            budget -= size
+            lines = [draw() for _ in range(size)]
+            solved = line_roots_batch(src, np.zeros((size, n)), [u for u, _ in lines])
+            pts = []
+            for (u, i), roots in zip(lines, solved):
+                for s in roots.finite:
+                    if abs(s) > 4.0:
+                        continue
+                    if i is None:
+                        p = s * u
+                    else:
+                        # the two plane coordinates as scalar products, as for
+                        # the (A_1, A_i) pair alone: s * u rounds differently
+                        p = np.zeros(n, dtype=complex)
+                        p[0], p[i] = s * u[0], s * u[i]
+                    pts.append(p)
+            witness = _first_outside(dst, pts)
+            if witness is not None:
+                return False, witness
+            checked += len(pts)
     return True, None
 
 
@@ -443,16 +481,13 @@ def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_cou
         for sign in (1, -1):
             center = np.zeros(ext_a.n, dtype=complex)
             center[j - 1] = sign
-            ok = True
             for src, dst in ((ext_r, ext_a), (ext_a, ext_r)):
-                for p in _sample_spectrum_near(src, center, epsilon, sample_count, rng):
-                    if not is_spectral_point(dst, p, _MEMBERSHIP_TOL):
-                        ok = False
-                        witnesses[(j, sign)] = p
-                        break
-                if not ok:
+                witness = _first_outside(dst, _sample_spectrum_near(src, center, epsilon,
+                                                                    sample_count, rng))
+                if witness is not None:
+                    witnesses[(j, sign)] = witness
                     break
-            results[(j, sign)] = ok
+            results[(j, sign)] = (j, sign) not in witnesses
     return results, witnesses
 
 

@@ -101,13 +101,30 @@ def _coords(t: MatrixTuple, x):
     return c
 
 
+def _coord_rows(t: MatrixTuple, xs):
+    rows = np.asarray(xs, dtype=complex)
+    if rows.size == 0:
+        return rows.reshape(0, t.n)
+    if rows.ndim != 2 or rows.shape[1] != t.n:
+        raise DimensionMismatchError(f"points must be rows of n={t.n} coordinates")
+    return rows
+
+
+def _pencil_stack(t: MatrixTuple, rows):
+    """A(x) for every row x of rows, stacked as (len(rows), N, N).
+
+    The terms are summed in coordinate order, so each slice equals
+    evaluate_pencil at its row bit for bit.
+    """
+    acc = np.zeros((rows.shape[0], t.dim, t.dim), dtype=complex)
+    for k, mk in enumerate(t.matrices):
+        acc += rows[:, k, None, None] * mk
+    return acc
+
+
 def evaluate_pencil(t: MatrixTuple, x):
     """Assemble A(x) = x_1 A_1 + ... + x_n A_n."""
-    c = _coords(t, x)
-    acc = np.zeros((t.dim, t.dim), dtype=complex)
-    for ck, mk in zip(c, t.matrices):
-        acc += ck * mk
-    return acc
+    return _pencil_stack(t, _coords(t, x)[None, :])[0]
 
 
 def det_proper(t: MatrixTuple, x):
@@ -122,10 +139,18 @@ def is_spectral_point(t: MatrixTuple, x, tol=1e-10):
     Uses the smallest singular value relative to 1 + ||A(x)||, not |det|,
     so the test does not degrade with matrix dimension.
     """
+    return bool(spectral_mask(t, _coords(t, x)[None, :], tol)[0])
+
+
+def spectral_mask(t: MatrixTuple, points, tol):
+    """is_spectral_point for every row of points, from one stacked SVD."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    smin, smax = _singular_extremes(evaluate_pencil(t, x) - np.eye(t.dim))
-    return bool(smin <= tol * (1.0 + smax))
+    rows = _coord_rows(t, points)
+    if rows.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    s = np.linalg.svd(_pencil_stack(t, rows) - np.eye(t.dim), compute_uv=False)
+    return s[:, -1] <= tol * (1.0 + s[:, 0])
 
 
 def _singular_extremes(m):
@@ -135,12 +160,6 @@ def _singular_extremes(m):
     """
     s = np.linalg.svd(m, compute_uv=False)
     return s[-1], s[0]
-
-
-def _sorted_complex(values):
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
 
 
 @dataclass(frozen=True)
@@ -163,11 +182,45 @@ def line_roots(t: MatrixTuple, base, direction):
     det((I - A(base)) - s A(direction)) = 0, which is numerically stable
     where polynomial root-finding on the determinant is not.
     """
-    a = np.eye(t.dim) - evaluate_pencil(t, base)
-    b = evaluate_pencil(t, direction)
-    vals = scipy.linalg.eigvals(a, b)
-    finite = vals[np.isfinite(vals)]
-    return LineRoots(_sorted_complex(finite), int(vals.size - finite.size))
+    return line_roots_batch(t, _coords(t, base)[None, :], _coords(t, direction)[None, :])[0]
+
+
+def line_roots_batch(t: MatrixTuple, bases, directions):
+    """line_roots for each line bases[i] + s * directions[i]; one LineRoots each.
+
+    Both pencils of every line are assembled as stacks, and each line is one
+    call of LAPACK's QZ driver ggev (Moler & Stewart 1973) with eigenvectors
+    off.  The finiteness check and the workspace query are made once per
+    batch, not once per line as in scipy.linalg.eigvals, whose roots these
+    equal bit for bit.
+    """
+    bases = _coord_rows(t, bases)
+    directions = _coord_rows(t, directions)
+    if bases.shape != directions.shape:
+        raise DimensionMismatchError("one direction is needed for every base")
+    if bases.shape[0] == 0:
+        return []
+    a = np.eye(t.dim) - _pencil_stack(t, bases)
+    b = _pencil_stack(t, directions)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (a[0], b[0]))
+    lwork = int(ggev(a[0], b[0], lwork=-1)[-2][0].real)
+    alpha = np.empty(a.shape[:2], dtype=complex)
+    beta = np.empty(a.shape[:2], dtype=complex)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        alpha[i], beta[i], _, _, _, info = ggev(ai, bi, 0, 0, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info={info}")
+    # beta == 0 is an infinite root, and so is a quotient that overflows.
+    roots = np.full(alpha.shape, np.inf, dtype=complex)
+    nonzero = beta != 0
+    roots[nonzero] = alpha[nonzero] / beta[nonzero]
+    finite = np.isfinite(roots)
+    # finite roots first, each line's sorted by real part, then imaginary part
+    order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
+    roots = np.take_along_axis(roots, order, axis=-1)
+    return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
 
 
 def slice_roots(t: MatrixTuple, direction, scale):
@@ -190,11 +243,12 @@ def slice_roots(t: MatrixTuple, direction, scale):
 def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), grid=(41, 41)):
     """Sample the real slice of the joint spectrum of a pair (n = 2).
 
-    Each x_2 column is one generalized eigensolve, line_roots along x_1.  A
-    root is kept when it lies within 0.75 dx of its nearest x_1 grid node
-    (so |Im x_1| <= 0.75 dx), inside the window, and passes
-    is_spectral_point at 1e-9.  Output is deduplicated per x_2 column and
-    sorted lexicographically.
+    Every x_2 column is a line along x_1, and all columns are solved in one
+    line_roots_batch call.  A root is kept when it lies within 0.75 dx of
+    its nearest x_1 grid node (so |Im x_1| <= 0.75 dx), inside the window,
+    and passes the membership test at 1e-9 (one spectral_mask call for all
+    columns).  Output is deduplicated per x_2 column and sorted
+    lexicographically.
     """
     if t.n != 2:
         raise DimensionMismatchError("curve sampling is defined for pairs (n = 2)")
@@ -203,19 +257,20 @@ def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), gri
     x1s = np.linspace(x1lo, x1hi, n1)
     x2s = np.linspace(x2lo, x2hi, n2)
     dx = (x1hi - x1lo) / max(n1 - 1, 1)
-    points = []
-    for x2 in x2s:
-        col = []
-        for root in line_roots(t, (0.0, x2), (1.0, 0.0)).finite:
-            if np.min(np.abs(root - x1s)) > 0.75 * dx:
-                continue
-            if not (x1lo - 1e-9 <= root.real <= x1hi + 1e-9):
-                continue
-            if not is_spectral_point(t, (root, x2), tol=1e-9):
-                continue
-            if all(abs(root - r) > 1e-8 * (1.0 + abs(root)) for r in col):
-                col.append(root)
-        points.extend(PencilPoint((r, x2)) for r in col)
+    bases = np.stack([np.zeros(n2), x2s], axis=1)
+    solved = line_roots_batch(t, bases, np.tile([1.0, 0.0], (n2, 1)))
+    cols = np.repeat(np.arange(n2), [r.finite.size for r in solved])
+    roots = np.concatenate([np.zeros(0, dtype=complex)] + [r.finite for r in solved])
+    keep = ((np.abs(roots[:, None] - x1s).min(axis=1) <= 0.75 * dx)
+            & (x1lo - 1e-9 <= roots.real) & (roots.real <= x1hi + 1e-9))
+    cols, roots = cols[keep], roots[keep]
+    on = spectral_mask(t, np.stack([roots, x2s[cols]], axis=1), 1e-9)
+    kept = {}
+    for c, root in zip(cols[on], roots[on]):
+        col = kept.setdefault(c, [])
+        if all(abs(root - r) > 1e-8 * (1.0 + abs(root)) for r in col):
+            col.append(root)
+    points = [PencilPoint((r, x2s[c])) for c, col in kept.items() for r in col]
     points.sort(key=lambda p: (p.coords[0].real, p.coords[0].imag, p.coords[1].real, p.coords[1].imag))
     return points
 

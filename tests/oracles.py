@@ -122,3 +122,113 @@ def quadratic_fit_d2(ts, values, v0):
     design = np.vstack([ts, ts**2 / 2.0]).T
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     return coef[1]
+
+
+# -- rigidity samplers, one line and one point at a time ----------------------
+#
+# The samplers of jointspec.coxeter as loops over lists of matrices: one
+# scipy.linalg.eigvals per line and one SVD per point, drawing from the
+# generator in the same order.
+
+
+def pencil_at(mats, x):
+    """x_1 A_1 + ... + x_n A_n, summed in coordinate order."""
+    acc = np.zeros(mats[0].shape, dtype=complex)
+    for ck, mk in zip(np.asarray(x, dtype=complex), mats):
+        acc += ck * mk
+    return acc
+
+
+def _line_roots(mats, base, direction):
+    """Finite roots of det((I - A(base)) - s A(direction)), sorted."""
+    eye = np.eye(mats[0].shape[0])
+    vals = scipy.linalg.eigvals(eye - pencil_at(mats, base), pencil_at(mats, direction))
+    finite = vals[np.isfinite(vals)]
+    return finite[np.lexsort((finite.imag, finite.real))]
+
+
+def _is_member(mats, x, tol=1e-8):
+    s = np.linalg.svd(pencil_at(mats, x) - np.eye(mats[0].shape[0]), compute_uv=False)
+    return bool(s[-1] <= tol * (1.0 + s[0]))
+
+
+def _random_direction(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def sample_spectrum_near(mats, center, radius, count, rng):
+    """Spectrum points in |x - center| <= radius from at most 8 count lines."""
+    center = np.asarray(center, dtype=complex)
+    pts = []
+    for _ in range(8 * count):
+        if len(pts) >= count:
+            break
+        y = center + 0.4 * radius * _random_direction(rng, len(mats)) * rng.uniform()
+        u = _random_direction(rng, len(mats))
+        for s in _line_roots(mats, y, u):
+            p = y + s * u
+            if np.linalg.norm(p - center) <= radius:
+                pts.append(p)
+    return pts[:count]
+
+
+def sampled_inclusion(src, dst, sample_count, seed):
+    """(ok, witness) of sigma_p(src) in sigma_p(dst) on sampled points."""
+    n = len(src)
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for _ in range(4 * sample_count):
+        if checked >= sample_count // 2:
+            break
+        u = _random_direction(rng, n)
+        for s in _line_roots(src, np.zeros(n), u):
+            if abs(s) > 4.0:
+                continue
+            p = s * u
+            if not _is_member(dst, p):
+                return False, p
+            checked += 1
+    for _ in range(4 * sample_count):
+        if checked >= sample_count:
+            break
+        i = int(rng.integers(2, n + 1))
+        u2 = _random_direction(rng, 2)
+        for s in _line_roots([src[0], src[i - 1]], np.zeros(2), u2):
+            if abs(s) > 4.0:
+                continue
+            p = np.zeros(n, dtype=complex)
+            p[0] = s * u2[0]
+            p[i - 1] = s * u2[1]
+            if not _is_member(dst, p):
+                return False, p
+            checked += 1
+    return True, None
+
+
+def extended_matrices(mats):
+    """(A_1, ..., A_n, A_1 A_2, ..., A_1 A_n)."""
+    return list(mats) + [mats[0] @ m for m in mats[1:]]
+
+
+def condition_II(mats, rep_mats, epsilon, sample_count, seed):
+    """(results, witnesses) of the two-sided comparison near every ±e_j."""
+    ext_a = extended_matrices(mats)
+    ext_r = extended_matrices(rep_mats)
+    rng = np.random.default_rng(seed)
+    results, witnesses = {}, {}
+    for j in range(1, len(mats) + 1):
+        for sign in (1, -1):
+            center = np.zeros(len(ext_a), dtype=complex)
+            center[j - 1] = sign
+            ok = True
+            for src, dst in ((ext_r, ext_a), (ext_a, ext_r)):
+                for p in sample_spectrum_near(src, center, epsilon, sample_count, rng):
+                    if not _is_member(dst, p):
+                        ok = False
+                        witnesses[(j, sign)] = p
+                        break
+                if not ok:
+                    break
+            results[(j, sign)] = ok
+    return results, witnesses

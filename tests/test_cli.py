@@ -150,6 +150,19 @@ class TestDemoBlowupCommand:
             assert abs(prof["exponent"] + 1.0) <= 0.05
         assert "refusal" in rep
         assert rep["error"] == "ProjectionBlowupError"
+        assert rep["config"]["samples"] == rep["ladder"]["samples"] == 10
+
+    def test_samples_set_the_ladder(self, tmp_path):
+        out = tmp_path / "demo.json"
+        assert main(["demo-blowup", "--samples", "12", "--out", str(out)]) == 3
+        rep = json.loads(out.read_text())
+        assert rep["config"]["samples"] == rep["ladder"]["samples"] == 12
+
+    def test_too_few_samples_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        assert main(["demo-blowup", "--samples", "6", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "at least 10" in capsys.readouterr().err
 
 
 class TestCoxeterCheckCommand:

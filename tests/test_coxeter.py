@@ -10,6 +10,7 @@ import jointspec as js
 from jointspec import coxeter
 from jointspec.coxeter import coxeter_type, geometric_representation, is_nonspecial
 from jointspec.fixtures import dihedral_pair, planted_tuple
+import oracles
 from oracles import word_character_gap
 
 
@@ -255,6 +256,83 @@ class TestConditionII:
         assert results[(2, 1)] is False
         assert results[(1, 1)] and results[(1, -1)] and results[(2, -1)]
         assert (2, 1) in witnesses
+
+
+def planted_sheet():
+    """Planted dihedral m=4 whose block puts a sheet through the ball at +e_2."""
+    rep = js.build_representation(js.dihedral(4),
+                                  [js.DihedralIrrep("two_dim", math.pi / 2), "one_dim_pm"])
+    return planted_tuple(rep, [np.diag([0.3, -0.22]), np.diag([0.925, 0.2])], seed=17), rep
+
+
+SAMPLER_CASES = {
+    "dihedral m=3": lambda: planted_dihedral(3),
+    "dihedral m=4": lambda: planted_dihedral(4, extra=("one_dim_pm",)),
+    "dihedral m=5": lambda: planted_dihedral(
+        5, extra=(js.DihedralIrrep("two_dim", 4 * math.pi / 5),)),
+    "A3": lambda: planted_geometric(a3_matrix(), seed=5),
+    "planted sheet": planted_sheet,
+}
+
+
+def same_bits(got, want):
+    """Equal bit for bit: both None, or arrays with the same bytes."""
+    if got is None or want is None:
+        return got is want
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestSamplersMatchTheOneLineOracles:
+    """The chunked samplers keep the points, verdicts, witnesses and random
+    stream of solving one line and testing one point at a time."""
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_spectrum_near_points_and_generator_state(self, case):
+        t, rep = SAMPLER_CASES[case]()
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for tup in (js.extended_tuple(t), js.extended_tuple(rep.as_tuple())):
+            for j in range(t.n):
+                for sign in (1, -1):
+                    center = np.zeros(tup.n, dtype=complex)
+                    center[j] = sign
+                    got = coxeter._sample_spectrum_near(tup, center, 0.15, 40, rng)
+                    want = oracles.sample_spectrum_near(tup.matrices, center, 0.15, 40,
+                                                        oracle_rng)
+                    assert len(got) == len(want)
+                    assert all(same_bits(g, w) for g, w in zip(got, want))
+                    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_condition_II_verdicts_and_witnesses(self, case):
+        t, rep = SAMPLER_CASES[case]()
+        got, got_w = js.check_condition_II(t, rep, sample_count=40, seed=1)
+        want, want_w = oracles.condition_II(t.matrices, rep.as_tuple().matrices, 0.15, 40, 1)
+        assert got == want
+        assert got_w.keys() == want_w.keys()
+        assert all(same_bits(got_w[k], want_w[k]) for k in want_w)
+        if case == "planted sheet":
+            assert list(got_w) == [(2, 1)]
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    @pytest.mark.parametrize("sample_count", [1, 120])
+    def test_inclusion_both_ways(self, case, sample_count):
+        # sample_count=1 takes one point, from the coordinate-plane lines
+        t, rep = SAMPLER_CASES[case]()
+        for src, dst in ((rep.as_tuple(), t), (t, rep.as_tuple())):
+            ok, witness = coxeter._sampled_inclusion(src, dst, sample_count, 4)
+            want_ok, want_witness = oracles.sampled_inclusion(src.matrices, dst.matrices,
+                                                              sample_count, 4)
+            assert ok == want_ok and same_bits(witness, want_witness)
+
+    @pytest.mark.parametrize("sample_count", [1, 60])
+    def test_condition_I_against_a_different_group(self, sample_count):
+        rep = js.build_representation(js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2)])
+        other = dihedral_pair(2 * math.pi / 3)
+        ok, witness = js.check_condition_I(other, rep, sample_count=sample_count, seed=0)
+        want_ok, want_witness = oracles.sampled_inclusion(rep.as_tuple().matrices,
+                                                          other.matrices, sample_count, 0)
+        assert not ok and not want_ok
+        assert same_bits(witness, want_witness)
 
 
 class TestInvariantSubspace:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,7 +11,7 @@ import jointspec as js
 from jointspec import pencil
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, regular_random_pair
 
-from oracles import quadratic_roots, real_slice_roots
+from oracles import pencil_at, quadratic_roots, real_slice_roots
 
 
 @pytest.fixture
@@ -95,6 +96,98 @@ class TestIsSpectralPoint:
     def test_tolerance_must_be_positive(self, two_lines):
         with pytest.raises(ValueError):
             js.is_spectral_point(two_lines, (1, 0), 0.0)
+
+
+def random_tuple(rng, dim, n=3):
+    return js.MatrixTuple([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                           for _ in range(n)])
+
+
+def random_rows(rng, count, n=3):
+    return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
+class TestLineRootsBatch:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_equals_scipy_eigvals_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for _ in range(3)]
+        mats[1][:, 0] = 0.0  # A_2 singular: a direction along e_2 has an infinite root
+        t = js.MatrixTuple(mats)
+        bases, directions = random_rows(rng, 12), random_rows(rng, 12)
+        directions[5] = (0.0, 1.0, 0.0)
+        for base, direction, got in zip(bases, directions,
+                                        js.line_roots_batch(t, bases, directions)):
+            vals = scipy.linalg.eigvals(np.eye(dim) - pencil_at(t.matrices, base),
+                                        pencil_at(t.matrices, direction))
+            finite = vals[np.isfinite(vals)]
+            want = finite[np.lexsort((finite.imag, finite.real))]
+            assert got.finite.tobytes() == want.tobytes()
+            assert got.infinite == vals.size - finite.size
+        assert js.line_roots_batch(t, bases[5:6], directions[5:6])[0].infinite == 1
+
+    def test_chunking_does_not_change_roots(self):
+        rng = np.random.default_rng(1)
+        t = random_tuple(rng, 5)
+        bases, directions = random_rows(rng, 10), random_rows(rng, 10)
+        whole = js.line_roots_batch(t, bases, directions)
+        parts = [r for lo, hi in ((0, 3), (3, 4), (4, 10))
+                 for r in js.line_roots_batch(t, bases[lo:hi], directions[lo:hi])]
+        singles = [js.line_roots(t, b, d) for b, d in zip(bases, directions)]
+        for got in (parts, singles):
+            assert [r.finite.tobytes() for r in got] == [r.finite.tobytes() for r in whole]
+            assert [r.infinite for r in got] == [r.infinite for r in whole]
+
+    def test_failed_qz_raises(self, monkeypatch):
+        real = scipy.linalg.get_lapack_funcs
+
+        def failing(names, arrays):
+            (ggev,) = real(names, arrays)
+
+            def call(a, b, *args, **kwargs):
+                out = ggev(a, b, *args, **kwargs)
+                return out if kwargs.get("lwork") == -1 else (*out[:-1], 3)
+
+            return (call,)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
+        t = random_tuple(np.random.default_rng(2), 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            js.line_roots_batch(t, [(0.1, 0.2, 0.3)], [(1.0, 0.0, 0.0)])
+
+    def test_empty_stack(self):
+        t = random_tuple(np.random.default_rng(3), 3)
+        assert js.line_roots_batch(t, np.zeros((0, 3)), np.zeros((0, 3))) == []
+        assert js.line_roots_batch(t, [], []) == []
+
+    def test_rows_must_match_the_tuple(self):
+        t = random_tuple(np.random.default_rng(4), 3)
+        with pytest.raises(js.DimensionMismatchError):
+            js.line_roots_batch(t, [(0.0, 0.0)], [(1.0, 0.0)])
+        with pytest.raises(js.DimensionMismatchError):
+            js.line_roots_batch(t, np.zeros((2, 3)), np.ones((3, 3)))
+
+
+class TestSpectralMask:
+    def test_agrees_with_one_svd_per_point(self):
+        rng = np.random.default_rng(5)
+        t = random_tuple(rng, 4, n=2)
+        pts = [p for x2 in (-0.7, 0.2, 1.1)
+               for p in ((r, x2) for r in js.slice_roots(t, [1.0], x2).finite)]
+        pts = np.array(pts + list(map(tuple, random_rows(rng, 6, n=2))))
+        pts[3, 0] += 1e-7  # just off the spectrum
+        got = js.spectral_mask(t, pts, 1e-9)
+        for p, inside in zip(pts, got):
+            s = np.linalg.svd(pencil_at(t.matrices, p) - np.eye(4), compute_uv=False)
+            assert inside == (s[-1] <= 1e-9 * (1.0 + s[0]))
+            assert inside == js.is_spectral_point(t, p, 1e-9)
+        assert got[:3].all() and not got[3] and not got[-6:].any()
+
+    def test_empty_and_nonpositive_tolerance(self, two_lines):
+        assert js.spectral_mask(two_lines, [], 1e-9).shape == (0,)
+        with pytest.raises(ValueError):
+            js.spectral_mask(two_lines, [(1.0, 0.0)], 0.0)
 
 
 class TestSliceRoots:
