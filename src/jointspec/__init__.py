@@ -51,16 +51,10 @@ from .errors import (
 from .pencil import (
     MatrixTuple,
     NormalityReport,
-    PencilPoint,
-    det_proper,
-    evaluate_pencil,
-    is_spectral_point,
-    line_roots,
     line_roots_batch,
     normality_report,
     opnorm,
     sample_spectrum_curve,
-    slice_roots,
     spectral_mask,
 )
 from .projections import (

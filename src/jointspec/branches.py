@@ -19,8 +19,7 @@ from .errors import (
     TrackingError,
     UnknownEigenvalueError,
 )
-from .pencil import MatrixTuple, _singular_extremes, normality_report, opnorm
-from .pencil import slice_roots as _slice_roots
+from .pencil import MatrixTuple, _svd_extremes, line_roots_batch, normality_report, opnorm
 from .serialize import complex_to_pair
 
 
@@ -170,22 +169,45 @@ def _reference_spectrum(t: MatrixTuple):
     return _eigenvalue_clusters(a1, np.linalg.eigvals(a1))
 
 
-def _roots_at(t: MatrixTuple, kind, xhat, tval):
+def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
+    """The roots of kind on the slice along t_k xhat, for every t_k in ts.
+
+    For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
+    = 0 from one line_roots_batch call: the bases are the rows (0, t_k xhat)
+    and every direction is e_1.  For the zero kind, the eigenvalues of
+    A_1 + t_k xhat.A_rest from one stacked eigvals.
+    """
+    ts = np.asarray(ts, dtype=float)
     if kind == "zero":
         b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        return np.linalg.eigvals(t.matrices[0] + tval * b)
-    return _slice_roots(t, xhat, tval).finite
+        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b))
+    bases = np.zeros((ts.size, t.n), dtype=complex)
+    bases[:, 1:] = ts[:, None] * xhat
+    e1 = np.zeros_like(bases)
+    e1[:, 0] = 1.0
+    return tuple(r.finite for r in line_roots_batch(t, bases, e1))
 
 
-def _sample_residual(t, kind, xhat, tval, v):
-    """Relative smallest singular value s_min / (1 + s_max) of the pencil at a sample."""
-    rest = tval * sum(c * m for c, m in zip(xhat, t.matrices[1:]))
+def _branch_residuals(t: MatrixTuple, kind, xhat, ts, values):
+    """s_min / (1 + s_max) of the pencil matrix at every sample, from one stacked SVD."""
+    rest = ts[:, None, None] * sum(c * m for c, m in zip(xhat, t.matrices[1:]))
+    v = np.asarray(values, dtype=complex)[:, None, None]
     if kind == "zero":
         m = t.matrices[0] + rest - v * np.eye(t.dim)
     else:
         m = v * t.matrices[0] + rest - np.eye(t.dim)
-    smin, smax = _singular_extremes(m)
-    return float(smin / (1.0 + smax))
+    smin, smax = _svd_extremes(m)
+    return tuple((smin / (1.0 + smax)).tolist())
+
+
+def _nearest_unambiguous(values, target):
+    """Index of the value nearest target, or None unless it is 4x nearer than
+    the runner-up."""
+    d = np.abs(np.asarray(values) - target)
+    order = np.argsort(d)
+    if d.size > 1 and d[order[0]] > 0.25 * d[order[1]]:
+        return None
+    return int(order[0])
 
 
 def _unit_direction(t: MatrixTuple, xhat):
@@ -207,16 +229,17 @@ def _kinds(t: MatrixTuple, values):
 class SliceLadder:
     """Slice roots along t*xhat on the ladder t_k = t_max * 2^-k, solved once.
 
-    reference holds the eigenvalue clusters of A_1; roots maps each kind to
-    the roots at every t_k: x_1 of the slice for "nonzero", the eigenvalues
-    of A_1 + t_k xhat.A_rest for "zero".  The roots depend on the tuple,
-    the direction and the ladder only, so one ladder serves local_branches
-    at every eigenvalue of A_1.
+    ts holds the t_k; reference holds the eigenvalue clusters of A_1; roots
+    maps each kind to the roots at every t_k: x_1 of the slice for
+    "nonzero", the eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The
+    roots depend on the tuple, the direction and the ladder only, so one
+    ladder serves local_branches at every eigenvalue of A_1.
     """
 
     direction: tuple
     t_max: float
     samples: int
+    ts: np.ndarray
     reference: tuple
     roots: dict
 
@@ -227,8 +250,9 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds):
         direction=tuple(xhat.tolist()),
         t_max=t_max,
         samples=samples,
+        ts=ts,
         reference=tuple(reference),
-        roots={k: tuple(_roots_at(t, k, xhat, tk) for tk in ts) for k in kinds},
+        roots={k: _ladder_roots(t, k, xhat, ts) for k in kinds},
     )
 
 
@@ -291,7 +315,7 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
         )
     coincide_tol = 1e-6 * (1.0 + abs(center))
 
-    ts = t_max * 2.0 ** (-np.arange(samples))
+    ts = ladder.ts
     levels = []
     for roots in ladder.roots[kind]:
         sel = roots[np.abs(roots - center) <= sel_radius]
@@ -317,10 +341,8 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
         for track in tracks:
             prev, size = track[-1]
             pred = center + 0.5 * (prev - center)
-            dists = np.array([abs(c - pred) for c, _ in cands])
-            order = np.argsort(dists)
-            best = int(order[0])
-            if len(cands) > 1 and dists[order[0]] > 0.25 * dists[order[1]]:
+            best = _nearest_unambiguous([c for c, _ in cands], pred)
+            if best is None:
                 raise BranchCollisionError(
                     f"ambiguous branch continuation near t-level with values "
                     f"{[c for c, _ in cands]}"
@@ -337,9 +359,7 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     for j, i in enumerate(order):
         vals = [c for c, _ in tracks[i]]
         mult = tracks[i][0][1]
-        res = tuple(
-            _sample_residual(t, kind, xhat, tk, v) for tk, v in zip(ts, vals)
-        )
+        res = _branch_residuals(t, kind, xhat, ts, vals)
         d1 = d2 = None
         e1 = e2 = None
         if samples >= 5:

@@ -203,13 +203,31 @@ def _cmd_coxeter_check(config: RunConfig):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _plot_window_grid(obj):
+    """The plot input's window and grid, checked: two finite real (lo, hi)
+    pairs with lo < hi, and two positive integers."""
+    window = obj.get("window", [[-2.0, 2.0], [-2.0, 2.0]])
+    grid = obj.get("grid", [41, 41])
+    if not (isinstance(window, list) and len(window) == 2
+            and all(isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
+                    and w[0] < w[1] for w in window)):
+        raise ValueError(f"plot 'window' must be two [lo, hi] pairs of finite reals "
+                         f"with lo < hi; got {window!r}")
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(isinstance(g, int) and not isinstance(g, bool) and g > 0 for g in grid)):
+        raise ValueError(f"plot 'grid' must be two positive integers; got {grid!r}")
+    return (tuple(window[0]), tuple(window[1])), tuple(grid)
+
+
 def _cmd_plot(config: RunConfig):
     obj = _load_json(config.input)
     tup = _tuple_from(obj)
-    window = obj.get("window", [[-2.0, 2.0], [-2.0, 2.0]])
-    grid = obj.get("grid", [41, 41])
-    points = sample_spectrum_curve(tup, window=(tuple(window[0]), tuple(window[1])),
-                                   grid=tuple(grid))
+    window, grid = _plot_window_grid(obj)
+    points = sample_spectrum_curve(tup, window=window, grid=grid)
     if config.out and config.out.endswith(".svg"):
         _write_svg(config.out, points, window)
     else:
@@ -220,7 +238,7 @@ def _cmd_plot(config: RunConfig):
 def _write_csv(path, points):
     lines = ["x1_re,x1_im,x2_re,x2_im"]
     for p in points:
-        x1, x2 = (complex(v) for v in p.coords)
+        x1, x2 = (complex(v) for v in p)
         lines.append(f"{x1.real!r},{x1.imag!r},{x2.real!r},{x2.imag!r}")
     text = "\n".join(lines) + "\n"
     if path:
@@ -238,8 +256,7 @@ def _write_svg(path, points, window, size=600):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for p in points:
-        x1, x2 = p.coords
+    for x1, x2 in points:
         cx = (x1.real - x1lo) * sx
         cy = size - (x2.real - x2lo) * sy
         parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="2" fill="black"/>')

@@ -49,6 +49,8 @@ class CoxeterMatrix:
                     raise ValueError("Coxeter matrix must be symmetric")
                 if i != j and rows[i][j] < 2:
                     raise ValueError("off-diagonal Coxeter orders must be >= 2")
+                if math.isfinite(rows[i][j]) and not rows[i][j].is_integer():
+                    raise ValueError(f"finite Coxeter orders must be integers; got {rows[i][j]}")
         object.__setattr__(self, "orders", rows)
 
     @property

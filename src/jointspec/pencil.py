@@ -2,14 +2,14 @@
 
 A tuple ``(A_1, ..., A_n)`` of square complex matrices defines the pencil
 ``A(x) = x_1 A_1 + ... + x_n A_n``.  The proper joint spectrum is the affine
-set of points ``x`` where ``A(x) - I`` is singular.  This module provides the
-pencil arithmetic, spectrum membership tests, one-dimensional slices solved as
-generalized eigenvalue problems, and real curve sampling for plots.
+set of points ``x`` where ``A(x) - I`` is singular.  This module provides two
+batched kernels, the roots of many lines as generalized eigenvalue problems
+(line_roots_batch) and the membership test of many points (spectral_mask),
+and real curve sampling for plots.
 
-det_proper is the defining polynomial and nothing else here computes a
-determinant: roots come from generalized eigensolves (line_roots) and
-distances to the spectrum from the relative smallest singular value, which
-neither overflows nor underflows as the dimension grows.
+Nothing here computes a determinant: distances to the spectrum come from the
+relative smallest singular value, which neither overflows nor underflows as
+the dimension grows.
 """
 
 from dataclasses import dataclass, field
@@ -82,25 +82,6 @@ class MatrixTuple:
         return tup
 
 
-@dataclass(frozen=True)
-class PencilPoint:
-    """A point x = (x_1, ..., x_n) in the coordinate space of a pencil."""
-
-    coords: np.ndarray
-
-    def __init__(self, coords):
-        c = np.array(coords, dtype=complex).reshape(-1)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-
-def _coords(t: MatrixTuple, x):
-    c = x.coords if isinstance(x, PencilPoint) else np.asarray(x, dtype=complex).reshape(-1)
-    if c.shape[0] != t.n:
-        raise DimensionMismatchError(f"point has {c.shape[0]} coordinates, tuple has n={t.n}")
-    return c
-
-
 def _coord_rows(t: MatrixTuple, xs):
     rows = np.asarray(xs, dtype=complex)
     if rows.size == 0:
@@ -113,8 +94,7 @@ def _coord_rows(t: MatrixTuple, xs):
 def _pencil_stack(t: MatrixTuple, rows):
     """A(x) for every row x of rows, stacked as (len(rows), N, N).
 
-    The terms are summed in coordinate order, so each slice equals
-    evaluate_pencil at its row bit for bit.
+    The terms are summed in coordinate order.
     """
     acc = np.zeros((rows.shape[0], t.dim, t.dim), dtype=complex)
     for k, mk in enumerate(t.matrices):
@@ -122,44 +102,28 @@ def _pencil_stack(t: MatrixTuple, rows):
     return acc
 
 
-def evaluate_pencil(t: MatrixTuple, x):
-    """Assemble A(x) = x_1 A_1 + ... + x_n A_n."""
-    return _pencil_stack(t, _coords(t, x)[None, :])[0]
+def _svd_extremes(stack):
+    """(s_min, s_max) arrays over a stack of matrices, from one stacked SVD.
 
-
-def det_proper(t: MatrixTuple, x):
-    """det(A(x) - I): defining polynomial of the proper joint spectrum."""
-    c = _coords(t, x)
-    return complex(np.linalg.det(evaluate_pencil(t, c) - np.eye(t.dim)))
-
-
-def is_spectral_point(t: MatrixTuple, x, tol=1e-10):
-    """Whether A(x) - I is singular at relative tolerance tol.
-
-    Uses the smallest singular value relative to 1 + ||A(x)||, not |det|,
-    so the test does not degrade with matrix dimension.
+    s_min / (1 + s_max) is the one residual measure for "m is singular".
     """
-    return bool(spectral_mask(t, _coords(t, x)[None, :], tol)[0])
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s[..., -1], s[..., 0]
 
 
 def spectral_mask(t: MatrixTuple, points, tol):
-    """is_spectral_point for every row of points, from one stacked SVD."""
+    """Whether A(x) - I is singular at relative tolerance tol, for each row x of points.
+
+    Compares the smallest singular value with tol (1 + the largest), not
+    |det|, so the test does not degrade with matrix dimension.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rows = _coord_rows(t, points)
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    s = np.linalg.svd(_pencil_stack(t, rows) - np.eye(t.dim), compute_uv=False)
-    return s[:, -1] <= tol * (1.0 + s[:, 0])
-
-
-def _singular_extremes(m):
-    """(smallest, largest) singular value of m.
-
-    smin / (1 + smax) is the one residual measure for "m is singular".
-    """
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[-1], s[0]
+    smin, smax = _svd_extremes(_pencil_stack(t, rows) - np.eye(t.dim))
+    return smin <= tol * (1.0 + smax)
 
 
 @dataclass(frozen=True)
@@ -175,24 +139,18 @@ class LineRoots:
     infinite: int
 
 
-def line_roots(t: MatrixTuple, base, direction):
-    """Intersect the line base + s*direction with the proper joint spectrum.
-
-    Realized as the generalized eigenvalue problem
-    det((I - A(base)) - s A(direction)) = 0, which is numerically stable
-    where polynomial root-finding on the determinant is not.
-    """
-    return line_roots_batch(t, _coords(t, base)[None, :], _coords(t, direction)[None, :])[0]
-
-
 def line_roots_batch(t: MatrixTuple, bases, directions):
-    """line_roots for each line bases[i] + s * directions[i]; one LineRoots each.
+    """Intersect each line bases[i] + s * directions[i] with the proper joint
+    spectrum; one LineRoots each.
 
-    Both pencils of every line are assembled as stacks, and each line is one
-    call of LAPACK's QZ driver ggev (Moler & Stewart 1973) with eigenvectors
-    off.  The finiteness check and the workspace query are made once per
-    batch, not once per line as in scipy.linalg.eigvals, whose roots these
-    equal bit for bit.
+    Each line is the generalized eigenvalue problem
+    det((I - A(base)) - s A(direction)) = 0, which is numerically stable
+    where polynomial root-finding on the determinant is not.  Both pencils
+    of every line are assembled as stacks, and each line is one call of
+    LAPACK's QZ driver ggev (Moler & Stewart 1973) with eigenvectors off.
+    The finiteness check and the workspace query are made once per batch,
+    not once per line as in scipy.linalg.eigvals, whose roots these equal
+    bit for bit.
     """
     bases = _coord_rows(t, bases)
     directions = _coord_rows(t, directions)
@@ -223,23 +181,6 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
 
 
-def slice_roots(t: MatrixTuple, direction, scale):
-    """All x_1 with det(x_1 A_1 + scale * (xhat . A_rest) - I) = 0.
-
-    direction is the unit vector xhat in coordinates 2..n; scale is the
-    (complex) line parameter.  Roots come back with multiplicity; infinite
-    generalized eigenvalues (A_1 singular in the relevant block) are counted
-    separately.
-    """
-    xhat = np.asarray(direction, dtype=complex).reshape(-1)
-    if xhat.shape[0] != t.n - 1:
-        raise DimensionMismatchError(f"direction must have n-1={t.n - 1} coordinates")
-    base = np.concatenate(([0.0], complex(scale) * xhat))
-    e1 = np.zeros(t.n, dtype=complex)
-    e1[0] = 1.0
-    return line_roots(t, base, e1)
-
-
 def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), grid=(41, 41)):
     """Sample the real slice of the joint spectrum of a pair (n = 2).
 
@@ -247,8 +188,8 @@ def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), gri
     line_roots_batch call.  A root is kept when it lies within 0.75 dx of
     its nearest x_1 grid node (so |Im x_1| <= 0.75 dx), inside the window,
     and passes the membership test at 1e-9 (one spectral_mask call for all
-    columns).  Output is deduplicated per x_2 column and sorted
-    lexicographically.
+    columns).  Output is a (k, 2) complex array of points (x_1, x_2),
+    deduplicated per x_2 column and sorted lexicographically.
     """
     if t.n != 2:
         raise DimensionMismatchError("curve sampling is defined for pairs (n = 2)")
@@ -270,9 +211,10 @@ def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), gri
         col = kept.setdefault(c, [])
         if all(abs(root - r) > 1e-8 * (1.0 + abs(root)) for r in col):
             col.append(root)
-    points = [PencilPoint((r, x2s[c])) for c, col in kept.items() for r in col]
-    points.sort(key=lambda p: (p.coords[0].real, p.coords[0].imag, p.coords[1].real, p.coords[1].imag))
-    return points
+    points = np.array([(r, x2s[c]) for c, col in kept.items() for r in col],
+                      dtype=complex).reshape(-1, 2)
+    x1, x2 = points.T
+    return points[np.lexsort((x2.imag, x2.real, x1.imag, x1.real))]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrsyl
 
 from . import extrapolate
-from .branches import Branch, _roots_at
+from .branches import Branch, _ladder_roots, _nearest_unambiguous
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
 from .pencil import MatrixTuple, opnorm
 from .serialize import complex_to_pair, matrix_to_json
@@ -84,18 +84,17 @@ def _branch_value_at(t: MatrixTuple, b: Branch, tparam):
             return v
     # re-solve the slice and take the root nearest the local model
     xhat = np.asarray(b.direction, dtype=complex)
-    roots = _roots_at(t, b.kind, xhat, tparam)
+    roots = _ladder_roots(t, b.kind, xhat, [tparam])[0]
     center = b.limit_value
     pred = center
     if b.d1 is not None:
         pred = pred + b.d1 * tparam
     if b.d2 is not None:
         pred = pred + 0.5 * b.d2 * tparam**2
-    d = np.abs(roots - pred)
-    order = np.argsort(d)
-    if roots.size > 1 and d[order[0]] > 0.25 * d[order[1]]:
+    best = _nearest_unambiguous(roots, pred)
+    if best is None:
         raise TrackingError(f"ambiguous branch value at t={tparam}")
-    return complex(roots[order[0]])
+    return complex(roots[best])
 
 
 def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):

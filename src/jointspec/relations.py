@@ -18,6 +18,7 @@ import numpy as np
 from .branches import (
     SpectralResolution,
     TOperator,
+    _nearest_unambiguous,
     check_regularity,
     local_branches,
     slice_ladder,
@@ -137,8 +138,9 @@ def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
     """The four derivative identities linking P, P' and the branch derivatives.
 
     limits[k] is the LimitProjection of branches[k]; P and P'(0) are read
-    from its matrix and derivative.  All branches must share the eigenvalue.  The cross relations (3, 4) are reported with
-    residual 0 when there is no sibling branch.
+    from its matrix and derivative.  All branches must share the eigenvalue.
+    The cross relations (3, 4) are reported with residual 0 when there is no
+    sibling branch.
     """
     if len(limits) != len(branches):
         raise ValueError("one limit projection per branch is required")
@@ -223,14 +225,12 @@ def _analysis(t: MatrixTuple, branches, resolution):
 def _pair_by_derivative(x_branches, z_branches, lam):
     """Match z-branches to x-branches through z'(0) = lam * x'(0)."""
     targets = [lam * b.d1 for b in x_branches]
-    cand = np.array([b.d1 for b in z_branches])
+    cand = [b.d1 for b in z_branches]
     pairing = []
     used = set()
     for j, tgt in enumerate(targets):
-        d = np.abs(cand - tgt)
-        order = np.argsort(d)
-        best = int(order[0])
-        if cand.size > 1 and d[order[0]] > 0.25 * d[order[1]]:
+        best = _nearest_unambiguous(cand, tgt)
+        if best is None:
             raise PairingAmbiguityError(
                 f"two z-branches match lam*x'={tgt} equally well"
             )

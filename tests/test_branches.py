@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
+from jointspec import branches
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import commuting_diagonal_pair, dihedral_pair, regular_random_pair
+
+import oracles
 
 
 def two_line_variant():
@@ -205,6 +208,46 @@ class TestSliceLadder:
         for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
             assert (js.check_regularity(t, lam, [1.0], ladder=ladder)
                     == js.check_regularity(t, lam, [1.0]))
+
+    @pytest.mark.parametrize("args, kwargs", [((17, 4), {"zero_eigenvalue": True}),
+                                              ((5, 8), {})])
+    def test_batches_equal_one_solve_per_rung_bit_for_bit(self, args, kwargs, monkeypatch):
+        # one line_roots_batch call (nonzero kind), one stacked eigvals (zero
+        # kind) and, per branch, one stacked SVD give the per-rung values
+        t = regular_random_pair(*args, **kwargs)[0]
+        calls = []
+
+        def count(mod, name):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, **kw: calls.append(name) or fn(*a, **kw))
+
+        for mod, name in ((branches, "line_roots_batch"), (np.linalg, "eigvals"),
+                          (np.linalg, "svd")):
+            count(mod, name)
+        ladder = js.slice_ladder(t, [1.0])
+        monkeypatch.undo()
+        zero = "zero" in ladder.roots
+        # the eigvals of A_1 for the reference spectrum, then one solve per kind
+        assert calls == ["eigvals", "line_roots_batch"] + ["eigvals"] * zero
+        a1, a2 = t.matrices
+        eye = np.eye(t.dim)
+        for k, tk in enumerate(ladder.ts):
+            want = oracles._line_roots(t.matrices, np.array([0.0, tk], dtype=complex), [1.0, 0.0])
+            assert ladder.roots["nonzero"][k].tobytes() == want.tobytes()
+            if zero:
+                want = np.linalg.eigvals(a1 + tk * a2)
+                assert ladder.roots["zero"][k].tobytes() == want.tobytes()
+        for lam in js.spectral_resolution(a1).eigenvalues:
+            calls.clear()
+            count(np.linalg, "svd")
+            found = js.local_branches(t, lam, [1.0], ladder=ladder)
+            monkeypatch.undo()
+            assert calls == ["svd"] * len(found)
+            for b in found:
+                for (tk, v), res in zip(b.samples, b.residuals):
+                    m = a1 + tk * a2 - v * eye if b.kind == "zero" else v * a1 + tk * a2 - eye
+                    s = np.linalg.svd(m, compute_uv=False)
+                    assert np.float64(s[-1] / (1.0 + s[0])).tobytes() == np.float64(res).tobytes()
 
 
 @lru_cache(maxsize=1)

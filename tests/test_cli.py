@@ -133,6 +133,19 @@ class TestPlotCommand:
         d = min(abs(x1_re + x2_re - 1), abs(x1_re - x2_re - 1))
         assert d <= 1e-8
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("grid", [41.5, 41], "'grid' must be two positive integers"),
+        ("grid", [0, 41], "'grid' must be two positive integers"),
+        ("window", [["a", 2.0], [-2.0, 2.0]], "'window' must be two [lo, hi] pairs"),
+    ], ids=["non_integer_grid", "zero_grid", "non_numeric_window"])
+    def test_bad_window_or_grid_is_a_usage_error(self, tmp_path, capsys, field, value, message):
+        obj = {**dihedral_pair(np.pi / 3).to_json(), "schema_version": 1, field: value}
+        inp = write_json(tmp_path / "bad.json", obj)
+        out = tmp_path / "curve.csv"
+        assert main(["plot", "--input", inp, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_svg_output(self, dihedral_input, tmp_path):
         out = tmp_path / "curve.svg"
         assert main(["plot", "--input", dihedral_input, "--out", str(out)]) == 0

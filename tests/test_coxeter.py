@@ -12,6 +12,7 @@ from jointspec.coxeter import coxeter_type, geometric_representation, is_nonspec
 from jointspec.fixtures import dihedral_pair, planted_tuple
 import oracles
 from oracles import word_character_gap
+from slices import e1_line_roots
 
 
 def a3_matrix():
@@ -70,6 +71,8 @@ class TestCoxeterMatrix:
             js.CoxeterMatrix([[2, 3], [3, 2]])
         with pytest.raises(ValueError):
             js.CoxeterMatrix([[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="integers"):
+            js.CoxeterMatrix([[1, 2.5], [2.5, 1]])
 
     def test_json_round_trip_with_infinity(self):
         cm = js.CoxeterMatrix([[1, math.inf], [math.inf, 1]])
@@ -157,7 +160,7 @@ class TestCatalog:
         rng = np.random.default_rng(0)
         for desc, pair in ((cat_xy, pair_xy), (cat_z, pair_z)):
             for p in desc.sample(200, rng):
-                assert js.is_spectral_point(pair, p, 1e-9)
+                assert js.spectral_mask(pair, [p], 1e-9)[0]
 
     @pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 2])
     def test_spectrum_slices_satisfy_descriptor(self, alpha):
@@ -169,7 +172,7 @@ class TestCatalog:
                            (cat_z, js.MatrixTuple([g1, g1 @ g2]))):
             for _ in range(100):
                 t = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.5
-                for x1 in js.slice_roots(pair, [1.0], t).finite:
+                for x1 in e1_line_roots(pair, [t])[0].finite:
                     assert abs(desc.evaluate(x1, t)) <= 1e-9
 
 

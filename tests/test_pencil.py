@@ -1,4 +1,4 @@
-"""Tests for pencil evaluation, spectrum membership, slices, and curve sampling."""
+"""Tests for the pencil kernels: line roots, spectrum membership, curve sampling."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import pencil
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, regular_random_pair
 
 from oracles import pencil_at, quadratic_roots, real_slice_roots
+from slices import e1_line_roots
 
 
 @pytest.fixture
@@ -20,82 +20,22 @@ def two_lines():
     return blowup_demo_pair()
 
 
-class TestEvaluatePencil:
-    def test_zero_point(self):
-        t = js.MatrixTuple([np.eye(2), np.eye(2)])
-        assert_allclose(js.evaluate_pencil(t, (0, 0)), np.zeros((2, 2)))
+class TestRootsSatisfyClosedForms:
+    """Roots along e_1 are zeros of det(A(x) - I), here known in closed form."""
 
-    def test_two_lines_basis_point(self, two_lines):
-        assert_allclose(js.evaluate_pencil(two_lines, (1, 0)), [[1, 1], [0, 1]])
+    X2S = [0.3, -2.0, 0.7, -0.4j, 0.2 + 0.3j]
 
-    def test_basis_vector_returns_first_matrix(self):
-        rng = np.random.default_rng(0)
-        mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
-        t = js.MatrixTuple(mats)
-        assert_allclose(js.evaluate_pencil(t, (1, 0)), mats[0])
-
-    def test_dimension_mismatch(self):
-        t = js.MatrixTuple([np.eye(2), np.eye(2)])
-        with pytest.raises(js.DimensionMismatchError):
-            js.evaluate_pencil(t, (1, 0, 0))
-
-
-class TestDetProper:
-    def test_scalar_pencil(self):
-        t = js.MatrixTuple([np.eye(2), np.eye(2)])
-        for x1, x2 in [(0.3, 0.1), (1.5, -2.0), (0.2 + 1j, 0.7)]:
-            assert_allclose(js.det_proper(t, (x1, x2)), (x1 + x2 - 1) ** 2, atol=1e-12)
-
-    def test_two_lines_factorization(self, two_lines):
-        for x1, x2 in [(0.5, 0.5), (2.0, -1.0), (0.1 + 0.2j, -0.4j)]:
-            expected = (x1 + x2 - 1) * (x1 - x2 - 1)
-            assert_allclose(js.det_proper(two_lines, (x1, x2)), expected, atol=1e-12)
-
-    def test_dihedral_ellipse_up_to_sign(self):
-        alpha = 0.7
-        t = dihedral_pair(alpha)
-        c = np.cos(alpha)
-        for x1, x2 in [(0.9, 0.1), (0.0, 1.0), (0.3 - 0.2j, 0.8)]:
-            ellipse = x1**2 + 2 * c * x1 * x2 + x2**2 - 1
-            assert_allclose(js.det_proper(t, (x1, x2)), -ellipse, atol=1e-12)
-
-    def test_degree_bound_polynomial_interpolation(self):
-        # det_proper has total degree <= N: a fitted degree-N surface must
-        # reproduce values everywhere
-        rng = np.random.default_rng(1)
-        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
-        t = js.MatrixTuple(mats)
-        grid = np.linspace(-1.0, 1.0, 3)
-        rows, rhs = [], []
-        for x1 in grid:
-            for x2 in grid:
-                rows.append([x1**i * x2**j for i in range(3) for j in range(3 - i)])
-                rhs.append(js.det_proper(t, (x1, x2)))
-        coef, *_ = np.linalg.lstsq(np.array(rows, dtype=complex), np.array(rhs), rcond=None)
-        rng2 = np.random.default_rng(2)
-        for _ in range(20):
-            x1, x2 = rng2.uniform(-1, 1, 2)
-            monomials = np.array([x1**i * x2**j for i in range(3) for j in range(3 - i)])
-            val = js.det_proper(t, (x1, x2))
-            assert abs(monomials @ coef - val) <= 1e-10 * (1 + abs(val))
-
-
-class TestIsSpectralPoint:
-    def test_on_component(self, two_lines):
-        assert js.is_spectral_point(two_lines, (0.5, 0.5), 1e-10)
-
-    def test_off_component(self, two_lines):
-        # direct arithmetic: det = (0.5+0.4-1)(0.5-0.4-1) = 0.09 != 0
-        assert (0.5 + 0.4 - 1) * (0.5 - 0.4 - 1) != 0
-        assert not js.is_spectral_point(two_lines, (0.5, 0.4), 1e-10)
-
-    def test_identity_tuple(self):
-        t = js.MatrixTuple([np.eye(2), np.eye(2)])
-        assert js.is_spectral_point(t, (1, 0), 1e-10)
-
-    def test_tolerance_must_be_positive(self, two_lines):
-        with pytest.raises(ValueError):
-            js.is_spectral_point(two_lines, (1, 0), 0.0)
+    @pytest.mark.parametrize("tup, poly", [
+        (js.MatrixTuple([np.eye(2), np.eye(2)]), lambda x1, x2: (x1 + x2 - 1) ** 2),
+        (blowup_demo_pair(), lambda x1, x2: (x1 + x2 - 1) * (x1 - x2 - 1)),
+        (dihedral_pair(0.7),
+         lambda x1, x2: x1**2 + 2 * np.cos(0.7) * x1 * x2 + x2**2 - 1),
+    ], ids=["scalar_pencil", "two_lines", "dihedral_ellipse"])
+    def test_batch_roots_are_zeros(self, tup, poly):
+        for x2, r in zip(self.X2S, e1_line_roots(tup, self.X2S)):
+            assert r.finite.size == 2 and r.infinite == 0
+            for x1 in r.finite:
+                assert abs(poly(x1, x2)) <= 1e-12
 
 
 def random_tuple(rng, dim, n=3):
@@ -134,7 +74,7 @@ class TestLineRootsBatch:
         whole = js.line_roots_batch(t, bases, directions)
         parts = [r for lo, hi in ((0, 3), (3, 4), (4, 10))
                  for r in js.line_roots_batch(t, bases[lo:hi], directions[lo:hi])]
-        singles = [js.line_roots(t, b, d) for b, d in zip(bases, directions)]
+        singles = [js.line_roots_batch(t, [b], [d])[0] for b, d in zip(bases, directions)]
         for got in (parts, singles):
             assert [r.finite.tobytes() for r in got] == [r.finite.tobytes() for r in whole]
             assert [r.infinite for r in got] == [r.infinite for r in whole]
@@ -173,56 +113,65 @@ class TestSpectralMask:
     def test_agrees_with_one_svd_per_point(self):
         rng = np.random.default_rng(5)
         t = random_tuple(rng, 4, n=2)
-        pts = [p for x2 in (-0.7, 0.2, 1.1)
-               for p in ((r, x2) for r in js.slice_roots(t, [1.0], x2).finite)]
+        x2s = (-0.7, 0.2, 1.1)
+        pts = [(x1, x2) for x2, r in zip(x2s, e1_line_roots(t, x2s)) for x1 in r.finite]
         pts = np.array(pts + list(map(tuple, random_rows(rng, 6, n=2))))
         pts[3, 0] += 1e-7  # just off the spectrum
         got = js.spectral_mask(t, pts, 1e-9)
         for p, inside in zip(pts, got):
             s = np.linalg.svd(pencil_at(t.matrices, p) - np.eye(4), compute_uv=False)
             assert inside == (s[-1] <= 1e-9 * (1.0 + s[0]))
-            assert inside == js.is_spectral_point(t, p, 1e-9)
         assert got[:3].all() and not got[3] and not got[-6:].any()
+
+    def test_two_lines(self, two_lines):
+        # off the lines: det = (0.5+0.4-1)(0.5-0.4-1) = 0.09 != 0
+        got = js.spectral_mask(two_lines, [(0.5, 0.5), (0.5, 0.4)], 1e-10)
+        assert got.tolist() == [True, False]
+
+    def test_identity_tuple(self):
+        t = js.MatrixTuple([np.eye(2), np.eye(2)])
+        assert js.spectral_mask(t, [(1, 0)], 1e-10)[0]
 
     def test_empty_and_nonpositive_tolerance(self, two_lines):
         assert js.spectral_mask(two_lines, [], 1e-9).shape == (0,)
         with pytest.raises(ValueError):
             js.spectral_mask(two_lines, [(1.0, 0.0)], 0.0)
 
+    def test_point_shape_mismatch(self):
+        t = js.MatrixTuple([np.eye(2), np.eye(2)])
+        with pytest.raises(js.DimensionMismatchError):
+            js.spectral_mask(t, [(1, 0, 0)], 1e-9)
 
-class TestSliceRoots:
+
+class TestSliceRootsAlongE1:
     def test_two_lines(self, two_lines):
-        r = js.slice_roots(two_lines, [1.0], 0.3)
+        r, = e1_line_roots(two_lines, [0.3])
         assert_allclose(sorted(r.finite.real), [0.7, 1.3], atol=1e-12)
         assert r.infinite == 0
 
     def test_dihedral_at_zero_gives_eigenvalue_reciprocals(self):
-        t = dihedral_pair(np.pi / 3)
-        r = js.slice_roots(t, [1.0], 0.0)
+        r, = e1_line_roots(dihedral_pair(np.pi / 3), [0.0])
         assert_allclose(sorted(r.finite.real), [-1.0, 1.0], atol=1e-12)
 
     def test_dihedral_quadratic_oracle(self):
         # roots of x^2 + 2 cos(pi/3) * 0.2 x + 0.04 - 1 = 0
         expected = quadratic_roots(1.0, 2 * np.cos(np.pi / 3) * 0.2, 0.2**2 - 1.0)
-        r = js.slice_roots(dihedral_pair(np.pi / 3), [1.0], 0.2)
+        r, = e1_line_roots(dihedral_pair(np.pi / 3), [0.2])
         assert_allclose(sorted(r.finite, key=lambda z: z.real), expected, atol=1e-12)
 
     def test_multiplicity_preserved(self):
-        t = js.MatrixTuple([np.eye(2), np.eye(2)])
-        r = js.slice_roots(t, [1.0], 0.25)
+        r, = e1_line_roots(js.MatrixTuple([np.eye(2), np.eye(2)]), [0.25])
         assert_allclose(r.finite, [0.75, 0.75], atol=1e-10)
 
     def test_singular_leading_matrix_reports_infinite(self):
-        t = js.MatrixTuple([np.diag([0.0, 1.0]), np.eye(2)])
-        r = js.slice_roots(t, [1.0], 0.1)
+        r, = e1_line_roots(js.MatrixTuple([np.diag([0.0, 1.0]), np.eye(2)]), [0.1])
         assert r.infinite == 1
         assert r.finite.size == 1
 
     def test_matches_inverse_spectrum_at_zero(self):
         rng = np.random.default_rng(3)
         a1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        t = js.MatrixTuple([a1, np.eye(4)])
-        r = js.slice_roots(t, [1.0], 0.0)
+        r, = e1_line_roots(js.MatrixTuple([a1, np.eye(4)]), [0.0])
         expected = np.sort_complex(1.0 / np.linalg.eigvals(a1))
         assert_allclose(np.sort_complex(r.finite), expected, atol=1e-9)
 
@@ -231,16 +180,15 @@ class TestSliceRoots:
     def test_slice_roots_lie_on_spectrum(self, tre, tim):
         t = dihedral_pair(0.9)
         scale = complex(tre, tim)
-        for x1 in js.slice_roots(t, [1.0], scale).finite:
-            assert js.is_spectral_point(t, (x1, scale), 1e-9)
+        r, = e1_line_roots(t, [scale])
+        assert js.spectral_mask(t, [(x1, scale) for x1 in r.finite], 1e-9).all()
 
 
 class TestSampleSpectrumCurve:
     def test_two_lines_points_on_lines(self, two_lines):
         pts = js.sample_spectrum_curve(two_lines, ((-2, 2), (-2, 2)), (21, 21))
-        assert len(pts) > 10
-        for p in pts:
-            x1, x2 = p.coords
+        assert pts.dtype == complex and pts.shape[1] == 2 and len(pts) > 10
+        for x1, x2 in pts:
             d = min(abs(x1 + x2 - 1), abs(x1 - x2 - 1))
             assert d <= 1e-8
 
@@ -248,21 +196,20 @@ class TestSampleSpectrumCurve:
         t = dihedral_pair(np.pi / 2)
         pts = js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (31, 31))
         assert len(pts) > 10
-        for p in pts:
-            x1, x2 = p.coords
+        for x1, x2 in pts:
             assert abs(x1**2 + x2**2 - 1) <= 1e-7
 
     def test_every_point_is_spectral(self, two_lines):
         pts = js.sample_spectrum_curve(two_lines, ((-2, 2), (-2, 2)), (15, 15))
-        assert all(js.is_spectral_point(two_lines, p, 1e-8) for p in pts)
+        assert js.spectral_mask(two_lines, pts, 1e-8).all()
 
     def test_zero_tuple_empty(self):
         t = js.MatrixTuple([np.zeros((2, 2)), np.zeros((2, 2))])
-        assert js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (9, 9)) == []
+        assert js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (9, 9)).shape == (0, 2)
 
     def test_sorted_deterministic(self, two_lines):
         pts = js.sample_spectrum_curve(two_lines, ((-2, 2), (-2, 2)), (15, 15))
-        keys = [(p.coords[0].real, p.coords[0].imag, p.coords[1].real) for p in pts]
+        keys = [(x1.real, x1.imag, x2.real) for x1, x2 in pts]
         assert keys == sorted(keys)
 
     def test_returns_every_attributed_root(self):
@@ -279,7 +226,7 @@ class TestSampleSpectrumCurve:
                         and all(abs(r - c) > 1e-8 * (1.0 + abs(r)) for c in col)):
                     col.append(r)
             expected.extend((r, x2) for r in col)
-        got = [p.coords for p in js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (61, 61))]
+        got = js.sample_spectrum_curve(t, ((-2, 2), (-2, 2)), (61, 61))
         assert len(got) == len(expected)
         for x1, x2 in expected:
             assert min(abs(x1 - g[0]) + abs(x2 - g[1]) for g in got) <= 1e-9
@@ -294,7 +241,6 @@ class TestNoDeterminants:
             raise AssertionError("determinant computed")
 
         monkeypatch.setattr(np.linalg, "det", det)
-        monkeypatch.setattr(pencil, "det_proper", det)
 
     def test_local_branches_nonzero_kind(self):
         branches = js.local_branches(dihedral_pair(np.pi / 3), 1.0, [1.0])
@@ -308,7 +254,7 @@ class TestNoDeterminants:
         assert max(branches[0].residuals) <= 1e-9
 
     def test_sample_spectrum_curve(self):
-        assert js.sample_spectrum_curve(dihedral_pair(np.pi / 3), grid=(21, 21))
+        assert js.sample_spectrum_curve(dihedral_pair(np.pi / 3), grid=(21, 21)).size
 
     def test_verify_pair(self):
         assert all(r.passed for r in js.verify_pair(dihedral_pair(np.pi / 3)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import branches, extrapolate, fixtures, pencil, relations
+from jointspec import branches, extrapolate, fixtures, relations
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -388,26 +388,27 @@ class TestOneAnalysisPerEigenvalue:
 
     @pytest.fixture
     def slice_solves(self, monkeypatch):
-        """Calls of the one generalized slice eigensolver, pencil.line_roots."""
+        """Lines per call of the one generalized slice eigensolver,
+        line_roots_batch, as branches calls it."""
         calls = []
-        solve = pencil.line_roots
+        solve = branches.line_roots_batch
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counted(t, bases, directions):
+            calls.append(len(bases))
+            return solve(t, bases, directions)
 
-        monkeypatch.setattr(pencil, "line_roots", counted)
+        monkeypatch.setattr(branches, "line_roots_batch", counted)
         return calls
 
     def test_one_slice_ladder_per_pair(self, slice_solves):
-        # two pairs x eight rungs, whatever the number of eigenvalues
+        # two pairs, one batch of eight rungs each, whatever the number of eigenvalues
         t, _ = regular_random_pair(5, 8)
         slice_solves.clear()
         js.verify_pair(t)
-        assert len(slice_solves) == 16
+        assert slice_solves == [8, 8]
         slice_solves.clear()
         js.verify_pair(dihedral_pair(np.pi / 3))
-        assert len(slice_solves) == 16
+        assert slice_solves == [8, 8]
 
     def test_fixture_solves_one_slice_ladder_per_pair(self, slice_solves, monkeypatch):
         tries = []
@@ -420,7 +421,7 @@ class TestOneAnalysisPerEigenvalue:
         monkeypatch.setattr(fixtures, "random_normal_pair", counted)
         regular_random_pair(5, 8)
         assert len(tries) == 1
-        assert len(slice_solves) == 16 * len(tries)
+        assert slice_solves == [8, 8] * len(tries)
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
