@@ -36,7 +36,6 @@ from .coxeter import (
 from .errors import (
     AssignmentError,
     BranchCollisionError,
-    ChamberSeparationError,
     DimensionMismatchError,
     EmptySubspaceError,
     ExtrapolationError,

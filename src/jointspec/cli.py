@@ -1,10 +1,12 @@
 """Command-line front end: load instances, run analyses, emit reports.
 
 Exit status contract: 0 all requested checks pass, 1 a check failed,
-2 input/config parse error (also a representation assignment that breaks
-a relation of the Coxeter matrix, and a lambda that is not an eigenvalue of
+2 input/config parse error (also a representation, by assignment or by
+explicit matrices, that is not a tuple of unitary involutions satisfying
+the Coxeter matrix's relations, and a lambda that is not an eigenvalue of
 A1), 3 numerical refusal (blow-up, non-normal leading matrix, failed
-hypotheses, failed tracking or separation) with a diagnostic report.
+hypotheses, failed tracking, separation or an ambiguous commutant) with a
+diagnostic report.
 """
 
 import argparse
@@ -183,6 +185,7 @@ def _cmd_coxeter_check(config: RunConfig):
     rep_spec = obj["rep"]
     if "matrices" in rep_spec:
         rep = CoxeterRep(cm=cm, generators=tuple(json_to_matrix(m) for m in rep_spec["matrices"]))
+        rep.validate()
     else:
         rep = build_representation(cm, rep_spec["assignment"], seed=rep_spec.get("seed"))
     rig = rigidity_check(
@@ -198,36 +201,16 @@ def _cmd_coxeter_check(config: RunConfig):
         and rig.restriction.spectra_match
         and rig.restriction.exponents_ok
     )
-    characters_ok = rig.equivalence is None or rig.equivalence.max_discrepancy <= config.tol
-    ok = rig.applicable and rig.dim_L == rep.dim and restriction_ok and characters_ok
+    equivalent_ok = rig.equivalence is None or rig.equivalence.max_discrepancy <= config.tol
+    ok = rig.applicable and rig.dim_L == rep.dim and restriction_ok and equivalent_ok
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _plot_window_grid(obj):
-    """The plot input's window and grid, checked: two finite real (lo, hi)
-    pairs with lo < hi, and two positive integers."""
-    window = obj.get("window", [[-2.0, 2.0], [-2.0, 2.0]])
-    grid = obj.get("grid", [41, 41])
-    if not (isinstance(window, list) and len(window) == 2
-            and all(isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
-                    and w[0] < w[1] for w in window)):
-        raise ValueError(f"plot 'window' must be two [lo, hi] pairs of finite reals "
-                         f"with lo < hi; got {window!r}")
-    if not (isinstance(grid, list) and len(grid) == 2
-            and all(isinstance(g, int) and not isinstance(g, bool) and g > 0 for g in grid)):
-        raise ValueError(f"plot 'grid' must be two positive integers; got {grid!r}")
-    return (tuple(window[0]), tuple(window[1])), tuple(grid)
 
 
 def _cmd_plot(config: RunConfig):
     obj = _load_json(config.input)
     tup = _tuple_from(obj)
-    window, grid = _plot_window_grid(obj)
-    points = sample_spectrum_curve(tup, window=window, grid=grid)
+    window = obj.get("window", [[-2.0, 2.0], [-2.0, 2.0]])
+    points = sample_spectrum_curve(tup, window=window, grid=obj.get("grid", [41, 41]))
     if config.out and config.out.endswith(".svg"):
         _write_svg(config.out, points, window)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AssignmentError, ChamberSeparationError, EmptySubspaceError
+from .errors import AssignmentError, EmptySubspaceError, SeparationError
 from .pencil import MatrixTuple, line_roots_batch, opnorm, spectral_mask
 from .serialize import matrix_to_json
 
@@ -198,6 +198,25 @@ class CoxeterRep:
                 res[(i + 1, j + 1)] = opnorm(np.linalg.matrix_power(w, int(m)) - np.eye(self.dim))
         return res
 
+    def validate(self):
+        """Raise AssignmentError unless the generators are cm.n square matrices
+        of one size, each a unitary involution, that satisfy every relation of
+        cm (all within 1e-10)."""
+        shapes = [np.shape(g) for g in self.generators]
+        if (len(shapes) != self.cm.n or len(set(shapes)) != 1
+                or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or shapes[0][0] == 0):
+            raise AssignmentError(f"a representation needs {self.cm.n} square generator "
+                                  f"matrices of one size; got shapes {shapes}")
+        for g in self.generators:
+            if opnorm(g @ g - np.eye(self.dim)) > 1e-10 or opnorm(g - g.conj().T) > 1e-10:
+                raise AssignmentError("generators must be unitary involutions")
+        for (i, j), r in self.relation_residuals().items():
+            if r > 1e-10:
+                raise AssignmentError(
+                    f"generators break the relation (g{i} g{j})^{int(self.cm.order(i - 1, j - 1))}"
+                    f" = 1 (residual {r:.2e})"
+                )
+
 
 def _cosine_form(cm: CoxeterMatrix):
     """B_ij = -cos(pi / m_ij), with -1 where m_ij is infinite."""
@@ -210,28 +229,22 @@ def is_finite_type(cm: CoxeterMatrix):
     return bool(np.linalg.eigvalsh(_cosine_form(cm))[0] > 1e-12)
 
 
-def _unitarized_reflections(b):
-    """B^{1/2} and the reflections s_i = I - 2 e_i b_i^T conjugated by it.
-
-    In these coordinates the cosine form is the Euclidean inner product, so
-    the reflections are real orthogonal involutions.
-    """
-    n = len(b)
-    sqrt_b = scipy.linalg.sqrtm(b).real
-    inv_sqrt_b = np.linalg.inv(sqrt_b)
-    eye = np.eye(n)
-    return sqrt_b, [sqrt_b @ (eye - 2.0 * np.outer(eye[i], b[i])) @ inv_sqrt_b for i in range(n)]
-
-
 def geometric_representation(cm: CoxeterMatrix):
-    """Unitarized reflection representation from the cosine form.
+    """Unitarized reflection representation from the cosine form B.
 
-    Only defined for finite type (positive-definite cosine matrix).
+    The reflections s_i = I - 2 e_i b_i^T conjugated by B^{1/2}: in these
+    coordinates B is the Euclidean inner product, so they are real
+    orthogonal involutions.  Only defined for finite type (positive-definite
+    cosine matrix).
     """
     if not is_finite_type(cm):
         raise AssignmentError("geometric summand needs a finite-type Coxeter matrix")
-    _, gens = _unitarized_reflections(_cosine_form(cm))
-    return [g.astype(complex) for g in gens]
+    b = _cosine_form(cm)
+    sqrt_b = scipy.linalg.sqrtm(b).real
+    inv_sqrt_b = np.linalg.inv(sqrt_b)
+    eye = np.eye(cm.n)
+    return [(sqrt_b @ (eye - 2.0 * np.outer(eye[i], b[i])) @ inv_sqrt_b).astype(complex)
+            for i in range(cm.n)]
 
 
 def _block_diag(mats):
@@ -246,7 +259,7 @@ def _block_diag(mats):
 
 
 def build_representation(cm: CoxeterMatrix, assignment, seed=None):
-    """Assemble a representation from summands and validate the relations.
+    """Assemble a representation from summands and validate it (CoxeterRep.validate).
 
     For two generators the summands are DihedralIrrep values (or
     (kind, angle) pairs); for more generators the named full-group summands
@@ -282,16 +295,7 @@ def build_representation(cm: CoxeterMatrix, assignment, seed=None):
         u = random_unitary(gens[0].shape[0], np.random.default_rng(seed))
         gens = [u @ g @ u.conj().T for g in gens]
     rep = CoxeterRep(cm=cm, generators=tuple(gens))
-
-    for g in rep.generators:
-        if opnorm(g @ g - np.eye(rep.dim)) > 1e-10 or opnorm(g - g.conj().T) > 1e-10:
-            raise AssignmentError("generators must be unitary involutions")
-    for (i, j), r in rep.relation_residuals().items():
-        if r > 1e-10:
-            raise AssignmentError(
-                f"assignment breaks the relation (g{i} g{j})^{int(cm.order(i - 1, j - 1))} = 1 "
-                f"(residual {r:.2e})"
-            )
+    rep.validate()
     return rep
 
 
@@ -613,199 +617,94 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
     )
 
 
-# Finite W with more elements than this fall back to words; the bound covers
-# every irreducible finite type of rank <= 5 (the largest is H4, 14,400).
-_MAX_GROUP_ORDER = 20_000
-# Decimals of the rounded chamber image that keys a group element.  Images
-# of distinct elements are at least 2 apart, so rounding never merges two.
-_KEY_DECIMALS = 6
-# Length of the longest word compared where W is infinite or too large.
-_WORD_LENGTH_CAP = 8
+# Zero threshold of the intertwiner systems below.  Scaled by 1/sqrt(n), a
+# system of unitary tuples has norm at most 2, so rounding leaves its null
+# values near 1e-16: on every group and planted restriction the tests use
+# they are <= 1e-15, and the smallest nonzero commutant value is >= 0.23
+# (E6).  1e-8 sits between the two, and commutant values in (1e-8, 1e-4]
+# are refused as ambiguous: a pair of summands that differ by 1e-6 lands
+# there (5e-7) instead of being counted as one repeated summand or as two
+# distinct ones.
+_INTERTWINER_ZERO = 1e-8
 
 
 @dataclass(frozen=True)
 class EquivalenceEvidence:
-    """Character comparison of two generator tuples of one Coxeter group.
+    """Intertwiner comparison of two generator tuples of one Coxeter group.
 
-    method 'group_elements' (finite W): every non-identity element once,
-    words_checked = |W| - 1.  relation_discrepancy is the largest gap, over
-    both tuples, between the images of two words of the same element (one per
-    edge of the Cayley graph); separation is the smallest distance between
-    the chamber images of distinct elements, at least 2 in exact arithmetic.
-    method 'words': the words of length <= 8 with no repeated adjacent
-    letter; relation_discrepancy is the largest defining-relation residual of
-    the two tuples and separation is None.
+    end_dims are the commutant dimensions of the two tuples and hom_dim the
+    dimension of their intertwiner space, each the count of singular values
+    at or below _INTERTWINER_ZERO of X -> (a_k X - X b_k)_k / sqrt(n).
+    Unitary tuples are equivalent exactly when hom_dim reaches max(end_dims)
+    (Schur's lemma), so max_discrepancy, the max(end_dims)-th smallest
+    singular value of the (a, b) system, is 0 exactly for equivalent tuples.
+    zero_margin is the largest commutant value counted as zero and gap the
+    smallest counted as nonzero (inf when there is none).
+    relation_discrepancy is the largest defining-relation residual of the two
+    tuples (g_i^2 = 1 included).  words_checked is always 0: the perfbench
+    tracer's hook reads it.
     """
 
     max_discrepancy: float
-    words_checked: int
-    worst_word: tuple
-    method: str
     relation_discrepancy: float
-    separation: float = None
+    hom_dim: int
+    end_dims: tuple
+    zero_margin: float
+    gap: float
+    words_checked: int = 0
 
 
-@dataclass(frozen=True)
-class _ChamberWalk:
-    """Elements of finite W in BFS order by length.
+def _intertwiner_values(a, b):
+    """Ascending singular values of X -> (a_k X - X b_k)_k / sqrt(n).
 
-    Element 0 is the identity; element j > 0 is s_{letter[j]} times element
-    parent[j]; edges[i, k] is s_k times element i.  edges is None when the
-    walk stopped at _MAX_GROUP_ORDER elements.
+    With X stored row by row, vec(a X) = (a kron I) vec(X) and
+    vec(X b) = (I kron b^T) vec(X): one block per generator.
     """
-
-    images: np.ndarray
-    parent: list
-    letter: list
-    edges: np.ndarray
-
-    @property
-    def separation(self):
-        """Smallest distance between the images of two stored elements.
-
-        W acts by orthogonal maps, so every image has the norm of v and the
-        distance is sqrt(2 |v|^2 - 2 x.y): one Gram matrix, in row blocks of
-        at most 2^20 entries.  This avoids importing scipy.spatial (about
-        9 MiB and 0.16 s).
-        """
-        x = self.images
-        step = max(1, 2**20 // len(x))
-        most = -np.inf
-        for i in range(0, len(x), step):
-            gram = x[i : i + step] @ x.T
-            rows = np.arange(len(gram))
-            gram[rows, i + rows] = -np.inf
-            most = max(most, gram.max())
-        return float(np.sqrt(max(2.0 * (x[0] @ x[0] - most), 0.0)))
-
-    def word(self, j):
-        out = []
-        while j:
-            out.append(self.letter[j] + 1)
-            j = self.parent[j]
-        return tuple(out)
-
-
-def _chamber_walk(cm: CoxeterMatrix):
-    """BFS over finite W, keyed by the rounded image w.v of one point v.
-
-    v = B^{-1} 1 in the unitarized coordinates of geometric_representation
-    lies in the fundamental chamber at distance 1 from every reflecting
-    hyperplane.  W acts simply transitively on the chambers (Humphreys,
-    Reflection Groups and Coxeter Groups, 5.13), so distinct elements have
-    images at least 2 apart.
-    """
-    b = _cosine_form(cm)
-    sqrt_b, refl = _unitarized_reflections(b)
-    images = [sqrt_b @ np.linalg.solve(b, np.ones(cm.n))]
-    index = {tuple(np.round(images[0], _KEY_DECIMALS).tolist()): 0}
-    parent, letter, edges = [-1], [-1], []
-    start = 0
-    while start < len(images):
-        stop = len(images)
-        level = np.array(images[start:stop])
-        targets = np.empty((stop - start, cm.n), dtype=int)
-        for k, r in enumerate(refl):
-            cand = level @ r.T
-            for row, key in enumerate(np.round(cand, _KEY_DECIMALS).tolist()):
-                j = index.setdefault(tuple(key), len(images))
-                if j == len(images):
-                    if j == _MAX_GROUP_ORDER:
-                        return _ChamberWalk(np.array(images), parent, letter, None)
-                    images.append(cand[row])
-                    parent.append(start + row)
-                    letter.append(k)
-                targets[row, k] = j
-        edges.append(targets)
-        start = stop
-    return _ChamberWalk(np.array(images), parent, letter, np.concatenate(edges))
-
-
-def _element_matrices(gens, walk: _ChamberWalk):
-    """The matrix of every element of the walk under one generator tuple."""
-    mats = np.empty((len(walk.parent),) + gens[0].shape, dtype=complex)
-    mats[0] = np.eye(gens[0].shape[0])
-    for j in range(1, len(mats)):
-        mats[j] = gens[walk.letter[j]] @ mats[walk.parent[j]]
-    return mats
-
-
-def _element_evidence(a, b, walk: _ChamberWalk, separation):
-    """Traces on every element and relation gaps on every edge of the walk."""
-    ma, mb = _element_matrices(a, walk), _element_matrices(b, walk)
-    relation = max(
-        np.linalg.norm(g @ mats - mats[walk.edges[:, k]], 2, axis=(1, 2)).max()
-        for gens, mats in ((a, ma), (b, mb))
-        for k, g in enumerate(gens)
-    )
-    gaps = np.abs(np.einsum("wii->w", ma) - np.einsum("wii->w", mb))[1:]
-    j = int(np.argmax(gaps))
-    return EquivalenceEvidence(
-        max_discrepancy=float(gaps[j]),
-        words_checked=int(gaps.size),
-        worst_word=walk.word(j + 1) if gaps[j] > 0 else (),
-        method="group_elements",
-        relation_discrepancy=float(relation),
-        separation=separation,
-    )
-
-
-def _word_evidence(a, b, cm: CoxeterMatrix):
-    """Traces of the words up to the cap with no repeated adjacent letter."""
-    worst = ()
-    worst_gap = 0.0
-    count = 0
-    stack = [((), np.eye(a[0].shape[0], dtype=complex), np.eye(b[0].shape[0], dtype=complex))]
-    while stack:
-        word, pa, pb = stack.pop()
-        if word:
-            gap = abs(np.trace(pa) - np.trace(pb))
-            count += 1
-            if gap > worst_gap:
-                worst_gap = gap
-                worst = word
-        if len(word) < _WORD_LENGTH_CAP:
-            for k in reversed(range(len(a))):
-                if not word or word[-1] != k + 1:
-                    stack.append((word + (k + 1,), pa @ a[k], pb @ b[k]))
-    relation = max(max(CoxeterRep(cm=cm, generators=tuple(g)).relation_residuals().values())
-                   for g in (a, b))
-    return EquivalenceEvidence(
-        max_discrepancy=float(worst_gap),
-        words_checked=count,
-        worst_word=worst,
-        method="words",
-        relation_discrepancy=float(relation),
-    )
+    eye = np.eye(a[0].shape[0])
+    system = np.concatenate([np.kron(ak, eye) - np.kron(eye, bk.T) for ak, bk in zip(a, b)])
+    return np.linalg.svd(system / math.sqrt(len(a)), compute_uv=False)[::-1]
 
 
 def equivalence_evidence(generators_a, generators_b, cm: CoxeterMatrix):
-    """Compare the characters of two generator tuples of the Coxeter group of cm.
+    """Decide whether two unitary generator tuples of W(cm) are equivalent.
 
-    For finite W with at most _MAX_GROUP_ORDER elements the traces are
-    compared once on every element, so equal characters of unitary
-    representations mean equivalent representations; the edge check (see
-    EquivalenceEvidence) shows both tuples factor through W.  Elsewhere the
-    words up to length 8 with no repeated adjacent letter are compared, which
-    is evidence only.  Raises ChamberSeparationError when two stored chamber
-    images come within distance 1: the element count would not be trusted.
+    Three singular-value decompositions, of the commutant systems of a and
+    of b and of their intertwiner system (see EquivalenceEvidence); their
+    size depends on the dimension, not on W, so finite and infinite W are
+    decided alike (the commutant method of the MeatAxe, Holt & Rees, 1994).
+    Raises SeparationError when a commutant value is neither clearly zero
+    nor clearly nonzero.
     """
     a = [np.asarray(g, dtype=complex) for g in generators_a]
     b = [np.asarray(g, dtype=complex) for g in generators_b]
     if a[0].shape != b[0].shape or len(a) != len(b) or len(a) != cm.n:
-        raise ValueError("trace comparison needs tuples of equal shape, one matrix per generator")
-    if not is_finite_type(cm):
-        return _word_evidence(a, b, cm)
-    walk = _chamber_walk(cm)
-    separation = walk.separation
-    if separation < 1.0:
-        raise ChamberSeparationError(
-            f"chamber images of two group elements are {separation:.3e} apart "
-            f"(2 in exact arithmetic); the group elements cannot be told apart"
+        raise ValueError("equivalence needs tuples of equal shape, one matrix per generator")
+    ends = [_intertwiner_values(g, g) for g in (a, b)]
+    zeros = np.concatenate([s[s <= _INTERTWINER_ZERO] for s in ends])
+    nonzeros = np.concatenate([s[s > _INTERTWINER_ZERO] for s in ends])
+    gap = float(nonzeros.min(initial=math.inf))
+    end_dims = tuple(int(np.sum(s <= _INTERTWINER_ZERO)) for s in ends)
+    if 0 in end_dims:
+        raise SeparationError(
+            f"no commutant singular value is at or below {_INTERTWINER_ZERO:.0e}, yet the "
+            f"identity always commutes: the generators are far from unitary"
         )
-    if walk.edges is None:
-        return _word_evidence(a, b, cm)
-    return _element_evidence(a, b, walk, separation)
+    if gap <= 1e4 * _INTERTWINER_ZERO:
+        raise SeparationError(
+            f"a commutant singular value {gap:.3e} lies in ({_INTERTWINER_ZERO:.0e}, "
+            f"{1e4 * _INTERTWINER_ZERO:.0e}]: the commutant dimension cannot be read"
+        )
+    hom = _intertwiner_values(a, b)
+    relation = max(max(CoxeterRep(cm=cm, generators=tuple(g)).relation_residuals().values())
+                   for g in (a, b))
+    return EquivalenceEvidence(
+        max_discrepancy=float(hom[max(end_dims) - 1]),
+        relation_discrepancy=float(relation),
+        hom_dim=int(np.sum(hom <= _INTERTWINER_ZERO)),
+        end_dims=end_dims,
+        zero_margin=float(zeros.max()),
+        gap=gap,
+    )
 
 
 def coxeter_type(cm: CoxeterMatrix):
@@ -912,11 +811,11 @@ class RigidityReport:
         if self.equivalence is not None:
             out["equivalence"] = {
                 "max_discrepancy": self.equivalence.max_discrepancy,
-                "words_checked": self.equivalence.words_checked,
-                "worst_word": list(self.equivalence.worst_word),
-                "method": self.equivalence.method,
                 "relation_discrepancy": self.equivalence.relation_discrepancy,
-                "separation": self.equivalence.separation,
+                "hom_dim": self.equivalence.hom_dim,
+                "end_dims": list(self.equivalence.end_dims),
+                "zero_margin": self.equivalence.zero_margin,
+                "gap": self.equivalence.gap,
             }
         return out
 
@@ -924,9 +823,8 @@ class RigidityReport:
 def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120, seed=0):
     """Run the full rigidity pipeline for a candidate tuple against rep.
 
-    The last step compares the characters of the restriction to L and of rep
-    with equivalence_evidence: on every element of W when W is finite (up to
-    _MAX_GROUP_ORDER elements), on short words otherwise.
+    The last step decides with equivalence_evidence whether the restriction
+    to L is equivalent to rep.
 
     When the multiplicity-free condition fails the report is marked not
     applicable: the invariant subspace is still extracted for inspection,

@@ -68,12 +68,5 @@ class EmptySubspaceError(JointSpecError):
 
 
 class AssignmentError(JointSpecError):
-    """Representation summand assignment is inconsistent with the Coxeter matrix."""
-
-
-class ChamberSeparationError(JointSpecError):
-    """Chamber images of two enumerated Coxeter group elements came within distance 1.
-
-    In exact arithmetic they are at least 2 apart, so the element count of
-    the group walk cannot be trusted.
-    """
+    """A representation, by summand assignment or by explicit generators, is
+    inconsistent with the Coxeter matrix."""

@@ -12,6 +12,8 @@ relative smallest singular value, which neither overflows nor underflows as
 the dimension grows.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +183,26 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
 
 
+def _is_pair(v):
+    return isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_window_grid(window, grid):
+    """ValueError unless window is two finite real (lo, hi) pairs with lo < hi
+    and grid two positive integers."""
+    if not (_is_pair(window) and all(_is_pair(w) and all(map(_is_real, w)) and w[0] < w[1]
+                                     for w in window)):
+        raise ValueError(f"plot 'window' must be two [lo, hi] pairs of finite reals "
+                         f"with lo < hi; got {window!r}")
+    if not (_is_pair(grid) and all(isinstance(g, numbers.Integral) and not isinstance(g, bool)
+                                   and g > 0 for g in grid)):
+        raise ValueError(f"plot 'grid' must be two positive integers; got {grid!r}")
+
+
 def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), grid=(41, 41)):
     """Sample the real slice of the joint spectrum of a pair (n = 2).
 
@@ -189,8 +211,11 @@ def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), gri
     its nearest x_1 grid node (so |Im x_1| <= 0.75 dx), inside the window,
     and passes the membership test at 1e-9 (one spectral_mask call for all
     columns).  Output is a (k, 2) complex array of points (x_1, x_2),
-    deduplicated per x_2 column and sorted lexicographically.
+    deduplicated per x_2 column and sorted lexicographically.  A window
+    that is not two finite real (lo, hi) pairs with lo < hi, or a grid that
+    is not two positive integers, raises ValueError.
     """
+    _check_window_grid(window, grid)
     if t.n != 2:
         raise DimensionMismatchError("curve sampling is defined for pairs (n = 2)")
     (x1lo, x1hi), (x2lo, x2hi) = window

