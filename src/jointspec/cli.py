@@ -185,7 +185,7 @@ def _cmd_coxeter_check(config: RunConfig):
     rep_spec = obj["rep"]
     if "matrices" in rep_spec:
         rep = CoxeterRep(cm=cm, generators=tuple(json_to_matrix(m) for m in rep_spec["matrices"]))
-        rep.validate()
+        rep.validate(config.tol)
     else:
         rep = build_representation(cm, rep_spec["assignment"], seed=rep_spec.get("seed"))
     rig = rigidity_check(
@@ -201,7 +201,7 @@ def _cmd_coxeter_check(config: RunConfig):
         and rig.restriction.spectra_match
         and rig.restriction.exponents_ok
     )
-    equivalent_ok = rig.equivalence is None or rig.equivalence.max_discrepancy <= config.tol
+    equivalent_ok = rig.equivalence is None or rig.equivalence.character_bound <= config.tol
     ok = rig.applicable and rig.dim_L == rep.dim and restriction_ok and equivalent_ok
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -198,20 +198,20 @@ class CoxeterRep:
                 res[(i + 1, j + 1)] = opnorm(np.linalg.matrix_power(w, int(m)) - np.eye(self.dim))
         return res
 
-    def validate(self):
+    def validate(self, tol=1e-10):
         """Raise AssignmentError unless the generators are cm.n square matrices
         of one size, each a unitary involution, that satisfy every relation of
-        cm (all within 1e-10)."""
+        cm (all within tol)."""
         shapes = [np.shape(g) for g in self.generators]
         if (len(shapes) != self.cm.n or len(set(shapes)) != 1
                 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or shapes[0][0] == 0):
             raise AssignmentError(f"a representation needs {self.cm.n} square generator "
                                   f"matrices of one size; got shapes {shapes}")
         for g in self.generators:
-            if opnorm(g @ g - np.eye(self.dim)) > 1e-10 or opnorm(g - g.conj().T) > 1e-10:
+            if opnorm(g @ g - np.eye(self.dim)) > tol or opnorm(g - g.conj().T) > tol:
                 raise AssignmentError("generators must be unitary involutions")
         for (i, j), r in self.relation_residuals().items():
-            if r > 1e-10:
+            if r > tol:
                 raise AssignmentError(
                     f"generators break the relation (g{i} g{j})^{int(self.cm.order(i - 1, j - 1))}"
                     f" = 1 (residual {r:.2e})"
@@ -617,92 +617,152 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
     )
 
 
-# Zero threshold of the intertwiner systems below.  Scaled by 1/sqrt(n), a
-# system of unitary tuples has norm at most 2, so rounding leaves its null
-# values near 1e-16: on every group and planted restriction the tests use
-# they are <= 1e-15, and the smallest nonzero commutant value is >= 0.23
-# (E6).  1e-8 sits between the two, and commutant values in (1e-8, 1e-4]
-# are refused as ambiguous: a pair of summands that differ by 1e-6 lands
-# there (5e-7) instead of being counted as one repeated summand or as two
-# distinct ones.
-_INTERTWINER_ZERO = 1e-8
+# Zero threshold of the commutant system of the reference tuple b below.
+# Scaled by 1/sqrt(n), the system of a unitary tuple has norm at most 2, so
+# rounding leaves its null values near 1e-16: on every group the tests use
+# they are <= 1e-15, and the smallest nonzero value is >= 0.23 (E6).
+_COMMUTANT_ZERO = 1e-8
+# Values above this are clearly nonzero.  A commutant value of b in
+# (_COMMUTANT_ZERO, _COMMUTANT_CLEAR] means two summands of b lie that close
+# (two_dim(1) + two_dim(1 + 1e-6) gives 5e-7).  Such a b is within 1e-4 of a
+# tuple with a larger commutant, so no tolerance up to 10 times the default
+# --tol of 1e-5 can tell the two apart, and b is refused.
+_COMMUTANT_CLEAR = 1e-4
+# The commutant system of b has n d^2 x d^2 complex entries and its SVD takes
+# time of order n d^6.  At d = 32 and n = 2 a decision takes about 2.5 s and
+# 115 MiB of peak memory on one core of an Intel Xeon; both grow about
+# linearly in n.
+_MAX_DIM = 32
+# No word length covers an infinite W; there the character bound covers the
+# words of length up to 8.
+_INFINITE_WORD_LENGTH = 8
 
 
 @dataclass(frozen=True)
 class EquivalenceEvidence:
-    """Intertwiner comparison of two generator tuples of one Coxeter group.
+    """Intertwiner comparison of a generator tuple a with a reference tuple b.
 
-    end_dims are the commutant dimensions of the two tuples and hom_dim the
-    dimension of their intertwiner space, each the count of singular values
-    at or below _INTERTWINER_ZERO of X -> (a_k X - X b_k)_k / sqrt(n).
-    Unitary tuples are equivalent exactly when hom_dim reaches max(end_dims)
-    (Schur's lemma), so max_discrepancy, the max(end_dims)-th smallest
-    singular value of the (a, b) system, is 0 exactly for equivalent tuples.
-    zero_margin is the largest commutant value counted as zero and gap the
-    smallest counted as nonzero (inf when there is none).
-    relation_discrepancy is the largest defining-relation residual of the two
-    tuples (g_i^2 = 1 included).  words_checked is always 0: the perfbench
-    tracer's hook reads it.
+    end_dim is the commutant dimension of b: the count of singular values
+    at or below _COMMUTANT_ZERO of X -> (b_k X - X b_k)_k / sqrt(n);
+    zero_margin is the largest of them and gap the smallest above it (inf
+    when there is none).  U is the unitary polar factor of a generic element
+    of the end_dim least singular directions of X -> (a_k X - X b_k)_k, the
+    intertwiner space when a and b are equivalent (Schur's lemma).
+    max_discrepancy is the largest trace norm of a_k - U b_k U*: 0 exactly
+    when a is equivalent to b, and never below the distance of a from the
+    unitary copies of b.  Along a word of length l the traces of a and b
+    differ by at most l m^(l-1) max_discrepancy, m the largest generator norm
+    (at least 1); character_bound is that bound at l = word_length, the
+    length of the longest element of a finite W (_INFINITE_WORD_LENGTH when
+    W is infinite).  relation_discrepancy is the largest defining-relation
+    residual of the two tuples (g_i^2 = 1 included).  words_checked is
+    always 0: the perfbench tracer's hook reads it.
     """
 
     max_discrepancy: float
+    character_bound: float
+    word_length: int
     relation_discrepancy: float
-    hom_dim: int
-    end_dims: tuple
+    end_dim: int
     zero_margin: float
     gap: float
     words_checked: int = 0
 
 
-def _intertwiner_values(a, b):
-    """Ascending singular values of X -> (a_k X - X b_k)_k / sqrt(n).
+def _commutant_values(g):
+    """Ascending singular values of X -> (g_k X - X g_k)_k / sqrt(n).
 
-    With X stored row by row, vec(a X) = (a kron I) vec(X) and
-    vec(X b) = (I kron b^T) vec(X): one block per generator.
+    With X stored row by row, vec(g X) = (g kron I) vec(X) and
+    vec(X g) = (I kron g^T) vec(X): one block per generator.
+    """
+    eye = np.eye(g[0].shape[0])
+    system = np.concatenate([np.kron(gk, eye) - np.kron(eye, gk.T) for gk in g])
+    return np.linalg.svd(system / math.sqrt(len(g)), compute_uv=False)[::-1]
+
+
+def _near_intertwiners(a, b, count):
+    """The count least singular directions of X -> (a_k X - X b_k)_k, as d x d matrices.
+
+    They are the lowest eigenvectors of the Gram matrix sum_k M_k^H M_k,
+    M_k = a_k kron I - I kron b_k^T, which is d^2 x d^2 however large n is.
     """
     eye = np.eye(a[0].shape[0])
-    system = np.concatenate([np.kron(ak, eye) - np.kron(eye, bk.T) for ak, bk in zip(a, b)])
-    return np.linalg.svd(system / math.sqrt(len(a)), compute_uv=False)[::-1]
+    gram = sum(np.kron(ak.conj().T @ ak, eye) - np.kron(ak.conj().T, bk.T)
+               - np.kron(ak, bk.conj()) + np.kron(eye, bk.conj() @ bk.T)
+               for ak, bk in zip(a, b))
+    _, vectors = scipy.linalg.eigh(gram, subset_by_index=[0, count - 1])
+    return vectors.T.reshape(count, *a[0].shape)
+
+
+def _longest_word_length(cm: CoxeterMatrix):
+    """Length of the longest element of a finite W.
+
+    w -> w s_i is one longer exactly when w sends the simple root alpha_i to
+    a positive root.  In the basis of simple roots every root has entries of
+    one sign, so the sign of the column sum of w decides.  From the identity
+    the climb ends at the longest element.
+    """
+    b = _cosine_form(cm)
+    eye = np.eye(cm.n)
+    reflections = [eye - 2.0 * np.outer(eye[i], b[i]) for i in range(cm.n)]
+    w, length = eye, 0
+    while True:
+        ascents = [i for i in range(cm.n) if w[:, i].sum() > 0]
+        if not ascents:
+            return length
+        w, length = w @ reflections[ascents[0]], length + 1
 
 
 def equivalence_evidence(generators_a, generators_b, cm: CoxeterMatrix):
-    """Decide whether two unitary generator tuples of W(cm) are equivalent.
+    """Decide whether the tuple a is equivalent to the reference tuple b of W(cm).
 
-    Three singular-value decompositions, of the commutant systems of a and
-    of b and of their intertwiner system (see EquivalenceEvidence); their
-    size depends on the dimension, not on W, so finite and infinite W are
-    decided alike (the commutant method of the MeatAxe, Holt & Rees, 1994).
-    Raises SeparationError when a commutant value is neither clearly zero
-    nor clearly nonzero.
+    b must be a unitary representation (CoxeterRep.validate); a may carry
+    noise.  One SVD reads the commutant of b, one Gram eigensolve gives the
+    near-intertwiners from b to a, and U, their generic polar factor, is
+    compared with a (see EquivalenceEvidence).  Their size depends on the
+    dimension, not on W, so finite and infinite W are decided alike (the
+    commutant method of the MeatAxe, Holt & Rees, 1994).  Raises
+    SeparationError when a commutant value of b is neither clearly zero nor
+    clearly nonzero.
     """
     a = [np.asarray(g, dtype=complex) for g in generators_a]
     b = [np.asarray(g, dtype=complex) for g in generators_b]
     if a[0].shape != b[0].shape or len(a) != len(b) or len(a) != cm.n:
         raise ValueError("equivalence needs tuples of equal shape, one matrix per generator")
-    ends = [_intertwiner_values(g, g) for g in (a, b)]
-    zeros = np.concatenate([s[s <= _INTERTWINER_ZERO] for s in ends])
-    nonzeros = np.concatenate([s[s > _INTERTWINER_ZERO] for s in ends])
-    gap = float(nonzeros.min(initial=math.inf))
-    end_dims = tuple(int(np.sum(s <= _INTERTWINER_ZERO)) for s in ends)
-    if 0 in end_dims:
+    if b[0].shape[0] > _MAX_DIM:
+        raise ValueError(f"equivalence is decided for dimensions up to {_MAX_DIM}, "
+                         f"not {b[0].shape[0]}")
+    values = _commutant_values(b)
+    end_dim = int(np.sum(values <= _COMMUTANT_ZERO))
+    if end_dim == 0:
         raise SeparationError(
-            f"no commutant singular value is at or below {_INTERTWINER_ZERO:.0e}, yet the "
-            f"identity always commutes: the generators are far from unitary"
+            f"no commutant singular value of the reference is at or below "
+            f"{_COMMUTANT_ZERO:.0e}, yet the identity always commutes: it is far from unitary"
         )
-    if gap <= 1e4 * _INTERTWINER_ZERO:
+    gap = float(values[end_dim]) if end_dim < len(values) else math.inf
+    if gap <= _COMMUTANT_CLEAR:
         raise SeparationError(
-            f"a commutant singular value {gap:.3e} lies in ({_INTERTWINER_ZERO:.0e}, "
-            f"{1e4 * _INTERTWINER_ZERO:.0e}]: the commutant dimension cannot be read"
+            f"a commutant singular value {gap:.3e} of the reference lies in "
+            f"({_COMMUTANT_ZERO:.0e}, {_COMMUTANT_CLEAR:.0e}]: its commutant dimension "
+            f"cannot be read"
         )
-    hom = _intertwiner_values(a, b)
+    # a fixed random combination: for equivalent tuples it is an invertible
+    # intertwiner with probability 1, and its polar factor a unitary one
+    coeffs = np.random.default_rng(0).standard_normal((end_dim, 2)) @ np.array([1.0, 1.0j])
+    w, _, vh = np.linalg.svd(np.tensordot(coeffs, _near_intertwiners(a, b, end_dim), axes=1))
+    u = w @ vh
+    discrepancy = max(np.linalg.norm(ak @ u - u @ bk, "nuc") for ak, bk in zip(a, b))
+    length = _longest_word_length(cm) if is_finite_type(cm) else _INFINITE_WORD_LENGTH
+    growth = max([1.0] + [opnorm(g) for g in a + b]) ** (length - 1)
     relation = max(max(CoxeterRep(cm=cm, generators=tuple(g)).relation_residuals().values())
                    for g in (a, b))
     return EquivalenceEvidence(
-        max_discrepancy=float(hom[max(end_dims) - 1]),
+        max_discrepancy=float(discrepancy),
+        character_bound=float(length * growth * discrepancy),
+        word_length=length,
         relation_discrepancy=float(relation),
-        hom_dim=int(np.sum(hom <= _INTERTWINER_ZERO)),
-        end_dims=end_dims,
-        zero_margin=float(zeros.max()),
+        end_dim=end_dim,
+        zero_margin=float(values[end_dim - 1]),
         gap=gap,
     )
 
@@ -811,9 +871,10 @@ class RigidityReport:
         if self.equivalence is not None:
             out["equivalence"] = {
                 "max_discrepancy": self.equivalence.max_discrepancy,
+                "character_bound": self.equivalence.character_bound,
+                "word_length": self.equivalence.word_length,
                 "relation_discrepancy": self.equivalence.relation_discrepancy,
-                "hom_dim": self.equivalence.hom_dim,
-                "end_dims": list(self.equivalence.end_dims),
+                "end_dim": self.equivalence.end_dim,
                 "zero_margin": self.equivalence.zero_margin,
                 "gap": self.equivalence.gap,
             }

@@ -111,12 +111,13 @@ def word_character_gap(a, b, cap):
 
 
 def group_character_gap(a, b, geometric):
-    """(largest |tr a(w) - tr b(w)| over the elements w of a finite W, |W|).
+    """(largest |tr a(w) - tr b(w)| over the elements w of a finite W, |W|,
+    length of the longest element).
 
     Breadth-first search over s_k w from the identity.  Each element is keyed
     by its matrix in the geometric representation, which is faithful on
     finite W, rounded to 8 decimals.  a(w) and b(w) are the generator
-    products along the word that first reached w.
+    products along the word that first reached w, a shortest word.
     """
     a, b, geometric = ([np.asarray(g, dtype=complex) for g in gens] for gens in (a, b, geometric))
 
@@ -126,7 +127,9 @@ def group_character_gap(a, b, geometric):
     level = [tuple(np.eye(g[0].shape[0], dtype=complex) for g in (geometric, a, b))]
     seen = {key(level[0][0])}
     worst = 0.0
+    depth = -1
     while level:
+        depth += 1
         nxt = []
         for g, pa, pb in level:
             worst = max(worst, abs(np.trace(pa) - np.trace(pb)))
@@ -136,7 +139,7 @@ def group_character_gap(a, b, geometric):
                     seen.add(key(w))
                     nxt.append((w, ak @ pa, bk @ pb))
         level = nxt
-    return worst, len(seen)
+    return worst, len(seen), depth
 
 
 def first_order_eigenvalue_derivative(a2, i):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import jointspec as js
 from jointspec import cli, coxeter
@@ -220,7 +221,8 @@ class TestCoxeterCheckCommand:
         evidence = coxeter.equivalence_evidence
 
         def mismatch(*args, **kwargs):
-            return dataclasses.replace(evidence(*args, **kwargs), max_discrepancy=1.0)
+            return dataclasses.replace(evidence(*args, **kwargs), max_discrepancy=1.0,
+                                       character_bound=4.0)
 
         monkeypatch.setattr(coxeter, "equivalence_evidence", mismatch)
         inp = self.make_input(tmp_path)
@@ -228,7 +230,7 @@ class TestCoxeterCheckCommand:
         assert main(["coxeter-check", "--input", inp, "--tol", "1e-7", "--out", str(out)]) == 1
         rig = json.loads(out.read_text())["rigidity"]
         assert rig["applicable"] is True and rig["dim_L"] == 3
-        assert rig["equivalence"]["max_discrepancy"] == 1.0
+        assert rig["equivalence"]["character_bound"] == 4.0
 
     def test_deterministic_reports(self, tmp_path):
         inp = self.make_input(tmp_path)
@@ -277,6 +279,75 @@ class TestCoxeterCheckCommand:
         assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rounded_explicit_matrices_follow_tol(self, tmp_path, capsys):
+        # written to 9 decimals, the matrices break the relations by about 1e-9
+        rep = js.build_representation(
+            js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2), "one_dim_pm"], seed=3)
+        matrices = [np.round(g, 9) for g in rep.generators]
+        inp = self.explicit_input(tmp_path, matrices)
+        out = str(tmp_path / "out.json")
+        assert main(["coxeter-check", "--input", inp, "--out", out]) == 0
+        assert main(["coxeter-check", "--input", inp, "--tol", "1e-10", "--out", out]) == 2
+        assert "unitary involutions" in capsys.readouterr().err
+
+    def perturbed_a3_input(self, tmp_path, delta, assignment):
+        """A planted A3 tuple whose copy of the representation has generator 1
+        conjugated by exp(delta K), so that its relations break by about delta."""
+        cm = js.CoxeterMatrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+        gens = list(js.build_representation(cm, assignment).generators)
+        skew = np.random.default_rng(0).standard_normal((len(gens[0]),) * 2)
+        u = scipy.linalg.expm(delta * (skew - skew.T))
+        gens[0] = u @ gens[0] @ u.T
+        rng = np.random.default_rng(77)
+        blocks = [np.diag([0.28, -0.2 + 0.12j, 0.1 - 0.3j])]
+        for _ in range(2):
+            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            blocks.append(0.3 * b / js.opnorm(b))
+        tup = planted_tuple(js.CoxeterRep(cm=cm, generators=tuple(gens)), blocks, seed=11)
+        obj = {"schema_version": 1, "tuple": tup.to_json(), "coxeter_matrix": cm.to_json(),
+               "rep": {"assignment": assignment}}
+        return write_json(tmp_path / "a3.json", obj)
+
+    def test_noisy_reducible_restriction_is_reported(self, tmp_path):
+        # geometric + sign has a 2-dimensional commutant; the restriction's
+        # commutant values near 1e-6 are measured, not refused
+        inp = self.perturbed_a3_input(tmp_path, 1e-6, ["geometric", "sign"])
+        out = tmp_path / "out.json"
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert "refusal" not in report
+        ev = report["rigidity"]["equivalence"]
+        assert ev["end_dim"] == 2 and 1e-7 <= ev["max_discrepancy"] <= 1e-5
+
+    @pytest.mark.parametrize("delta, code", [(1e-9, 0), (5.5e-6, 1)])
+    def test_character_bound_gates_the_exit(self, tmp_path, monkeypatch, delta, code):
+        # At 5.5e-6 the largest character gap over W is 1.03e-5, above the
+        # default --tol, while the relation residual (8.6e-6) and
+        # max_discrepancy (4.9e-6) are below it.  The perturbation also moves
+        # the sampled spectra, which fails the command by itself, so in a
+        # second run every spectral check is set to pass to leave the exit to
+        # the equivalence gate.
+        real = cli.rigidity_check
+
+        def spectra_pass(*args, **kwargs):
+            rig = real(*args, **kwargs)
+            restriction = dataclasses.replace(rig.restriction, spectra_match=True,
+                                              exponents_ok=True)
+            return dataclasses.replace(
+                rig, condition_I=True, condition_II={k: True for k in rig.condition_II},
+                applicable=all(rig.condition_star.values()) and rig.norms_ok,
+                restriction=restriction)
+
+        inp = self.perturbed_a3_input(tmp_path, delta, ["geometric"])
+        out = tmp_path / "out.json"
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == code
+        monkeypatch.setattr(cli, "rigidity_check", spectra_pass)
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == code
+        rig = json.loads(out.read_text())["rigidity"]
+        assert max(rig["restriction"]["relation_residuals"].values()) <= 1e-5
+        assert rig["equivalence"]["max_discrepancy"] <= 1e-5
+        assert (rig["equivalence"]["character_bound"] <= 1e-5) == (code == 0)
 
     def test_ambiguous_commutant_exits_three(self, tmp_path):
         # two_dim(1) + two_dim(1 + 1e-6) of the infinite dihedral group: the

@@ -17,8 +17,8 @@ import oracles
 from oracles import group_character_gap, word_character_gap
 from slices import e1_line_roots
 
-EQUIVALENCE_KEYS = {"max_discrepancy", "relation_discrepancy", "hom_dim", "end_dims",
-                    "zero_margin", "gap"}
+EQUIVALENCE_KEYS = {"max_discrepancy", "character_bound", "word_length",
+                    "relation_discrepancy", "end_dim", "zero_margin", "gap"}
 
 
 def a3_matrix():
@@ -431,36 +431,46 @@ def fastest_decision(a, b, cm, repeats=3):
     return ev, min(times)
 
 
+def perturbed_generator(gens, k, delta, seed=0):
+    """gens with generator k conjugated by exp(delta K), K a fixed real skew matrix."""
+    rng = np.random.default_rng(seed)
+    skew = rng.standard_normal(gens[0].shape)
+    u = scipy.linalg.expm(delta * (skew - skew.T))
+    out = list(gens)
+    out[k] = u @ gens[k] @ u.T
+    return out
+
+
 class TestEquivalenceEvidence:
     def test_identical_inputs(self):
         rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)])
         ev = js.equivalence_evidence(rep.generators, rep.generators, rep.cm)
-        # the (a, b) system is the (a, a) system, so its smallest value is the zero margin
-        assert ev.max_discrepancy == ev.zero_margin <= 1e-15
-        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.max_discrepancy <= 1e-14 and ev.zero_margin <= 1e-15
+        assert ev.end_dim == 1 and ev.word_length == 3
         assert ev.words_checked == 0
 
     def test_trivial_vs_sign(self):
-        # X -> (2X, 2X) / sqrt(2) on 1x1 X: the one singular value is 2, the
-        # character gap |tr(trivial(g1)) - tr(sign(g1))|
+        # 1 x 1 tuples: U is a phase and |1 - (-1)| = 2 on each generator, the
+        # character gap on a generator; the bound covers the 3 letters of w0
         cm = js.dihedral(3)
         triv = js.build_representation(cm, ["trivial"])
         sign = js.build_representation(cm, ["sign"])
         ev = js.equivalence_evidence(triv.generators, sign.generators, cm)
         assert abs(ev.max_discrepancy - 2.0) <= 1e-14
-        assert ev.hom_dim == 0 and ev.end_dims == (1, 1)
-        assert ev.zero_margin == 0.0 and ev.gap == math.inf
+        assert abs(ev.character_bound - 6.0) <= 1e-13
+        assert ev.end_dim == 1 and ev.zero_margin == 0.0 and ev.gap == math.inf
 
     @pytest.mark.parametrize("cm, order", FINITE_GROUPS)
     def test_group_orders(self, cm, order):
         gens = geometric_representation(cm)
         conj = js.build_representation(cm, ["geometric"], seed=5).generators
-        gap, size = group_character_gap(gens, conj, gens)
+        gap, size, longest = group_character_gap(gens, conj, gens)
         assert size == order
         ev = js.equivalence_evidence(gens, conj, cm)
-        assert gap <= 1e-12 and ev.max_discrepancy <= 1e-12
+        assert gap <= 1e-12 and ev.max_discrepancy <= 1e-12 and ev.character_bound <= 1e-11
+        assert ev.word_length == longest
         # the geometric representation is irreducible
-        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.end_dim == 1
         assert ev.zero_margin <= 1e-15 and ev.gap >= 0.3
         assert ev.relation_discrepancy <= 1e-10
 
@@ -472,14 +482,14 @@ class TestEquivalenceEvidence:
             b = [-g for g in geo]
         else:
             b = js.build_representation(cm, ["trivial"] + ["sign"] * (cm.n - 1)).generators
-        gap, _ = group_character_gap(geo, b, geo)
+        gap, _, _ = group_character_gap(geo, b, geo)
         ev = js.equivalence_evidence(geo, b, cm)
         if other == "negated" and cm.n == 2:
             # sign times the reflection representation of I2(m) is a copy of it
             assert gap <= 1e-12 and ev.max_discrepancy <= 1e-12
         else:
             assert gap >= 0.05 and ev.max_discrepancy >= 0.05
-            assert ev.hom_dim < max(ev.end_dims)
+            assert gap <= ev.character_bound
 
     # two distinct summands for the dihedral cases, the irreducible
     # geometric representation for A3
@@ -489,32 +499,43 @@ class TestEquivalenceEvidence:
         t, rep = SAMPLER_CASES[case]()
         sub = js.extract_invariant_subspace(t)
         ev = js.equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
-        gap, _ = group_character_gap(sub.restrictions, rep.generators,
-                                     geometric_representation(rep.cm))
+        gap, _, _ = group_character_gap(sub.restrictions, rep.generators,
+                                        geometric_representation(rep.cm))
         assert ev.max_discrepancy <= 1e-12 and gap <= 1e-12
-        assert ev.hom_dim == ev.end_dims[0] == ev.end_dims[1] == end
+        assert ev.end_dim == end
 
     def test_inequivalent_characters_differ(self):
         cm = a3_matrix()
         geo = js.build_representation(cm, ["geometric"])
         other = js.build_representation(cm, ["trivial", "sign", "sign"])
         ev = js.equivalence_evidence(geo.generators, other.generators, cm)
-        # End(trivial + 2 sign) is 1 + 2^2 dimensional; no intertwiner is nonzero
-        assert ev.end_dims == (1, 5) and ev.hom_dim == 0
+        # End(trivial + 2 sign) is 1 + 2^2 dimensional
+        assert ev.end_dim == 5
         assert ev.max_discrepancy >= 1.0
         # the longest element of A3 has length 6
-        assert word_character_gap(geo.generators, other.generators, 6) >= 1.0
+        assert 1.0 <= word_character_gap(geo.generators, other.generators, 6) <= ev.character_bound
         assert ev.relation_discrepancy <= 1e-10
+
+    def test_larger_commutant_with_as_many_intertwiners(self):
+        # a = trivial + trivial, b = trivial + sign of I2(3): Hom(b, a) has
+        # dimension 2 = dim End(b), yet no unitary U makes U b U* trivial on
+        # the sign line, where each generator differs by 2
+        cm = js.dihedral(3)
+        a = js.build_representation(cm, ["trivial", "trivial"]).generators
+        b = js.build_representation(cm, ["trivial", "sign"]).generators
+        ev = js.equivalence_evidence(a, b, cm)
+        assert ev.end_dim == 2
+        assert abs(ev.max_discrepancy - 2.0) <= 1e-12
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_every_generator_counts(self, k):
         # on (Z/2)^3 the trivial character and the one that is -1 on generator
-        # k differ on that generator only: its block alone is 2X
+        # k differ on that generator only, by 2
         cm = js.CoxeterMatrix([[1 if i == j else 2 for j in range(3)] for i in range(3)])
         triv = js.build_representation(cm, ["trivial"]).generators
         other = [(-1.0 if i == k else 1.0) * np.eye(1, dtype=complex) for i in range(3)]
         ev = js.equivalence_evidence(triv, other, cm)
-        assert abs(ev.max_discrepancy - 2.0 / math.sqrt(3.0)) <= 1e-14
+        assert abs(ev.max_discrepancy - 2.0) <= 1e-14
 
     def test_a_tuple_and_its_complex_conjugate(self):
         # three complex reflections of C^2 under no relation but s_k^2 = 1:
@@ -528,11 +549,11 @@ class TestEquivalenceEvidence:
             gens.append(np.eye(2) - 2.0 * np.outer(v, v.conj()))
         assert abs(np.trace(gens[0] @ gens[1] @ gens[2]).imag) >= 0.1
         same = js.equivalence_evidence(gens, conjugate_tuple(gens, 3), cm)
-        assert same.max_discrepancy <= 1e-12 and same.hom_dim == 1
+        assert same.max_discrepancy <= 1e-12 and same.end_dim == 1
         conj = [g.conj() for g in gens]
         other = js.equivalence_evidence(gens, conj, cm)
-        assert other.max_discrepancy >= 0.05 and other.hom_dim == 0
-        assert word_character_gap(gens, conj, 3) >= 0.05
+        assert other.max_discrepancy >= 0.05 and other.word_length == 8
+        assert 0.05 <= word_character_gap(gens, conj, 3) <= other.character_bound
 
     def test_broken_relation_is_measured(self):
         # g2 becomes another unitary reflection, so (g1 g2)^3 = 1 fails;
@@ -546,26 +567,42 @@ class TestEquivalenceEvidence:
         ev = js.equivalence_evidence(broken, gens, cm)
         assert ev.relation_discrepancy >= 0.1
 
+    @pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_noise_in_the_candidate_is_measured_not_refused(self, delta):
+        # b = geometric + sign of A3 has a 2-dimensional commutant; breaking
+        # a's relations by delta leaves commutant values of a near delta,
+        # which only b's may not have
+        cm = a3_matrix()
+        b = js.build_representation(cm, ["geometric", "sign"]).generators
+        a = perturbed_generator(b, 0, delta)
+        ev = js.equivalence_evidence(a, b, cm)
+        assert ev.end_dim == 2 and ev.gap >= 0.3
+        assert 0.1 * delta <= ev.max_discrepancy <= 10 * delta
+        gap, _, _ = group_character_gap(a, b, geometric_representation(cm))
+        assert gap <= ev.character_bound
+
     def test_e6_is_decided_in_milliseconds(self):
-        # 51,840 elements: the decision costs three SVDs of at most 216 x 36
+        # 51,840 elements: the decision costs one SVD of 216 x 36 and a 36 x 36
+        # eigensolve
         cm = e6_matrix()
         geo = geometric_representation(cm)
         ev, seconds = fastest_decision(geo, conjugate_tuple(geo, 5), cm)
-        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.max_discrepancy <= 1e-12 and ev.end_dim == 1 and ev.word_length == 36
         assert ev.gap >= 0.2 and seconds < 0.05
         neg, seconds = fastest_decision(geo, [-g for g in geo], cm)
-        assert neg.max_discrepancy >= 1.0 and neg.hom_dim == 0 and seconds < 0.05
+        assert neg.max_discrepancy >= 1.0 and seconds < 0.05
 
     def test_infinite_dihedral(self):
         cm = js.dihedral(math.inf)
         rep = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.0)])
         ev, seconds = fastest_decision(rep.generators, conjugate_tuple(rep.generators, 2), cm)
         assert ev.max_discrepancy <= 1e-12 and ev.relation_discrepancy <= 1e-12
-        assert seconds < 0.05
+        assert ev.word_length == 8 and seconds < 0.05
         near = js.build_representation(cm, [js.DihedralIrrep("two_dim", 1.1)]).generators
         ev, seconds = fastest_decision(rep.generators, near, cm)
-        assert ev.max_discrepancy >= 0.04 and ev.hom_dim == 0 and seconds < 0.05
-        assert word_character_gap(rep.generators, near, 2) >= 0.1  # 2 |cos 1 - cos 1.1|
+        assert ev.max_discrepancy >= 0.04 and seconds < 0.05
+        # 2 |cos 1 - cos 1.1| on the word g1 g2
+        assert 0.1 <= word_character_gap(rep.generators, near, 2) <= ev.character_bound
 
     def test_ambiguous_commutant_is_refused(self):
         # two_dim(1) + two_dim(1 + 1e-6) is nearly two copies of one summand:
@@ -589,29 +626,32 @@ class TestEquivalenceEvidence:
         with pytest.raises(ValueError, match="equal shape"):
             js.equivalence_evidence(two.generators, two.generators[:1], cm)
 
+    def test_dimension_above_the_supported_bound_is_rejected(self):
+        cm = js.dihedral(math.inf)
+        gens = [np.eye(33, dtype=complex)] * 2
+        with pytest.raises(ValueError, match="up to 32, not 33"):
+            js.equivalence_evidence(gens, gens, cm)
+
 
 class TestNoLooserGate:
     """The intertwiner verdict rejects whatever the character gate rejected.
 
-    One A3 generator is conjugated by exp(delta K).  Wherever the largest
-    character gap over W exceeds the 1e-6 of the rigidity gates, the
-    relations (at 1e-7) or max_discrepancy (at 1e-6) must show it.
+    One A3 generator is conjugated by exp(delta K).  character_bound bounds
+    the largest character gap over W, and wherever that gap exceeds the 1e-6
+    of the rigidity gates, the relations (at 1e-7) or max_discrepancy (at
+    1e-6) must show it.
     """
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_perturbed_a3_generator(self, k):
         cm = a3_matrix()
         geo = geometric_representation(cm)
-        rng = np.random.default_rng(k)
-        skew = rng.standard_normal((3, 3))
-        skew = skew - skew.T
         rejected = 0
         for delta in 10.0 ** np.arange(-9, -2):
-            u = scipy.linalg.expm(delta * skew)
-            perturbed = list(geo)
-            perturbed[k] = u @ geo[k] @ u.T
-            gap, _ = group_character_gap(perturbed, geo, geo)
+            perturbed = perturbed_generator(geo, k, delta, seed=k)
+            gap, _, _ = group_character_gap(perturbed, geo, geo)
             ev = js.equivalence_evidence(perturbed, geo, cm)
+            assert gap <= ev.character_bound, delta
             if gap > 1e-6:
                 rejected += 1
                 assert ev.relation_discrepancy > 1e-7 or ev.max_discrepancy > 1e-6, delta
@@ -648,11 +688,11 @@ class TestRigidityPipeline:
         assert rig.dim_L == rep.dim
         ev = rig.equivalence
         assert ev.max_discrepancy <= 1e-12
-        assert ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.end_dim == 1
         assert ev.relation_discrepancy <= 1e-10
         restricted = [rig.L_basis.conj().T @ m @ rig.L_basis for m in t.matrices]
-        gap, size = group_character_gap(restricted, rep.generators, rep.generators)
-        assert gap <= 1e-12 and size == order
+        gap, size, longest = group_character_gap(restricted, rep.generators, rep.generators)
+        assert gap <= 1e-12 and size == order and ev.word_length == longest
         assert set(rig.to_json()["equivalence"]) == EQUIVALENCE_KEYS
 
     def test_planted_e6(self):
@@ -661,7 +701,7 @@ class TestRigidityPipeline:
         assert rig.condition_I and all(rig.condition_II.values())
         assert rig.dim_L == 6 and not rig.applicable  # (*) fails for rank >= 4
         ev = rig.equivalence
-        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.end_dims == (1, 1)
+        assert ev.max_discrepancy <= 1e-12 and ev.end_dim == 1 and ev.word_length == 36
         assert ev.relation_discrepancy <= 1e-10
 
     def test_planted_infinite_dihedral(self):
@@ -671,6 +711,6 @@ class TestRigidityPipeline:
         rig = js.rigidity_check(t, rep, seed=0)
         assert rig.applicable and rig.dim_L == 2
         ev = rig.equivalence
-        assert ev.max_discrepancy <= 1e-12 and ev.hom_dim == 1 and ev.relation_discrepancy <= 1e-12
+        assert ev.max_discrepancy <= 1e-12 and ev.end_dim == 1 and ev.relation_discrepancy <= 1e-12
         obj = rig.to_json()["equivalence"]
-        assert set(obj) == EQUIVALENCE_KEYS and obj["end_dims"] == [1, 1]
+        assert set(obj) == EQUIVALENCE_KEYS and obj["end_dim"] == 1 and obj["word_length"] == 8
