@@ -62,7 +62,7 @@ from .projections import (
     NormProfile,
     component_projection,
     limit_projection,
-    projection_ladder,
+    projection_ladders,
     projection_norm_profile,
 )
 from .relations import (

@@ -5,8 +5,8 @@ Exit status contract: 0 all requested checks pass, 1 a check failed,
 explicit matrices, that is not a tuple of unitary involutions satisfying
 the Coxeter matrix's relations, and a lambda that is not an eigenvalue of
 A1), 3 numerical refusal (blow-up, non-normal leading matrix, failed
-hypotheses, failed tracking, separation or an ambiguous commutant) with a
-diagnostic report.
+hypotheses, failed tracking, separation, an ambiguous commutant or a
+failed LAPACK eigensolve) with a diagnostic report.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
-from .projections import limit_projection, projection_ladder, projection_norm_profile
+from .projections import limit_projection, projection_ladders, projection_norm_profile
 from .relations import verify_pair
 from .serialize import SCHEMA_VERSION, json_to_matrix, pair_to_complex
 
@@ -144,8 +144,7 @@ def _cmd_analyze(config: RunConfig):
     report["regularity"] = reg.to_json()
     report["projections"] = []
     blowup = None
-    for b in branches:
-        ladder = projection_ladder(tup, b)
+    for b, ladder in zip(branches, projection_ladders(tup, branches)):
         profile = projection_norm_profile(tup, b, ladder=ladder)
         entry = {"j": b.index, "norm_profile": profile.to_json(),
                  "ladder": [cp.to_json() for cp in ladder]}
@@ -255,8 +254,8 @@ def _cmd_demo_blowup(config: RunConfig):
     report["ladder"] = {"t_max": 0.1, "samples": config.samples}
     report["profiles"] = []
     exponents = []
-    for b in branches:
-        profile = projection_norm_profile(tup, b)
+    for b, ladder in zip(branches, projection_ladders(tup, branches)):
+        profile = projection_norm_profile(tup, b, ladder=ladder)
         report["profiles"].append({"j": b.index, **profile.to_json()})
         exponents.append(profile.exponent)
     report["refusal"] = (
@@ -270,7 +269,17 @@ def _cmd_demo_blowup(config: RunConfig):
 
 # Each command with the numeric flags it reads; every command takes --out and
 # all but demo-blowup take --input.  Unread values keep their RunConfig default,
-# and demo-blowup's --samples defaults to _DEMO_MIN_SAMPLES.
+# and demo-blowup's --samples defaults to _DEMO_MIN_SAMPLES.  --tol gates
+# different values per command, so its help text is per command.
+_TOL_HELP = {
+    "verify": "tolerance on every relation residual (operator norm)",
+    "coxeter-check": (
+        "tolerance on the explicit representation matrices, the restriction's "
+        "unitary, self-adjoint and relation residuals, and the equivalence "
+        "character_bound; the spectral-membership checks of conditions (I), "
+        "(II) and spectra_match stay at a fixed 1e-8"
+    ),
+}
 _COMMANDS = {
     "analyze": (_cmd_analyze, ("t_max", "samples")),
     "verify": (_cmd_verify, ("tol", "t_max", "samples")),
@@ -294,7 +303,7 @@ def build_parser():
         for dest in flags:
             default = getattr(RunConfig, dest)
             p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(default),
-                           default=default)
+                           default=default, help=_TOL_HELP[name] if dest == "tol" else None)
         if name == "demo-blowup":
             p.set_defaults(samples=_DEMO_MIN_SAMPLES)
     return parser
@@ -308,17 +317,24 @@ def main(argv=None):
         if config.command != "demo-blowup" and not config.input:
             raise ValueError(f"{config.command} requires --input")
         return _COMMANDS[config.command][0](config)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failed eigensolve, not bad input
+        return _refuse(exc, config)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, DimensionMismatchError,
             AssignmentError, UnknownEigenvalueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except JointSpecError as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        report = _provenance(config)
-        report["refusal"] = str(exc)
-        report["error"] = type(exc).__name__
-        _emit(report, config)
-        return EXIT_REFUSED
+        return _refuse(exc, config)
+
+
+def _refuse(exc, config: RunConfig):
+    sys.stderr.write(f"refused: {exc}\n")
+    report = _provenance(config)
+    report["refusal"] = str(exc)
+    report["error"] = type(exc).__name__
+    _emit(report, config)
+    return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -93,9 +93,13 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
     gives up after 40 draws.
 
     min_gap bounds those gaps from below.  verify_pair's finest ladder rung,
-    t = 1e-2 * 2^-7, parts two branches by about gap * t, and
-    component_projection refuses at 4e-6 or less, i.e. for gaps up to about
-    0.051; the default 0.1 keeps every instance inside verify_pair's defaults.
+    t = 1e-2 * 2^-7, parts two branches by about gap * t.  A simple
+    branch's component projection is rank-1 from the rung eigensolve while
+    that root gap, in the frozen pencil's eigenvalue scale, exceeds
+    2 own_tol = 4e-6; at or below it the Schur kernel decides, and refuses
+    with SeparationError unless the frozen pencil's own eigenvalues lie
+    farther apart.  So gaps up to about 0.051 fail; the default 0.1 keeps
+    every instance inside verify_pair's defaults.
     """
     for k in range(40):
         sub = 10_000 * seed + k

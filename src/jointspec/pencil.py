@@ -128,6 +128,32 @@ def spectral_mask(t: MatrixTuple, points, tol):
     return smin <= tol * (1.0 + smax)
 
 
+def _ggev_stack(a, b, vectors):
+    """LAPACK ggev on every pencil (a[i], b[i]) of two complex stacks.
+
+    Returns (alpha, beta, vl, vr): the eigenvalues are alpha / beta, and vl,
+    vr hold the left and right eigenvectors as columns (None unless
+    vectors).  The finiteness check and the workspace query are made once
+    per stack; a nonzero info raises LinAlgError.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (a[0], b[0]))
+    lwork = int(ggev(a[0], b[0], lwork=-1)[-2][0].real)
+    job = int(vectors)
+    alpha = np.empty(a.shape[:2], dtype=complex)
+    beta = np.empty(a.shape[:2], dtype=complex)
+    vl = np.empty(a.shape, dtype=complex) if vectors else None
+    vr = np.empty(a.shape, dtype=complex) if vectors else None
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        alpha[i], beta[i], li, ri, _, info = ggev(ai, bi, job, job, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info={info}")
+        if vectors:
+            vl[i], vr[i] = li, ri
+    return alpha, beta, vl, vr
+
+
 @dataclass(frozen=True)
 class LineRoots:
     """Solutions s of det(A(base + s * direction) - I) = 0.
@@ -160,18 +186,8 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
         raise DimensionMismatchError("one direction is needed for every base")
     if bases.shape[0] == 0:
         return []
-    a = np.eye(t.dim) - _pencil_stack(t, bases)
-    b = _pencil_stack(t, directions)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (a[0], b[0]))
-    lwork = int(ggev(a[0], b[0], lwork=-1)[-2][0].real)
-    alpha = np.empty(a.shape[:2], dtype=complex)
-    beta = np.empty(a.shape[:2], dtype=complex)
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        alpha[i], beta[i], _, _, _, info = ggev(ai, bi, 0, 0, lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info={info}")
+    alpha, beta, _, _ = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
+                                    _pencil_stack(t, directions), vectors=False)
     # beta == 0 is an infinite root, and so is a quotient that overflows.
     roots = np.full(alpha.shape, np.inf, dtype=complex)
     nonzero = beta != 0

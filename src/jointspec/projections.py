@@ -1,9 +1,19 @@
 """Component spectral projections and their limits at t = 0.
 
 The projection attached to a branch at ladder parameter t is the Riesz
-projection of the frozen pencil onto the eigenvalues at the branch's own
-eigenvalue (1 for the nonzero kind, 0 for the zero kind).  It comes from one
-sorted complex Schur form and one Sylvester solve on its triangular blocks.
+projection of the frozen pencil m = v A_1 + t xhat.A_rest (nonzero kind) or
+A_1 + t xhat.A_rest - v I (zero kind) onto its eigenvalues at the branch's own
+eigenvalue, 1 or 0.  For a simple branch that eigenvalue is simple and the
+projection is z y* / (y* z), with z and y its right and left eigenvectors
+(Kato, Perturbation Theory for Linear Operators, II 1.4).  They are the
+eigenvectors of the slice the ladder solves, (I - t B) z = x_1 A_1 z with
+B = xhat.A_rest at x_1 = v (or A_1 + t B at v), so one eigensolve with left and
+right vectors per (kind, rung) serves every branch on the rung.  Its other
+roots v_i place the frozen pencil's other eigenvalues at v / v_i (to first
+order in t) or v_i - v (exactly); the nearest must lie farther than twice the
+selection tolerance.  A multiplicity-k branch, or a rung where that distance
+is not met, takes the general kernel: one sorted complex Schur form and one
+Sylvester solve on its triangular blocks.
 Along a non-tangential line the family extends analytically to t = 0; the
 limit and its first t-derivative P'(0) are produced by the same ladder
 extrapolation used for branch values.  For non-normal leading matrices the
@@ -21,7 +31,7 @@ from scipy.linalg.lapack import ztrsyl
 from . import extrapolate
 from .branches import Branch, _ladder_roots, _nearest_unambiguous
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
-from .pencil import MatrixTuple, opnorm
+from .pencil import MatrixTuple, _ggev_stack, _svd_extremes, opnorm
 from .serialize import complex_to_pair, matrix_to_json
 
 
@@ -55,7 +65,17 @@ def _spectral_projection(m, center, tol):
 
 @dataclass(frozen=True)
 class ComponentProjection:
-    """Spectral projection of the frozen pencil at one ladder parameter."""
+    """Spectral projection of the frozen pencil at one ladder parameter.
+
+    radius is half the distance from the branch eigenvalue (1, or 0 for the
+    zero kind) to the nearest other eigenvalue of the frozen pencil: the
+    circle the projection is the Riesz integral over.  A rank-1 projection
+    takes that distance from the other slice roots v_i of its rung,
+    |1 - v / v_i| (nonzero kind, first order in t) or |v_i - v| (zero kind,
+    exact); a projection from the Schur kernel takes it from the frozen
+    pencil's excluded eigenvalues.  With no other eigenvalue it is
+    (1 + |branch eigenvalue|) / 2.
+    """
 
     branch_index: int
     lam: complex
@@ -101,49 +121,124 @@ def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):
     xhat = np.asarray(b.direction, dtype=complex)
     rest = sum(c * m for c, m in zip(tparam * xhat, t.matrices[1:]))
     if b.kind == "zero":
-        return t.matrices[0] + rest - value * np.eye(t.dim), 0.0 + 0.0j
-    return value * t.matrices[0] + rest, 1.0 + 0.0j
+        return t.matrices[0] + rest - value * np.eye(t.dim)
+    return value * t.matrices[0] + rest
+
+
+def _rung_solves(t: MatrixTuple, kind, xhat, ts):
+    """The slice of kind at every rung t_k of ts with left and right
+    eigenvectors, one ggev each.
+
+    Nonzero kind: (I - t_k B) z = x_1 A_1 z with B = xhat.A_rest, whose
+    eigenvalues alpha / beta are the roots x_1.  Zero kind: A_1 + t_k B
+    against I, whose eigenvalues are the tracked ones.  Returns the
+    (alpha, beta, vl, vr) stacks of pencil._ggev_stack.
+    """
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
+    eye = np.broadcast_to(np.eye(t.dim, dtype=complex), (ts.shape[0], t.dim, t.dim))
+    if kind == "zero":
+        return _ggev_stack(t.matrices[0] + ts * b, eye, vectors=True)
+    return _ggev_stack(eye - ts * b, np.broadcast_to(t.matrices[0], eye.shape), vectors=True)
+
+
+def _component(t: MatrixTuple, b: Branch, tparam, value, solve):
+    """(P, rank, radius) of b at tparam by component_projection's rule, where
+    b's value is value.
+
+    solve is one rung of _rung_solves, b's slice at tparam with vectors; it
+    is None for a repeated branch, which the Schur kernel projects.
+    """
+    center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
+    own_tol = 1e-6 * (1.0 + abs(center))
+    if solve is not None:
+        alpha, beta, vl, vr = solve
+        # each slice root's eigenvalue of the frozen pencil, less the center
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = alpha / beta - value if b.kind == "zero" else value * beta / alpha - 1.0
+        dist = np.abs(shift)
+        own = int(np.argmin(dist))
+        dmin = float(np.min(np.delete(dist, own), initial=np.inf))
+        if dmin > 2.0 * own_tol:
+            z, y = vr[:, own], vl[:, own].conj()
+            return np.outer(z, y) / (y @ z), 1, _radius(dmin, center)
+    p, rank, excluded = _spectral_projection(_frozen_pencil(t, b, tparam, value), center, own_tol)
+    dmin = float(np.min(np.abs(excluded - center), initial=np.inf))
+    if dmin <= 2.0 * own_tol:
+        raise SeparationError(
+            f"nearest excluded eigenvalue at distance {dmin:.3e} from the "
+            f"branch eigenvalue; component is not separated (t={tparam})"
+        )
+    return p, rank, _radius(dmin, center)
+
+
+def _radius(dmin, center):
+    return 0.5 * dmin if np.isfinite(dmin) else 0.5 * (1.0 + abs(center))
+
+
+def _ladder(b: Branch, ts, parts):
+    """ComponentProjections of b from its (P, rank, radius) parts at the
+    parameters ts; the idempotency residuals come from one stacked SVD."""
+    _, idem = _svd_extremes(np.array([p @ p - p for p, _, _ in parts]))
+    return [
+        ComponentProjection(
+            branch_index=b.index,
+            lam=b.lam,
+            kind=b.kind,
+            t=float(tk),
+            matrix=p,
+            idempotency_residual=r,
+            rank=rank,
+            radius=radius,
+        )
+        for tk, (p, rank, radius), r in zip(ts, parts, idem.tolist())
+    ]
 
 
 def component_projection(t: MatrixTuple, b: Branch, tparam):
     """Component projection of a branch at line parameter tparam.
 
     The projection is onto the eigenvalues of the frozen pencil within
-    own_tol of the branch eigenvalue (1 or 0).  The nearest excluded
-    eigenvalue must be farther than 2 own_tol, else the component is not
-    separated (a regularity failure) and SeparationError is raised; the
-    reported radius is half that distance, the circle the projection is
-    the Riesz integral over.
+    own_tol = 1e-6 (1 + |c|) of the branch eigenvalue c (1, or 0 for the
+    zero kind).  A simple branch gets the rank-1 projection z y* / (y* z)
+    from one eigensolve of its slice at tparam, when every other root of
+    that slice lies farther than 2 own_tol from it in the frozen pencil's
+    eigenvalue scale: |1 - v / v_i| for the nonzero kind, |v_i - v| for the
+    zero kind.  A repeated branch, or a closer root, takes the Schur kernel,
+    which raises SeparationError when the nearest excluded eigenvalue of the
+    frozen pencil is within 2 own_tol.  The reported radius is half the
+    distance that was tested.
     """
-    value = _branch_value_at(t, b, tparam)
-    m, center = _frozen_pencil(t, b, tparam, value)
-    own_tol = 1e-6 * (1.0 + abs(center))
-    p, rank, excluded = _spectral_projection(m, center, own_tol)
-    if excluded.size:
-        dmin = float(np.min(np.abs(excluded - center)))
-        if dmin <= 2.0 * own_tol:
-            raise SeparationError(
-                f"nearest excluded eigenvalue at distance {dmin:.3e} from the "
-                f"branch eigenvalue; component is not separated (t={tparam})"
-            )
-        radius = 0.5 * dmin
-    else:
-        radius = 0.5 * (1.0 + abs(center))
-    return ComponentProjection(
-        branch_index=b.index,
-        lam=b.lam,
-        kind=b.kind,
-        t=float(tparam),
-        matrix=p,
-        idempotency_residual=opnorm(p @ p - p),
-        rank=rank,
-        radius=radius,
-    )
+    solve = None
+    if b.multiplicity == 1:
+        solve = tuple(x[0] for x in _rung_solves(t, b.kind, np.asarray(b.direction), [tparam]))
+    part = _component(t, b, tparam, _branch_value_at(t, b, tparam), solve)
+    return _ladder(b, [tparam], [part])[0]
 
 
-def projection_ladder(t: MatrixTuple, b: Branch):
-    """Component projections at every ladder sample of the branch."""
-    return [component_projection(t, b, tk) for tk, _ in b.samples]
+def projection_ladders(t: MatrixTuple, branches):
+    """Component projections at every ladder sample of each branch, one list
+    per branch.
+
+    The simple branches of one kind along one direction and ladder share one
+    eigensolve with vectors per rung (_rung_solves); each projection is
+    component_projection's at that sample.
+    """
+    def key(b):
+        return b.kind, b.direction, tuple(tk for tk, _ in b.samples)
+
+    solves = {}
+    for b in branches:
+        if b.multiplicity == 1 and key(b) not in solves:
+            kind, direction, ts = key(b)
+            solves[key(b)] = _rung_solves(t, kind, np.asarray(direction), ts)
+    ladders = []
+    for b in branches:
+        s = solves.get(key(b))
+        parts = [_component(t, b, tk, v, None if s is None else tuple(x[k] for x in s))
+                 for k, (tk, v) in enumerate(b.samples)]
+        ladders.append(_ladder(b, [tk for tk, _ in b.samples], parts))
+    return tuple(ladders)
 
 
 @dataclass(frozen=True)
@@ -158,8 +253,9 @@ class NormProfile:
 def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None):
     """Projection norms down the ladder with a fitted power-law exponent."""
     if ladder is None:
-        ladder = projection_ladder(t, b)
-    pts = tuple((cp.t, opnorm(cp.matrix)) for cp in ladder)
+        ladder = projection_ladders(t, [b])[0]
+    _, norms = _svd_extremes(np.array([cp.matrix for cp in ladder]))
+    pts = tuple(zip((cp.t for cp in ladder), norms.tolist()))
     ts = [p[0] for p in pts]
     ns = [p[1] for p in pts]
     return NormProfile(points=pts, exponent=extrapolate.fit_power_law(ts, ns))
@@ -199,7 +295,7 @@ def limit_projection(t: MatrixTuple, b: Branch, ladder=None):
     this is the expected outcome for non-normal leading matrices.
     """
     if ladder is None:
-        ladder = projection_ladder(t, b)
+        ladder = projection_ladders(t, [b])[0]
     ts = np.array([cp.t for cp in ladder])
     mats = [cp.matrix for cp in ladder]
     profile = projection_norm_profile(t, b, ladder=ladder)

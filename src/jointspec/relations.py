@@ -27,7 +27,7 @@ from .branches import (
 )
 from .errors import JointSpecError, PairingAmbiguityError
 from .pencil import MatrixTuple, opnorm
-from .projections import limit_projection, projection_ladder
+from .projections import limit_projection, projection_ladders
 from .serialize import complex_to_pair
 
 
@@ -194,12 +194,11 @@ def analyze_pair(t: MatrixTuple, lam, resolution=None):
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
-    return _analysis(t, branches, resolution)
+    return _analysis(t, branches, projection_ladders(t, branches), resolution)
 
 
-def _analysis(t: MatrixTuple, branches, resolution):
-    """Projection ladders and limit projections of branches already tracked."""
-    ladders = tuple(projection_ladder(t, b) for b in branches)
+def _analysis(t: MatrixTuple, branches, ladders, resolution):
+    """Limit projections of branches already tracked, from their projection ladders."""
     limits = tuple(
         limit_projection(t, b, ladder=lad) for b, lad in zip(branches, ladders)
     )
@@ -208,7 +207,7 @@ def _analysis(t: MatrixTuple, branches, resolution):
         lam=complex(branches[0].lam),
         resolution=resolution,
         branches=tuple(branches),
-        ladders=ladders,
+        ladders=tuple(ladders),
         limits=limits,
     )
 
@@ -312,7 +311,9 @@ def verify_pair(
     The slices of each pair are solved once (one slice_ladder per pair) and
     (A1, A2) and (A1, A1 A2) are tracked on them once per eigenvalue of A1.
     The regularity gate reads those branches at every eigenvalue of both
-    pairs, also when lam is given, and the analyses at lam reuse them.
+    pairs, also when lam is given, and the analyses at lam reuse them.  The
+    projection ladders of every analysed branch of a pair come from one
+    projection_ladders call, so each rung's eigensolve serves all of them.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -329,17 +330,25 @@ def verify_pair(
         gated = [[_gated_branches(tt, lv, pair, t_max, samples, ladders[pair]) for lv in eigs]
                  for pair, tt in enumerate(pairs)]
 
-    def analysis(pair, k):
+    def tracked(pair, k):
         if check_hypotheses:
-            branches = gated[pair][k]
-        else:
-            branches = local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max,
-                                      samples=samples, ladder=ladders[pair])
-        return _analysis(pairs[pair], branches, res)
+            return gated[pair][k]
+        return local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max,
+                              samples=samples, ladder=ladders[pair])
+
+    ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
+    # (A1, A1 A2) is analysed at the nonzero eigenvalues only
+    wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
+    analyses = []
+    for pair, tt in enumerate(pairs):
+        sets = {k: tracked(pair, k) for k in wanted[pair]}
+        lads = iter(projection_ladders(tt, [b for bs in sets.values() for b in bs]))
+        analyses.append({k: _analysis(tt, bs, [next(lads) for _ in bs], res)
+                         for k, bs in sets.items()})
 
     reports = []
-    for k in range(len(eigs)) if lam is None else [res.index_of(lam)]:
-        ax = analysis(0, k)
+    for k in ks:
+        ax = analyses[0][k]
         reports.extend(verify_orthogonality_and_resolution(ax.limits, res, ax.lam, tol=tol))
         for i in range(len(ax.limits)):
             for j in range(len(ax.limits)):
@@ -351,9 +360,9 @@ def verify_pair(
                 reports.append(verify_first_moment(lp, a2, b.d1, tol=tol))
                 reports.append(verify_second_moment(lp, a2, t_op, b.d2, tol=tol))
         reports.extend(verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol))
-        if abs(ax.lam) > 1e-12:
+        if k in analyses[1]:
             try:
-                reports.extend(_product_pair_reports(ax, analysis(1, k), tol))
+                reports.extend(_product_pair_reports(ax, analyses[1][k], tol))
             except HypothesisNotMet:
                 if check_hypotheses:
                     raise

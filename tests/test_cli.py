@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import jointspec as js
-from jointspec import cli, coxeter
+from jointspec import branches, cli, coxeter, projections
 from jointspec.cli import main
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, planted_tuple
 from jointspec.serialize import matrix_to_json
@@ -115,6 +115,24 @@ class TestAnalyzeCommand:
         assert rep["error"] == "TrackingError"
         assert rep["refusal"] == "branch lost at t=0.005"
         assert rep["command"] == "analyze" and rep["schema_version"] == 1
+
+
+    @pytest.mark.parametrize("module, name", [
+        (branches, "line_roots_batch"),  # the slice ladder's root solve
+        (projections, "_rung_solves"),  # the projections' rung solve with vectors
+    ])
+    def test_lapack_failure_is_a_numerical_refusal(self, dihedral_input, tmp_path,
+                                                   monkeypatch, module, name):
+        # LinAlgError subclasses ValueError, which would make it an input error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("generalized eig algorithm (ggev) failed: info=3")
+
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--input", dihedral_input, "--out", str(out)]) == 3
+        rep = json.loads(out.read_text())
+        assert rep["error"] == "LinAlgError"
+        assert "info=3" in rep["refusal"]
 
 
 class TestPlotCommand:
@@ -397,6 +415,17 @@ class TestParseErrors:
     def test_config_invariants(self, dihedral_input):
         assert main(["verify", "--input", dihedral_input, "--samples", "3"]) == 2
         assert main(["verify", "--input", dihedral_input, "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("command, phrases", [
+        ("verify", ["relation residual"]),
+        ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8"]),
+    ])
+    def test_tol_help_names_what_it_gates(self, capsys, command, phrases):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        tol_help = " ".join(capsys.readouterr().out.split("--tol TOL", 1)[1].split())
+        assert all(phrase in tol_help for phrase in phrases)
 
     def test_missing_input_flag(self):
         assert main(["verify"]) == 2

@@ -13,6 +13,7 @@ from jointspec.fixtures import (
     dihedral_pair,
     regular_random_pair,
 )
+from jointspec.coxeter import random_unitary
 from jointspec.projections import _spectral_projection
 
 from oracles import (
@@ -119,11 +120,86 @@ class TestExactProjection:
     def test_ladder_rungs(self, seed, dim):
         t, _ = regular_random_pair(seed, dim)
         a1, a2 = t.matrices
-        for b in js.local_branches(t, 1.0, [1.0]):
-            for cp in js.projection_ladder(t, b):
+        branches = js.local_branches(t, 1.0, [1.0])
+        for b, ladder in zip(branches, js.projection_ladders(t, branches)):
+            for cp in ladder:
                 v = dict(b.samples)[cp.t]
                 exact = exact_projection(v * a1 + cp.t * a2, 1.0, cp.radius)
                 assert js.opnorm(cp.matrix - exact) <= 1e-10 * js.opnorm(exact)
+
+
+def _all_ladders(t):
+    """(branch, ladder) at every eigenvalue of A1, along e_1 on the default ladder."""
+    out = []
+    for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
+        branches = js.local_branches(t, lam, [1.0])
+        out.extend(zip(branches, js.projection_ladders(t, branches)))
+    return out
+
+
+class TestRankOneKernel:
+    """Projections z y* / (y* z) from the shared rung eigensolves."""
+
+    @pytest.mark.parametrize("seed, dim, zero", [
+        (5, 8, False), (7, 16, False), (3, 32, False), (100, 4, True),
+    ])
+    def test_matches_schur_kernel(self, seed, dim, zero):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        kinds = set()
+        for b, ladder in _all_ladders(t):
+            for (tk, v), cp in zip(b.samples, ladder):
+                assert cp.rank == 1
+                center = 0.0 if b.kind == "zero" else 1.0
+                m = projections._frozen_pencil(t, b, tk, v)
+                ref, rank, _ = _spectral_projection(m, center, 1e-6 * (1.0 + center))
+                assert rank == 1
+                assert js.opnorm(cp.matrix - ref) <= 1e-9 * js.opnorm(ref)
+            kinds.add(b.kind)
+        assert kinds == ({"nonzero", "zero"} if zero else {"nonzero"})
+
+    @pytest.mark.parametrize("seed, dim, zero", [(17, 4, False), (5, 8, False), (100, 4, True)])
+    def test_unitary_conjugation(self, seed, dim, zero):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        u = random_unitary(dim, np.random.default_rng(seed))
+        conj = js.MatrixTuple([u.conj().T @ m @ u for m in t.matrices])
+        before, after = _all_ladders(t), _all_ladders(conj)
+        assert len(before) == len(after)
+        for (_, lad), (_, lad_c) in zip(before, after):
+            for cp, cp_c in zip(lad, lad_c):
+                ref = u.conj().T @ cp.matrix @ u
+                assert js.opnorm(cp_c.matrix - ref) <= 1e-9 * js.opnorm(ref)
+
+    def test_radius_is_half_the_root_gap(self):
+        # diag(1, 1), diag(0, 0.5): roots 1 and 1 - t/2, the frozen pencil of
+        # the moving branch has eigenvalues 1 and 1 - t/2 exactly
+        t = js.MatrixTuple([np.eye(2), np.diag([0.0, 0.5])])
+        branches = js.local_branches(t, 1.0, [1.0])
+        for b, ladder in zip(branches, js.projection_ladders(t, branches)):
+            for (tk, v), cp in zip(b.samples, ladder):
+                other = 1.0 if abs(v - 1.0) > 0.25 * tk else 1.0 - 0.5 * tk
+                assert abs(cp.radius - 0.5 * abs(1.0 - v / other)) <= 1e-12
+
+    def test_unseparated_rung_takes_the_schur_kernel(self, monkeypatch):
+        # the sibling root is 3e-6 away on the rung t = 6e-6, within
+        # 2 own_tol = 4e-6, and 6e-6 away on t = 1.2e-5: only the close rung
+        # reaches the Schur kernel, which refuses it as component_projection does
+        calls = []
+        schur = projections._spectral_projection
+
+        def counted(*args):
+            calls.append(args)
+            return schur(*args)
+
+        monkeypatch.setattr(projections, "_spectral_projection", counted)
+        t = js.MatrixTuple([np.eye(2), np.diag([0.0, 0.5])])
+        b = js.local_branches(t, 1.0, [1.0], t_max=1.2e-5, samples=2)[0]
+        assert b.multiplicity == 1
+        with pytest.raises(js.SeparationError, match="3.000e-06"):
+            js.projection_ladders(t, [b])
+        assert len(calls) == 1
+        # the sibling within own_tol = 2e-6: the Schur kernel takes both roots
+        cp = js.component_projection(t, b, 2e-6)
+        assert len(calls) == 2 and cp.rank == 2
 
 
 class TestComponentProjection:

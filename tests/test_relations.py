@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import branches, extrapolate, fixtures, relations
+from jointspec import branches, extrapolate, fixtures, projections, relations
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -330,22 +330,23 @@ class TestOneAnalysisPerEigenvalue:
     @pytest.fixture
     def work(self, monkeypatch):
         """Branch lists tracked, through the gate's check_regularity or by the
-        relations layer directly, and ladders built by the relations layer."""
-        counts = {"tracked": [], "ladders": 0}
-        track, ladder = branches.local_branches, relations.projection_ladder
+        relations layer directly, and the branches of each projection_ladders
+        call the relations layer makes."""
+        counts = {"tracked": [], "ladders": []}
+        track, ladders = branches.local_branches, relations.projection_ladders
 
         def counted_track(*args, **kwargs):
             out = track(*args, **kwargs)
             counts["tracked"].append(out)
             return out
 
-        def counted_ladder(*args, **kwargs):
-            counts["ladders"] += 1
-            return ladder(*args, **kwargs)
+        def counted_ladders(t, bs):
+            counts["ladders"].append(list(bs))
+            return ladders(t, bs)
 
         monkeypatch.setattr(branches, "local_branches", counted_track)
         monkeypatch.setattr(relations, "local_branches", counted_track)
-        monkeypatch.setattr(relations, "projection_ladder", counted_ladder)
+        monkeypatch.setattr(relations, "projection_ladders", counted_ladders)
         return counts
 
     def test_each_pair_tracked_once_per_eigenvalue(self, work):
@@ -355,8 +356,12 @@ class TestOneAnalysisPerEigenvalue:
         assert all(abs(lv) > 1e-12 for lv in eigs)
         js.verify_pair(t)
         assert len(work["tracked"]) == 2 * len(eigs)
-        # every eigenvalue is nonzero: one analysis per tracked list, one ladder per branch
-        assert work["ladders"] == sum(len(bs) for bs in work["tracked"])
+        # every eigenvalue is nonzero: one projection_ladders call per pair
+        # takes the branches of all its eigenvalues
+        assert [len(bs) for bs in work["ladders"]] == [
+            sum(len(bs) for bs in work["tracked"][:len(eigs)]),
+            sum(len(bs) for bs in work["tracked"][len(eigs):]),
+        ]
 
     def test_gate_covers_every_eigenvalue_when_lam_is_given(self, work):
         t, _ = regular_random_pair(17, 4)
@@ -366,7 +371,7 @@ class TestOneAnalysisPerEigenvalue:
         assert len(work["tracked"]) == 2 * len(eigs)
         at_one = [bs for bs in work["tracked"] if abs(bs[0].lam - 1.0) < 1e-9]
         assert len(at_one) == 2
-        assert work["ladders"] == sum(len(bs) for bs in at_one)
+        assert work["ladders"] == at_one
 
     def test_each_limit_and_derivative_extrapolated_once(self, monkeypatch):
         calls = []
@@ -409,6 +414,38 @@ class TestOneAnalysisPerEigenvalue:
         slice_solves.clear()
         js.verify_pair(dihedral_pair(np.pi / 3))
         assert slice_solves == [8, 8]
+
+    @pytest.fixture
+    def projection_work(self, monkeypatch):
+        """Schur forms and rung eigensolves with vectors made by projections:
+        the kind and the number of rungs of each _rung_solves call."""
+        counts = {"schur": 0, "solves": []}
+        schur, solve = projections._spectral_projection, projections._rung_solves
+
+        def counted_schur(*args):
+            counts["schur"] += 1
+            return schur(*args)
+
+        def counted_solve(t, kind, xhat, ts):
+            counts["solves"].append((kind, len(ts)))
+            return solve(t, kind, xhat, ts)
+
+        monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
+        monkeypatch.setattr(projections, "_rung_solves", counted_solve)
+        return counts
+
+    @pytest.mark.parametrize("seed, dim, zero, solves", [
+        # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
+        (5, 16, False, [("nonzero", 8)] * 2),
+        (7, 16, False, [("nonzero", 8)] * 2),
+        # the zero kind of (A1, A2) has its own solve; (A1, A1 A2) is not analysed at 0
+        (100, 4, True, [("zero", 8), ("nonzero", 8), ("nonzero", 8)]),
+    ])
+    def test_one_vector_solve_per_pair_kind_and_rung(self, projection_work, seed, dim, zero,
+                                                     solves):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        js.verify_pair(t)
+        assert projection_work == {"schur": 0, "solves": solves}
 
     def test_fixture_solves_one_slice_ladder_per_pair(self, slice_solves, monkeypatch):
         tries = []
