@@ -8,6 +8,7 @@ and differentiated at 0 by Richardson extrapolation.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -129,9 +130,11 @@ class Branch:
     samples runs down the ladder (largest t first); values are x_1 for the
     nonzero kind and x_{n+1} (the tracked eigenvalue) for the zero kind.
     multiplicity is the size of the coincident-root cluster the branch tracks.
-    residuals[k] is the relative smallest singular value s_min / (1 + s_max)
-    of the pencil matrix at samples[k]: v A_1 + t xhat.A_rest - I for the
-    nonzero kind, A_1 + t xhat.A_rest - v I for the zero kind.
+    pencil is the MatrixTuple the branch was tracked on.  residuals[k] is
+    the relative smallest singular value s_min / (1 + s_max) of the pencil
+    matrix at samples[k]: v A_1 + t xhat.A_rest - I for the nonzero kind,
+    A_1 + t xhat.A_rest - v I for the zero kind.  They are computed from
+    pencil on first read, with one stacked SVD; equality ignores both.
     """
 
     lam: complex
@@ -144,7 +147,13 @@ class Branch:
     d2: complex = None
     d1_error: float = None
     d2_error: float = None
-    residuals: tuple = field(default=())
+    pencil: MatrixTuple = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def residuals(self):
+        ts = np.array([tk for tk, _ in self.samples])
+        return _branch_residuals(self.pencil, self.kind, self.direction, ts,
+                                 [v for _, v in self.samples])
 
     @property
     def limit_value(self):
@@ -229,11 +238,12 @@ def _kinds(t: MatrixTuple, values):
 class SliceLadder:
     """Slice roots along t*xhat on the ladder t_k = t_max * 2^-k, solved once.
 
-    ts holds the t_k; reference holds the eigenvalue clusters of A_1; roots
-    maps each kind to the roots at every t_k: x_1 of the slice for
-    "nonzero", the eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The
-    roots depend on the tuple, the direction and the ladder only, so one
-    ladder serves local_branches at every eigenvalue of A_1.
+    ts holds the t_k; reference holds the eigenvalue clusters of A_1 and
+    kinds the kind of each cluster, "zero" or "nonzero"; roots maps each
+    kind to the roots at every t_k: x_1 of the slice for "nonzero", the
+    eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend on
+    the tuple, the direction and the ladder only, so one ladder serves
+    local_branches at every eigenvalue of A_1.
     """
 
     direction: tuple
@@ -241,10 +251,12 @@ class SliceLadder:
     samples: int
     ts: np.ndarray
     reference: tuple
+    kinds: tuple
     roots: dict
 
 
-def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds):
+def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved):
+    """The ladder of t along xhat with the roots of each kind in solved."""
     ts = t_max * 2.0 ** (-np.arange(samples))
     return SliceLadder(
         direction=tuple(xhat.tolist()),
@@ -252,7 +264,8 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds):
         samples=samples,
         ts=ts,
         reference=tuple(reference),
-        roots={k: _ladder_roots(t, k, xhat, ts) for k in kinds},
+        kinds=tuple(kinds),
+        roots={k: _ladder_roots(t, k, xhat, ts) for k in solved},
     )
 
 
@@ -265,8 +278,8 @@ def slice_ladder(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
     """
     xhat = _unit_direction(t, xhat)
     refs = _reference_spectrum(t)
-    kinds = sorted(set(_kinds(t, [c for c, _ in refs])))
-    return _solve_ladder(t, xhat, t_max, samples, refs, kinds)
+    kinds = _kinds(t, [c for c, _ in refs])
+    return _solve_ladder(t, xhat, t_max, samples, refs, kinds, sorted(set(kinds)))
 
 
 def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
@@ -280,20 +293,26 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
 
     ladder is a SliceLadder of t from slice_ladder(t, xhat, t_max, samples);
     its roots are tracked instead of solving the slices again, with the same
-    result.  A ladder for another direction, t_max or samples, or without
-    the kind lambda needs, raises ValueError.  With no ladder only the kind
-    lambda needs is solved.
+    result; the kind of lambda is read from it too.  A ladder for another
+    direction, t_max or samples, or without the kind lambda needs, raises
+    ValueError.  With no ladder only the kind lambda needs is solved.
+
+    The branches keep t as their pencil and compute their residuals when
+    first read.
     """
     xhat = _unit_direction(t, xhat)
     if samples < 2:
         raise TrackingError("need at least two ladder levels")
 
-    refs = _reference_spectrum(t) if ladder is None else ladder.reference
-    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
-    lam0, mult_lam = refs[i][0], len(refs[i][1])
-    kind = _kinds(t, [lam0])[0]
     if ladder is None:
-        ladder = _solve_ladder(t, xhat, t_max, samples, refs, (kind,))
+        refs = _reference_spectrum(t)
+        kinds = _kinds(t, [c for c, _ in refs])
+    else:
+        refs, kinds = ladder.reference, ladder.kinds
+    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
+    lam0, mult_lam, kind = refs[i][0], len(refs[i][1]), kinds[i]
+    if ladder is None:
+        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kind,))
     elif (ladder.t_max != t_max or ladder.samples != samples
           or ladder.direction != tuple(xhat.tolist())):
         raise ValueError(
@@ -306,7 +325,9 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     if kind == "zero":
         center = 0.0 + 0.0j
         others = [c for c, _ in refs if abs(c - lam0) > 0]
-        sel_radius = 0.5 * min((abs(c) for c in others), default=1.0 + opnorm(t.matrices[0]))
+        # not min(..., default=...): the default would cost an opnorm every time
+        sel_radius = 0.5 * (min(abs(c) for c in others) if others
+                            else 1.0 + opnorm(t.matrices[0]))
     else:
         center = 1.0 / lam0
         others = [c for c, _ in refs if abs(c - lam0) > 0 and abs(c) > 1e-12]
@@ -359,7 +380,6 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     for j, i in enumerate(order):
         vals = [c for c, _ in tracks[i]]
         mult = tracks[i][0][1]
-        res = _branch_residuals(t, kind, xhat, ts, vals)
         d1 = d2 = None
         e1 = e2 = None
         if samples >= 5:
@@ -377,7 +397,7 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
                 d2=d2,
                 d1_error=e1,
                 d2_error=e2,
-                residuals=res,
+                pencil=t,
             )
         )
     return branches
@@ -417,7 +437,9 @@ def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=No
     """Check conditions a) and b) (or their lambda = 0 analogues) along xhat.
 
     A tracking failure is reported as a failed condition a), with its message.
-    ladder is passed on to local_branches.
+    ladder is passed on to local_branches.  Branches tracked with samples < 5
+    have no first derivatives, and regularity_report refuses them with
+    ValueError.
     """
     try:
         branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples, ladder=ladder)
@@ -435,7 +457,16 @@ def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=No
 
 
 def regularity_report(branches):
-    """Conditions a) and b) from the branches local_branches tracked at one lambda."""
+    """Conditions a) and b) from the branches local_branches tracked at one lambda.
+
+    Condition b) compares first derivatives, so the branches must have been
+    tracked with samples >= 5; branches without d1 raise ValueError.
+    """
+    if any(b.d1 is None for b in branches):
+        raise ValueError(
+            "condition b) needs the first derivatives of the branches: "
+            "track them with samples >= 5"
+        )
     cond_a = all(b.multiplicity == 1 for b in branches)
 
     # expand derivatives by multiplicity: a repeated sheet has gap 0

@@ -317,10 +317,13 @@ def verify_pair(
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
-    reports carry passed=None).
+    reports carry passed=None).  The moments and the gate read branch
+    derivatives, so samples < 5 raises ValueError.
     """
     if t.n != 2:
         raise ValueError("verify_pair is defined for pairs (n = 2)")
+    if samples < 5:
+        raise ValueError("verify_pair reads branch derivatives: it needs samples >= 5")
     a1, a2 = t.matrices
     res = spectral_resolution(a1)
     pairs = (t, MatrixTuple([a1, a1 @ a2]))

@@ -180,7 +180,10 @@ class TestSliceLadder:
         ladder = js.slice_ladder(t, [1.0])
         assert sorted(ladder.roots) == ["nonzero", "zero"]
         for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
-            assert js.local_branches(t, lam, [1.0], ladder=ladder) == js.local_branches(t, lam, [1.0])
+            on_ladder = js.local_branches(t, lam, [1.0], ladder=ladder)
+            again = js.local_branches(t, lam, [1.0])
+            assert on_ladder == again
+            assert [b.residuals for b in on_ladder] == [b.residuals for b in again]
 
     def test_zero_kind_only_when_zero_is_an_eigenvalue(self):
         assert list(js.slice_ladder(dihedral_pair(0.9), [1.0]).roots) == ["nonzero"]
@@ -206,14 +209,18 @@ class TestSliceLadder:
         t = _random_regular_pair()
         ladder = js.slice_ladder(t, [1.0])
         for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
-            assert (js.check_regularity(t, lam, [1.0], ladder=ladder)
-                    == js.check_regularity(t, lam, [1.0]))
+            on_ladder = js.check_regularity(t, lam, [1.0], ladder=ladder)
+            again = js.check_regularity(t, lam, [1.0])
+            assert on_ladder == again
+            assert ([b.residuals for b in on_ladder.branches]
+                    == [b.residuals for b in again.branches])
 
     @pytest.mark.parametrize("args, kwargs", [((17, 4), {"zero_eigenvalue": True}),
                                               ((5, 8), {})])
     def test_batches_equal_one_solve_per_rung_bit_for_bit(self, args, kwargs, monkeypatch):
-        # one line_roots_batch call (nonzero kind), one stacked eigvals (zero
-        # kind) and, per branch, one stacked SVD give the per-rung values
+        # one line_roots_batch call (nonzero kind) and one stacked eigvals (zero
+        # kind) give the per-rung roots; tracking on them makes no SVD, and
+        # each branch's first read of residuals makes one stacked SVD
         t = regular_random_pair(*args, **kwargs)[0]
         calls = []
 
@@ -240,9 +247,16 @@ class TestSliceLadder:
         for lam in js.spectral_resolution(a1).eigenvalues:
             calls.clear()
             count(np.linalg, "svd")
+            count(branches, "opnorm")
             found = js.local_branches(t, lam, [1.0], ladder=ladder)
+            assert calls == []
+            for b in found:
+                first = b.residuals
+                assert calls == ["svd"]
+                assert b.residuals is first
+                assert calls == ["svd"]
+                calls.clear()
             monkeypatch.undo()
-            assert calls == ["svd"] * len(found)
             for b in found:
                 for (tk, v), res in zip(b.samples, b.residuals):
                     m = a1 + tk * a2 - v * eye if b.kind == "zero" else v * a1 + tk * a2 - eye
@@ -360,7 +374,18 @@ class TestCheckRegularity:
         for tup, lam in [(two_line_variant(), 1.0), (dihedral_pair(0.8), -1.0),
                          (js.MatrixTuple([np.diag([1.0, 1.0]), np.eye(2)]), 1.0)]:
             branches = js.local_branches(tup, lam, [1.0])
-            assert js.regularity_report(branches) == js.check_regularity(tup, lam, [1.0])
+            rep = js.regularity_report(branches)
+            direct = js.check_regularity(tup, lam, [1.0])
+            assert rep == direct
+            assert [b.residuals for b in rep.branches] == [b.residuals for b in direct.branches]
+
+    def test_fewer_than_five_samples_refused(self):
+        # condition b) compares first derivatives, which need five rungs
+        t = dihedral_pair(np.pi / 3)
+        with pytest.raises(ValueError, match="samples >= 5"):
+            js.check_regularity(t, 1.0, [1.0], samples=4)
+        with pytest.raises(ValueError, match="samples >= 5"):
+            js.regularity_report(js.local_branches(t, 1.0, [1.0], samples=4))
 
 
 class TestCrossModuleDerivativePrediction:

@@ -276,6 +276,11 @@ class TestVerifyPair:
         assert len(reports) > 0
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_fewer_than_five_samples_refused(self, check):
+        with pytest.raises(ValueError, match="samples >= 5"):
+            js.verify_pair(dihedral_pair(np.pi / 3), samples=4, check_hypotheses=check)
+
     def test_nonnormal_refused(self):
         with pytest.raises(js.NotNormalError):
             js.verify_pair(blowup_demo_pair())
@@ -372,6 +377,19 @@ class TestOneAnalysisPerEigenvalue:
         at_one = [bs for bs in work["tracked"] if abs(bs[0].lam - 1.0) < 1e-9]
         assert len(at_one) == 2
         assert work["ladders"] == at_one
+
+    @pytest.mark.parametrize("lam", [None, 1.0])
+    def test_gate_computes_no_residuals_and_classifies_once_per_pair(self, lam, monkeypatch):
+        # the kinds come from each pair's slice ladder, and nothing reads the
+        # residuals of the gated branches
+        t, _ = regular_random_pair(5, 8)
+        calls = []
+        for name in ("_branch_residuals", "_kinds"):
+            fn = getattr(branches, name)
+            monkeypatch.setattr(branches, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        js.verify_pair(t, lam=lam)
+        assert calls == ["_kinds", "_kinds"]
 
     def test_each_limit_and_derivative_extrapolated_once(self, monkeypatch):
         calls = []
