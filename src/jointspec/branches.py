@@ -16,11 +16,12 @@ import scipy.linalg
 from . import extrapolate
 from .errors import (
     BranchCollisionError,
+    JointSpecError,
     NotNormalError,
     TrackingError,
     UnknownEigenvalueError,
 )
-from .pencil import MatrixTuple, _svd_extremes, line_roots_batch, normality_report, opnorm
+from .pencil import MatrixTuple, _normality_report, _svd_extremes, line_roots_batch, opnorm
 from .serialize import complex_to_pair
 
 
@@ -76,9 +77,9 @@ def _nearest_eigenvalue(eigenvalues, lam, matrix_name):
     return i
 
 
-def _eigenvalue_clusters(a1, eigenvalues):
-    """Eigenvalues of a1 clustered at 1e-8 max(1, ||a1||)."""
-    return _cluster_values(eigenvalues, 1e-8 * max(1.0, opnorm(a1)))
+def _eigenvalue_clusters(eigenvalues, a1_norm):
+    """Eigenvalues of A_1 clustered at 1e-8 max(1, ||A_1||), ||A_1|| = a1_norm."""
+    return _cluster_values(eigenvalues, 1e-8 * max(1.0, a1_norm))
 
 
 def spectral_resolution(a1):
@@ -88,11 +89,16 @@ def spectral_resolution(a1):
     norm-profile diagnostics are the supported path for such matrices.
     """
     a1 = np.asarray(a1, dtype=complex)
-    rep = normality_report(a1)
+    return _spectral_resolution(a1, opnorm(a1))
+
+
+def _spectral_resolution(a1, a1_norm):
+    """spectral_resolution of the complex array a1, whose operator norm is a1_norm."""
+    rep = _normality_report(a1, a1_norm)
     if not rep.is_normal:
         raise NotNormalError(rep.commutator_norm, rep.tolerance)
     t, z = scipy.linalg.schur(a1, output="complex")
-    clusters = _eigenvalue_clusters(a1, np.diag(t))
+    clusters = _eigenvalue_clusters(np.diag(t), a1_norm)
     eigenvalues = np.array([c for c, _ in clusters])
     projections = []
     multiplicities = []
@@ -173,9 +179,15 @@ class Branch:
         }
 
 
-def _reference_spectrum(t: MatrixTuple):
-    a1 = t.matrices[0]
-    return _eigenvalue_clusters(a1, np.linalg.eigvals(a1))
+def _reference_spectrum(a1, a1_norm):
+    """The eigenvalue clusters of A_1, from one eigvals, and the kind of each:
+    "zero" within 1e-9 max(1, ||A_1||) of 0, else "nonzero"; ||A_1|| = a1_norm.
+
+    Tuples that share A_1, such as (A_1, A_2) and (A_1, A_1 A_2), share them.
+    """
+    refs = _eigenvalue_clusters(np.linalg.eigvals(a1), a1_norm)
+    tol = 1e-9 * max(1.0, a1_norm)
+    return refs, ["zero" if abs(c) <= tol else "nonzero" for c, _ in refs]
 
 
 def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
@@ -229,11 +241,6 @@ def _unit_direction(t: MatrixTuple, xhat):
     return xhat / nrm
 
 
-def _kinds(t: MatrixTuple, values):
-    tol = 1e-9 * max(1.0, opnorm(t.matrices[0]))
-    return ["zero" if abs(v) <= tol else "nonzero" for v in values]
-
-
 @dataclass(frozen=True)
 class SliceLadder:
     """Slice roots along t*xhat on the ladder t_k = t_max * 2^-k, solved once.
@@ -255,8 +262,11 @@ class SliceLadder:
     roots: dict
 
 
-def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved):
-    """The ladder of t along xhat with the roots of each kind in solved."""
+def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None):
+    """The ladder of t along the unit xhat with the roots of each kind in
+    solved (by default every kind of A_1); reference and kinds are those of
+    _reference_spectrum."""
+    solved = sorted(set(kinds)) if solved is None else solved
     ts = t_max * 2.0 ** (-np.arange(samples))
     return SliceLadder(
         direction=tuple(xhat.tolist()),
@@ -274,12 +284,12 @@ def slice_ladder(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
 
     Solves the nonzero kind when A_1 has a nonzero eigenvalue and the zero
     kind when 0 is an eigenvalue; pass the result to local_branches(...,
-    ladder=...) at each eigenvalue instead of re-solving the slices.
+    ladder=...) at each eigenvalue, or to check_regularity(..., ladder=...),
+    instead of re-solving the slices.
     """
     xhat = _unit_direction(t, xhat)
-    refs = _reference_spectrum(t)
-    kinds = _kinds(t, [c for c, _ in refs])
-    return _solve_ladder(t, xhat, t_max, samples, refs, kinds, sorted(set(kinds)))
+    a1 = t.matrices[0]
+    return _solve_ladder(t, xhat, t_max, samples, *_reference_spectrum(a1, opnorm(a1)))
 
 
 def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
@@ -289,7 +299,10 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     clusters coincident roots (multiplicity), and continues clusters between
     adjacent levels by predicted nearest-neighbor matching.  A match is
     accepted only when the nearest candidate is 4x closer than the second
-    nearest; anything else is reported as a branch collision.
+    nearest; anything else is reported as a branch collision.  With
+    samples >= 5 the first and second derivatives of all branches come from
+    one stacked extrapolation each; the first branch whose derivatives do
+    not converge raises ExtrapolationError (d1 before d2).
 
     ladder is a SliceLadder of t from slice_ladder(t, xhat, t_max, samples);
     its roots are tracked instead of solving the slices again, with the same
@@ -303,24 +316,43 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     xhat = _unit_direction(t, xhat)
     if samples < 2:
         raise TrackingError("need at least two ladder levels")
-
     if ladder is None:
-        refs = _reference_spectrum(t)
-        kinds = _kinds(t, [c for c, _ in refs])
+        a1 = t.matrices[0]
+        refs, kinds = _reference_spectrum(a1, opnorm(a1))
+        i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
+        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kinds[i],))
     else:
-        refs, kinds = ladder.reference, ladder.kinds
-    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
-    lam0, mult_lam, kind = refs[i][0], len(refs[i][1]), kinds[i]
-    if ladder is None:
-        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kind,))
-    elif (ladder.t_max != t_max or ladder.samples != samples
-          or ladder.direction != tuple(xhat.tolist())):
+        _check_ladder(ladder, xhat, t_max, samples)
+    (found,) = _branch_sets(t, ladder, [lam])
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _check_ladder(ladder: SliceLadder, xhat, t_max, samples):
+    """ValueError unless ladder was solved along the unit xhat for t_max and samples."""
+    if (ladder.t_max != t_max or ladder.samples != samples
+            or ladder.direction != tuple(xhat.tolist())):
         raise ValueError(
             f"ladder solved for t_max={ladder.t_max}, samples={ladder.samples} along "
             f"{ladder.direction}; tracking asks for t_max={t_max}, samples={samples} "
             f"along {tuple(xhat.tolist())}"
         )
-    elif kind not in ladder.roots:
+
+
+def _track(t: MatrixTuple, ladder: SliceLadder, lam):
+    """The branches through lambda on ladder, before differentiation.
+
+    Returns (lambda_0, kind, center, tracks): the reference eigenvalue of
+    A_1 nearest lam, its kind, the branches' value at t = 0, and one
+    (values down the ladder, multiplicity) per branch, in the order of the
+    first values.  Raises UnknownEigenvalueError, ValueError for a ladder
+    without the kind, and the tracking errors of local_branches.
+    """
+    refs, kinds = ladder.reference, ladder.kinds
+    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
+    lam0, mult_lam, kind = refs[i][0], len(refs[i][1]), kinds[i]
+    if kind not in ladder.roots:
         raise ValueError(f"ladder has no {kind}-kind roots for lambda={lam}")
     if kind == "zero":
         center = 0.0 + 0.0j
@@ -336,7 +368,6 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
         )
     coincide_tol = 1e-6 * (1.0 + abs(center))
 
-    ts = ladder.ts
     levels = []
     for roots in ladder.roots[kind]:
         sel = roots[np.abs(roots - center) <= sel_radius]
@@ -375,32 +406,63 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
             used[best] = True
             track.append(cands[best])
 
-    branches = []
-    order = sorted(range(len(tracks)), key=lambda i: (tracks[i][0][0].real, tracks[i][0][0].imag))
-    for j, i in enumerate(order):
-        vals = [c for c, _ in tracks[i]]
-        mult = tracks[i][0][1]
-        d1 = d2 = None
-        e1 = e2 = None
-        if samples >= 5:
-            d1, e1 = extrapolate.first_derivative(ts, vals, center)
-            d2, e2 = extrapolate.second_derivative(ts, vals, center)
-        branches.append(
-            Branch(
-                lam=complex(lam0),
-                kind=kind,
-                direction=tuple(xhat.tolist()),
-                index=j,
-                samples=tuple((float(tk), complex(v)) for tk, v in zip(ts, vals)),
-                multiplicity=mult,
-                d1=d1,
-                d2=d2,
-                d1_error=e1,
-                d2_error=e2,
-                pencil=t,
+    tracks.sort(key=lambda tr: (tr[0][0].real, tr[0][0].imag))
+    return lam0, kind, center, [([c for c, _ in tr], tr[0][1]) for tr in tracks]
+
+
+def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
+    """The branches local_branches finds at each lambda of lams on ladder:
+    one entry per lambda, its list of branches or the error it raises.
+
+    Every lambda is tracked on its own.  With samples >= 5 the first and
+    second derivatives of every tracked branch, at all the lambdas, come
+    from one stacked first_derivative and one second_derivative call; a
+    lambda with a branch whose derivatives did not converge gets the
+    ExtrapolationError of the first such branch, d1 before d2.
+    """
+    tracked = []
+    for lam in lams:
+        try:
+            tracked.append(_track(t, ladder, lam))
+        except (JointSpecError, ValueError) as exc:
+            tracked.append(exc)
+    found = [tr for tr in tracked if not isinstance(tr, Exception)]
+    flat = [(vals, center) for _, _, center, tracks in found for vals, _ in tracks]
+    derivs = iter([(None,) * 6] * len(flat))
+    if ladder.samples >= 5 and flat:
+        vals = np.array([v for v, _ in flat])
+        centers = np.array([c for _, c in flat])
+        first = extrapolate._each_series(extrapolate.first_derivative, ladder.ts, vals, centers)
+        second = extrapolate._each_series(extrapolate.second_derivative, ladder.ts, vals, centers)
+        derivs = zip(*first, *second)
+
+    out = []
+    for tr in tracked:
+        if isinstance(tr, Exception):
+            out.append(tr)
+            continue
+        lam0, kind, center, tracks = tr
+        branches, failure = [], None
+        for j, (vals, mult) in enumerate(tracks):
+            d1, e1, f1, d2, e2, f2 = next(derivs)
+            failure = failure or f1 or f2
+            branches.append(
+                Branch(
+                    lam=complex(lam0),
+                    kind=kind,
+                    direction=ladder.direction,
+                    index=j,
+                    samples=tuple((float(tk), complex(v)) for tk, v in zip(ladder.ts, vals)),
+                    multiplicity=mult,
+                    d1=None if d1 is None else complex(d1),
+                    d2=None if d2 is None else complex(d2),
+                    d1_error=None if e1 is None else float(e1),
+                    d2_error=None if e2 is None else float(e2),
+                    pencil=t,
+                )
             )
-        )
-    return branches
+        out.append(failure or branches)
+    return out
 
 
 @dataclass(frozen=True)
@@ -410,6 +472,9 @@ class RegularityReport:
     condition_a: every branch tracks a finite simple root cluster.
     condition_b: expanded first derivatives are pairwise distinct, so the
     sheets through the base point are transversal.
+    failure: why the branches at lambda could not be tracked or
+    differentiated; error: the exception of a failure that is not a
+    tracking failure (an ExtrapolationError), for the gate to raise.
     """
 
     lam: complex
@@ -420,6 +485,7 @@ class RegularityReport:
     tangency_ok: bool
     branches: tuple = ()
     failure: str = None
+    error: Exception = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -433,27 +499,44 @@ class RegularityReport:
         }
 
 
-def check_regularity(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
-    """Check conditions a) and b) (or their lambda = 0 analogues) along xhat.
+def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8, ladder=None):
+    """Check conditions a) and b) (or their lambda = 0 analogues) along xhat
+    at every eigenvalue of A_1: one RegularityReport each, in the order of
+    the ladder's reference clusters.
 
-    A tracking failure is reported as a failed condition a), with its message.
-    ladder is passed on to local_branches.  Branches tracked with samples < 5
-    have no first derivatives, and regularity_report refuses them with
-    ValueError.
+    All eigenvalues are tracked on one slice ladder, ladder or
+    slice_ladder(t, xhat, t_max, samples), and the derivatives of all their
+    branches come from one stacked extrapolation each (see local_branches).
+    An eigenvalue whose branches cannot be tracked gets a report with failed
+    conditions a) and b) and the failure's message.  So does one whose
+    derivatives do not converge, and its report keeps the ExtrapolationError
+    in error: a gate that walks the eigenvalues in order raises it on
+    reaching that report.  Branches tracked with samples < 5 have no first
+    derivatives, and regularity_report refuses them with ValueError.  A
+    ladder for another direction, t_max or samples raises ValueError.
     """
-    try:
-        branches = local_branches(t, lam, xhat, t_max=t_max, samples=samples, ladder=ladder)
-    except (BranchCollisionError, TrackingError) as exc:
-        return RegularityReport(
-            lam=complex(lam),
-            condition_a=False,
-            condition_b=False,
-            branch_derivative_gaps=0.0,
-            tangency_margin=0.0,
-            tangency_ok=False,
-            failure=str(exc),
-        )
-    return regularity_report(branches)
+    if ladder is None:
+        ladder = slice_ladder(t, xhat, t_max=t_max, samples=samples)
+    else:
+        _check_ladder(ladder, _unit_direction(t, xhat), t_max, samples)
+    lams = [c for c, _ in ladder.reference]
+    reports = []
+    for lam, found in zip(lams, _branch_sets(t, ladder, lams)):
+        if isinstance(found, Exception):
+            tracking = isinstance(found, (BranchCollisionError, TrackingError))
+            reports.append(RegularityReport(
+                lam=complex(lam),
+                condition_a=False,
+                condition_b=False,
+                branch_derivative_gaps=0.0,
+                tangency_margin=0.0,
+                tangency_ok=False,
+                failure=str(found),
+                error=None if tracking else found,
+            ))
+        else:
+            reports.append(regularity_report(found))
+    return tuple(reports)
 
 
 def regularity_report(branches):

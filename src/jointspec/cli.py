@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
-from .projections import limit_projection, projection_ladders, projection_norm_profile
+from .projections import _checked, _limits, projection_ladders, projection_norm_profile
 from .relations import verify_pair
 from .serialize import SCHEMA_VERSION, json_to_matrix, pair_to_complex
 
@@ -144,13 +144,12 @@ def _cmd_analyze(config: RunConfig):
     report["regularity"] = reg.to_json()
     report["projections"] = []
     blowup = None
-    for b, ladder in zip(branches, projection_ladders(tup, branches)):
-        profile = projection_norm_profile(tup, b, ladder=ladder)
+    ladders = projection_ladders(tup, branches)
+    for b, ladder, profile, limit in zip(branches, ladders, *_limits(branches, ladders)):
         entry = {"j": b.index, "norm_profile": profile.to_json(),
                  "ladder": [cp.to_json() for cp in ladder]}
         try:
-            lp = limit_projection(tup, b, ladder=ladder)
-            entry["limit"] = lp.to_json()
+            entry["limit"] = _checked(profile, limit).to_json()
         except ProjectionBlowupError as exc:
             entry["limit"] = None
             entry["blowup_exponent"] = exc.exponent

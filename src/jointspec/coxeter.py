@@ -376,7 +376,10 @@ def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
     """Points of the proper joint spectrum within the ball |x - center| <= radius.
 
     Random lines near the center, at most 8 * count, are drawn and solved in
-    chunks of _lines_needed lines, one line_roots_batch call each.
+    chunks of _lines_needed lines, one line_roots_batch call each.  The
+    distances of a chunk's points to the center are taken in one stacked
+    pass; a point within 1e-9 radius of the boundary is decided again by
+    np.linalg.norm, so every decision is that of testing one point at a time.
     """
     center = np.asarray(center, dtype=complex)
     pts = []
@@ -388,11 +391,16 @@ def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
         for _ in range(size):
             ys.append(center + 0.4 * radius * _random_direction(rng, tup.n) * rng.uniform())
             us.append(_random_direction(rng, tup.n))
-        for y, u, roots in zip(ys, us, line_roots_batch(tup, ys, us)):
-            for s in roots.finite:
-                p = y + s * u
-                if np.linalg.norm(p - center) <= radius:
-                    pts.append(p)
+        solved = line_roots_batch(tup, ys, us)
+        line = np.repeat(np.arange(size), [r.finite.size for r in solved])
+        s = np.concatenate([np.zeros(0, dtype=complex)] + [r.finite for r in solved])
+        p = np.asarray(ys)[line] + s[:, None] * np.asarray(us)[line]
+        diff = p - center
+        dist = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=1))
+        inside = dist <= radius
+        for i in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
+            inside[i] = np.linalg.norm(diff[i]) <= radius
+        pts.extend(p[inside])
     return pts[:count]
 
 

@@ -40,7 +40,14 @@ class TrackingError(JointSpecError):
 
 
 class ExtrapolationError(JointSpecError):
-    """Richardson extrapolation did not converge on the supplied samples."""
+    """Richardson extrapolation did not converge on the supplied samples.
+
+    When richardson_limit raises it for a stack whose series did not all
+    converge, limits, errors and the boolean mask failed describe every
+    series of the stack; otherwise they are None.
+    """
+
+    limits = errors = failed = None
 
 
 class SeparationError(JointSpecError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .branches import check_regularity, slice_ladder, spectral_resolution
+from .branches import _reference_spectrum, _solve_ladder, _unit_direction, check_regularity
 from .coxeter import CoxeterRep, random_unitary
 from .pencil import MatrixTuple, opnorm
 
@@ -90,7 +90,8 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
     Both (A1, A2) and (A1, A1 A2) must satisfy conditions a) and b) at every
     eigenvalue of A1, with separated branch derivatives so the ladder
     extrapolations stay well conditioned.  Returns (tuple, accepted_seed);
-    gives up after 40 draws.
+    gives up after 40 draws.  The two pairs share A1's eigenvalue clusters,
+    and each is checked on one slice ladder by one check_regularity call.
 
     min_gap bounds those gaps from below.  verify_pair's finest ladder rung,
     t = 1e-2 * 2^-7, parts two branches by about gap * t.  A simple
@@ -106,12 +107,13 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
         t = random_normal_pair(sub, dim, zero_eigenvalue)
         a1, a2 = t.matrices
         t2 = MatrixTuple([a1, a1 @ a2])
-        res = spectral_resolution(a1)
+        reference = _reference_spectrum(a1, opnorm(a1))
         ok = True
         for tt in (t, t2):
-            ladder = slice_ladder(tt, [1.0])
-            for lv in res.eigenvalues:
-                rep = check_regularity(tt, lv, [1.0], ladder=ladder)
+            ladder = _solve_ladder(tt, _unit_direction(tt, [1.0]), 1e-2, 8, *reference)
+            for rep in check_regularity(tt, [1.0], ladder=ladder):
+                if rep.error is not None:
+                    raise rep.error
                 if not (rep.condition_a and rep.condition_b):
                     ok = False
                     break

@@ -271,9 +271,14 @@ class NormalityReport:
 def normality_report(a):
     """Test ||A A* - A* A|| against 1e-10 (1 + ||A||^2) and diagonalizability."""
     a = np.asarray(a, dtype=complex)
+    return _normality_report(a, opnorm(a))
+
+
+def _normality_report(a, a_norm):
+    """normality_report of the complex array a, whose operator norm is a_norm."""
     comm = a @ a.conj().T - a.conj().T @ a
     cnorm = opnorm(comm)
-    scaled = 1e-10 * (1.0 + opnorm(a) ** 2)
+    scaled = 1e-10 * (1.0 + a_norm ** 2)
     vals, vecs = np.linalg.eig(a)
     try:
         cond = np.linalg.cond(vecs)

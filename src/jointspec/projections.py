@@ -31,7 +31,7 @@ from scipy.linalg.lapack import ztrsyl
 from . import extrapolate
 from .branches import Branch, _ladder_roots, _nearest_unambiguous
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
-from .pencil import MatrixTuple, _ggev_stack, _svd_extremes, opnorm
+from .pencil import MatrixTuple, _ggev_stack, _svd_extremes
 from .serialize import complex_to_pair, matrix_to_json
 
 
@@ -176,22 +176,28 @@ def _radius(dmin, center):
     return 0.5 * dmin if np.isfinite(dmin) else 0.5 * (1.0 + abs(center))
 
 
-def _ladder(b: Branch, ts, parts):
-    """ComponentProjections of b from its (P, rank, radius) parts at the
-    parameters ts; the idempotency residuals come from one stacked SVD."""
-    _, idem = _svd_extremes(np.array([p @ p - p for p, _, _ in parts]))
+def _ladders(branches, parts):
+    """ComponentProjections of each branch from its (t, (P, rank, radius))
+    parts; the idempotency residuals of all come from one stacked SVD."""
+    if not branches:
+        return []
+    _, idem = _svd_extremes(np.array([p @ p - p for ps in parts for _, (p, _, _) in ps]))
+    idem = iter(idem.tolist())
     return [
-        ComponentProjection(
-            branch_index=b.index,
-            lam=b.lam,
-            kind=b.kind,
-            t=float(tk),
-            matrix=p,
-            idempotency_residual=r,
-            rank=rank,
-            radius=radius,
-        )
-        for tk, (p, rank, radius), r in zip(ts, parts, idem.tolist())
+        [
+            ComponentProjection(
+                branch_index=b.index,
+                lam=b.lam,
+                kind=b.kind,
+                t=float(tk),
+                matrix=p,
+                idempotency_residual=next(idem),
+                rank=rank,
+                radius=radius,
+            )
+            for tk, (p, rank, radius) in ps
+        ]
+        for b, ps in zip(branches, parts)
     ]
 
 
@@ -213,7 +219,7 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
     if b.multiplicity == 1:
         solve = tuple(x[0] for x in _rung_solves(t, b.kind, np.asarray(b.direction), [tparam]))
     part = _component(t, b, tparam, _branch_value_at(t, b, tparam), solve)
-    return _ladder(b, [tparam], [part])[0]
+    return _ladders([b], [[(tparam, part)]])[0][0]
 
 
 def projection_ladders(t: MatrixTuple, branches):
@@ -222,7 +228,8 @@ def projection_ladders(t: MatrixTuple, branches):
 
     The simple branches of one kind along one direction and ladder share one
     eigensolve with vectors per rung (_rung_solves); each projection is
-    component_projection's at that sample.
+    component_projection's at that sample.  The idempotency residuals of
+    all of them come from one stacked SVD.
     """
     def key(b):
         return b.kind, b.direction, tuple(tk for tk, _ in b.samples)
@@ -232,13 +239,12 @@ def projection_ladders(t: MatrixTuple, branches):
         if b.multiplicity == 1 and key(b) not in solves:
             kind, direction, ts = key(b)
             solves[key(b)] = _rung_solves(t, kind, np.asarray(direction), ts)
-    ladders = []
+    parts = []
     for b in branches:
         s = solves.get(key(b))
-        parts = [_component(t, b, tk, v, None if s is None else tuple(x[k] for x in s))
-                 for k, (tk, v) in enumerate(b.samples)]
-        ladders.append(_ladder(b, [tk for tk, _ in b.samples], parts))
-    return tuple(ladders)
+        parts.append([(tk, _component(t, b, tk, v, None if s is None else tuple(x[k] for x in s)))
+                      for k, (tk, v) in enumerate(b.samples)])
+    return tuple(_ladders(branches, parts))
 
 
 @dataclass(frozen=True)
@@ -250,15 +256,17 @@ class NormProfile:
         return {"points": [[t, v] for t, v in self.points], "exponent": self.exponent}
 
 
+def _profile(ts, norms):
+    return NormProfile(points=tuple(zip(ts, norms)),
+                       exponent=extrapolate.fit_power_law(ts, norms))
+
+
 def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None):
     """Projection norms down the ladder with a fitted power-law exponent."""
     if ladder is None:
         ladder = projection_ladders(t, [b])[0]
     _, norms = _svd_extremes(np.array([cp.matrix for cp in ladder]))
-    pts = tuple(zip((cp.t for cp in ladder), norms.tolist()))
-    ts = [p[0] for p in pts]
-    ns = [p[1] for p in pts]
-    return NormProfile(points=pts, exponent=extrapolate.fit_power_law(ts, ns))
+    return _profile([cp.t for cp in ladder], norms.tolist())
 
 
 @dataclass(frozen=True)
@@ -296,22 +304,65 @@ def limit_projection(t: MatrixTuple, b: Branch, ladder=None):
     """
     if ladder is None:
         ladder = projection_ladders(t, [b])[0]
-    ts = np.array([cp.t for cp in ladder])
-    mats = [cp.matrix for cp in ladder]
-    profile = projection_norm_profile(t, b, ladder=ladder)
+    (profile,), (limit,) = _limits([b], [ladder])
+    return _checked(profile, limit)
+
+
+def _limits(branches, ladders):
+    """Norm profiles and limit projections of branches from their projection
+    ladders, which share one ladder of parameters t_k.
+
+    P and P'(0) of all branches come from one stacked richardson_limit call
+    each (P'(0) from the quotients (P(t_k) - P) / t_k), and the profile
+    norms and the idempotency residuals of the limits from one stacked SVD.
+    Returns (profiles, limits): limits[i] is the LimitProjection of
+    branches[i], or the ExtrapolationError of its P, else of its P'(0);
+    _checked(profiles[i], limits[i]) is what limit_projection returns or
+    raises for it.
+    """
+    if not branches:
+        return [], []
+    ts = [cp.t for cp in ladders[0]]
+    count, rungs, dim = len(ladders), len(ts), ladders[0][0].matrix.shape[0]
+    # the ladder matrices, then the limits' p @ p - p, for the one SVD
+    stack = np.empty((count * (rungs + 1), dim, dim), dtype=complex)
+    mats = stack[:count * rungs].reshape(count, rungs, dim, dim)
+    for ladder, row in zip(ladders, mats):
+        for cp, m in zip(ladder, row):
+            m[...] = cp.matrix
+    p, err, p_failed = extrapolate._each_series(extrapolate.richardson_limit, ts, mats)
+    stack[count * rungs:] = p @ p - p
+    _, smax = _svd_extremes(stack)
+    # the quotients of P'(0) overwrite the ladder matrices, read by now
+    dp, _, dp_failed = extrapolate._each_series(
+        extrapolate.richardson_limit, ts, extrapolate._quotients(ts, mats, p))
+    norms, idem = smax[:count * rungs].reshape(count, rungs), smax[count * rungs:]
+    profiles = [_profile(ts, row.tolist()) for row in norms]
+    limits = []
+    for i, b in enumerate(branches):
+        if p_failed[i] or dp_failed[i]:
+            limits.append(p_failed[i] or dp_failed[i])
+        else:
+            limits.append(LimitProjection(
+                branch_index=b.index,
+                lam=b.lam,
+                kind=b.kind,
+                direction=b.direction,
+                matrix=p[i],
+                extrapolation_error=float(err[i]),
+                rank=int(round(np.trace(p[i]).real)),
+                idempotency_residual=float(idem[i]),
+                derivative=dp[i],
+            ))
+    return profiles, limits
+
+
+def _checked(profile, limit):
+    """limit, unless profile diverges (power-law exponent below -0.25), which
+    raises ProjectionBlowupError, or limit is an ExtrapolationError, which is
+    raised."""
     if profile.exponent < -0.25:
         raise ProjectionBlowupError(profile.exponent, profile)
-
-    p, err = extrapolate.richardson_limit(ts, mats)
-    dp, _ = extrapolate.first_derivative(ts, mats, p)
-    return LimitProjection(
-        branch_index=b.index,
-        lam=b.lam,
-        kind=b.kind,
-        direction=b.direction,
-        matrix=p,
-        extrapolation_error=err,
-        rank=int(round(np.trace(p).real)),
-        idempotency_residual=opnorm(p @ p - p),
-        derivative=dp,
-    )
+    if isinstance(limit, Exception):
+        raise limit
+    return limit

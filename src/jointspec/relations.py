@@ -1,14 +1,16 @@
 """Numerical verification of the limit-projection identities for pairs.
 
 Every identity is checked in operator norm; a RelationReport records the
-residual, the tolerance used, and the verdict.  The pair-level aggregator
-computes one analysis per (pair, eigenvalue): it tracks the branches of
-(A1, A2) and (A1, A1 A2) once at each eigenvalue of A1, derives the
-regularity gate from those branches (normal leading matrix, conditions a/b
-at every eigenvalue, multiplicity-1 branches) and refuses when it fails;
-projection ladders and limits are built once from the same branches and
-serve every identity at that eigenvalue.  check_hypotheses=False computes
-residuals anyway with no pass/fail claim.
+residual, the tolerance used, and the verdict.  Each identity's residual
+matrices come from one private helper, and a call's operator norms from one
+stacked SVD.  The pair-level aggregator computes one analysis per (pair,
+eigenvalue): it tracks the branches of (A1, A2) and (A1, A1 A2) once at
+each eigenvalue of A1, derives the regularity gate from those branches
+(normal leading matrix, conditions a/b at every eigenvalue,
+multiplicity-1 branches) and refuses when it fails; projection ladders and
+limits are built once from the same branches and serve every identity at
+that eigenvalue.  check_hypotheses=False computes residuals anyway with no
+pass/fail claim.
 """
 
 from dataclasses import dataclass
@@ -18,16 +20,20 @@ import numpy as np
 from .branches import (
     SpectralResolution,
     TOperator,
+    _branch_sets,
     _nearest_unambiguous,
+    _reference_spectrum,
+    _solve_ladder,
+    _spectral_resolution,
+    _unit_direction,
     check_regularity,
     local_branches,
-    slice_ladder,
     spectral_resolution,
     t_operator,
 )
 from .errors import JointSpecError, PairingAmbiguityError
-from .pencil import MatrixTuple, opnorm
-from .projections import limit_projection, projection_ladders
+from .pencil import MatrixTuple, _svd_extremes, opnorm
+from .projections import _checked, _limits, projection_ladders
 from .serialize import complex_to_pair
 
 
@@ -66,41 +72,72 @@ def _report(relation_id, lam, indices, residual, tol):
     )
 
 
-def verify_orthogonality_and_resolution(projs, res: SpectralResolution, lam, tol=1e-5):
-    """Pairwise products vanish and the limit projections sum to the eigenprojection."""
+@dataclass(frozen=True)
+class _Residual:
+    """One relation report before its norms are taken: its residual is the
+    largest operator norm of matrices, 0 when there are none."""
+
+    relation_id: str
+    lam: complex
+    indices: tuple
+    matrices: tuple
+
+
+def _reports(residuals, tol):
+    """The RelationReports of residuals, all operator norms from one stacked SVD."""
+    mats = [m for r in residuals for m in r.matrices]
+    norms = iter(_svd_extremes(np.array(mats))[1].tolist() if mats else ())
+    return [_report(r.relation_id, r.lam, r.indices,
+                    max([next(norms) for _ in r.matrices], default=0.0), tol)
+            for r in residuals]
+
+
+def _orthogonality_and_resolution(projs, res: SpectralResolution, lam):
     if not projs:
         raise ValueError("need at least one limit projection")
     d0 = projs[0].direction
     if any(not np.allclose(p.direction, d0) for p in projs):
         raise ValueError("mismatched direction across limit projections")
-    reports = []
+    residuals = []
     for i in range(len(projs)):
         for j in range(i + 1, len(projs)):
-            r = max(
-                opnorm(projs[i].matrix @ projs[j].matrix),
-                opnorm(projs[j].matrix @ projs[i].matrix),
-            )
-            reports.append(
-                _report("orthogonality", lam, (projs[i].branch_index, projs[j].branch_index), r, tol)
-            )
+            residuals.append(_Residual(
+                "orthogonality", lam, (projs[i].branch_index, projs[j].branch_index),
+                (projs[i].matrix @ projs[j].matrix, projs[j].matrix @ projs[i].matrix)))
     total = sum(p.matrix for p in projs)
-    script_p = res.projection_for(lam)
-    reports.append(
-        _report("resolution", lam, tuple(p.branch_index for p in projs),
-                opnorm(total - script_p), tol)
-    )
-    return reports
+    residuals.append(_Residual("resolution", lam, tuple(p.branch_index for p in projs),
+                               (total - res.projection_for(lam),)))
+    return residuals
 
 
-def verify_cross_moment_zero(proj_i, proj_j, a2, tol=1e-5):
-    """P_j A2 P_i = 0 for distinct branches at the same eigenvalue."""
+def verify_orthogonality_and_resolution(projs, res: SpectralResolution, lam, tol=1e-5):
+    """Pairwise products vanish and the limit projections sum to the eigenprojection."""
+    return _reports(_orthogonality_and_resolution(projs, res, lam), tol)
+
+
+def _cross_moment_zero(proj_i, proj_j, a2):
     if proj_i.branch_index == proj_j.branch_index:
         raise ValueError("cross moment needs two distinct branches")
     if abs(proj_i.lam - proj_j.lam) > 1e-8 * (1.0 + abs(proj_i.lam)):
         raise ValueError("cross moment needs branches at the same eigenvalue")
-    r = opnorm(proj_j.matrix @ np.asarray(a2, dtype=complex) @ proj_i.matrix)
-    return _report("cross_moment_zero", proj_i.lam,
-                   (proj_j.branch_index, proj_i.branch_index), r, tol)
+    return _Residual("cross_moment_zero", proj_i.lam,
+                     (proj_j.branch_index, proj_i.branch_index),
+                     (proj_j.matrix @ np.asarray(a2, dtype=complex) @ proj_i.matrix,))
+
+
+def verify_cross_moment_zero(proj_i, proj_j, a2, tol=1e-5):
+    """P_j A2 P_i = 0 for distinct branches at the same eigenvalue."""
+    return _reports([_cross_moment_zero(proj_i, proj_j, a2)], tol)[0]
+
+
+def _first_moment(proj, a2, d1):
+    if proj.rank > 1:
+        raise HypothesisNotMet("first-moment identity requires a multiplicity-1 branch")
+    a2 = np.asarray(a2, dtype=complex)
+    p = proj.matrix
+    coeff = -d1 if proj.kind == "zero" else proj.lam * d1
+    rel = "first_moment_zero_case" if proj.kind == "zero" else "first_moment"
+    return _Residual(rel, proj.lam, (proj.branch_index,), (p @ a2 @ p + coeff * p,))
 
 
 def verify_first_moment(proj, a2, d1, tol=1e-5):
@@ -110,18 +147,10 @@ def verify_first_moment(proj, a2, d1, tol=1e-5):
     analysis at lam to the one at 1 and multiplies the branch derivative by
     lam, leaving the identity unchanged.
     """
-    if proj.rank > 1:
-        raise HypothesisNotMet("first-moment identity requires a multiplicity-1 branch")
-    a2 = np.asarray(a2, dtype=complex)
-    p = proj.matrix
-    coeff = -d1 if proj.kind == "zero" else proj.lam * d1
-    r = opnorm(p @ a2 @ p + coeff * p)
-    rel = "first_moment_zero_case" if proj.kind == "zero" else "first_moment"
-    return _report(rel, proj.lam, (proj.branch_index,), r, tol)
+    return _reports([_first_moment(proj, a2, d1)], tol)[0]
 
 
-def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
-    """P A2 T A2 P = -(d2/2) P (nonzero kind) or +(d2/2) P (zero kind)."""
+def _second_moment(proj, a2, t_op: TOperator, d2):
     if proj.rank > 1:
         raise HypothesisNotMet("second-moment identity requires a multiplicity-1 branch")
     if abs(t_op.base_eigenvalue - proj.lam) > 1e-8 * (1.0 + abs(proj.lam)):
@@ -129,9 +158,42 @@ def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
     a2 = np.asarray(a2, dtype=complex)
     p = proj.matrix
     sign = -1.0 if proj.kind == "zero" else 1.0
-    r = opnorm(p @ a2 @ t_op.matrix @ a2 @ p + sign * (d2 / 2.0) * p)
     rel = "second_moment_zero_case" if proj.kind == "zero" else "second_moment"
-    return _report(rel, proj.lam, (proj.branch_index,), r, tol)
+    return _Residual(rel, proj.lam, (proj.branch_index,),
+                     (p @ a2 @ t_op.matrix @ a2 @ p + sign * (d2 / 2.0) * p,))
+
+
+def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
+    """P A2 T A2 P = -(d2/2) P (nonzero kind) or +(d2/2) P (zero kind)."""
+    return _reports([_second_moment(proj, a2, t_op, d2)], tol)[0]
+
+
+def _prime_relations(limits, a1, a2, branches):
+    if len(limits) != len(branches):
+        raise ValueError("one limit projection per branch is required")
+    a1 = np.asarray(a1, dtype=complex)
+    a2 = np.asarray(a2, dtype=complex)
+    eye = np.eye(a1.shape[0])
+
+    residuals = []
+    for k, b in enumerate(branches):
+        p, dp = limits[k].matrix, limits[k].derivative
+        if b.kind == "zero":
+            r_op = a2 - b.d1 * eye
+            rhs = (b.d2 / 2.0) * p
+        else:
+            # general-lam form: the right side carries the eigenvalue factor
+            r_op = b.d1 * a1 + a2
+            rhs = -b.lam * (b.d2 / 2.0) * p
+        siblings = [limits[i].matrix for i in range(len(branches)) if i != k]
+        others = tuple(bb.index for i, bb in enumerate(branches) if i != k)
+        residuals.append(_Residual("prime_relation_1", b.lam, (b.index,), (dp @ r_op @ p - rhs,)))
+        residuals.append(_Residual("prime_relation_2", b.lam, (b.index,), (p @ r_op @ dp - rhs,)))
+        residuals.append(_Residual("prime_relation_3", b.lam, (b.index, *others),
+                                   tuple(dp @ r_op @ pi for pi in siblings)))
+        residuals.append(_Residual("prime_relation_4", b.lam, (b.index, *others),
+                                   tuple(pi @ r_op @ dp for pi in siblings)))
+    return residuals
 
 
 def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
@@ -142,38 +204,7 @@ def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
     The cross relations (3, 4) are reported with residual 0 when there is no
     sibling branch.
     """
-    if len(limits) != len(branches):
-        raise ValueError("one limit projection per branch is required")
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    eye = np.eye(a1.shape[0])
-
-    reports = []
-    for k, b in enumerate(branches):
-        p, dp = limits[k].matrix, limits[k].derivative
-        if b.kind == "zero":
-            r_op = a2 - b.d1 * eye
-            rhs = (b.d2 / 2.0) * p
-        else:
-            # general-lam form: the right side carries the eigenvalue factor
-            r_op = b.d1 * a1 + a2
-            rhs = -b.lam * (b.d2 / 2.0) * p
-        r1 = opnorm(dp @ r_op @ p - rhs)
-        r2 = opnorm(p @ r_op @ dp - rhs)
-        r3 = 0.0
-        r4 = 0.0
-        for i, bi in enumerate(branches):
-            if i == k:
-                continue
-            pi = limits[i].matrix
-            r3 = max(r3, opnorm(dp @ r_op @ pi))
-            r4 = max(r4, opnorm(pi @ r_op @ dp))
-        others = tuple(bb.index for i, bb in enumerate(branches) if i != k)
-        reports.append(_report("prime_relation_1", b.lam, (b.index,), r1, tol))
-        reports.append(_report("prime_relation_2", b.lam, (b.index,), r2, tol))
-        reports.append(_report("prime_relation_3", b.lam, (b.index, *others), r3, tol))
-        reports.append(_report("prime_relation_4", b.lam, (b.index, *others), r4, tol))
-    return reports
+    return _reports(_prime_relations(limits, a1, a2, branches), tol)
 
 
 @dataclass(frozen=True)
@@ -194,21 +225,19 @@ def analyze_pair(t: MatrixTuple, lam, resolution=None):
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
-    return _analysis(t, branches, projection_ladders(t, branches), resolution)
+    ladders = projection_ladders(t, branches)
+    limits = [_checked(*pl) for pl in zip(*_limits(branches, ladders))]
+    return _analysis(t, branches, ladders, limits, resolution)
 
 
-def _analysis(t: MatrixTuple, branches, ladders, resolution):
-    """Limit projections of branches already tracked, from their projection ladders."""
-    limits = tuple(
-        limit_projection(t, b, ladder=lad) for b, lad in zip(branches, ladders)
-    )
+def _analysis(t: MatrixTuple, branches, ladders, limits, resolution):
     return PairAnalysis(
         tup=t,
         lam=complex(branches[0].lam),
         resolution=resolution,
         branches=tuple(branches),
         ladders=tuple(ladders),
-        limits=limits,
+        limits=tuple(limits),
     )
 
 
@@ -231,8 +260,8 @@ def _pair_by_derivative(x_branches, z_branches, lam):
     return pairing
 
 
-def _product_pair_reports(ax: PairAnalysis, az: PairAnalysis, tol):
-    """Same-projection and square reports from the analyses of (A1, A2) and
+def _product_pair(ax: PairAnalysis, az: PairAnalysis):
+    """Same-projection and square residuals from the analyses of (A1, A2) and
     (A1, A1 A2) at one lam != 0, with branches matched through z'(0) = lam * x'(0)."""
     if any(b.multiplicity != 1 for b in ax.branches + az.branches):
         raise HypothesisNotMet(
@@ -241,17 +270,17 @@ def _product_pair_reports(ax: PairAnalysis, az: PairAnalysis, tol):
     lam0 = ax.lam
     a2 = ax.tup.matrices[1]
     pairing = _pair_by_derivative(ax.branches, az.branches, lam0)
-    same = square = 0.0
+    same, square = [], []
     for j, bx in enumerate(ax.branches):
         bz = az.branches[pairing[j]]
         p = ax.limits[j].matrix
-        same = max(same, opnorm(p - az.limits[pairing[j]].matrix))
+        same.append(p - az.limits[pairing[j]].matrix)
         coeff = (bz.d2 + 2.0 * lam0**3 * bx.d1**2 - lam0**2 * bx.d2) / (2.0 * lam0)
-        square = max(square, opnorm(p @ a2 @ a2 @ p - coeff * p))
+        square.append(p @ a2 @ a2 @ p - coeff * p)
     indices = tuple(b.index for b in ax.branches)
     return (
-        _report("same_projection_lemma", lam0, indices, same, tol),
-        _report("square_relation", lam0, indices, square, tol),
+        _Residual("same_projection_lemma", lam0, indices, tuple(same)),
+        _Residual("square_relation", lam0, indices, tuple(square)),
     )
 
 
@@ -269,7 +298,7 @@ def _product_pair_analyses(t: MatrixTuple, lam, identity):
 def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5):
     """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0."""
     ax, az = _product_pair_analyses(t, lam, "same-projection")
-    return _product_pair_reports(ax, az, tol)[0]
+    return _reports(_product_pair(ax, az), tol)[0]
 
 
 def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
@@ -280,22 +309,30 @@ def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
     through z'(0) = lam * x'(0).
     """
     ax, az = _product_pair_analyses(t, lam, "square")
-    return _product_pair_reports(ax, az, tol)[1]
+    return _reports(_product_pair(ax, az), tol)[1]
 
 
 _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 
-def _gated_branches(t: MatrixTuple, lv, pair, t_max, samples, ladder):
-    """Branches of t at lv; HypothesisNotMet unless they are regular."""
-    rep = check_regularity(t, lv, [1.0], t_max=t_max, samples=samples, ladder=ladder)
-    if rep.condition_a and rep.condition_b:
-        return rep.branches
-    detail = f": {rep.failure or 'conditions a/b'}" if pair == 0 else ""
-    raise HypothesisNotMet(
-        f"regularity fails at lambda={lv} for {_PAIR_NAMES[pair]}{detail}; "
-        f"pass check_hypotheses=False to report residuals without a claim"
-    )
+def _gated_branches(t: MatrixTuple, pair, ladder, res: SpectralResolution):
+    """The branches check_regularity tracks on ladder, by index of their
+    eigenvalue in res; walking the eigenvalues in order, the first failure
+    raises: the error a report keeps, or HypothesisNotMet."""
+    gated = {}
+    for rep in check_regularity(t, [1.0], t_max=ladder.t_max, samples=ladder.samples,
+                                ladder=ladder):
+        if rep.error is not None:
+            raise rep.error
+        k = res.index_of(rep.lam)
+        if not (rep.condition_a and rep.condition_b):
+            detail = f": {rep.failure or 'conditions a/b'}" if pair == 0 else ""
+            raise HypothesisNotMet(
+                f"regularity fails at lambda={res.eigenvalues[k]} for {_PAIR_NAMES[pair]}"
+                f"{detail}; pass check_hypotheses=False to report residuals without a claim"
+            )
+        gated[k] = rep.branches
+    return gated
 
 
 def verify_pair(
@@ -308,12 +345,18 @@ def verify_pair(
 ):
     """Run every identity check for a pair, at one or all eigenvalues of A1.
 
-    The slices of each pair are solved once (one slice_ladder per pair) and
-    (A1, A2) and (A1, A1 A2) are tracked on them once per eigenvalue of A1.
-    The regularity gate reads those branches at every eigenvalue of both
-    pairs, also when lam is given, and the analyses at lam reuse them.  The
-    projection ladders of every analysed branch of a pair come from one
-    projection_ladders call, so each rung's eigensolve serves all of them.
+    A1's operator norm, eigenvalue clusters and their kinds are computed
+    once and serve both pairs.  The slices of each pair are solved once (one
+    slice ladder per pair), and check_regularity tracks (A1, A2) and
+    (A1, A1 A2) on them at every eigenvalue of A1, also when lam is given:
+    all branch derivatives of a pair come from one stacked extrapolation
+    each.  The analyses at lam reuse those branches.  The projection ladders
+    of every analysed branch of a pair come from one projection_ladders
+    call, so each rung's eigensolve serves all of them; P and P'(0) of every
+    analysed branch of both pairs come from one stacked extrapolation each,
+    and every operator norm of the reports from one stacked SVD.  Failures
+    are raised in the order of analysing one eigenvalue and one branch at a
+    time.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -325,53 +368,74 @@ def verify_pair(
     if samples < 5:
         raise ValueError("verify_pair reads branch derivatives: it needs samples >= 5")
     a1, a2 = t.matrices
-    res = spectral_resolution(a1)
+    a1_norm = opnorm(a1)
+    res = _spectral_resolution(a1, a1_norm)
     pairs = (t, MatrixTuple([a1, a1 @ a2]))
     eigs = res.eigenvalues
-    ladders = [slice_ladder(tt, [1.0], t_max=t_max, samples=samples) for tt in pairs]
+    reference = _reference_spectrum(a1, a1_norm)
+    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference)
+               for tt in pairs]
     if check_hypotheses:
-        gated = [[_gated_branches(tt, lv, pair, t_max, samples, ladders[pair]) for lv in eigs]
-                 for pair, tt in enumerate(pairs)]
-
-    def tracked(pair, k):
-        if check_hypotheses:
-            return gated[pair][k]
-        return local_branches(pairs[pair], eigs[k], [1.0], t_max=t_max,
-                              samples=samples, ladder=ladders[pair])
+        gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]
 
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
     # (A1, A1 A2) is analysed at the nonzero eigenvalues only
     wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
-    analyses = []
+    # each pair's branches and projection ladders; the limits of both pairs
+    # are extrapolated together below, so a failure here is raised after
+    # those of the pairs before it, as when each pair was finished in turn
+    sets, pending = [], None
     for pair, tt in enumerate(pairs):
-        sets = {k: tracked(pair, k) for k in wanted[pair]}
-        lads = iter(projection_ladders(tt, [b for bs in sets.values() for b in bs]))
-        analyses.append({k: _analysis(tt, bs, [next(lads) for _ in bs], res)
-                         for k, bs in sets.items()})
+        try:
+            if check_hypotheses:
+                found = [gated[pair][k] for k in wanted[pair]]
+            else:
+                found = _branch_sets(tt, ladders[pair], [eigs[k] for k in wanted[pair]])
+                for out in found:
+                    if isinstance(out, Exception):
+                        raise out
+            sets.append((found, projection_ladders(tt, [b for bs in found for b in bs])))
+        except Exception as exc:  # raised below, after the limits before it
+            pending = exc
+            break
+    tracked = [b for found, _ in sets for bs in found for b in bs]
+    projected = [lad for _, lads in sets for lad in lads]
+    limits = iter([_checked(*pl) for pl in zip(*_limits(tracked, projected))])
+    if pending is not None:
+        raise pending
 
-    reports = []
+    projected = iter(projected)
+    analyses = [
+        {k: _analysis(pairs[pair], bs, [next(projected) for _ in bs],
+                      [next(limits) for _ in bs], res)
+         for k, bs in zip(wanted[pair], found)}
+        for pair, (found, _) in enumerate(sets)
+    ]
+
+    residuals = []
     for k in ks:
         ax = analyses[0][k]
-        reports.extend(verify_orthogonality_and_resolution(ax.limits, res, ax.lam, tol=tol))
+        residuals.extend(_orthogonality_and_resolution(ax.limits, res, ax.lam))
         for i in range(len(ax.limits)):
             for j in range(len(ax.limits)):
                 if i != j:
-                    reports.append(verify_cross_moment_zero(ax.limits[i], ax.limits[j], a2, tol=tol))
+                    residuals.append(_cross_moment_zero(ax.limits[i], ax.limits[j], a2))
         t_op = t_operator(res, ax.lam)
         for b, lp in zip(ax.branches, ax.limits):
             if b.multiplicity == 1:
-                reports.append(verify_first_moment(lp, a2, b.d1, tol=tol))
-                reports.append(verify_second_moment(lp, a2, t_op, b.d2, tol=tol))
-        reports.extend(verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol))
+                residuals.append(_first_moment(lp, a2, b.d1))
+                residuals.append(_second_moment(lp, a2, t_op, b.d2))
+        residuals.extend(_prime_relations(ax.limits, a1, a2, ax.branches))
         if k in analyses[1]:
             try:
-                reports.extend(_product_pair_reports(ax, analyses[1][k], tol))
+                residuals.extend(_product_pair(ax, analyses[1][k]))
             except HypothesisNotMet:
                 if check_hypotheses:
                     raise
                 # run-anyway mode: these identities have no meaning for
                 # repeated branches, so they are skipped rather than reported
 
+    reports = _reports(residuals, tol)
     if not check_hypotheses:
         reports = [
             RelationReport(r.relation_id, r.lam, r.branch_indices, r.residual, r.tolerance, None)

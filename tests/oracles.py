@@ -142,6 +142,71 @@ def group_character_gap(a, b, geometric):
     return worst, len(seen), depth
 
 
+# -- Richardson extrapolation, one series and one tableau entry at a time ------
+#
+# jointspec.extrapolate runs the same tableau on a stack of series at once;
+# these loops take one series of scalars or matrices (a list of samples) and
+# return (limit, error) or raise ExtrapolationError as it does.
+
+
+def _mag(x):
+    x = np.asarray(x)
+    if x.ndim == 0:
+        return abs(complex(x))
+    return float(np.linalg.norm(x))
+
+
+def richardson_limit(ts, values):
+    """Limit at t = 0 of one series of samples on a halving ladder."""
+    from jointspec.errors import ExtrapolationError
+
+    ts = np.asarray(ts, dtype=float)
+    vals = [np.asarray(v, dtype=complex) for v in values]
+    prev_row = [vals[0]]
+    best = vals[0]
+    best_err = np.inf
+    for k in range(1, len(vals)):
+        row = [vals[k]]
+        row_best = np.inf
+        for j in range(1, k + 1):
+            fac = 2.0**j
+            entry = (fac * row[j - 1] - prev_row[j - 1]) / (fac - 1.0)
+            err = max(_mag(entry - row[j - 1]), _mag(entry - prev_row[j - 1]))
+            row.append(entry)
+            row_best = min(row_best, err)
+            if err < best_err:
+                best_err = err
+                best = entry
+        prev_row = row
+        if k >= 3 and row_best >= 2.0 * best_err:
+            break
+    scale = 1.0 + _mag(best)
+    if not np.isfinite(best_err) or best_err > 1e-2 * scale:
+        raise ExtrapolationError(
+            f"extrapolation did not converge (error estimate {best_err:.3e})"
+        )
+    if np.asarray(values[0]).ndim == 0:
+        return complex(best), float(best_err)
+    return best, float(best_err)
+
+
+def first_derivative(ts, values, v0):
+    """d/dt at 0 of one series from its samples and v0 = v(0)."""
+    quotients = [(np.asarray(v, dtype=complex) - v0) / t
+                 for t, v in zip(np.asarray(ts, dtype=float), values)]
+    return richardson_limit(ts, quotients)
+
+
+def second_derivative(ts, values, v0):
+    """d^2/dt^2 at 0 of one series from the pairs (t, t/2) and v0 = v(0)."""
+    ts = np.asarray(ts, dtype=float)
+    vals = [np.asarray(v, dtype=complex) for v in values]
+    quotients = [
+        4.0 * (vals[k] - 2.0 * vals[k + 1] + v0) / ts[k] ** 2 for k in range(ts.size - 1)
+    ]
+    return richardson_limit(ts[:-1], quotients)
+
+
 def first_order_eigenvalue_derivative(a2, i):
     """d/dt of the i-th diagonal eigenvalue of diag + t*A2 (simple eigenvalue)."""
     return complex(np.asarray(a2)[i, i])

@@ -22,6 +22,12 @@ def two_line_variant():
     return commuting_diagonal_pair()
 
 
+def regularity_at(t, lam, **kw):
+    """The report check_regularity gives along e_1 at the eigenvalue nearest lam."""
+    reports = js.check_regularity(t, [1.0], **kw)
+    return min(reports, key=lambda r: abs(r.lam - lam))
+
+
 class TestSpectralResolution:
     def test_diagonal(self):
         res = js.spectral_resolution(np.diag([1.0, 1.0, -1.0]))
@@ -208,12 +214,18 @@ class TestSliceLadder:
     def test_regularity_on_a_ladder(self):
         t = _random_regular_pair()
         ladder = js.slice_ladder(t, [1.0])
-        for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
-            on_ladder = js.check_regularity(t, lam, [1.0], ladder=ladder)
-            again = js.check_regularity(t, lam, [1.0])
-            assert on_ladder == again
-            assert ([b.residuals for b in on_ladder.branches]
-                    == [b.residuals for b in again.branches])
+        on_ladder = js.check_regularity(t, [1.0], ladder=ladder)
+        again = js.check_regularity(t, [1.0])
+        assert on_ladder == again
+        eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
+        assert len(on_ladder) == len(eigs)
+        for lam, rep, other in zip(eigs, on_ladder, again):
+            assert abs(rep.lam - lam) <= 1e-12
+            assert rep == js.regularity_report(js.local_branches(t, lam, [1.0]))
+            assert ([b.residuals for b in rep.branches]
+                    == [b.residuals for b in other.branches])
+        with pytest.raises(ValueError, match="t_max"):
+            js.check_regularity(t, [1.0], t_max=0.1, ladder=ladder)
 
     @pytest.mark.parametrize("args, kwargs", [((17, 4), {"zero_eigenvalue": True}),
                                               ((5, 8), {})])
@@ -342,14 +354,14 @@ class TestBranchDerivatives:
 
 class TestCheckRegularity:
     def test_two_line_variant_passes(self):
-        rep = js.check_regularity(two_line_variant(), 1.0, [1.0])
+        rep = regularity_at(two_line_variant(), 1.0)
         assert rep.condition_a and rep.condition_b
         assert abs(rep.branch_derivative_gaps - 2.0) <= 1e-8
         assert rep.tangency_margin > 0.5
 
     def test_repeated_component_fails_b(self):
         t = js.MatrixTuple([np.diag([1.0, 1.0]), np.eye(2)])
-        rep = js.check_regularity(t, 1.0, [1.0])
+        rep = regularity_at(t, 1.0)
         assert not rep.condition_b
         assert rep.branch_derivative_gaps == 0.0
 
@@ -358,16 +370,16 @@ class TestCheckRegularity:
         a1, a2 = dihedral_pair(2 * np.pi / 5).matrices
         z = np.zeros((2, 2))
         t = js.MatrixTuple([np.block([[a1, z], [z, a1]]), np.block([[a2, z], [z, a2]])])
-        rep = js.check_regularity(t, 1.0, [1.0])
+        rep = regularity_at(t, 1.0)
         assert not rep.condition_b
 
     def test_single_branch_is_regular(self):
-        rep = js.check_regularity(dihedral_pair(0.8), 1.0, [1.0])
+        rep = regularity_at(dihedral_pair(0.8), 1.0)
         assert rep.condition_a and rep.condition_b
 
     def test_zero_eigenvalue_regularity(self):
         t = js.MatrixTuple([np.diag([0.0, 2.0]), np.eye(2)])
-        rep = js.check_regularity(t, 0.0, [1.0])
+        rep = regularity_at(t, 0.0)
         assert rep.condition_a and rep.condition_b
 
     def test_report_is_a_function_of_the_tracked_branches(self):
@@ -375,15 +387,47 @@ class TestCheckRegularity:
                          (js.MatrixTuple([np.diag([1.0, 1.0]), np.eye(2)]), 1.0)]:
             branches = js.local_branches(tup, lam, [1.0])
             rep = js.regularity_report(branches)
-            direct = js.check_regularity(tup, lam, [1.0])
+            direct = regularity_at(tup, lam)
             assert rep == direct
             assert [b.residuals for b in rep.branches] == [b.residuals for b in direct.branches]
+
+    def test_every_eigenvalue_gets_a_report(self):
+        # tracking fails at 1 (branches merge below the coincidence tolerance),
+        # and the report at -1 is still made
+        t = js.MatrixTuple([np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0 + 1e-3, 0.5])])
+        with pytest.raises((js.TrackingError, js.BranchCollisionError)) as exc:
+            js.local_branches(t, 1.0, [1.0])
+        at_minus_one, at_one = js.check_regularity(t, [1.0])
+        assert at_one.failure == str(exc.value) and at_one.error is None
+        assert not (at_one.condition_a or at_one.condition_b) and at_one.branches == ()
+        assert at_minus_one == js.regularity_report(js.local_branches(t, -1.0, [1.0]))
+        assert at_minus_one.condition_a and at_minus_one.condition_b
+
+    def test_extrapolation_failure_is_kept_for_the_gate(self, monkeypatch):
+        # the second eigenvalue's d1 series is noise: its report keeps the
+        # ExtrapolationError that tracking it alone raises, the first is intact
+        t = dihedral_pair(0.8)
+        first_derivative = branches.extrapolate.first_derivative
+
+        def noisy_second(ts, values, v0):
+            values = np.array(values)
+            values[-1] = 1e6 * (-1.0) ** np.arange(values.shape[1])
+            return first_derivative(ts, values, v0)
+
+        monkeypatch.setattr(branches.extrapolate, "first_derivative", noisy_second)
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.local_branches(t, 1.0, [1.0])
+        first, second = js.check_regularity(t, [1.0])
+        assert first.error is None and first.condition_a and first.condition_b
+        assert isinstance(second.error, js.ExtrapolationError)
+        assert str(second.error) == second.failure == str(exc.value)
+        assert not (second.condition_a or second.condition_b)
 
     def test_fewer_than_five_samples_refused(self):
         # condition b) compares first derivatives, which need five rungs
         t = dihedral_pair(np.pi / 3)
         with pytest.raises(ValueError, match="samples >= 5"):
-            js.check_regularity(t, 1.0, [1.0], samples=4)
+            js.check_regularity(t, [1.0], samples=4)
         with pytest.raises(ValueError, match="samples >= 5"):
             js.regularity_report(js.local_branches(t, 1.0, [1.0], samples=4))
 

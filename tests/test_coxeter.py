@@ -13,6 +13,7 @@ from jointspec import coxeter
 from jointspec.coxeter import (coxeter_type, geometric_representation, is_nonspecial,
                                random_unitary)
 from jointspec.fixtures import dihedral_pair, planted_tuple
+from jointspec.pencil import LineRoots
 import oracles
 from oracles import group_character_gap, word_character_gap
 from slices import e1_line_roots
@@ -317,6 +318,34 @@ class TestSamplersMatchTheOneLineOracles:
                     assert len(got) == len(want)
                     assert all(same_bits(g, w) for g, w in zip(got, want))
                     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_points_on_the_boundary_are_decided_one_at_a_time(self, monkeypatch):
+        # every root put within a few ulps of the sphere |x - center| = radius:
+        # the stacked distances must leave those decisions to np.linalg.norm
+        t, _ = SAMPLER_CASES["dihedral m=3"]()
+        tup = js.extended_tuple(t)
+        center = np.zeros(tup.n, dtype=complex)
+        center[0] = 1.0
+        radius = 0.15
+        lines = []
+
+        def boundary_roots(t_, ys, us):
+            out = []
+            for y, u in zip(ys, us):
+                w = y - center
+                perp = w - (u.conj() @ w) * u
+                alpha = np.sqrt(radius**2 - np.linalg.norm(perp) ** 2)
+                roots = -(u.conj() @ w) + alpha * (1.0 + 1e-16 * np.arange(-6, 7))
+                lines.append((y, u, roots))
+                out.append(LineRoots(roots, 0))
+            return out
+
+        monkeypatch.setattr(coxeter, "line_roots_batch", boundary_roots)
+        got = coxeter._sample_spectrum_near(tup, center, radius, 400, np.random.default_rng(5))
+        want = [y + s * u for y, u, roots in lines for s in roots
+                if np.linalg.norm(y + s * u - center) <= radius][:400]
+        assert 0 < len(want) == len(got) < 13 * len(lines)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("case", SAMPLER_CASES)
     def test_condition_II_verdicts_and_witnesses(self, case):

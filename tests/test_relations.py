@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import branches, extrapolate, fixtures, projections, relations
+from jointspec import branches, extrapolate, fixtures, pencil, projections, relations
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -19,6 +19,7 @@ from jointspec.fixtures import (
     regular_random_pair,
 )
 
+import oracles
 from oracles import eigenprojection_direct, first_order_eigenvalue_derivative, quadratic_fit_d2
 
 
@@ -334,23 +335,22 @@ class TestUnitaryConjugation:
 class TestOneAnalysisPerEigenvalue:
     @pytest.fixture
     def work(self, monkeypatch):
-        """Branch lists tracked, through the gate's check_regularity or by the
-        relations layer directly, and the branches of each projection_ladders
-        call the relations layer makes."""
+        """The tracks of every eigenvalue tracked (one _track call each, from
+        check_regularity or the relations layer), and the branches of each
+        projection_ladders call the relations layer makes."""
         counts = {"tracked": [], "ladders": []}
-        track, ladders = branches.local_branches, relations.projection_ladders
+        track, ladders = branches._track, relations.projection_ladders
 
-        def counted_track(*args, **kwargs):
-            out = track(*args, **kwargs)
-            counts["tracked"].append(out)
+        def counted_track(*args):
+            out = track(*args)
+            counts["tracked"].append(out[3])
             return out
 
         def counted_ladders(t, bs):
             counts["ladders"].append(list(bs))
             return ladders(t, bs)
 
-        monkeypatch.setattr(branches, "local_branches", counted_track)
-        monkeypatch.setattr(relations, "local_branches", counted_track)
+        monkeypatch.setattr(branches, "_track", counted_track)
         monkeypatch.setattr(relations, "projection_ladders", counted_ladders)
         return counts
 
@@ -364,8 +364,8 @@ class TestOneAnalysisPerEigenvalue:
         # every eigenvalue is nonzero: one projection_ladders call per pair
         # takes the branches of all its eigenvalues
         assert [len(bs) for bs in work["ladders"]] == [
-            sum(len(bs) for bs in work["tracked"][:len(eigs)]),
-            sum(len(bs) for bs in work["tracked"][len(eigs):]),
+            sum(len(tracks) for tracks in work["tracked"][:len(eigs)]),
+            sum(len(tracks) for tracks in work["tracked"][len(eigs):]),
         ]
 
     def test_gate_covers_every_eigenvalue_when_lam_is_given(self, work):
@@ -374,40 +374,101 @@ class TestOneAnalysisPerEigenvalue:
         eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
         js.verify_pair(t, lam=1.0)
         assert len(work["tracked"]) == 2 * len(eigs)
-        at_one = [bs for bs in work["tracked"] if abs(bs[0].lam - 1.0) < 1e-9]
-        assert len(at_one) == 2
-        assert work["ladders"] == at_one
+        ladders = work["ladders"]
+        a1, a2 = t.matrices
+        assert ladders == [js.local_branches(t, 1.0, [1.0]),
+                           js.local_branches(js.MatrixTuple([a1, a1 @ a2]), 1.0, [1.0])]
 
     @pytest.mark.parametrize("lam", [None, 1.0])
-    def test_gate_computes_no_residuals_and_classifies_once_per_pair(self, lam, monkeypatch):
-        # the kinds come from each pair's slice ladder, and nothing reads the
-        # residuals of the gated branches
+    def test_gate_computes_no_residuals_and_classifies_once_per_call(self, lam, monkeypatch):
+        # both pairs take the kinds of A1's eigenvalues from one reference
+        # spectrum, and nothing reads the residuals of the gated branches
         t, _ = regular_random_pair(5, 8)
         calls = []
-        for name in ("_branch_residuals", "_kinds"):
-            fn = getattr(branches, name)
-            monkeypatch.setattr(branches, name,
+        for mod, name in ((branches, "_branch_residuals"), (branches, "_reference_spectrum"),
+                          (relations, "_reference_spectrum")):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name,
                                 lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
         js.verify_pair(t, lam=lam)
-        assert calls == ["_kinds", "_kinds"]
+        assert calls == ["_reference_spectrum"]
 
-    def test_each_limit_and_derivative_extrapolated_once(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [None, 1.0])
+    def test_one_norm_and_one_eigensolve_of_a1(self, lam, monkeypatch):
+        t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
+        a1 = t.matrices[0]
+        calls = []
+
+        def count(mod, name):
+            fn = getattr(mod, name)
+
+            def counted(m, *args, **kwargs):
+                m = np.asarray(m)
+                if m.shape == a1.shape and np.array_equal(m, a1):
+                    calls.append(name)
+                return fn(m, *args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+
+        for mod in (pencil, branches, relations):
+            count(mod, "opnorm")
+        count(np.linalg, "eigvals")
+        js.verify_pair(t, lam=lam)
+        assert sorted(calls) == ["eigvals", "opnorm"]
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The number of series of every stacked richardson_limit call."""
         calls = []
         limit = extrapolate.richardson_limit
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return limit(*args, **kwargs)
+        def counted(ts, values):
+            calls.append(len(values))
+            return limit(ts, values)
 
         monkeypatch.setattr(extrapolate, "richardson_limit", counted)
+        return calls
+
+    @staticmethod
+    def expected_stacks(t, lam):
+        """Series per stacked call of verify_pair(t, lam): d1 and d2 of every
+        branch at every eigenvalue of each pair (the gate), then P and P'(0)
+        of every analysed branch of both pairs."""
+        a1, a2 = t.matrices
+        eigs = js.spectral_resolution(a1).eigenvalues
+        counts = [[len(js.local_branches(tt, lv, [1.0])) for lv in eigs]
+                  for tt in (t, js.MatrixTuple([a1, a1 @ a2]))]
+        ks = range(len(eigs)) if lam is None else [int(np.argmin(np.abs(eigs - lam)))]
+        analysed = [ks, [k for k in ks if abs(eigs[k]) > 1e-12]]
+        gated = [sum(c) for c in counts]
+        limits = sum(counts[pair][k] for pair in (0, 1) for k in analysed[pair])
+        return [gated[0], gated[0], gated[1], gated[1], limits, limits]
+
+    def test_each_limit_and_derivative_extrapolated_once(self, stacks):
         t = dihedral_pair(np.pi / 3)
+        want = self.expected_stacks(t, None)
+        stacks.clear()
         js.verify_pair(t)
-        # two pairs x two eigenvalues x one branch: d1, d2, P and P'(0) each
-        assert len(calls) == 16
+        # two pairs x two eigenvalues x one branch: d1, d2, P and P'(0) each,
+        # in six stacked calls
+        assert sum(stacks) == 16
+        assert stacks == want == [2, 2, 2, 2, 4, 4]
         ax = analysis(t, 1.0)
-        calls.clear()
+        stacks.clear()
         js.verify_prime_relations(ax.limits, *t.matrices, ax.branches)
-        assert calls == []
+        assert stacks == []
+
+    @pytest.mark.parametrize("args, kwargs, lam", [
+        ((100, 4), {"zero_eigenvalue": True}, None),
+        ((5, 8), {}, None),
+        ((5, 8), {}, 1.0),
+    ])
+    def test_six_stacked_calls_per_verify_pair(self, stacks, args, kwargs, lam):
+        t, _ = regular_random_pair(*args, **kwargs)
+        want = self.expected_stacks(t, lam)
+        stacks.clear()
+        js.verify_pair(t, lam=lam)
+        assert stacks == want
 
     @pytest.fixture
     def slice_solves(self, monkeypatch):
@@ -496,12 +557,143 @@ class TestOneAnalysisPerEigenvalue:
         assert inside == [js.verify_same_projection_lemma(t, 1.0)]
 
 
+class TestRefusalOrder:
+    """A failure is raised where analysing one eigenvalue, one branch and one
+    extrapolation at a time meets it first, with its class and message,
+    although the extrapolations of a pair (or of both pairs) are stacked."""
+
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
+        """corrupt(name, call, series) puts alternating noise in place of the
+        samples of those series in the stacked call number call of
+        extrapolate.<name>, and returns the ExtrapolationError messages the
+        one-series oracle gives for them, by series."""
+        def install(name, call, series):
+            fn, oracle = getattr(extrapolate, name), getattr(oracles, name)
+            seen, messages = [], {}
+
+            def patched(ts, values, *v0):
+                if len(seen) == call:
+                    values = np.array(values)
+                    shape = (-1,) + (1,) * (values.ndim - 2)
+                    for i in series:
+                        values[i] = 1e6 * (-1.0) ** np.arange(values.shape[1]).reshape(shape)
+                        with pytest.raises(js.ExtrapolationError) as exc:
+                            oracle(ts, list(values[i]), *(v[i] for v in v0))
+                        messages[i] = str(exc.value)
+                seen.append(call)
+                return fn(ts, values, *v0)
+
+            monkeypatch.setattr(extrapolate, name, patched)
+            return messages
+        return install
+
+    @staticmethod
+    def first_series(t, k):
+        """Stack index of the first branch at the k-th eigenvalue of A1."""
+        eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
+        return sum(len(js.local_branches(t, lv, [1.0])) for lv in eigs[:k])
+
+    @pytest.mark.parametrize("name", ["first_derivative", "second_derivative"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_derivative_failure_at_a_chosen_eigenvalue(self, corrupt, name, k):
+        t, _ = regular_random_pair(17, 4)
+        i = self.first_series(t, k)
+        messages = corrupt(name, 0, [i])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t)
+        assert type(exc.value) is js.ExtrapolationError
+        assert str(exc.value) == messages[i]
+
+    def test_an_earlier_branch_fails_first(self, corrupt):
+        # d1 of a later eigenvalue and d2 of an earlier one fail: the walk
+        # meets d2 of the earlier eigenvalue first, though its stack comes later
+        t, _ = regular_random_pair(17, 4)
+        early, late = self.first_series(t, 0), self.first_series(t, 2)
+        corrupt("first_derivative", 0, [late])
+        messages = corrupt("second_derivative", 0, [early])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t)
+        assert str(exc.value) == messages[early]
+
+    def test_first_derivative_fails_before_the_second(self, corrupt):
+        t, _ = regular_random_pair(17, 4)
+        i = self.first_series(t, 1)
+        first = corrupt("first_derivative", 0, [i])
+        second = corrupt("second_derivative", 0, [i])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t)
+        assert str(exc.value) == first[i] != second[i]
+
+    def test_a_failed_gate_comes_before_a_later_extrapolation_failure(self, corrupt):
+        # the double eigenvalue 1 tracks one repeated branch (condition a
+        # fails) before 2, whose derivative does not converge
+        t = js.MatrixTuple([np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 0.5])])
+        with pytest.raises(js.HypothesisNotMet) as clean:
+            js.verify_pair(t)
+        assert "lambda=(1+0j)" in str(clean.value)
+        corrupt("first_derivative", 0, [self.first_series(t, 1)])
+        with pytest.raises(js.HypothesisNotMet) as exc:
+            js.verify_pair(t)
+        assert str(exc.value) == str(clean.value)
+
+    def test_an_extrapolation_failure_comes_before_a_later_failed_gate(self, corrupt):
+        t = js.MatrixTuple([np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 0.5])])
+        messages = corrupt("first_derivative", 0, [0])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t)
+        assert str(exc.value) == messages[0]
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_limits_of_the_first_pair_come_before_the_second_pair(self, corrupt, monkeypatch,
+                                                                  check):
+        # P of the first branch of (A1, A2) does not converge, and the
+        # projection ladders of (A1, A1 A2) are refused: the first pair's
+        # limits were due first.  The stacked calls: d1, d2 of each pair, then
+        # P and P'(0) of both.
+        t, _ = regular_random_pair(17, 4)
+        ladders = relations.projection_ladders
+        made = []
+
+        def refuse_second(tt, bs):
+            made.append(tt)
+            if len(made) == 2:
+                raise js.SeparationError("refused for the test")
+            return ladders(tt, bs)
+
+        monkeypatch.setattr(relations, "projection_ladders", refuse_second)
+        with pytest.raises(js.SeparationError):
+            js.verify_pair(t, check_hypotheses=check)
+        made.clear()
+        messages = corrupt("richardson_limit", 4, [0])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t, check_hypotheses=check)
+        assert str(exc.value) == messages[0]
+
+    def test_unchecked_limits_of_the_first_pair_come_before_the_second_pair_tracking(
+            self, corrupt, monkeypatch):
+        # without the gate each pair is tracked in turn: d1 of (A1, A1 A2)
+        # does not converge, and then also P of (A1, A2), which was due first
+        t, _ = regular_random_pair(17, 4)
+        late = corrupt("first_derivative", 1, [0])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t, check_hypotheses=False)
+        assert str(exc.value) == late[0]
+        monkeypatch.undo()
+        corrupt("first_derivative", 1, [0])
+        early = corrupt("richardson_limit", 4, [0])
+        with pytest.raises(js.ExtrapolationError) as exc:
+            js.verify_pair(t, check_hypotheses=False)
+        assert str(exc.value) == early[0]
+
+
 class TestRegularRandomPair:
     def test_default_gap_fits_verify_pair(self):
         # with min_gap=0.05 this seed accepts an N=32 instance whose gap at 1
         # is 0.0504, which verify_pair's finest rung cannot separate
         t, _ = regular_random_pair(1213521000, 32)
-        assert js.check_regularity(t, 1.0, [1.0]).branch_derivative_gaps >= 0.1
+        at_one = [r for r in js.check_regularity(t, [1.0]) if abs(r.lam - 1.0) < 1e-9]
+        assert len(at_one) == 1 and at_one[0].branch_derivative_gaps >= 0.1
 
     def test_eigenvalue_draws_are_bounded(self):
         # 64 eigenvalues 0.45 apart do not fit the sampling annulus
