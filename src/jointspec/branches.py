@@ -7,6 +7,7 @@ a geometric ladder of the line parameter by nearest-neighbor continuation
 and differentiated at 0 by Richardson extrapolation.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +22,15 @@ from .errors import (
     TrackingError,
     UnknownEigenvalueError,
 )
-from .pencil import MatrixTuple, _normality_report, _svd_extremes, line_roots_batch, opnorm
+from .pencil import (
+    MatrixTuple,
+    _is_real,
+    _line_solves,
+    _normality_report,
+    _svd_extremes,
+    line_roots_batch,
+    opnorm,
+)
 from .serialize import complex_to_pair
 
 
@@ -29,6 +38,8 @@ def _cluster_values(values, tol):
     """Single-linkage clustering of complex values at absolute tolerance tol."""
     values = np.asarray(values, dtype=complex)
     n = values.size
+    if n == 1:
+        return [(values[0], [0])]
     parent = list(range(n))
 
     def find(i):
@@ -140,7 +151,10 @@ class Branch:
     the relative smallest singular value s_min / (1 + s_max) of the pencil
     matrix at samples[k]: v A_1 + t xhat.A_rest - I for the nonzero kind,
     A_1 + t xhat.A_rest - v I for the zero kind.  They are computed from
-    pencil on first read, with one stacked SVD; equality ignores both.
+    pencil on first read, with one stacked SVD.  _rungs holds the rung
+    eigensolves with vectors of the ladder the branch was tracked on, when
+    that ladder kept them for its kind (see SliceLadder); equality ignores
+    pencil, residuals and _rungs.
     """
 
     lam: complex
@@ -154,6 +168,7 @@ class Branch:
     d1_error: float = None
     d2_error: float = None
     pencil: MatrixTuple = field(default=None, compare=False, repr=False)
+    _rungs: tuple = field(default=None, compare=False, repr=False)
 
     @cached_property
     def residuals(self):
@@ -190,23 +205,31 @@ def _reference_spectrum(a1, a1_norm):
     return refs, ["zero" if abs(c) <= tol else "nonzero" for c, _ in refs]
 
 
-def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
-    """The roots of kind on the slice along t_k xhat, for every t_k in ts.
+def _ladder_roots(t: MatrixTuple, kind, xhat, ts, vectors=False):
+    """(roots, rungs): the roots of kind on the slice along t_k xhat, for
+    every t_k in ts.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
     = 0 from one line_roots_batch call: the bases are the rows (0, t_k xhat)
-    and every direction is e_1.  For the zero kind, the eigenvalues of
-    A_1 + t_k xhat.A_rest from one stacked eigvals.
+    and every direction is e_1.  With vectors the same pencils are solved
+    with left and right eigenvectors instead (the roots are the same bit for
+    bit), and rungs is their (alpha, beta, vl, vr) stacks; else it is None.
+    For the zero kind, the eigenvalues of A_1 + t_k xhat.A_rest from one
+    stacked eigvals, without vectors.
     """
     ts = np.asarray(ts, dtype=float)
     if kind == "zero":
         b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b))
+        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b)), None
     bases = np.zeros((ts.size, t.n), dtype=complex)
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return tuple(r.finite for r in line_roots_batch(t, bases, e1))
+    if vectors:
+        lines, rungs = _line_solves(t, bases, e1, vectors=True)
+    else:
+        lines, rungs = line_roots_batch(t, bases, e1), None
+    return tuple(r.finite for r in lines), rungs
 
 
 def _branch_residuals(t: MatrixTuple, kind, xhat, ts, values):
@@ -250,7 +273,10 @@ class SliceLadder:
     kind to the roots at every t_k: x_1 of the slice for "nonzero", the
     eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend on
     the tuple, the direction and the ladder only, so one ladder serves
-    local_branches at every eigenvalue of A_1.
+    local_branches at every eigenvalue of A_1.  _rungs maps a kind solved
+    with left and right eigenvectors to its (alpha, beta, vl, vr) stacks
+    (pencil._ggev_stack); the branches tracked on the ladder carry them to
+    projection_ladders, which then solves no rung again.
     """
 
     direction: tuple
@@ -260,14 +286,31 @@ class SliceLadder:
     reference: tuple
     kinds: tuple
     roots: dict
+    _rungs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None):
+def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None,
+                  vectors=False):
     """The ladder of t along the unit xhat with the roots of each kind in
     solved (by default every kind of A_1); reference and kinds are those of
-    _reference_spectrum."""
+    _reference_spectrum.  With vectors the nonzero kind is solved with left
+    and right eigenvectors, which the ladder keeps.
+
+    Every ladder is built here: t_max must be a finite real > 0 and samples
+    an integer >= 2, else ValueError.
+    """
+    if not (_is_real(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be a finite real > 0; got {t_max!r}")
+    if not (isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
+            and samples >= 2):
+        raise ValueError(f"samples must be an integer >= 2; got {samples!r}")
     solved = sorted(set(kinds)) if solved is None else solved
     ts = t_max * 2.0 ** (-np.arange(samples))
+    roots, rungs = {}, {}
+    for k in solved:
+        roots[k], solve = _ladder_roots(t, k, xhat, ts, vectors)
+        if solve is not None:
+            rungs[k] = solve
     return SliceLadder(
         direction=tuple(xhat.tolist()),
         t_max=t_max,
@@ -275,7 +318,8 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved
         ts=ts,
         reference=tuple(reference),
         kinds=tuple(kinds),
-        roots={k: _ladder_roots(t, k, xhat, ts) for k in solved},
+        roots=roots,
+        _rungs=rungs,
     )
 
 
@@ -459,6 +503,7 @@ def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
                     d1_error=None if e1 is None else float(e1),
                     d2_error=None if e2 is None else float(e2),
                     pencil=t,
+                    _rungs=ladder._rungs.get(kind),
                 )
             )
         out.append(failure or branches)

@@ -180,14 +180,22 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     not once per line as in scipy.linalg.eigvals, whose roots these equal
     bit for bit.
     """
+    return _line_solves(t, bases, directions, vectors=False)[0]
+
+
+def _line_solves(t: MatrixTuple, bases, directions, vectors):
+    """line_roots_batch's LineRoots, and the (alpha, beta, vl, vr) stacks of
+    pencil._ggev_stack they came from: with left and right eigenvectors when
+    vectors, else with vl and vr None.  No lines give ([], None)."""
     bases = _coord_rows(t, bases)
     directions = _coord_rows(t, directions)
     if bases.shape != directions.shape:
         raise DimensionMismatchError("one direction is needed for every base")
     if bases.shape[0] == 0:
-        return []
-    alpha, beta, _, _ = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
-                                    _pencil_stack(t, directions), vectors=False)
+        return [], None
+    solved = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
+                         _pencil_stack(t, directions), vectors)
+    alpha, beta = solved[:2]
     # beta == 0 is an infinite root, and so is a quotient that overflows.
     roots = np.full(alpha.shape, np.inf, dtype=complex)
     nonzero = beta != 0
@@ -196,7 +204,8 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     # finite roots first, each line's sorted by real part, then imaginary part
     order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
     roots = np.take_along_axis(roots, order, axis=-1)
-    return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
+    return ([LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())],
+            solved)
 
 
 def _is_pair(v):

@@ -104,7 +104,7 @@ def _branch_value_at(t: MatrixTuple, b: Branch, tparam):
             return v
     # re-solve the slice and take the root nearest the local model
     xhat = np.asarray(b.direction, dtype=complex)
-    roots = _ladder_roots(t, b.kind, xhat, [tparam])[0]
+    roots = _ladder_roots(t, b.kind, xhat, [tparam])[0][0]
     center = b.limit_value
     pred = center
     if b.d1 is not None:
@@ -227,9 +227,12 @@ def projection_ladders(t: MatrixTuple, branches):
     per branch.
 
     The simple branches of one kind along one direction and ladder share one
-    eigensolve with vectors per rung (_rung_solves); each projection is
-    component_projection's at that sample.  The idempotency residuals of
-    all of them come from one stacked SVD.
+    eigensolve with vectors per rung; each projection is
+    component_projection's at that sample.  That eigensolve is the one the
+    slice ladder of t kept when the branches were tracked on it with vectors
+    (verify_pair's ladders keep the nonzero kind's), else one _rung_solves
+    call.  The idempotency residuals of all of them come from one stacked
+    SVD.
     """
     def key(b):
         return b.kind, b.direction, tuple(tk for tk, _ in b.samples)
@@ -238,7 +241,8 @@ def projection_ladders(t: MatrixTuple, branches):
     for b in branches:
         if b.multiplicity == 1 and key(b) not in solves:
             kind, direction, ts = key(b)
-            solves[key(b)] = _rung_solves(t, kind, np.asarray(direction), ts)
+            solves[key(b)] = (b._rungs if b._rungs is not None and b.pencil is t
+                              else _rung_solves(t, kind, np.asarray(direction), ts))
     parts = []
     for b in branches:
         s = solves.get(key(b))

@@ -32,7 +32,7 @@ from .branches import (
     t_operator,
 )
 from .errors import JointSpecError, PairingAmbiguityError
-from .pencil import MatrixTuple, _svd_extremes, opnorm
+from .pencil import MatrixTuple, _is_real, _svd_extremes, opnorm
 from .projections import _checked, _limits, projection_ladders
 from .serialize import complex_to_pair
 
@@ -83,8 +83,18 @@ class _Residual:
     matrices: tuple
 
 
+def _check_tol(tol):
+    """ValueError unless tol is a finite real > 0."""
+    if not (_is_real(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite real > 0; got {tol!r}")
+
+
 def _reports(residuals, tol):
-    """The RelationReports of residuals, all operator norms from one stacked SVD."""
+    """The RelationReports of residuals, all operator norms from one stacked SVD.
+
+    A tol that is not a finite real > 0 raises ValueError.
+    """
+    _check_tol(tol)
     mats = [m for r in residuals for m in r.matrices]
     norms = iter(_svd_extremes(np.array(mats))[1].tolist() if mats else ())
     return [_report(r.relation_id, r.lam, r.indices,
@@ -358,22 +368,36 @@ def verify_pair(
     are raised in the order of analysing one eigenvalue and one branch at a
     time.
 
+    Each pair's slice ladder solves its nonzero kind with left and right
+    eigenvectors when nonzero-kind branches are to be projected, and the
+    projection ladders read them, so each (pair, kind, rung) is solved once
+    for the gate and the projections alike; the zero kind's projections
+    make one more solve with vectors per rung.
+
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
     reports carry passed=None).  The moments and the gate read branch
-    derivatives, so samples < 5 raises ValueError.
+    derivatives, so samples < 5 raises ValueError, as do a tol that is not a
+    finite real > 0, a t_max that is not, and a non-integer samples.
     """
     if t.n != 2:
         raise ValueError("verify_pair is defined for pairs (n = 2)")
     if samples < 5:
         raise ValueError("verify_pair reads branch derivatives: it needs samples >= 5")
+    _check_tol(tol)
     a1, a2 = t.matrices
     a1_norm = opnorm(a1)
     res = _spectral_resolution(a1, a1_norm)
     pairs = (t, MatrixTuple([a1, a1 @ a2]))
     eigs = res.eigenvalues
     reference = _reference_spectrum(a1, a1_norm)
-    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference)
+    # both pairs project nonzero-kind branches exactly when (A1, A2) does: the
+    # kind of lam, else any kind of A1 (lam is looked up after the gate)
+    refs, kinds = reference
+    if lam is not None:
+        kinds = [kinds[int(np.argmin([abs(c - complex(lam)) for c, _ in refs]))]]
+    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
+                             vectors="nonzero" in kinds)
                for tt in pairs]
     if check_hypotheses:
         gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]

@@ -221,6 +221,65 @@ def quadratic_fit_d2(ts, values, v0):
     return coef[1]
 
 
+# -- slice eigensolves and root clusters, one at a time -----------------------
+#
+# jointspec solves a slice ladder's rungs as one stack and keeps the nonzero
+# kind's eigenvectors for the projections; these are the separate re-solve it
+# replaced, one LAPACK call per rung, and the clustering without its shortcut
+# for a lone value.
+
+
+def rung_solves(mats, kind, xhat, ts):
+    """The slice of kind at every rung t_k with left and right eigenvectors,
+    as (alpha, beta, vl, vr) stacks: one raw LAPACK ggev per rung, each with
+    its own workspace query, on the pencils the projections' re-solve
+    assembles.
+
+    Nonzero kind: (I - t_k B) z = x_1 A_1 z with B = xhat.A_rest.  Zero kind:
+    A_1 + t_k B against I.
+    """
+    a1 = np.asarray(mats[0], dtype=complex)
+    b = sum(c * np.asarray(m, dtype=complex)
+            for c, m in zip(np.asarray(xhat, dtype=complex), mats[1:]))
+    eye = np.eye(a1.shape[0], dtype=complex)
+    out = []
+    for tk in np.asarray(ts, dtype=float):
+        lhs, rhs = (a1 + tk * b, eye) if kind == "zero" else (eye - tk * b, a1)
+        ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (lhs, rhs))
+        lwork = int(ggev(lhs, rhs, lwork=-1)[-2][0].real)
+        alpha, beta, vl, vr, _, info = ggev(lhs, rhs, 1, 1, lwork)
+        assert info == 0
+        out.append((alpha, beta, vl, vr))
+    return tuple(np.array(x) for x in zip(*out))
+
+
+def cluster_values(values, tol):
+    """Single-linkage clustering of complex values at absolute tolerance tol,
+    by union-find over every pair; each cluster's value is its mean."""
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= tol:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = [(values[idx].mean(), list(idx)) for idx in groups.values()]
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    return clusters
+
+
 # -- rigidity samplers, one line and one point at a time ----------------------
 #
 # The samplers of jointspec.coxeter as loops over lists of matrices: one

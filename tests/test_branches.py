@@ -432,6 +432,88 @@ class TestCheckRegularity:
             js.regularity_report(js.local_branches(t, 1.0, [1.0], samples=4))
 
 
+class TestLadderInputs:
+    """Every ladder is built in one place, which refuses a t_max that is not a
+    finite real > 0 and a samples that is not an integer >= 2."""
+
+    BAD = [({"t_max": 0.0}, "t_max"), ({"t_max": 0}, "t_max"), ({"t_max": -0.01}, "t_max"),
+           ({"t_max": float("inf")}, "t_max"), ({"t_max": float("nan")}, "t_max"),
+           ({"t_max": 1e-2j}, "t_max"), ({"samples": 5.5}, "samples"),
+           ({"samples": 8.0}, "samples"), ({"samples": True}, "samples")]
+
+    @pytest.mark.parametrize("kw, name", BAD + [({"samples": 1}, "samples")])
+    def test_slice_ladder_and_gate_refuse(self, kw, name):
+        t = dihedral_pair(np.pi / 3)
+        for build in (js.slice_ladder, js.check_regularity):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                build(t, [1.0], **kw)
+
+    # samples=True is 1 rung, which tracking refuses first with TrackingError
+    @pytest.mark.parametrize("kw, name", [case for case in BAD if case[0] != {"samples": True}])
+    def test_tracking_refuses(self, kw, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            js.local_branches(dihedral_pair(np.pi / 3), 1.0, [1.0], **kw)
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"t_max": 0}, "t_max"), ({"t_max": -0.01}, "t_max"), ({"samples": 5.5}, "samples"),
+    ])
+    def test_verify_pair_refuses_before_any_slice_solve(self, kw, name, monkeypatch):
+        # these raised ExtrapolationError after both ladders were solved, or
+        # ran ceil(samples) rungs
+        calls = []
+        solve = branches._ladder_roots
+        monkeypatch.setattr(branches, "_ladder_roots",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            js.verify_pair(dihedral_pair(np.pi / 3), **kw)
+        assert calls == []
+
+    def test_integer_types_and_the_shortest_ladder_are_accepted(self):
+        t = dihedral_pair(np.pi / 3)
+        for kw in ({"samples": np.int64(8)}, {"t_max": np.float64(1e-2)}, {"samples": 2},
+                   {"t_max": 1}):
+            ladder = js.slice_ladder(t, [1.0], **kw)
+            assert ladder.ts.size == kw.get("samples", 8)
+        with pytest.raises(js.TrackingError, match="two ladder levels"):
+            js.local_branches(t, 1.0, [1.0], samples=1)
+
+
+class TestClusterValues:
+    """A lone value is its own cluster; the union-find is the oracle."""
+
+    @pytest.mark.parametrize("values", [[], [0.3 - 1e-17j], [1.0, 1.0 + 1e-9, 2.0],
+                                        [np.nextafter(1.0, 2.0) + 1j / 3]])
+    def test_matches_the_union_find(self, values):
+        for tol in (1e-6, 0.0):
+            got = branches._cluster_values(values, tol)
+            want = oracles.cluster_values(values, tol)
+            assert [(complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in got] == [
+                (complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in want]
+
+    def test_regularity_on_the_acceptance_suite(self, monkeypatch):
+        from test_acceptance import random_suite
+
+        lone = []
+        cluster = branches._cluster_values
+
+        def counted(values, tol):
+            lone.append(np.size(values) == 1)
+            return cluster(values, tol)
+
+        for tup, _, _ in random_suite():
+            a1, a2 = tup.matrices
+            for tt in (tup, js.MatrixTuple([a1, a1 @ a2])):
+                monkeypatch.setattr(branches, "_cluster_values", counted)
+                fast = js.check_regularity(tt, [1.0])
+                monkeypatch.setattr(branches, "_cluster_values", oracles.cluster_values)
+                slow = js.check_regularity(tt, [1.0])
+                monkeypatch.undo()
+                # reports compare their branches, whose samples and derivatives compare exactly
+                assert fast == slow
+                assert [r.to_json() for r in fast] == [r.to_json() for r in slow]
+        assert sum(lone) > len(lone) // 2
+
+
 class TestCrossModuleDerivativePrediction:
     def test_d1_matches_projected_compression(self):
         # Finite-difference d1 vs the eigenvalue of P A2 P on the range of P,

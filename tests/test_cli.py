@@ -416,6 +416,15 @@ class TestParseErrors:
         assert main(["verify", "--input", dihedral_input, "--samples", "3"]) == 2
         assert main(["verify", "--input", dihedral_input, "--tol", "-1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tol", "nan"],  # verify_pair's tol check
+        ["verify", "--t-max", "inf"],  # the ladder's t_max check
+        ["analyze", "--t-max", "nan"],
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, dihedral_input, capsys, argv):
+        assert main([*argv, "--input", dihedral_input]) == 2
+        assert "must be a finite real > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, phrases", [
         ("verify", ["relation residual"]),
         ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8"]),

@@ -1,16 +1,20 @@
 """Tests for component projections, limits at t = 0, and blow-up diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import projections
+from jointspec import branches as branches_mod
+from jointspec import projections, relations
 from jointspec.fixtures import (
     blowup_demo_pair,
     commuting_diagonal_pair,
     dihedral_pair,
+    random_normal_pair,
     regular_random_pair,
 )
 from jointspec.coxeter import random_unitary
@@ -21,6 +25,7 @@ from oracles import (
     eigenprojection_direct,
     exact_projection,
     quadrature_projection,
+    rung_solves,
 )
 
 
@@ -200,6 +205,68 @@ class TestRankOneKernel:
         # the sibling within own_tol = 2e-6: the Schur kernel takes both roots
         cp = js.component_projection(t, b, 2e-6)
         assert len(calls) == 2 and cp.rank == 2
+
+
+# random pairs at every benchmark size, with and without 0, and the shipped pairs
+_SHARED_SOLVE_PAIRS = [
+    *[(f"random-{dim}-{zero}", lambda dim=dim, zero=zero: random_normal_pair(dim, dim, zero))
+      for dim in (4, 8, 16, 32) for zero in (False, True)],
+    ("dihedral", lambda: dihedral_pair(np.pi / 3)),
+    ("blowup", blowup_demo_pair),
+    ("commuting", commuting_diagonal_pair),
+]
+
+
+class TestSharedRungSolve:
+    """The slice ladder's solve with vectors against the separate re-solve it replaced."""
+
+    @pytest.mark.parametrize("name, make", _SHARED_SOLVE_PAIRS,
+                             ids=[name for name, _ in _SHARED_SOLVE_PAIRS])
+    def test_ladder_roots_equal_line_roots_batch(self, name, make):
+        t = make()
+        a1, a2 = t.matrices
+        for tt in (t, js.MatrixTuple([a1, a1 @ a2])):
+            plain = js.slice_ladder(tt, [1.0])
+            ref = branches_mod._reference_spectrum(a1, js.opnorm(a1))
+            kept = branches_mod._solve_ladder(tt, np.array([1.0 + 0j]), 1e-2, 8, *ref,
+                                              vectors=True)
+            assert plain.roots.keys() == kept.roots.keys()
+            for kind in plain.roots:
+                for r, k in zip(plain.roots[kind], kept.roots[kind]):
+                    assert r.tobytes() == k.tobytes()
+            # the nonzero kind keeps the re-solve's stacks; the zero kind keeps none
+            assert list(kept._rungs) == ["nonzero"] and plain._rungs == {}
+            want = rung_solves(tt.matrices, "nonzero", [1.0], kept.ts)
+            assert [x.tobytes() for x in kept._rungs["nonzero"]] == [x.tobytes() for x in want]
+
+    # every eigenvalue but at N = 32, where lambda = 1 as in the verify-large benchmark;
+    # verify_pair refuses the non-normal blow-up pair before it solves a slice
+    @pytest.mark.parametrize("name, make, lam", [
+        pytest.param(name, make, 1.0 if name.startswith("random-32") else None, id=name)
+        for name, make in _SHARED_SOLVE_PAIRS if name != "blowup"
+    ])
+    def test_verify_pair_projections_equal_the_re_solve(self, name, make, lam, monkeypatch):
+        t = make()
+        made = []
+        ladders = relations.projection_ladders
+
+        def kept(tt, bs):
+            made.append((tt, bs, ladders(tt, bs)))
+            return made[-1][2]
+
+        monkeypatch.setattr(relations, "projection_ladders", kept)
+        js.verify_pair(t, lam=lam, check_hypotheses=False)
+        monkeypatch.setattr(projections, "_rung_solves",
+                            lambda tt, kind, xhat, ts: rung_solves(tt.matrices, kind, xhat, ts))
+        assert made
+        for tt, bs, got in made:
+            assert all(b._rungs is not None for b in bs if b.kind == "nonzero")
+            alone = [dataclasses.replace(b, _rungs=None) for b in bs]
+            for lad, want in zip(got, js.projection_ladders(tt, alone)):
+                for cp, w in zip(lad, want):
+                    assert cp.matrix.tobytes() == w.matrix.tobytes()
+                    assert (cp.t, cp.rank, cp.radius, cp.idempotency_residual) == (
+                        w.t, w.rank, w.radius, w.idempotency_residual)
 
 
 class TestComponentProjection:

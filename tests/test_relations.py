@@ -471,62 +471,61 @@ class TestOneAnalysisPerEigenvalue:
         assert stacks == want
 
     @pytest.fixture
-    def slice_solves(self, monkeypatch):
-        """Lines per call of the one generalized slice eigensolver,
-        line_roots_batch, as branches calls it."""
-        calls = []
-        solve = branches.line_roots_batch
+    def solves(self, monkeypatch):
+        """Every generalized eigensolve and Schur form: the (pencils, with
+        vectors) of each pencil._ggev_stack call, the (kind, rungs) of each
+        projections._rung_solves call, and the number of Schur forms made by
+        projections."""
+        counts = {"ggev": [], "rung_solves": [], "schur": 0}
+        ggev, rungs = pencil._ggev_stack, projections._rung_solves
+        schur = projections._spectral_projection
 
-        def counted(t, bases, directions):
-            calls.append(len(bases))
-            return solve(t, bases, directions)
+        def counted_ggev(a, b, vectors):
+            counts["ggev"].append((len(a), bool(vectors)))
+            return ggev(a, b, vectors)
 
-        monkeypatch.setattr(branches, "line_roots_batch", counted)
-        return calls
-
-    def test_one_slice_ladder_per_pair(self, slice_solves):
-        # two pairs, one batch of eight rungs each, whatever the number of eigenvalues
-        t, _ = regular_random_pair(5, 8)
-        slice_solves.clear()
-        js.verify_pair(t)
-        assert slice_solves == [8, 8]
-        slice_solves.clear()
-        js.verify_pair(dihedral_pair(np.pi / 3))
-        assert slice_solves == [8, 8]
-
-    @pytest.fixture
-    def projection_work(self, monkeypatch):
-        """Schur forms and rung eigensolves with vectors made by projections:
-        the kind and the number of rungs of each _rung_solves call."""
-        counts = {"schur": 0, "solves": []}
-        schur, solve = projections._spectral_projection, projections._rung_solves
+        def counted_rungs(t, kind, xhat, ts):
+            counts["rung_solves"].append((kind, len(ts)))
+            return rungs(t, kind, xhat, ts)
 
         def counted_schur(*args):
             counts["schur"] += 1
             return schur(*args)
 
-        def counted_solve(t, kind, xhat, ts):
-            counts["solves"].append((kind, len(ts)))
-            return solve(t, kind, xhat, ts)
-
+        for mod in (pencil, projections):
+            monkeypatch.setattr(mod, "_ggev_stack", counted_ggev)
+        monkeypatch.setattr(projections, "_rung_solves", counted_rungs)
         monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
-        monkeypatch.setattr(projections, "_rung_solves", counted_solve)
         return counts
 
-    @pytest.mark.parametrize("seed, dim, zero, solves", [
-        # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
-        (5, 16, False, [("nonzero", 8)] * 2),
-        (7, 16, False, [("nonzero", 8)] * 2),
-        # the zero kind of (A1, A2) has its own solve; (A1, A1 A2) is not analysed at 0
-        (100, 4, True, [("zero", 8), ("nonzero", 8), ("nonzero", 8)]),
-    ])
-    def test_one_vector_solve_per_pair_kind_and_rung(self, projection_work, seed, dim, zero,
-                                                     solves):
-        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
-        js.verify_pair(t)
-        assert projection_work == {"schur": 0, "solves": solves}
+    def test_one_slice_ladder_per_pair(self, solves):
+        # two pairs, one stack of eight rungs each, whatever the number of
+        # eigenvalues: each solved with vectors once, for the gate and the
+        # projections alike
+        pair = regular_random_pair(5, 8)[0]
+        for t, lam in ((pair, None), (pair, 1.0), (dihedral_pair(np.pi / 3), None)):
+            solves.update(ggev=[], rung_solves=[])
+            js.verify_pair(t, lam=lam)
+            assert solves == {"ggev": [(8, True)] * 2, "rung_solves": [], "schur": 0}
 
-    def test_fixture_solves_one_slice_ladder_per_pair(self, slice_solves, monkeypatch):
+    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, rung_solves", [
+        # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
+        (5, 16, False, None, [(8, True)] * 2, []),
+        (7, 16, False, None, [(8, True)] * 2, []),
+        # the zero kind of (A1, A2) has its own solve with vectors; (A1, A1 A2)
+        # is not analysed at 0
+        (100, 4, True, None, [(8, True)] * 3, [("zero", 8)]),
+        # at 0 alone no nonzero-kind branch is projected: the ladders keep no vectors
+        (100, 4, True, 0.0, [(8, False), (8, False), (8, True)], [("zero", 8)]),
+    ])
+    def test_one_vector_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, ggev,
+                                                     rung_solves):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        solves.update(ggev=[])
+        js.verify_pair(t, lam=lam)
+        assert solves == {"ggev": ggev, "rung_solves": rung_solves, "schur": 0}
+
+    def test_fixture_solves_one_slice_ladder_per_pair(self, solves, monkeypatch):
         tries = []
         draw = fixtures.random_normal_pair
 
@@ -537,7 +536,9 @@ class TestOneAnalysisPerEigenvalue:
         monkeypatch.setattr(fixtures, "random_normal_pair", counted)
         regular_random_pair(5, 8)
         assert len(tries) == 1
-        assert slice_solves == [8, 8] * len(tries)
+        # the gate projects nothing, so it solves no vectors
+        assert solves == {"ggev": [(8, False), (8, False)] * len(tries), "rung_solves": [],
+                          "schur": 0}
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
@@ -555,6 +556,53 @@ class TestOneAnalysisPerEigenvalue:
         inside = [r for r in js.verify_pair(t)
                   if r.relation_id == "same_projection_lemma" and abs(r.lam - 1.0) < 1e-12]
         assert inside == [js.verify_same_projection_lemma(t, 1.0)]
+
+
+class TestToleranceInput:
+    """A tol that is not a finite real > 0 is an input error in every verify_* function."""
+
+    BAD = [0, 0.0, -1, -1e-5, float("nan"), float("inf"), True, 1e-5j]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_verify_pair_refuses_before_any_solve(self, tol, monkeypatch):
+        t, _ = regular_random_pair(5, 4)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a pencil before checking tol")
+
+        for mod, name in ((pencil, "_ggev_stack"), (np.linalg, "eigvals"),
+                          (relations, "opnorm"), (relations, "_spectral_resolution")):
+            monkeypatch.setattr(mod, name, no_solve)
+        with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+            js.verify_pair(t, lam=1.0, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_every_relation_check_refuses(self, tol):
+        t = dihedral_pair(np.pi / 3)
+        a1, a2 = t.matrices
+        ax = analysis(t, 1.0)
+        lp, b = ax.limits[0], ax.branches[0]
+        checks = [
+            lambda: js.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=tol),
+            lambda: js.verify_first_moment(lp, a2, b.d1, tol=tol),
+            lambda: js.verify_second_moment(lp, a2, js.t_operator(ax.resolution, 1.0), b.d2,
+                                            tol=tol),
+            lambda: js.verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol),
+            lambda: js.verify_same_projection_lemma(t, 1.0, tol=tol),
+            lambda: js.verify_square_relation(t, 1.0, tol=tol),
+        ]
+        c = commuting_diagonal_pair()
+        cx = analysis(c, 1.0)
+        checks.append(lambda: js.verify_cross_moment_zero(cx.limits[0], cx.limits[1],
+                                                          c.matrices[1], tol=tol))
+        for check in checks:
+            with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+                check()
+
+    def test_good_tolerances_pass(self):
+        t = dihedral_pair(np.pi / 3)
+        for tol in (1e-5, 1, np.float64(1e-6)):
+            assert all(r.passed for r in js.verify_pair(t, tol=tol))
 
 
 class TestRefusalOrder:
