@@ -369,10 +369,9 @@ def verify_pair(
     time.
 
     Each pair's slice ladder solves its nonzero kind with left and right
-    eigenvectors when nonzero-kind branches are to be projected, and the
-    projection ladders read them, so each (pair, kind, rung) is solved once
-    for the gate and the projections alike; the zero kind's projections
-    make one more solve with vectors per rung.
+    eigenvectors, and the projection ladders read them, so each (pair, kind,
+    rung) is solved once for the gate and the projections alike; the zero
+    kind's projections make one more solve with vectors per rung.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -391,13 +390,8 @@ def verify_pair(
     pairs = (t, MatrixTuple([a1, a1 @ a2]))
     eigs = res.eigenvalues
     reference = _reference_spectrum(a1, a1_norm)
-    # both pairs project nonzero-kind branches exactly when (A1, A2) does: the
-    # kind of lam, else any kind of A1 (lam is looked up after the gate)
-    refs, kinds = reference
-    if lam is not None:
-        kinds = [kinds[int(np.argmin([abs(c - complex(lam)) for c, _ in refs]))]]
     ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
-                             vectors="nonzero" in kinds)
+                             vectors=True)
                for tt in pairs]
     if check_hypotheses:
         gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]

@@ -515,8 +515,8 @@ class TestOneAnalysisPerEigenvalue:
         # the zero kind of (A1, A2) has its own solve with vectors; (A1, A1 A2)
         # is not analysed at 0
         (100, 4, True, None, [(8, True)] * 3, [("zero", 8)]),
-        # at 0 alone no nonzero-kind branch is projected: the ladders keep no vectors
-        (100, 4, True, 0.0, [(8, False), (8, False), (8, True)], [("zero", 8)]),
+        # at 0 alone the ladders still solve the nonzero kind with vectors
+        (100, 4, True, 0.0, [(8, True)] * 3, [("zero", 8)]),
     ])
     def test_one_vector_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, ggev,
                                                      rung_solves):
