@@ -24,9 +24,10 @@ from .errors import (
 )
 from .pencil import (
     MatrixTuple,
+    _commutator_test,
+    _geev_stack,
     _is_real,
     _line_solves,
-    _normality_report,
     _svd_extremes,
     line_roots_batch,
     opnorm,
@@ -105,9 +106,9 @@ def spectral_resolution(a1):
 
 def _spectral_resolution(a1, a1_norm):
     """spectral_resolution of the complex array a1, whose operator norm is a1_norm."""
-    rep = _normality_report(a1, a1_norm)
-    if not rep.is_normal:
-        raise NotNormalError(rep.commutator_norm, rep.tolerance)
+    cnorm, tol, is_normal = _commutator_test(a1, a1_norm)
+    if not is_normal:
+        raise NotNormalError(cnorm, tol)
     t, z = scipy.linalg.schur(a1, output="complex")
     clusters = _eigenvalue_clusters(np.diag(t), a1_norm)
     eigenvalues = np.array([c for c, _ in clusters])
@@ -151,10 +152,11 @@ class Branch:
     the relative smallest singular value s_min / (1 + s_max) of the pencil
     matrix at samples[k]: v A_1 + t xhat.A_rest - I for the nonzero kind,
     A_1 + t xhat.A_rest - v I for the zero kind.  They are computed from
-    pencil on first read, with one stacked SVD.  _rungs holds the rung
-    eigensolves with vectors of the ladder the branch was tracked on, when
-    that ladder kept them for its kind (see SliceLadder); equality ignores
-    pencil, residuals and _rungs.
+    pencil on first read, with one stacked SVD.  _rungs holds the
+    (alpha, beta, vl, vr) stacks of its kind's rung eigensolves with left
+    and right vectors when the ladder the branch was tracked on kept them
+    (see SliceLadder), so its projections solve nothing again; equality
+    ignores pencil, residuals and _rungs.
     """
 
     lam: complex
@@ -207,20 +209,25 @@ def _reference_spectrum(a1, a1_norm):
 
 def _ladder_roots(t: MatrixTuple, kind, xhat, ts, vectors=False):
     """(roots, rungs): the roots of kind on the slice along t_k xhat, for
-    every t_k in ts.
+    every t_k in ts.  This is the one place slice pencils are assembled to
+    be solved.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
     = 0 from one line_roots_batch call: the bases are the rows (0, t_k xhat)
-    and every direction is e_1.  With vectors the same pencils are solved
-    with left and right eigenvectors instead (the roots are the same bit for
-    bit), and rungs is their (alpha, beta, vl, vr) stacks; else it is None.
-    For the zero kind, the eigenvalues of A_1 + t_k xhat.A_rest from one
-    stacked eigvals, without vectors.
+    and every direction is e_1.  For the zero kind, the eigenvalues of
+    A_1 + t_k xhat.A_rest from one stacked eigvals.  With vectors the same
+    matrices are solved with left and right eigenvectors instead, by ggev
+    (nonzero kind) or geev (zero kind), and the roots are the same bit for
+    bit; rungs is then their (alpha, beta, vl, vr) stacks, else None.
     """
     ts = np.asarray(ts, dtype=float)
     if kind == "zero":
         b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b)), None
+        m = t.matrices[0] + ts[:, None, None] * b
+        if vectors:
+            rungs = _geev_stack(m)
+            return tuple(rungs[0]), rungs
+        return tuple(np.linalg.eigvals(m)), None
     bases = np.zeros((ts.size, t.n), dtype=complex)
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
@@ -273,10 +280,12 @@ class SliceLadder:
     kind to the roots at every t_k: x_1 of the slice for "nonzero", the
     eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend on
     the tuple, the direction and the ladder only, so one ladder serves
-    local_branches at every eigenvalue of A_1.  _rungs maps a kind solved
-    with left and right eigenvectors to its (alpha, beta, vl, vr) stacks
-    (pencil._ggev_stack); the branches tracked on the ladder carry them to
-    projection_ladders, which then solves no rung again.
+    local_branches at every eigenvalue of A_1.  A ladder whose branches
+    will be projected is solved with left and right eigenvectors, and
+    _rungs maps each kind to its (alpha, beta, vl, vr) stacks (pencil's
+    _ggev_stack for "nonzero", _geev_stack for "zero"); the branches tracked
+    on the ladder carry them to projection_ladders and component_projection,
+    which then solve no rung again.  A ladder that only gates keeps none.
     """
 
     direction: tuple
@@ -293,8 +302,8 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved
                   vectors=False):
     """The ladder of t along the unit xhat with the roots of each kind in
     solved (by default every kind of A_1); reference and kinds are those of
-    _reference_spectrum.  With vectors the nonzero kind is solved with left
-    and right eigenvectors, which the ladder keeps.
+    _reference_spectrum.  With vectors every kind is solved with left and
+    right eigenvectors, which the ladder keeps.
 
     Every ladder is built here: t_max must be a finite real > 0 and samples
     an integer >= 2, else ValueError.
@@ -352,19 +361,20 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     its roots are tracked instead of solving the slices again, with the same
     result; the kind of lambda is read from it too.  A ladder for another
     direction, t_max or samples, or without the kind lambda needs, raises
-    ValueError.  With no ladder only the kind lambda needs is solved.
+    ValueError, and so does a t_max that is not a finite real > 0 or a
+    samples that is not an integer >= 2.  With no ladder only the kind
+    lambda needs is solved, with left and right eigenvectors, which the
+    branches keep for their projections.
 
     The branches keep t as their pencil and compute their residuals when
     first read.
     """
     xhat = _unit_direction(t, xhat)
-    if samples < 2:
-        raise TrackingError("need at least two ladder levels")
     if ladder is None:
         a1 = t.matrices[0]
         refs, kinds = _reference_spectrum(a1, opnorm(a1))
         i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
-        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kinds[i],))
+        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kinds[i],), vectors=True)
     else:
         _check_ladder(ladder, xhat, t_max, samples)
     (found,) = _branch_sets(t, ladder, [lam])

@@ -154,6 +154,29 @@ def _ggev_stack(a, b, vectors):
     return alpha, beta, vl, vr
 
 
+def _geev_stack(a):
+    """LAPACK geev with left and right eigenvectors on every matrix a[i] of a
+    complex stack.
+
+    Returns (alpha, beta, vl, vr) as _ggev_stack does with vectors, with
+    beta all ones: the eigenvalues alpha are those of np.linalg.eigvals bit
+    for bit.  The finiteness check and the workspace query are made once per
+    stack; a nonzero info raises LinAlgError.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), (a[0],))
+    lwork = int(geev_lwork(a.shape[1])[0].real)
+    alpha = np.empty(a.shape[:2], dtype=complex)
+    vl = np.empty(a.shape, dtype=complex)
+    vr = np.empty(a.shape, dtype=complex)
+    for i, ai in enumerate(a):
+        alpha[i], vl[i], vr[i], info = geev(ai, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"eig algorithm (geev) failed: info={info}")
+    return alpha, np.ones(a.shape[:2], dtype=complex), vl, vr
+
+
 @dataclass(frozen=True)
 class LineRoots:
     """Solutions s of det(A(base + s * direction) - I) = 0.
@@ -280,14 +303,7 @@ class NormalityReport:
 def normality_report(a):
     """Test ||A A* - A* A|| against 1e-10 (1 + ||A||^2) and diagonalizability."""
     a = np.asarray(a, dtype=complex)
-    return _normality_report(a, opnorm(a))
-
-
-def _normality_report(a, a_norm):
-    """normality_report of the complex array a, whose operator norm is a_norm."""
-    comm = a @ a.conj().T - a.conj().T @ a
-    cnorm = opnorm(comm)
-    scaled = 1e-10 * (1.0 + a_norm ** 2)
+    cnorm, scaled, is_normal = _commutator_test(a, opnorm(a))
     vals, vecs = np.linalg.eig(a)
     try:
         cond = np.linalg.cond(vecs)
@@ -295,7 +311,17 @@ def _normality_report(a, a_norm):
         cond = np.inf
     return NormalityReport(
         commutator_norm=cnorm,
-        is_normal=bool(cnorm <= scaled),
+        is_normal=is_normal,
         is_diagonalizable=bool(np.isfinite(cond) and cond < 1e6),
         tolerance=scaled,
     )
+
+
+def _commutator_test(a, a_norm):
+    """(||A A* - A* A||, 1e-10 (1 + a_norm^2), whether the first is at most
+    the second) for the complex array a, whose operator norm is a_norm: the
+    one normality test."""
+    comm = a @ a.conj().T - a.conj().T @ a
+    cnorm = opnorm(comm)
+    scaled = 1e-10 * (1.0 + a_norm ** 2)
+    return cnorm, scaled, bool(cnorm <= scaled)

@@ -8,8 +8,11 @@ projection is z y* / (y* z), with z and y its right and left eigenvectors
 (Kato, Perturbation Theory for Linear Operators, II 1.4).  They are the
 eigenvectors of the slice the ladder solves, (I - t B) z = x_1 A_1 z with
 B = xhat.A_rest at x_1 = v (or A_1 + t B at v), so one eigensolve with left and
-right vectors per (kind, rung) serves every branch on the rung.  Its other
-roots v_i place the frozen pencil's other eigenvalues at v / v_i (to first
+right vectors per (kind, rung) serves every branch on the rung.  That
+eigensolve is the one the branches' slice ladder kept (branches._ladder_roots
+with vectors); a branch tracked without it gets one more _ladder_roots call
+with vectors, and nothing here assembles a slice of its own.  The rung's
+other roots v_i place the frozen pencil's other eigenvalues at v / v_i (to first
 order in t) or v_i - v (exactly); the nearest must lie farther than twice the
 selection tolerance.  A multiplicity-k branch, or a rung where that distance
 is not met, takes the general kernel: one sorted complex Schur form and one
@@ -31,7 +34,7 @@ from scipy.linalg.lapack import ztrsyl
 from . import extrapolate
 from .branches import Branch, _ladder_roots, _nearest_unambiguous
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
-from .pencil import MatrixTuple, _ggev_stack, _svd_extremes
+from .pencil import MatrixTuple, _svd_extremes
 from .serialize import complex_to_pair, matrix_to_json
 
 
@@ -98,15 +101,23 @@ class ComponentProjection:
         }
 
 
-def _branch_value_at(t: MatrixTuple, b: Branch, tparam):
-    for tk, v in b.samples:
+def _sample_index(b: Branch, tparam):
+    """Index of b's ladder sample at tparam (to 1e-12 relative), else None."""
+    for k, (tk, _) in enumerate(b.samples):
         if abs(tk - tparam) <= 1e-12 * max(tk, tparam):
-            return v
-    # re-solve the slice and take the root nearest the local model
-    xhat = np.asarray(b.direction, dtype=complex)
-    roots = _ladder_roots(t, b.kind, xhat, [tparam])[0][0]
-    center = b.limit_value
-    pred = center
+            return k
+    return None
+
+
+def _kept_rungs(t: MatrixTuple, b: Branch):
+    """The rung solves with vectors b's ladder kept, when b was tracked on t, else None."""
+    return b._rungs if b.pencil is t else None
+
+
+def _branch_value_at(b: Branch, tparam, roots):
+    """b's value at tparam: the root of roots, b's slice at tparam, nearest
+    its local model."""
+    pred = b.limit_value
     if b.d1 is not None:
         pred = pred + b.d1 * tparam
     if b.d2 is not None:
@@ -125,29 +136,14 @@ def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):
     return value * t.matrices[0] + rest
 
 
-def _rung_solves(t: MatrixTuple, kind, xhat, ts):
-    """The slice of kind at every rung t_k of ts with left and right
-    eigenvectors, one ggev each.
-
-    Nonzero kind: (I - t_k B) z = x_1 A_1 z with B = xhat.A_rest, whose
-    eigenvalues alpha / beta are the roots x_1.  Zero kind: A_1 + t_k B
-    against I, whose eigenvalues are the tracked ones.  Returns the
-    (alpha, beta, vl, vr) stacks of pencil._ggev_stack.
-    """
-    ts = np.asarray(ts, dtype=float)[:, None, None]
-    b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-    eye = np.broadcast_to(np.eye(t.dim, dtype=complex), (ts.shape[0], t.dim, t.dim))
-    if kind == "zero":
-        return _ggev_stack(t.matrices[0] + ts * b, eye, vectors=True)
-    return _ggev_stack(eye - ts * b, np.broadcast_to(t.matrices[0], eye.shape), vectors=True)
-
-
 def _component(t: MatrixTuple, b: Branch, tparam, value, solve):
     """(P, rank, radius) of b at tparam by component_projection's rule, where
     b's value is value.
 
-    solve is one rung of _rung_solves, b's slice at tparam with vectors; it
-    is None for a repeated branch, which the Schur kernel projects.
+    solve is one rung of the (alpha, beta, vl, vr) stacks of
+    branches._ladder_roots with vectors, b's slice at tparam; it is None for
+    a repeated branch, which the Schur kernel projects.  For the zero kind
+    beta is 1.
     """
     center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
     own_tol = 1e-6 * (1.0 + abs(center))
@@ -214,11 +210,23 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
     which raises SeparationError when the nearest excluded eigenvalue of the
     frozen pencil is within 2 own_tol.  The reported radius is half the
     distance that was tested.
+
+    At a ladder sample of a branch that kept its rung solves (see Branch)
+    nothing is solved.  Otherwise the slice at tparam is solved once, with
+    vectors for a simple branch; off the ladder its root nearest the
+    branch's local model is the branch value.
     """
-    solve = None
-    if b.multiplicity == 1:
-        solve = tuple(x[0] for x in _rung_solves(t, b.kind, np.asarray(b.direction), [tparam]))
-    part = _component(t, b, tparam, _branch_value_at(t, b, tparam), solve)
+    simple = b.multiplicity == 1
+    k, rungs = _sample_index(b, tparam), _kept_rungs(t, b)
+    if k is None or (simple and rungs is None):
+        roots, rungs = _ladder_roots(t, b.kind, np.asarray(b.direction), [tparam],
+                                     vectors=simple)
+        value = _branch_value_at(b, tparam, roots[0]) if k is None else b.samples[k][1]
+        k = 0
+    else:
+        value = b.samples[k][1]
+    solve = tuple(x[k] for x in rungs) if simple else None
+    part = _component(t, b, tparam, value, solve)
     return _ladders([b], [[(tparam, part)]])[0][0]
 
 
@@ -229,10 +237,10 @@ def projection_ladders(t: MatrixTuple, branches):
     The simple branches of one kind along one direction and ladder share one
     eigensolve with vectors per rung; each projection is
     component_projection's at that sample.  That eigensolve is the one the
-    slice ladder of t kept when the branches were tracked on it with vectors
-    (verify_pair's ladders keep the nonzero kind's), else one _rung_solves
-    call.  The idempotency residuals of all of them come from one stacked
-    SVD.
+    slice ladder of t kept when the branches were tracked on it (the ladders
+    of local_branches and verify_pair keep them), else one _ladder_roots
+    call with vectors.  The idempotency residuals of all of them come from
+    one stacked SVD.
     """
     def key(b):
         return b.kind, b.direction, tuple(tk for tk, _ in b.samples)
@@ -241,8 +249,8 @@ def projection_ladders(t: MatrixTuple, branches):
     for b in branches:
         if b.multiplicity == 1 and key(b) not in solves:
             kind, direction, ts = key(b)
-            solves[key(b)] = (b._rungs if b._rungs is not None and b.pencil is t
-                              else _rung_solves(t, kind, np.asarray(direction), ts))
+            solves[key(b)] = (_kept_rungs(t, b)
+                              or _ladder_roots(t, kind, np.asarray(direction), ts, vectors=True)[1])
     parts = []
     for b in branches:
         s = solves.get(key(b))

@@ -231,7 +231,10 @@ class PairAnalysis:
 
 def analyze_pair(t: MatrixTuple, lam, resolution=None):
     """Track branches at lam along e_1 on the default ladder (t_max 1e-2, 8
-    samples), build projection ladders, extrapolate limits."""
+    samples), build projection ladders, extrapolate limits.
+
+    The ladder is solved once, with the vectors the projections read.
+    """
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
@@ -306,7 +309,12 @@ def _product_pair_analyses(t: MatrixTuple, lam, identity):
 
 
 def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5):
-    """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0."""
+    """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0.
+
+    A tol that is not a finite real > 0 raises ValueError before anything
+    is analysed.
+    """
+    _check_tol(tol)
     ax, az = _product_pair_analyses(t, lam, "same-projection")
     return _reports(_product_pair(ax, az), tol)[0]
 
@@ -316,8 +324,10 @@ def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
 
     x', x'' are the branch derivatives for (A1, A2) and z'' the second
     derivative of the matched branch for (A1, A1 A2); branches are matched
-    through z'(0) = lam * x'(0).
+    through z'(0) = lam * x'(0).  A tol that is not a finite real > 0
+    raises ValueError before anything is analysed.
     """
+    _check_tol(tol)
     ax, az = _product_pair_analyses(t, lam, "square")
     return _reports(_product_pair(ax, az), tol)[1]
 
@@ -368,10 +378,9 @@ def verify_pair(
     are raised in the order of analysing one eigenvalue and one branch at a
     time.
 
-    Each pair's slice ladder solves its nonzero kind with left and right
+    Each pair's slice ladder solves both kinds with left and right
     eigenvectors, and the projection ladders read them, so each (pair, kind,
-    rung) is solved once for the gate and the projections alike; the zero
-    kind's projections make one more solve with vectors per rung.
+    rung) is solved once for the gate and the projections alike.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all

@@ -1,4 +1,5 @@
-"""Slice roots through the library's batched kernel, for tests.
+"""Slice roots through the library's batched kernel, and a count of the
+slice eigensolves, for tests.
 
 Not an oracle: it calls jointspec.line_roots_batch.
 """
@@ -6,6 +7,7 @@ Not an oracle: it calls jointspec.line_roots_batch.
 import numpy as np
 
 import jointspec as js
+from jointspec import branches, pencil, projections
 
 
 def e1_line_roots(t, rests):
@@ -19,3 +21,41 @@ def e1_line_roots(t, rests):
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
     return js.line_roots_batch(t, bases, e1)
+
+
+def count_solves(monkeypatch):
+    """Count every slice eigensolve and Schur form made from here on.
+
+    Returns a dict that fills as the library runs: "ggev" holds the
+    (pencils, with vectors) of each pencil._ggev_stack call, "geev" the
+    number of matrices of each pencil._geev_stack call, "eigvals" that of
+    each np.linalg.eigvals call on a stack, and "schur" the number of Schur
+    forms projections made.
+    """
+    counts = {"ggev": [], "geev": [], "eigvals": [], "schur": 0}
+    ggev, geev, eigvals = pencil._ggev_stack, pencil._geev_stack, np.linalg.eigvals
+    schur = projections._spectral_projection
+
+    def counted_ggev(a, b, vectors):
+        counts["ggev"].append((len(a), bool(vectors)))
+        return ggev(a, b, vectors)
+
+    def counted_geev(a):
+        counts["geev"].append(len(a))
+        return geev(a)
+
+    def counted_eigvals(a):
+        if np.ndim(a) == 3:
+            counts["eigvals"].append(len(a))
+        return eigvals(a)
+
+    def counted_schur(*args):
+        counts["schur"] += 1
+        return schur(*args)
+
+    monkeypatch.setattr(pencil, "_ggev_stack", counted_ggev)
+    for mod in (pencil, branches):
+        monkeypatch.setattr(mod, "_geev_stack", counted_geev)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
+    return counts

@@ -76,6 +76,30 @@ class TestSpectralResolution:
         with pytest.raises(js.NotNormalError):
             js.spectral_resolution(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("a1", [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.diag([1.0, 2.0]) + 1e-4 * np.diag([1.0], 1),
+        np.random.default_rng(8).standard_normal((8, 8)),
+        np.diag([1.0, 1.0, 0.0, 2.0j]),
+    ], ids=["jordan", "near-normal", "random", "normal"])
+    def test_normality_gate_reads_the_commutator_alone(self, a1, monkeypatch):
+        # the gate refuses with normality_report's numbers, and makes no
+        # eigendecomposition or condition number for its is_diagonalizable
+        rep = js.normality_report(a1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig or cond computed")
+
+        for name in ("eig", "cond"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        if rep.is_normal:
+            js.spectral_resolution(a1)
+            return
+        with pytest.raises(js.NotNormalError) as exc:
+            js.spectral_resolution(a1)
+        assert (exc.value.commutator_norm, exc.value.tolerance) == (
+            rep.commutator_norm, rep.tolerance)
+
 
 class TestTOperator:
     def test_two_point_spectrum(self):
@@ -448,11 +472,11 @@ class TestLadderInputs:
             with pytest.raises(ValueError, match=f"{name} must be"):
                 build(t, [1.0], **kw)
 
-    # samples=True is 1 rung, which tracking refuses first with TrackingError
-    @pytest.mark.parametrize("kw, name", [case for case in BAD if case[0] != {"samples": True}])
+    @pytest.mark.parametrize("kw, name", BAD + [({"samples": 1}, "samples")])
     def test_tracking_refuses(self, kw, name):
-        with pytest.raises(ValueError, match=f"{name} must be"):
+        with pytest.raises(ValueError, match=f"{name} must be") as exc:
             js.local_branches(dihedral_pair(np.pi / 3), 1.0, [1.0], **kw)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("kw, name", [
         ({"t_max": 0}, "t_max"), ({"t_max": -0.01}, "t_max"), ({"samples": 5.5}, "samples"),
@@ -474,8 +498,6 @@ class TestLadderInputs:
                    {"t_max": 1}):
             ladder = js.slice_ladder(t, [1.0], **kw)
             assert ladder.ts.size == kw.get("samples", 8)
-        with pytest.raises(js.TrackingError, match="two ladder levels"):
-            js.local_branches(t, 1.0, [1.0], samples=1)
 
 
 class TestClusterValues:

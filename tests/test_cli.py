@@ -9,10 +9,19 @@ import pytest
 import scipy.linalg
 
 import jointspec as js
-from jointspec import branches, cli, coxeter, projections
+from jointspec import cli, coxeter
 from jointspec.cli import main
-from jointspec.fixtures import blowup_demo_pair, dihedral_pair, planted_tuple
-from jointspec.serialize import matrix_to_json
+from jointspec.fixtures import (
+    blowup_demo_pair,
+    dihedral_pair,
+    planted_tuple,
+    random_normal_pair,
+    regular_random_pair,
+)
+from jointspec.serialize import json_to_matrix, matrix_to_json
+
+from oracles import exact_projection, rung_solves
+from slices import count_solves
 
 
 def write_json(path, obj):
@@ -117,22 +126,119 @@ class TestAnalyzeCommand:
         assert rep["command"] == "analyze" and rep["schema_version"] == 1
 
 
-    @pytest.mark.parametrize("module, name", [
-        (branches, "line_roots_batch"),  # the slice ladder's root solve
-        (projections, "_rung_solves"),  # the projections' rung solve with vectors
-    ])
-    def test_lapack_failure_is_a_numerical_refusal(self, dihedral_input, tmp_path,
-                                                   monkeypatch, module, name):
-        # LinAlgError subclasses ValueError, which would make it an input error
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("generalized eig algorithm (ggev) failed: info=3")
-
-        monkeypatch.setattr(module, name, fail)
+    # the slice ladder's solve with vectors: ggev for the nonzero kind at
+    # lambda = 1, geev for the zero kind at lambda = 0 of diag(0, 2)
+    @pytest.mark.parametrize("routine, a1, lam", [
+        ("ggev", dihedral_pair(np.pi / 3).matrices[0], 1.0),
+        ("geev", np.diag([0.0, 2.0]), 0.0),
+    ], ids=["ggev", "geev"])
+    def test_lapack_failure_is_a_numerical_refusal(self, tmp_path, monkeypatch, routine, a1,
+                                                   lam):
+        tup = js.MatrixTuple([a1, dihedral_pair(np.pi / 3).matrices[1]])
+        inp = write_json(tmp_path / "input.json",
+                         {**tup.to_json(), "schema_version": 1, "lambda": [lam, 0.0]})
         out = tmp_path / "analysis.json"
-        assert main(["analyze", "--input", dihedral_input, "--out", str(out)]) == 3
+        assert main(["analyze", "--input", inp, "--out", str(out)]) == 0
+        # the LAPACK routine reports info=3; LinAlgError subclasses
+        # ValueError, which would make it an input error
+        lapack = scipy.linalg.get_lapack_funcs
+        failed = []
+
+        def failing(f):
+            def call(*args, **kwargs):
+                *result, _ = f(*args, **kwargs)
+                failed.append(routine)
+                return (*result, 3)
+            return call
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: [
+            failing(f) if name == routine else f for name, f in zip(names, lapack(names, arrays))])
+        assert main(["analyze", "--input", inp, "--out", str(out)]) == 3
         rep = json.loads(out.read_text())
         assert rep["error"] == "LinAlgError"
-        assert "info=3" in rep["refusal"]
+        assert f"({routine}) failed: info=3" in rep["refusal"]
+        assert failed
+
+
+    @pytest.mark.parametrize("lam, kw", [(1.0, {"ggev": [(8, True)]}), (0.0, {"geev": [8]})])
+    def test_one_slice_stack_per_call(self, tmp_path, monkeypatch, lam, kw):
+        # the ladder keeps the vectors its projections read
+        tup = js.MatrixTuple([np.diag([0.0, 2.0, 1.0]), np.diag([1.0, 1.0, 1.0])
+                              + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)])
+        inp = write_json(tmp_path / "input.json",
+                         {**tup.to_json(), "schema_version": 1, "lambda": [lam, 0.0]})
+        solves = count_solves(monkeypatch)
+        assert main(["analyze", "--input", inp, "--out", str(tmp_path / "a.json")]) == 0
+        assert solves == {"ggev": [], "geev": [], "eigvals": [], "schur": 0, **kw}
+
+
+def _analyze_along(tmp_path, tup, lam, direction):
+    obj = {**tup.to_json(), "schema_version": 1, "lambda": [lam, 0.0],
+           "direction": [[complex(d).real, complex(d).imag] for d in direction]}
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--input", write_json(tmp_path / "in.json", obj),
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _triple():
+    t, _ = regular_random_pair(17, 4)
+    return js.MatrixTuple([*t.matrices, random_normal_pair(18, 4).matrices[1]])
+
+
+class TestAnalyzeDirections:
+    """analyze's ladder projections, read from the vectors its slice ladder
+    kept, against P = z y* / (y* z) from the oracle's own solve of every rung
+    (oracles.rung_solves) and against a 40-digit eigendecomposition of the
+    frozen pencil (oracles.exact_projection), along e_1 and off it.
+
+    Measured relative errors in operator norm: off e_1 the nonzero kind is
+    within 3.3e-13 of the oracle's P (complex direction; the real direction
+    on the triple happens to match bit for bit) and within 1.7e-11 of the
+    exact P; the zero kind (geev against the oracle's ggev against I) is
+    within 1.1e-15 of both.  The bounds below leave a margin of 10 or more.
+    """
+
+    CASES = [
+        ("pair-e1", lambda: regular_random_pair(17, 4)[0], 1.0, [1.0], 0.0, 1e-10),
+        ("pair-complex", lambda: regular_random_pair(17, 4)[0], 1.0, [np.exp(0.7j)], 1e-11,
+         1e-10),
+        ("triple-real", _triple, 1.0, [1.0, 2.0], 1e-11, 1e-10),
+        ("zero-e1", lambda: regular_random_pair(100, 4, zero_eigenvalue=True)[0], 0.0, [1.0],
+         1e-14, 1e-14),
+        ("zero-complex", lambda: regular_random_pair(100, 4, zero_eigenvalue=True)[0], 0.0,
+         [np.exp(0.7j)], 1e-14, 1e-14),
+    ]
+
+    @pytest.mark.parametrize("make, lam, direction, oracle_bound, exact_bound",
+                             [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+    def test_ladder_projections(self, tmp_path, make, lam, direction, oracle_bound,
+                                exact_bound):
+        tup = make()
+        rep = _analyze_along(tmp_path, tup, lam, direction)
+        assert rep["regularity"]["condition_a"] and rep["regularity"]["condition_b"]
+        xhat = np.array(direction, dtype=complex)
+        xhat = xhat / np.linalg.norm(xhat)
+        rest = sum(c * m for c, m in zip(xhat, tup.matrices[1:]))
+        eye = np.eye(tup.dim)
+        for b, proj in zip(rep["branches"], rep["projections"]):
+            kind = b["kind"]
+            assert kind == ("zero" if lam == 0.0 else "nonzero")
+            ts = [s[0] for s in b["samples"]]
+            alpha, beta, vl, vr = rung_solves(tup.matrices, kind, xhat, ts)
+            for k, ((tk, re, im), cp) in enumerate(zip(b["samples"], proj["ladder"])):
+                v = complex(re, im)
+                p = json_to_matrix(cp["P"])
+                own = int(np.argmin(np.abs(alpha[k] / beta[k] - v)))
+                z, y = vr[k][:, own], vl[k][:, own].conj()
+                want = np.outer(z, y) / (y @ z)
+                if oracle_bound == 0.0:
+                    assert p.tobytes() == want.tobytes()
+                assert js.opnorm(p - want) <= oracle_bound * js.opnorm(want)
+                frozen, center = ((tup.matrices[0] + tk * rest - v * eye, 0.0) if kind == "zero"
+                                  else (v * tup.matrices[0] + tk * rest, 1.0))
+                exact = exact_projection(frozen, center, cp["radius"])
+                assert js.opnorm(p - exact) <= exact_bound * js.opnorm(exact)
 
 
 class TestPlotCommand:
@@ -184,6 +290,11 @@ class TestDemoBlowupCommand:
         assert "refusal" in rep
         assert rep["error"] == "ProjectionBlowupError"
         assert rep["config"]["samples"] == rep["ladder"]["samples"] == 10
+
+    def test_one_slice_stack_per_call(self, tmp_path, monkeypatch):
+        solves = count_solves(monkeypatch)
+        assert main(["demo-blowup", "--out", str(tmp_path / "demo.json")]) == 3
+        assert (solves["ggev"], solves["geev"], solves["eigvals"]) == ([(10, True)], [], [])
 
     def test_samples_set_the_ladder(self, tmp_path):
         out = tmp_path / "demo.json"

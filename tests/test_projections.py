@@ -27,6 +27,7 @@ from oracles import (
     quadrature_projection,
     rung_solves,
 )
+from slices import count_solves
 
 
 class TestRieszProjection:
@@ -121,16 +122,22 @@ class TestSchurOracle:
 class TestExactProjection:
     """Every ladder rung against a 40-digit eigendecomposition of the same pencil."""
 
-    @pytest.mark.parametrize("seed, dim", [(17, 4), (5, 8)])
-    def test_ladder_rungs(self, seed, dim):
-        t, _ = regular_random_pair(seed, dim)
+    # the zero kind's projections (geev vectors) are within 1.1e-15 of it
+    @pytest.mark.parametrize("seed, dim, lam, bound", [
+        (17, 4, 1.0, 1e-10), (5, 8, 1.0, 1e-10), (100, 4, 0.0, 1e-14),
+    ])
+    def test_ladder_rungs(self, seed, dim, lam, bound):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=lam == 0.0)
         a1, a2 = t.matrices
-        branches = js.local_branches(t, 1.0, [1.0])
+        branches = js.local_branches(t, lam, [1.0])
         for b, ladder in zip(branches, js.projection_ladders(t, branches)):
             for cp in ladder:
                 v = dict(b.samples)[cp.t]
-                exact = exact_projection(v * a1 + cp.t * a2, 1.0, cp.radius)
-                assert js.opnorm(cp.matrix - exact) <= 1e-10 * js.opnorm(exact)
+                if b.kind == "zero":
+                    exact = exact_projection(a1 + cp.t * a2 - v * np.eye(dim), 0.0, cp.radius)
+                else:
+                    exact = exact_projection(v * a1 + cp.t * a2, 1.0, cp.radius)
+                assert js.opnorm(cp.matrix - exact) <= bound * js.opnorm(exact)
 
 
 def _all_ladders(t):
@@ -217,8 +224,20 @@ _SHARED_SOLVE_PAIRS = [
 ]
 
 
+def _oracle_ladders(t, branches):
+    """The projection ladders of branches with every rung solved again by
+    oracles.rung_solves (ggev against I for the zero kind) and projected by
+    the library's kernel."""
+    parts = []
+    for b in branches:
+        solves = rung_solves(t.matrices, b.kind, b.direction, [tk for tk, _ in b.samples])
+        parts.append([(tk, projections._component(t, b, tk, v, tuple(x[k] for x in solves)))
+                      for k, (tk, v) in enumerate(b.samples)])
+    return projections._ladders(branches, parts)
+
+
 class TestSharedRungSolve:
-    """The slice ladder's solve with vectors against the separate re-solve it replaced."""
+    """The slice ladder's solve with vectors against the oracle's own solve of every rung."""
 
     @pytest.mark.parametrize("name, make", _SHARED_SOLVE_PAIRS,
                              ids=[name for name, _ in _SHARED_SOLVE_PAIRS])
@@ -230,17 +249,23 @@ class TestSharedRungSolve:
             ref = branches_mod._reference_spectrum(a1, js.opnorm(a1))
             kept = branches_mod._solve_ladder(tt, np.array([1.0 + 0j]), 1e-2, 8, *ref,
                                               vectors=True)
+            # the roots with vectors are those without, bit for bit: ggev's
+            # for the nonzero kind, eigvals' for the zero kind
             assert plain.roots.keys() == kept.roots.keys()
             for kind in plain.roots:
                 for r, k in zip(plain.roots[kind], kept.roots[kind]):
                     assert r.tobytes() == k.tobytes()
-            # the nonzero kind keeps the re-solve's stacks; the zero kind keeps none
-            assert list(kept._rungs) == ["nonzero"] and plain._rungs == {}
-            want = rung_solves(tt.matrices, "nonzero", [1.0], kept.ts)
-            assert [x.tobytes() for x in kept._rungs["nonzero"]] == [x.tobytes() for x in want]
+            assert kept._rungs.keys() == kept.roots.keys() and plain._rungs == {}
+            if "nonzero" in kept._rungs:
+                want = rung_solves(tt.matrices, "nonzero", [1.0], kept.ts)
+                assert ([x.tobytes() for x in kept._rungs["nonzero"]]
+                        == [x.tobytes() for x in want])
+            if "zero" in kept._rungs:
+                assert (kept._rungs["zero"][1] == 1.0).all()
 
     # every eigenvalue but at N = 32, where lambda = 1 as in the verify-large benchmark;
-    # verify_pair refuses the non-normal blow-up pair before it solves a slice
+    # verify_pair refuses the non-normal blow-up pair before it solves a slice.  The
+    # zero kind's P is within 2.2e-15 of the oracle's (relative, operator norm)
     @pytest.mark.parametrize("name, make, lam", [
         pytest.param(name, make, 1.0 if name.startswith("random-32") else None, id=name)
         for name, make in _SHARED_SOLVE_PAIRS if name != "blowup"
@@ -256,17 +281,19 @@ class TestSharedRungSolve:
 
         monkeypatch.setattr(relations, "projection_ladders", kept)
         js.verify_pair(t, lam=lam, check_hypotheses=False)
-        monkeypatch.setattr(projections, "_rung_solves",
-                            lambda tt, kind, xhat, ts: rung_solves(tt.matrices, kind, xhat, ts))
         assert made
         for tt, bs, got in made:
-            assert all(b._rungs is not None for b in bs if b.kind == "nonzero")
-            alone = [dataclasses.replace(b, _rungs=None) for b in bs]
-            for lad, want in zip(got, js.projection_ladders(tt, alone)):
+            assert all(b._rungs is not None for b in bs)
+            for b, lad, want in zip(bs, got, _oracle_ladders(tt, bs)):
                 for cp, w in zip(lad, want):
-                    assert cp.matrix.tobytes() == w.matrix.tobytes()
-                    assert (cp.t, cp.rank, cp.radius, cp.idempotency_residual) == (
-                        w.t, w.rank, w.radius, w.idempotency_residual)
+                    assert (cp.t, cp.rank) == (w.t, w.rank)
+                    if b.kind == "nonzero":
+                        assert cp.matrix.tobytes() == w.matrix.tobytes()
+                        assert (cp.radius, cp.idempotency_residual) == (
+                            w.radius, w.idempotency_residual)
+                    else:
+                        assert js.opnorm(cp.matrix - w.matrix) <= 1e-14 * js.opnorm(w.matrix)
+                        assert abs(cp.radius - w.radius) <= 1e-14 * w.radius
 
 
 class TestComponentProjection:
@@ -312,6 +339,25 @@ class TestComponentProjection:
         cp = js.component_projection(t, b, 0.01)
         assert cp.rank == 2
 
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_solves_nothing_at_a_kept_rung_and_once_off_the_ladder(self, lam, monkeypatch):
+        t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
+        branches = js.local_branches(t, lam, [1.0])
+        ladders = js.projection_ladders(t, branches)
+        solves = count_solves(monkeypatch)
+        b = branches[0]
+        tk = b.samples[3][0]
+        assert js.component_projection(t, b, tk).to_json() == ladders[0][3].to_json()
+        assert solves == {"ggev": [], "geev": [], "eigvals": [], "schur": 0}
+        # tracked without kept rungs, or off the ladder: one one-rung solve
+        # with vectors, which also gives the branch value off the ladder
+        alone = dataclasses.replace(b, _rungs=None)
+        assert js.component_projection(t, alone, tk).to_json() == ladders[0][3].to_json()
+        js.component_projection(t, b, 0.75 * tk)
+        one = (1, True) if b.kind == "nonzero" else 1
+        assert solves[{"nonzero": "ggev", "zero": "geev"}[b.kind]] == [one, one]
+        assert solves["eigvals"] == [] and solves["schur"] == 0
 
     def test_unseparated_component_refused(self):
         # the sibling branch of diag(0, 0.5) is 3e-6 away at t = 6e-6: outside

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import branches, extrapolate, fixtures, pencil, projections, relations
+from jointspec import branches, extrapolate, fixtures, pencil, relations
 from jointspec.coxeter import random_unitary
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -20,7 +20,13 @@ from jointspec.fixtures import (
 )
 
 import oracles
-from oracles import eigenprojection_direct, first_order_eigenvalue_derivative, quadratic_fit_d2
+from oracles import (
+    eigenprojection_direct,
+    first_order_eigenvalue_derivative,
+    pencil_root_near,
+    quadratic_fit_d2,
+)
+from slices import count_solves
 
 
 def analysis(t, lam, **kw):
@@ -187,8 +193,8 @@ class TestSecondMoment:
             assert r.residual <= 1e-5
             # oracle: d2 from a plain quadratic fit at t in {1e-3, 5e-4, 2.5e-4}
             ts = np.array([1e-3, 5e-4, 2.5e-4])
-            from jointspec.projections import _branch_value_at
-            vals = [_branch_value_at(t, b, tv) for tv in ts]
+            vals = [pencil_root_near(a1, a2, tv, 1.0 / b.lam + b.d1 * tv + 0.5 * b.d2 * tv**2)
+                    for tv in ts]
             d2_fit = quadratic_fit_d2(ts, vals, 1.0 / b.lam)
             assert abs(d2_fit - b.d2) <= 5e-4  # fit truncation is O(d3 * t)
             r2 = js.verify_second_moment(lp, a2, t_op, d2_fit, tol=1e-3)
@@ -472,31 +478,8 @@ class TestOneAnalysisPerEigenvalue:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Every generalized eigensolve and Schur form: the (pencils, with
-        vectors) of each pencil._ggev_stack call, the (kind, rungs) of each
-        projections._rung_solves call, and the number of Schur forms made by
-        projections."""
-        counts = {"ggev": [], "rung_solves": [], "schur": 0}
-        ggev, rungs = pencil._ggev_stack, projections._rung_solves
-        schur = projections._spectral_projection
-
-        def counted_ggev(a, b, vectors):
-            counts["ggev"].append((len(a), bool(vectors)))
-            return ggev(a, b, vectors)
-
-        def counted_rungs(t, kind, xhat, ts):
-            counts["rung_solves"].append((kind, len(ts)))
-            return rungs(t, kind, xhat, ts)
-
-        def counted_schur(*args):
-            counts["schur"] += 1
-            return schur(*args)
-
-        for mod in (pencil, projections):
-            monkeypatch.setattr(mod, "_ggev_stack", counted_ggev)
-        monkeypatch.setattr(projections, "_rung_solves", counted_rungs)
-        monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
-        return counts
+        """Every slice eigensolve and Schur form (slices.count_solves)."""
+        return count_solves(monkeypatch)
 
     def test_one_slice_ladder_per_pair(self, solves):
         # two pairs, one stack of eight rungs each, whatever the number of
@@ -504,28 +487,32 @@ class TestOneAnalysisPerEigenvalue:
         # projections alike
         pair = regular_random_pair(5, 8)[0]
         for t, lam in ((pair, None), (pair, 1.0), (dihedral_pair(np.pi / 3), None)):
-            solves.update(ggev=[], rung_solves=[])
+            solves.update(ggev=[])
             js.verify_pair(t, lam=lam)
-            assert solves == {"ggev": [(8, True)] * 2, "rung_solves": [], "schur": 0}
+            assert solves == {"ggev": [(8, True)] * 2, "geev": [], "eigvals": [], "schur": 0}
 
-    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, rung_solves", [
+    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, geev", [
         # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
         (5, 16, False, None, [(8, True)] * 2, []),
         (7, 16, False, None, [(8, True)] * 2, []),
-        # the zero kind of (A1, A2) has its own solve with vectors; (A1, A1 A2)
-        # is not analysed at 0
-        (100, 4, True, None, [(8, True)] * 3, [("zero", 8)]),
-        # at 0 alone the ladders still solve the nonzero kind with vectors
-        (100, 4, True, 0.0, [(8, True)] * 3, [("zero", 8)]),
+        # both kinds of both pairs: the zero kind's ladders keep their geev
+        # vectors too, and its projections solve nothing again
+        (100, 4, True, None, [(8, True)] * 2, [8, 8]),
+        (100, 4, True, 0.0, [(8, True)] * 2, [8, 8]),
     ])
     def test_one_vector_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, ggev,
-                                                     rung_solves):
+                                                     geev):
         t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
-        solves.update(ggev=[])
+        solves.update(ggev=[], geev=[], eigvals=[])
         js.verify_pair(t, lam=lam)
-        assert solves == {"ggev": ggev, "rung_solves": rung_solves, "schur": 0}
+        assert solves == {"ggev": ggev, "geev": geev, "eigvals": [], "schur": 0}
 
-    def test_fixture_solves_one_slice_ladder_per_pair(self, solves, monkeypatch):
+    @pytest.mark.parametrize("args, kwargs, eigvals", [
+        ((5, 8), {}, []),
+        ((100, 4), {"zero_eigenvalue": True}, [8, 8]),
+    ])
+    def test_fixture_solves_one_slice_ladder_per_pair(self, solves, monkeypatch, args, kwargs,
+                                                      eigvals):
         tries = []
         draw = fixtures.random_normal_pair
 
@@ -534,11 +521,25 @@ class TestOneAnalysisPerEigenvalue:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(fixtures, "random_normal_pair", counted)
-        regular_random_pair(5, 8)
+        regular_random_pair(*args, **kwargs)
         assert len(tries) == 1
         # the gate projects nothing, so it solves no vectors
-        assert solves == {"ggev": [(8, False), (8, False)] * len(tries), "rung_solves": [],
+        assert solves == {"ggev": [(8, False), (8, False)], "geev": [], "eigvals": eigvals,
                           "schur": 0}
+
+    @pytest.mark.parametrize("args, lam", [((5, 8), 1.0), ((100, 4), 0.0)])
+    def test_analyze_pair_solves_one_slice_stack(self, solves, args, lam):
+        t, _ = regular_random_pair(*args, zero_eigenvalue=lam == 0.0)
+        solves.update(ggev=[], geev=[], eigvals=[])
+        js.analyze_pair(t, lam)
+        want = {"ggev": [(8, True)], "geev": []} if lam else {"ggev": [], "geev": [8]}
+        assert solves == {**want, "eigvals": [], "schur": 0}
+
+    @pytest.mark.parametrize("wrapper", [js.verify_same_projection_lemma,
+                                         js.verify_square_relation])
+    def test_product_pair_wrappers_solve_one_stack_per_pair(self, solves, wrapper):
+        wrapper(dihedral_pair(np.pi / 3), 1.0)
+        assert solves == {"ggev": [(8, True)] * 2, "geev": [], "eigvals": [], "schur": 0}
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
@@ -570,11 +571,29 @@ class TestToleranceInput:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved a pencil before checking tol")
 
-        for mod, name in ((pencil, "_ggev_stack"), (np.linalg, "eigvals"),
-                          (relations, "opnorm"), (relations, "_spectral_resolution")):
+        for mod, name in ((pencil, "_ggev_stack"), (branches, "_geev_stack"),
+                          (np.linalg, "eigvals"), (relations, "opnorm"),
+                          (relations, "_spectral_resolution")):
             monkeypatch.setattr(mod, name, no_solve)
         with pytest.raises(ValueError, match="tol must be a finite real > 0"):
             js.verify_pair(t, lam=1.0, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    @pytest.mark.parametrize("check", [js.verify_same_projection_lemma,
+                                       js.verify_square_relation])
+    def test_product_pair_checks_refuse_before_any_analysis(self, check, tol, monkeypatch):
+        # the blow-up pair's analysis fails (A1 is not normal), but the input
+        # error comes first, with no analysis made
+        t = blowup_demo_pair()
+        with pytest.raises(js.NotNormalError):
+            check(t, 1.0)
+        calls = []
+        analyze = relations.analyze_pair
+        monkeypatch.setattr(relations, "analyze_pair",
+                            lambda *a, **k: calls.append(a) or analyze(*a, **k))
+        with pytest.raises(ValueError, match="tol must be a finite real > 0") as exc:
+            check(t, 1.0, tol=tol)
+        assert type(exc.value) is ValueError and calls == []
 
     @pytest.mark.parametrize("tol", BAD)
     def test_every_relation_check_refuses(self, tol):
