@@ -3,13 +3,11 @@
 from .branches import (
     Branch,
     RegularityReport,
-    SliceLadder,
     SpectralResolution,
     TOperator,
     check_regularity,
     local_branches,
     regularity_report,
-    slice_ladder,
     spectral_resolution,
     t_operator,
 )

@@ -7,6 +7,7 @@ a geometric ladder of the line parameter by nearest-neighbor continuation
 and differentiated at 0 by Richardson extrapolation.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -207,6 +208,12 @@ def _reference_spectrum(a1, a1_norm):
     return refs, ["zero" if abs(c) <= tol else "nonzero" for c, _ in refs]
 
 
+def _kind_of(reference, lam):
+    """The kind of the cluster of A_1 nearest lam; reference is _reference_spectrum's."""
+    refs, kinds = reference
+    return kinds[_nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")]
+
+
 def _ladder_roots(t: MatrixTuple, kind, xhat, ts, vectors=False):
     """(roots, rungs): the roots of kind on the slice along t_k xhat, for
     every t_k in ts.  This is the one place slice pencils are assembled to
@@ -277,20 +284,18 @@ class SliceLadder:
 
     ts holds the t_k; reference holds the eigenvalue clusters of A_1 and
     kinds the kind of each cluster, "zero" or "nonzero"; roots maps each
-    kind to the roots at every t_k: x_1 of the slice for "nonzero", the
-    eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend on
-    the tuple, the direction and the ladder only, so one ladder serves
-    local_branches at every eigenvalue of A_1.  A ladder whose branches
-    will be projected is solved with left and right eigenvectors, and
-    _rungs maps each kind to its (alpha, beta, vl, vr) stacks (pencil's
-    _ggev_stack for "nonzero", _geev_stack for "zero"); the branches tracked
-    on the ladder carry them to projection_ladders and component_projection,
-    which then solve no rung again.  A ladder that only gates keeps none.
+    solved kind to the roots at every t_k: x_1 of the slice for "nonzero",
+    the eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend
+    on the tuple, the direction and the ladder only, so one ladder serves
+    the branches at every eigenvalue of A_1.  _rungs maps each kind solved
+    with left and right eigenvectors to its (alpha, beta, vl, vr) stacks
+    (pencil's _ggev_stack for "nonzero", _geev_stack for "zero"); the
+    branches of that kind tracked on the ladder carry them to
+    projection_ladders and component_projection, which then solve no rung
+    again.  A kind whose branches are not projected keeps none.
     """
 
     direction: tuple
-    t_max: float
-    samples: int
     ts: np.ndarray
     reference: tuple
     kinds: tuple
@@ -299,31 +304,34 @@ class SliceLadder:
 
 
 def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None,
-                  vectors=False):
+                  vectors=()):
     """The ladder of t along the unit xhat with the roots of each kind in
     solved (by default every kind of A_1); reference and kinds are those of
-    _reference_spectrum.  With vectors every kind is solved with left and
+    _reference_spectrum.  The kinds in vectors are solved with left and
     right eigenvectors, which the ladder keeps.
 
     Every ladder is built here: t_max must be a finite real > 0 and samples
-    an integer >= 2, else ValueError.
+    an integer >= 2 whose finest rung t_max * 2^-(samples-1) is a positive
+    normal float, else ValueError.
     """
     if not (_is_real(t_max) and t_max > 0):
         raise ValueError(f"t_max must be a finite real > 0; got {t_max!r}")
     if not (isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
             and samples >= 2):
         raise ValueError(f"samples must be an integer >= 2; got {samples!r}")
+    finest = math.ldexp(t_max, 1 - int(samples))
+    if finest < np.finfo(float).smallest_normal:
+        raise ValueError(f"samples must keep the finest rung t_max * 2^-(samples-1) a "
+                         f"positive normal float; got {samples!r} (rung {finest!r})")
     solved = sorted(set(kinds)) if solved is None else solved
     ts = t_max * 2.0 ** (-np.arange(samples))
     roots, rungs = {}, {}
     for k in solved:
-        roots[k], solve = _ladder_roots(t, k, xhat, ts, vectors)
+        roots[k], solve = _ladder_roots(t, k, xhat, ts, k in vectors)
         if solve is not None:
             rungs[k] = solve
     return SliceLadder(
         direction=tuple(xhat.tolist()),
-        t_max=t_max,
-        samples=samples,
         ts=ts,
         reference=tuple(reference),
         kinds=tuple(kinds),
@@ -332,20 +340,7 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved
     )
 
 
-def slice_ladder(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
-    """The slice roots local_branches tracks, for every eigenvalue of A_1.
-
-    Solves the nonzero kind when A_1 has a nonzero eigenvalue and the zero
-    kind when 0 is an eigenvalue; pass the result to local_branches(...,
-    ladder=...) at each eigenvalue, or to check_regularity(..., ladder=...),
-    instead of re-solving the slices.
-    """
-    xhat = _unit_direction(t, xhat)
-    a1 = t.matrices[0]
-    return _solve_ladder(t, xhat, t_max, samples, *_reference_spectrum(a1, opnorm(a1)))
-
-
-def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None):
+def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8):
     """Track the spectrum branches through 1/lambda (or 0) along the line t*xhat.
 
     Solves the slice eigenproblem on the geometric ladder t_k = t_max * 2^-k,
@@ -357,41 +352,21 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8, ladder=None
     one stacked extrapolation each; the first branch whose derivatives do
     not converge raises ExtrapolationError (d1 before d2).
 
-    ladder is a SliceLadder of t from slice_ladder(t, xhat, t_max, samples);
-    its roots are tracked instead of solving the slices again, with the same
-    result; the kind of lambda is read from it too.  A ladder for another
-    direction, t_max or samples, or without the kind lambda needs, raises
-    ValueError, and so does a t_max that is not a finite real > 0 or a
-    samples that is not an integer >= 2.  With no ladder only the kind
-    lambda needs is solved, with left and right eigenvectors, which the
-    branches keep for their projections.
-
-    The branches keep t as their pencil and compute their residuals when
-    first read.
+    Only the kind lambda needs is solved, with left and right eigenvectors,
+    which the branches keep for their projections.  A t_max that is not a
+    finite real > 0 or a samples that is not an integer >= 2 raises
+    ValueError.  The branches keep t as their pencil and compute their
+    residuals when first read.
     """
     xhat = _unit_direction(t, xhat)
-    if ladder is None:
-        a1 = t.matrices[0]
-        refs, kinds = _reference_spectrum(a1, opnorm(a1))
-        i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
-        ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kinds[i],), vectors=True)
-    else:
-        _check_ladder(ladder, xhat, t_max, samples)
+    a1 = t.matrices[0]
+    reference = _reference_spectrum(a1, opnorm(a1))
+    kind = _kind_of(reference, lam)
+    ladder = _solve_ladder(t, xhat, t_max, samples, *reference, (kind,), vectors=(kind,))
     (found,) = _branch_sets(t, ladder, [lam])
     if isinstance(found, Exception):
         raise found
     return found
-
-
-def _check_ladder(ladder: SliceLadder, xhat, t_max, samples):
-    """ValueError unless ladder was solved along the unit xhat for t_max and samples."""
-    if (ladder.t_max != t_max or ladder.samples != samples
-            or ladder.direction != tuple(xhat.tolist())):
-        raise ValueError(
-            f"ladder solved for t_max={ladder.t_max}, samples={ladder.samples} along "
-            f"{ladder.direction}; tracking asks for t_max={t_max}, samples={samples} "
-            f"along {tuple(xhat.tolist())}"
-        )
 
 
 def _track(t: MatrixTuple, ladder: SliceLadder, lam):
@@ -400,14 +375,12 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
     Returns (lambda_0, kind, center, tracks): the reference eigenvalue of
     A_1 nearest lam, its kind, the branches' value at t = 0, and one
     (values down the ladder, multiplicity) per branch, in the order of the
-    first values.  Raises UnknownEigenvalueError, ValueError for a ladder
-    without the kind, and the tracking errors of local_branches.
+    first values.  Raises UnknownEigenvalueError and the tracking errors
+    of local_branches.
     """
     refs, kinds = ladder.reference, ladder.kinds
     i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
     lam0, mult_lam, kind = refs[i][0], len(refs[i][1]), kinds[i]
-    if kind not in ladder.roots:
-        raise ValueError(f"ladder has no {kind}-kind roots for lambda={lam}")
     if kind == "zero":
         center = 0.0 + 0.0j
         others = [c for c, _ in refs if abs(c - lam0) > 0]
@@ -478,12 +451,12 @@ def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
     for lam in lams:
         try:
             tracked.append(_track(t, ladder, lam))
-        except (JointSpecError, ValueError) as exc:
+        except JointSpecError as exc:
             tracked.append(exc)
     found = [tr for tr in tracked if not isinstance(tr, Exception)]
     flat = [(vals, center) for _, _, center, tracks in found for vals, _ in tracks]
     derivs = iter([(None,) * 6] * len(flat))
-    if ladder.samples >= 5 and flat:
+    if ladder.ts.size >= 5 and flat:
         vals = np.array([v for v, _ in flat])
         centers = np.array([c for _, c in flat])
         first = extrapolate._each_series(extrapolate.first_derivative, ladder.ts, vals, centers)
@@ -554,26 +527,31 @@ class RegularityReport:
         }
 
 
-def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8, ladder=None):
+def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
     """Check conditions a) and b) (or their lambda = 0 analogues) along xhat
     at every eigenvalue of A_1: one RegularityReport each, in the order of
-    the ladder's reference clusters.
+    A_1's eigenvalue clusters.
 
-    All eigenvalues are tracked on one slice ladder, ladder or
-    slice_ladder(t, xhat, t_max, samples), and the derivatives of all their
-    branches come from one stacked extrapolation each (see local_branches).
-    An eigenvalue whose branches cannot be tracked gets a report with failed
+    All eigenvalues are tracked on one slice ladder, which solves every kind
+    of A_1 without eigenvectors, and the derivatives of all their branches
+    come from one stacked extrapolation each (see local_branches).  An
+    eigenvalue whose branches cannot be tracked gets a report with failed
     conditions a) and b) and the failure's message.  So does one whose
     derivatives do not converge, and its report keeps the ExtrapolationError
     in error: a gate that walks the eigenvalues in order raises it on
     reaching that report.  Branches tracked with samples < 5 have no first
     derivatives, and regularity_report refuses them with ValueError.  A
-    ladder for another direction, t_max or samples raises ValueError.
+    t_max or samples that local_branches refuses raises ValueError here too.
     """
-    if ladder is None:
-        ladder = slice_ladder(t, xhat, t_max=t_max, samples=samples)
-    else:
-        _check_ladder(ladder, _unit_direction(t, xhat), t_max, samples)
+    xhat = _unit_direction(t, xhat)
+    a1 = t.matrices[0]
+    return _regularity_reports(
+        t, _solve_ladder(t, xhat, t_max, samples, *_reference_spectrum(a1, opnorm(a1))))
+
+
+def _regularity_reports(t: MatrixTuple, ladder: SliceLadder):
+    """check_regularity's reports from the branches tracked on ladder, which
+    must solve every kind of A_1."""
     lams = [c for c, _ in ladder.reference]
     reports = []
     for lam, found in zip(lams, _branch_sets(t, ladder, lams)):

@@ -27,7 +27,7 @@ from .errors import (
     UnknownEigenvalueError,
 )
 from .fixtures import blowup_demo_pair
-from .pencil import MatrixTuple, normality_report, sample_spectrum_curve
+from .pencil import MatrixTuple, _is_real, normality_report, sample_spectrum_curve
 from .projections import _checked, _limits, projection_ladders, projection_norm_profile
 from .relations import verify_pair
 from .serialize import SCHEMA_VERSION, json_to_matrix, pair_to_complex
@@ -54,16 +54,15 @@ class RunConfig:
     epsilon: float = 0.15
 
     def validate(self):
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
+        for flag in ("tol", "t_max", "epsilon"):
+            value = getattr(self, flag)
+            if not (_is_real(value) and value > 0):
+                raise ValueError(f"--{flag.replace('_', '-')} must be a finite real > 0; "
+                                 f"got {value!r}")
         if self.samples < 5:
             raise ValueError("--samples must be at least 5")
         if self.command == "demo-blowup" and self.samples < _DEMO_MIN_SAMPLES:
             raise ValueError(f"demo-blowup --samples must be at least {_DEMO_MIN_SAMPLES}")
-        if self.t_max <= 0:
-            raise ValueError("--t-max must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("--epsilon must be positive")
 
 
 def _clean(obj):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .branches import _reference_spectrum, _solve_ladder, _unit_direction, check_regularity
+from .branches import _reference_spectrum, _regularity_reports, _solve_ladder, _unit_direction
 from .coxeter import CoxeterRep, random_unitary
 from .pencil import MatrixTuple, opnorm
 
@@ -91,7 +91,7 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
     eigenvalue of A1, with separated branch derivatives so the ladder
     extrapolations stay well conditioned.  Returns (tuple, accepted_seed);
     gives up after 40 draws.  The two pairs share A1's eigenvalue clusters,
-    and each is checked on one slice ladder by one check_regularity call.
+    and each gets the reports check_regularity gives, from one slice ladder.
 
     min_gap bounds those gaps from below.  verify_pair's finest ladder rung,
     t = 1e-2 * 2^-7, parts two branches by about gap * t.  A simple
@@ -111,7 +111,7 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
         ok = True
         for tt in (t, t2):
             ladder = _solve_ladder(tt, _unit_direction(tt, [1.0]), 1e-2, 8, *reference)
-            for rep in check_regularity(tt, [1.0], ladder=ladder):
+            for rep in _regularity_reports(tt, ladder):
                 if rep.error is not None:
                     raise rep.error
                 if not (rep.condition_a and rep.condition_b):

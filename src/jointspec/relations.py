@@ -21,12 +21,13 @@ from .branches import (
     SpectralResolution,
     TOperator,
     _branch_sets,
+    _kind_of,
     _nearest_unambiguous,
     _reference_spectrum,
+    _regularity_reports,
     _solve_ladder,
     _spectral_resolution,
     _unit_direction,
-    check_regularity,
     local_branches,
     spectral_resolution,
     t_operator,
@@ -336,12 +337,11 @@ _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 
 def _gated_branches(t: MatrixTuple, pair, ladder, res: SpectralResolution):
-    """The branches check_regularity tracks on ladder, by index of their
-    eigenvalue in res; walking the eigenvalues in order, the first failure
-    raises: the error a report keeps, or HypothesisNotMet."""
+    """The branches check_regularity's reports track on ladder, by index of
+    their eigenvalue in res; walking the eigenvalues in order, the first
+    failure raises: the error a report keeps, or HypothesisNotMet."""
     gated = {}
-    for rep in check_regularity(t, [1.0], t_max=ladder.t_max, samples=ladder.samples,
-                                ladder=ladder):
+    for rep in _regularity_reports(t, ladder):
         if rep.error is not None:
             raise rep.error
         k = res.index_of(rep.lam)
@@ -378,9 +378,10 @@ def verify_pair(
     are raised in the order of analysing one eigenvalue and one branch at a
     time.
 
-    Each pair's slice ladder solves both kinds with left and right
-    eigenvectors, and the projection ladders read them, so each (pair, kind,
-    rung) is solved once for the gate and the projections alike.
+    Each pair's slice ladder solves every kind of A1 once, for the gate and
+    the projections alike; a kind is solved with left and right eigenvectors
+    only when the pair analyses an eigenvalue of that kind, and the
+    projection ladders read them.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -399,15 +400,16 @@ def verify_pair(
     pairs = (t, MatrixTuple([a1, a1 @ a2]))
     eigs = res.eigenvalues
     reference = _reference_spectrum(a1, a1_norm)
-    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
-                             vectors=True)
-               for tt in pairs]
-    if check_hypotheses:
-        gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]
-
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
     # (A1, A1 A2) is analysed at the nonzero eigenvalues only
     wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
+    # each pair's ladder keeps vectors for the kinds it analyses
+    kind = {k: _kind_of(reference, eigs[k]) for k in ks}
+    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
+                             vectors=tuple(kind[k] for k in wanted[pair]))
+               for pair, tt in enumerate(pairs)]
+    if check_hypotheses:
+        gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]
     # each pair's branches and projection ladders; the limits of both pairs
     # are extrapolated together below, so a failure here is raised after
     # those of the pairs before it, as when each pair was finished in turn

@@ -1,7 +1,8 @@
-"""Slice roots through the library's batched kernel, and a count of the
-slice eigensolves, for tests.
+"""Slice roots through the library's batched kernel, the library's slice
+ladder, and a count of the slice eigensolves, for tests.
 
-Not an oracle: it calls jointspec.line_roots_batch.
+Not an oracle: it calls jointspec.line_roots_batch and the private
+branches._solve_ladder.
 """
 
 import numpy as np
@@ -21,6 +22,15 @@ def e1_line_roots(t, rests):
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
     return js.line_roots_batch(t, bases, e1)
+
+
+def ladder(t, xhat=(1.0,), t_max=1e-2, samples=8, vectors=()):
+    """The slice ladder check_regularity tracks: every kind of A_1 solved
+    along xhat, with left and right eigenvectors for the kinds in vectors."""
+    a1 = t.matrices[0]
+    return branches._solve_ladder(t, branches._unit_direction(t, xhat), t_max, samples,
+                                  *branches._reference_spectrum(a1, js.opnorm(a1)),
+                                  vectors=vectors)
 
 
 def count_solves(monkeypatch):

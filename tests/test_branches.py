@@ -1,6 +1,5 @@
 """Tests for spectral resolutions, branch tracking, and regularity checks."""
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +14,7 @@ from jointspec.coxeter import random_unitary
 from jointspec.fixtures import commuting_diagonal_pair, dihedral_pair, regular_random_pair
 
 import oracles
+import slices
 
 
 def two_line_variant():
@@ -192,12 +192,10 @@ class TestLocalBranches:
     def test_branch_leaving_the_selection_disk_is_refused(self):
         # x1 = 1 - 10 t: outside |x1 - 1| <= 1/3 for t >= 1/30
         t = js.MatrixTuple([np.diag([1.0, 3.0]), np.diag([10.0, 0.0])])
-        for kw in ({}, {"ladder": js.slice_ladder(t, [1.0], t_max=0.1, samples=4)}):
-            with pytest.raises(js.TrackingError, match="cluster count changed"):
-                js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=4, **kw)
-        for kw in ({}, {"ladder": js.slice_ladder(t, [1.0], t_max=0.1, samples=2)}):
-            with pytest.raises(js.TrackingError, match="total multiplicity 0"):
-                js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=2, **kw)
+        with pytest.raises(js.TrackingError, match="cluster count changed"):
+            js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=4)
+        with pytest.raises(js.TrackingError, match="total multiplicity 0"):
+            js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=2)
 
     def test_affine_branches_have_zero_second_derivative(self):
         for b in js.local_branches(two_line_variant(), 1.0, [1.0]):
@@ -206,50 +204,32 @@ class TestLocalBranches:
 
 class TestSliceLadder:
     def test_tracking_on_a_ladder_matches_solving_again(self):
+        # check_regularity tracks every eigenvalue on one ladder without
+        # vectors; local_branches solves its own kind with vectors
         t = regular_random_pair(100, 4, zero_eigenvalue=True)[0]
-        ladder = js.slice_ladder(t, [1.0])
-        assert sorted(ladder.roots) == ["nonzero", "zero"]
-        for lam in js.spectral_resolution(t.matrices[0]).eigenvalues:
-            on_ladder = js.local_branches(t, lam, [1.0], ladder=ladder)
+        eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
+        reports = js.check_regularity(t, [1.0])
+        assert len(reports) == len(eigs)
+        for lam, rep in zip(eigs, reports):
             again = js.local_branches(t, lam, [1.0])
-            assert on_ladder == again
-            assert [b.residuals for b in on_ladder] == [b.residuals for b in again]
+            assert list(rep.branches) == again
+            assert [b.to_json() for b in rep.branches] == [b.to_json() for b in again]
 
     def test_zero_kind_only_when_zero_is_an_eigenvalue(self):
-        assert list(js.slice_ladder(dihedral_pair(0.9), [1.0]).roots) == ["nonzero"]
+        assert list(slices.ladder(dihedral_pair(0.9)).roots) == ["nonzero"]
         t = js.MatrixTuple([np.diag([0.0, 0.0]), np.eye(2)])
-        assert list(js.slice_ladder(t, [1.0]).roots) == ["zero"]
-
-    def test_mismatched_ladder_rejected(self):
-        t = dihedral_pair(0.9)
-        ladder = js.slice_ladder(t, [1.0])
-        with pytest.raises(ValueError, match="t_max"):
-            js.local_branches(t, 1.0, [1.0], t_max=0.1, ladder=ladder)
-        with pytest.raises(ValueError, match="samples"):
-            js.local_branches(t, 1.0, [1.0], samples=6, ladder=ladder)
-        with pytest.raises(ValueError, match="along"):
-            js.local_branches(t, 1.0, [-1.0], ladder=ladder)
-        z = js.MatrixTuple([np.diag([0.0, 2.0]), np.eye(2)])
-        ladder = js.slice_ladder(z, [1.0])
-        nonzero_only = dataclasses.replace(ladder, roots={"nonzero": ladder.roots["nonzero"]})
-        with pytest.raises(ValueError, match="zero-kind"):
-            js.local_branches(z, 0.0, [1.0], ladder=nonzero_only)
+        assert list(slices.ladder(t).roots) == ["zero"]
+        z = regular_random_pair(100, 4, zero_eigenvalue=True)[0]
+        assert sorted(slices.ladder(z).roots) == ["nonzero", "zero"]
 
     def test_regularity_on_a_ladder(self):
         t = _random_regular_pair()
-        ladder = js.slice_ladder(t, [1.0])
-        on_ladder = js.check_regularity(t, [1.0], ladder=ladder)
-        again = js.check_regularity(t, [1.0])
-        assert on_ladder == again
+        reports = js.check_regularity(t, [1.0])
         eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
-        assert len(on_ladder) == len(eigs)
-        for lam, rep, other in zip(eigs, on_ladder, again):
+        assert len(reports) == len(eigs)
+        for lam, rep in zip(eigs, reports):
             assert abs(rep.lam - lam) <= 1e-12
             assert rep == js.regularity_report(js.local_branches(t, lam, [1.0]))
-            assert ([b.residuals for b in rep.branches]
-                    == [b.residuals for b in other.branches])
-        with pytest.raises(ValueError, match="t_max"):
-            js.check_regularity(t, [1.0], t_max=0.1, ladder=ladder)
 
     @pytest.mark.parametrize("args, kwargs", [((17, 4), {"zero_eigenvalue": True}),
                                               ((5, 8), {})])
@@ -267,7 +247,7 @@ class TestSliceLadder:
         for mod, name in ((branches, "line_roots_batch"), (np.linalg, "eigvals"),
                           (np.linalg, "svd")):
             count(mod, name)
-        ladder = js.slice_ladder(t, [1.0])
+        ladder = slices.ladder(t)
         monkeypatch.undo()
         zero = "zero" in ladder.roots
         # the eigvals of A_1 for the reference spectrum, then one solve per kind
@@ -284,7 +264,7 @@ class TestSliceLadder:
             calls.clear()
             count(np.linalg, "svd")
             count(branches, "opnorm")
-            found = js.local_branches(t, lam, [1.0], ladder=ladder)
+            (found,) = branches._branch_sets(t, ladder, [lam])
             assert calls == []
             for b in found:
                 first = b.residuals
@@ -466,11 +446,9 @@ class TestLadderInputs:
            ({"samples": 8.0}, "samples"), ({"samples": True}, "samples")]
 
     @pytest.mark.parametrize("kw, name", BAD + [({"samples": 1}, "samples")])
-    def test_slice_ladder_and_gate_refuse(self, kw, name):
-        t = dihedral_pair(np.pi / 3)
-        for build in (js.slice_ladder, js.check_regularity):
-            with pytest.raises(ValueError, match=f"{name} must be"):
-                build(t, [1.0], **kw)
+    def test_gate_refuses(self, kw, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            js.check_regularity(dihedral_pair(np.pi / 3), [1.0], **kw)
 
     @pytest.mark.parametrize("kw, name", BAD + [({"samples": 1}, "samples")])
     def test_tracking_refuses(self, kw, name):
@@ -492,12 +470,41 @@ class TestLadderInputs:
             js.verify_pair(dihedral_pair(np.pi / 3), **kw)
         assert calls == []
 
+    def test_verify_pair_refuses_an_unknown_lambda_before_any_slice_solve(self, monkeypatch):
+        calls = []
+        solve = branches._ladder_roots
+        monkeypatch.setattr(branches, "_ladder_roots",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        with pytest.raises(js.UnknownEigenvalueError):
+            js.verify_pair(dihedral_pair(np.pi / 3), lam=0.5)
+        assert calls == []
+
     def test_integer_types_and_the_shortest_ladder_are_accepted(self):
         t = dihedral_pair(np.pi / 3)
         for kw in ({"samples": np.int64(8)}, {"t_max": np.float64(1e-2)}, {"samples": 2},
                    {"t_max": 1}):
-            ladder = js.slice_ladder(t, [1.0], **kw)
+            ladder = slices.ladder(t, **kw)
             assert ladder.ts.size == kw.get("samples", 8)
+
+    # t_max * 2^-(samples-1) is subnormal: 2^-1023 at t_max = 1, and below
+    # 2^-1022 at the default t_max from samples = 1017 on
+    @pytest.mark.parametrize("t_max, samples", [(1.0, 1024), (1e-2, 1017), (1e-2, 2000)])
+    def test_a_subnormal_finest_rung_is_refused_before_any_slice_solve(
+            self, t_max, samples, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a slice was solved")
+
+        monkeypatch.setattr(branches, "_ladder_roots", unreached)
+        t = dihedral_pair(np.pi / 3)
+        for run in (lambda: js.check_regularity(t, [1.0], t_max=t_max, samples=samples),
+                    lambda: js.local_branches(t, 1.0, [1.0], t_max=t_max, samples=samples),
+                    lambda: js.verify_pair(t, t_max=t_max, samples=samples)):
+            with pytest.raises(ValueError, match="finest rung .* positive normal float"):
+                run()
+
+    def test_the_smallest_normal_finest_rung_is_accepted(self):
+        ladder = slices.ladder(dihedral_pair(np.pi / 3), t_max=1.0, samples=1023)
+        assert ladder.ts[-1] == 2.0 ** -1022
 
 
 class TestClusterValues:

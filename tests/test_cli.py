@@ -509,6 +509,17 @@ class TestCoxeterCheckCommand:
         assert "(g1 g2)^3 = 1" in err and "^3.0" not in err
 
 
+@pytest.fixture
+def relation_breaking_input(tmp_path):
+    """coxeter-check's planted dihedral(4) input with its representation as
+    explicit matrices under the Coxeter matrix of I2(3): they break
+    (g1 g2)^3 = 1 with residual 2."""
+    cox = TestCoxeterCheckCommand()
+    obj = json.loads(open(cox.explicit_input(tmp_path, cox.right_angle_rep())).read())
+    obj["coxeter_matrix"] = js.dihedral(3).to_json()
+    return write_json(tmp_path / "relation_breaking.json", obj)
+
+
 class TestParseErrors:
     def test_missing_file(self):
         assert main(["verify", "--input", "/nonexistent/x.json"]) == 2
@@ -535,6 +546,25 @@ class TestParseErrors:
     def test_non_finite_numbers_are_usage_errors(self, dihedral_input, capsys, argv):
         assert main([*argv, "--input", dihedral_input]) == 2
         assert "must be a finite real > 0" in capsys.readouterr().err
+
+    def test_relation_breaking_matrices_exit_two(self, relation_breaking_input, capsys):
+        assert main(["coxeter-check", "--input", relation_breaking_input, "--tol", "1e-5"]) == 2
+        assert "(g1 g2)^3 = 1" in capsys.readouterr().err
+
+    # inf passed a "<= 0" test: --tol inf let the relation-breaking matrices exit 0
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in cli._COMMANDS.items()
+        for flag in flags if flag in ("tol", "t_max", "epsilon")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_flags_are_usage_errors(self, dihedral_input, relation_breaking_input,
+                                               tmp_path, capsys, command, flag, value):
+        inp = relation_breaking_input if command == "coxeter-check" else dihedral_input
+        name = "--" + flag.replace("_", "-")
+        out = tmp_path / "out.json"
+        # name=value: argparse reads a separate "-inf" as a flag
+        assert main([command, "--input", inp, f"{name}={value}", "--out", str(out)]) == 2
+        assert f"{name} must be a finite real > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, phrases", [
         ("verify", ["relation residual"]),

@@ -8,7 +8,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import branches as branches_mod
 from jointspec import projections, relations
 from jointspec.fixtures import (
     blowup_demo_pair,
@@ -27,6 +26,7 @@ from oracles import (
     quadrature_projection,
     rung_solves,
 )
+import slices
 from slices import count_solves
 
 
@@ -245,10 +245,8 @@ class TestSharedRungSolve:
         t = make()
         a1, a2 = t.matrices
         for tt in (t, js.MatrixTuple([a1, a1 @ a2])):
-            plain = js.slice_ladder(tt, [1.0])
-            ref = branches_mod._reference_spectrum(a1, js.opnorm(a1))
-            kept = branches_mod._solve_ladder(tt, np.array([1.0 + 0j]), 1e-2, 8, *ref,
-                                              vectors=True)
+            plain = slices.ladder(tt)
+            kept = slices.ladder(tt, vectors=("nonzero", "zero"))
             # the roots with vectors are those without, bit for bit: ggev's
             # for the nonzero kind, eigvals' for the zero kind
             assert plain.roots.keys() == kept.roots.keys()

@@ -1,0 +1,78 @@
+"""The public API, pinned: the names jointspec exports and the defaulted
+parameters of every public function, so that each API change shows as a
+diff here.
+
+A public function is an exported function or a public method of an exported
+class; exception classes are left out.
+"""
+
+import inspect
+
+import jointspec as js
+
+EXPORTS = [
+    "AssignmentError", "Branch", "BranchCollisionError", "ComponentProjection",
+    "CoxeterMatrix", "CoxeterRep", "DihedralIrrep", "DimensionMismatchError",
+    "EmptySubspaceError", "ExtrapolationError", "HypothesisNotMet", "JointSpecError",
+    "LimitProjection", "MatrixTuple", "NormProfile", "NormalityReport", "NotNormalError",
+    "PairAnalysis", "PairingAmbiguityError", "ProjectionBlowupError", "RegularityReport",
+    "RelationReport", "RigidityReport", "SeparationError", "SpectralResolution",
+    "SpectrumComponentDescriptor", "TOperator", "TrackingError", "UnknownEigenvalueError",
+    "analyze_pair", "build_representation", "check_condition_I", "check_condition_II",
+    "check_condition_star", "check_regularity", "component_projection", "dihedral",
+    "dihedral_component_catalog", "dihedral_pair_decomposition", "equivalence_evidence",
+    "extended_tuple", "extract_invariant_subspace", "geometric_representation",
+    "limit_projection", "line_roots_batch", "local_branches", "normality_report", "opnorm",
+    "projection_ladders", "projection_norm_profile", "regularity_report", "rigidity_check",
+    "sample_spectrum_curve", "spectral_mask", "spectral_resolution", "t_operator",
+    "verify_cross_moment_zero", "verify_first_moment", "verify_orthogonality_and_resolution",
+    "verify_pair", "verify_prime_relations", "verify_restriction",
+    "verify_same_projection_lemma", "verify_second_moment", "verify_square_relation",
+]
+
+# every public function with at least one defaulted parameter; the rest have none
+DEFAULTED = {
+    "CoxeterRep.validate": 1, "analyze_pair": 1, "build_representation": 1,
+    "check_condition_I": 2, "check_condition_II": 3, "check_regularity": 2,
+    "limit_projection": 1, "local_branches": 2, "projection_norm_profile": 1,
+    "rigidity_check": 3, "sample_spectrum_curve": 2, "verify_cross_moment_zero": 1,
+    "verify_first_moment": 1, "verify_orthogonality_and_resolution": 1, "verify_pair": 5,
+    "verify_prime_relations": 1, "verify_restriction": 2, "verify_same_projection_lemma": 1,
+    "verify_second_moment": 1, "verify_square_relation": 1,
+}
+
+
+def exports():
+    return sorted(name for name, value in vars(js).items()
+                  if not name.startswith("_") and not inspect.ismodule(value))
+
+
+def public_functions():
+    """(name, function) of every exported function and public method of an
+    exported class that is not an exception."""
+    for name in exports():
+        value = getattr(js, name)
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value) and not issubclass(value, BaseException):
+            for attr, member in vars(value).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def defaulted(fn):
+    return sum(p.default is not inspect.Parameter.empty
+               for p in inspect.signature(fn).parameters.values())
+
+
+def test_exports():
+    assert exports() == EXPORTS
+    assert len(EXPORTS) == 65
+
+
+def test_defaulted_parameters():
+    counts = {name: defaulted(fn) for name, fn in public_functions()}
+    assert {name: n for name, n in counts.items() if n} == DEFAULTED
+    assert sum(counts.values()) == 33

@@ -491,21 +491,22 @@ class TestOneAnalysisPerEigenvalue:
             js.verify_pair(t, lam=lam)
             assert solves == {"ggev": [(8, True)] * 2, "geev": [], "eigvals": [], "schur": 0}
 
-    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, geev", [
+    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, geev, eigvals", [
         # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
-        (5, 16, False, None, [(8, True)] * 2, []),
-        (7, 16, False, None, [(8, True)] * 2, []),
-        # both kinds of both pairs: the zero kind's ladders keep their geev
-        # vectors too, and its projections solve nothing again
-        (100, 4, True, None, [(8, True)] * 2, [8, 8]),
-        (100, 4, True, 0.0, [(8, True)] * 2, [8, 8]),
+        (5, 16, False, None, [(8, True)] * 2, [], []),
+        (7, 16, False, None, [(8, True)] * 2, [], []),
+        # both kinds of both pairs, each solved once; only the kinds a pair
+        # analyses keep vectors: (A1, A1 A2) is never analysed at 0, and at
+        # lambda = 0 (A1, A2) is analysed at the zero kind only
+        (100, 4, True, None, [(8, True)] * 2, [8], [8]),
+        (100, 4, True, 0.0, [(8, False)] * 2, [8], [8]),
     ])
     def test_one_vector_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, ggev,
-                                                     geev):
+                                                     geev, eigvals):
         t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
         solves.update(ggev=[], geev=[], eigvals=[])
         js.verify_pair(t, lam=lam)
-        assert solves == {"ggev": ggev, "geev": geev, "eigvals": [], "schur": 0}
+        assert solves == {"ggev": ggev, "geev": geev, "eigvals": eigvals, "schur": 0}
 
     @pytest.mark.parametrize("args, kwargs, eigvals", [
         ((5, 8), {}, []),
