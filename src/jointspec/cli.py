@@ -11,7 +11,6 @@ failed LAPACK eigensolve) with a diagnostic report.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, _is_real, normality_report, sample_spectrum_curve
 from .projections import _checked, _limits, projection_ladders, projection_norm_profile
 from .relations import verify_pair
-from .serialize import SCHEMA_VERSION, json_to_matrix, pair_to_complex
+from .serialize import SCHEMA_VERSION, _report_text, json_to_matrix, pair_to_complex
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,26 +64,8 @@ class RunConfig:
             raise ValueError(f"demo-blowup --samples must be at least {_DEMO_MIN_SAMPLES}")
 
 
-def _clean(obj):
-    """Make a report JSON-safe: non-finite floats become None."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
-
 def _emit(report, config: RunConfig):
-    text = json.dumps(_clean(report), indent=2, sort_keys=True) + "\n"
+    text = _report_text(report) + "\n"
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)

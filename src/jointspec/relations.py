@@ -381,7 +381,8 @@ def verify_pair(
     Each pair's slice ladder solves every kind of A1 once, for the gate and
     the projections alike; a kind is solved with left and right eigenvectors
     only when the pair analyses an eigenvalue of that kind, and the
-    projection ladders read them.
+    projection ladders read them.  With check_hypotheses=False nothing is
+    gated, and each ladder solves only the kinds its pair analyses.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -403,10 +404,13 @@ def verify_pair(
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
     # (A1, A1 A2) is analysed at the nonzero eigenvalues only
     wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
-    # each pair's ladder keeps vectors for the kinds it analyses
+    # each pair's ladder keeps vectors for the kinds it analyses; with no
+    # gate to feed, it solves only those
     kind = {k: _kind_of(reference, eigs[k]) for k in ks}
+    analysed = [sorted({kind[k] for k in wanted[pair]}) for pair in range(len(pairs))]
     ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
-                             vectors=tuple(kind[k] for k in wanted[pair]))
+                             solved=None if check_hypotheses else analysed[pair],
+                             vectors=analysed[pair])
                for pair, tt in enumerate(pairs)]
     if check_hypotheses:
         gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]

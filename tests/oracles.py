@@ -5,6 +5,9 @@ library (closed forms, direct eigensolves, quadratic formula, first-order
 perturbation), so the tests stay two-sided.
 """
 
+import json
+import math
+
 import mpmath
 import numpy as np
 import scipy.linalg
@@ -388,3 +391,40 @@ def condition_II(mats, rep_mats, epsilon, sample_count, seed):
                     break
             results[(j, sign)] = ok
     return results, witnesses
+
+
+# -- reports, through the stdlib encoder ---------------------------------------
+#
+# The CLI writes reports with serialize._report_text, which renders float
+# lists as blocks; these are the conversion and the encoder it replaced, one
+# value at a time.
+
+
+def clean(obj):
+    """Make a report JSON-safe: numpy scalars become Python scalars, a
+    complex [re, im], a tuple a list and a non-finite float None."""
+    if isinstance(obj, dict):
+        return {k: clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [clean(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, complex):
+        return [clean(obj.real), clean(obj.imag)]
+    return obj
+
+
+def report_text(obj):
+    """The text of a report as json.dumps writes it, before the trailing newline."""
+    return json.dumps(clean(obj), indent=2, sort_keys=True)
+
+
+def matrix_pairs(m):
+    """A matrix as rows of [re, im] pairs, one complex entry at a time."""
+    return [[[complex(v).real, complex(v).imag] for v in row]
+            for row in np.asarray(m, dtype=complex)]

@@ -509,6 +509,34 @@ class TestCoxeterCheckCommand:
         assert "(g1 g2)^3 = 1" in err and "^3.0" not in err
 
 
+class TestDeterminism:
+    """Same config and seed, same bytes: each command run twice in one
+    process writes identical files, and without --out the same bytes to
+    stdout."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", []),
+        ("verify", []),
+        ("coxeter-check", ["--seed", "5"]),
+        ("demo-blowup", []),
+        ("plot", []),
+    ])
+    def test_same_bytes(self, tmp_path, capsys, dihedral_input, command, flags):
+        argv = [command, *flags]
+        if command == "coxeter-check":
+            argv += ["--input", TestCoxeterCheckCommand().make_input(tmp_path)]
+        elif command != "demo-blowup":
+            argv += ["--input", dihedral_input]
+        files = [tmp_path / "first.out", tmp_path / "second.out"]
+        codes = [main([*argv, "--out", str(path)]) for path in files]
+        capsys.readouterr()
+        codes.append(main(argv))
+        stdout = capsys.readouterr().out
+        assert codes == [codes[0]] * 3
+        assert files[0].read_bytes() == files[1].read_bytes() == stdout.encode()
+        assert stdout.endswith("\n") and len(stdout) > 100
+
+
 @pytest.fixture
 def relation_breaking_input(tmp_path):
     """coxeter-check's planted dihedral(4) input with its representation as

@@ -1,5 +1,6 @@
 """Tests for the projection identity verifications."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -507,6 +508,19 @@ class TestOneAnalysisPerEigenvalue:
         solves.update(ggev=[], geev=[], eigvals=[])
         js.verify_pair(t, lam=lam)
         assert solves == {"ggev": ggev, "geev": geev, "eigvals": eigvals, "schur": 0}
+
+    @pytest.mark.parametrize("lam, ggev, geev", [
+        (None, [(8, True)] * 2, [8]),
+        # (A1, A1 A2) is never analysed at 0, so its ladder solves nothing
+        (0.0, [], [8]),
+    ])
+    def test_ungated_ladders_solve_only_the_analysed_kinds(self, solves, lam, ggev, geev):
+        t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
+        gated = js.verify_pair(t, lam=lam)
+        solves.update(ggev=[], geev=[], eigvals=[])
+        ungated = js.verify_pair(t, lam=lam, check_hypotheses=False)
+        assert solves == {"ggev": ggev, "geev": geev, "eigvals": [], "schur": 0}
+        assert ungated == [dataclasses.replace(r, passed=None) for r in gated]
 
     @pytest.mark.parametrize("args, kwargs, eigvals", [
         ((5, 8), {}, []),

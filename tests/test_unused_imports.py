@@ -110,3 +110,37 @@ def test_the_check_finds_an_unraised_error():
 def test_every_error_class_is_raised():
     assert unraised_errors((PACKAGE / "errors.py").read_text(),
                            [p.read_text() for p in SOURCES]) == []
+
+
+def json_encoder_calls(source):
+    """Line numbers of the json.dump and json.dumps calls of source, also
+    under an alias or a from-import."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {a.asname or a.name for a in node.names if a.name in ("dump", "dumps")}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+                 and isinstance(f.value, ast.Name) and f.value.id in modules)
+                    or (isinstance(f, ast.Name) and f.id in functions)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_finds_a_json_encoder_call():
+    source = ("import json\nimport json as j\nfrom json import dumps as d\n\n"
+              "json.dumps(1)\nj.dump(1, f)\nd(1)\njson.loads('1')\nx.dumps(1)\n")
+    assert json_encoder_calls(source) == [5, 6, 7]
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=lambda p: p.name)
+def test_reports_have_one_encoder(module):
+    # serialize._report_text writes every report; the stdlib encoder is its
+    # test oracle (tests/oracles.py report_text)
+    assert json_encoder_calls(module.read_text()) == []
