@@ -271,10 +271,12 @@ def _nearest_unambiguous(values, target):
 def _unit_direction(t: MatrixTuple, xhat):
     xhat = np.asarray(xhat, dtype=complex).reshape(-1)
     if xhat.shape[0] != t.n - 1:
-        raise TrackingError(f"direction must have n-1={t.n - 1} coordinates")
+        raise ValueError(f"direction must have n-1={t.n - 1} coordinates, not {xhat.shape[0]}")
+    if not np.isfinite(xhat).all():
+        raise ValueError("direction must have finite coordinates")
     nrm = np.linalg.norm(xhat)
     if nrm == 0:
-        raise TrackingError("direction must be nonzero")
+        raise ValueError("direction must be nonzero")
     return xhat / nrm
 
 
@@ -353,10 +355,11 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8):
     not converge raises ExtrapolationError (d1 before d2).
 
     Only the kind lambda needs is solved, with left and right eigenvectors,
-    which the branches keep for their projections.  A t_max that is not a
-    finite real > 0 or a samples that is not an integer >= 2 raises
-    ValueError.  The branches keep t as their pencil and compute their
-    residuals when first read.
+    which the branches keep for their projections.  An xhat that is not
+    n-1 finite coordinates, not all 0, a t_max that is not a finite
+    real > 0 or a samples that is not an integer >= 2 raises ValueError
+    before anything is solved.  The branches keep t as their pencil and
+    compute their residuals when first read.
     """
     xhat = _unit_direction(t, xhat)
     a1 = t.matrices[0]
@@ -540,8 +543,9 @@ def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
     derivatives do not converge, and its report keeps the ExtrapolationError
     in error: a gate that walks the eigenvalues in order raises it on
     reaching that report.  Branches tracked with samples < 5 have no first
-    derivatives, and regularity_report refuses them with ValueError.  A
-    t_max or samples that local_branches refuses raises ValueError here too.
+    derivatives, and regularity_report refuses them with ValueError.  An
+    xhat, t_max or samples that local_branches refuses raises ValueError
+    here too.
     """
     xhat = _unit_direction(t, xhat)
     a1 = t.matrices[0]

@@ -10,6 +10,7 @@ failed LAPACK eigensolve) with a diagnostic report.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -255,8 +256,9 @@ _TOL_HELP = {
     "coxeter-check": (
         "tolerance on the explicit representation matrices, the restriction's "
         "unitary, self-adjoint and relation residuals, and the equivalence "
-        "character_bound; the spectral-membership checks of conditions (I), "
-        "(II) and spectra_match stay at a fixed 1e-8"
+        "character_bound; the spectral checks stay at a fixed 1e-8 (relative): "
+        "condition (I) and spectra_match match roots on generic lines, "
+        "condition (II) tests sampled points"
     ),
 }
 _COMMANDS = {
@@ -288,9 +290,12 @@ def build_parser():
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    config = RunConfig(**vars(parser.parse_args(argv)))
+    config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         config.validate()
         if config.command != "demo-blowup" and not config.input:

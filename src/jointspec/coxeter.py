@@ -362,21 +362,14 @@ def _random_direction(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _lines_needed(missing, tup: MatrixTuple):
-    """Fewest lines that can supply `missing` spectrum points.
-
-    A line meets the proper joint spectrum at most N times, so a chunk of
-    this many lines is used to its last line, as lines taken one at a time
-    would be: chunked sampling draws exactly the same random stream.
-    """
-    return -(-missing // tup.dim)
-
-
 def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
     """Points of the proper joint spectrum within the ball |x - center| <= radius.
 
     Random lines near the center, at most 8 * count, are drawn and solved in
-    chunks of _lines_needed lines, one line_roots_batch call each.  The
+    chunks, one line_roots_batch call each.  A chunk holds the fewest lines
+    that can supply the missing points: a line meets the proper joint
+    spectrum at most N times, so every line of a chunk is used, as lines
+    taken one at a time would be, and the random stream is the same.  The
     distances of a chunk's points to the center are taken in one stacked
     pass; a point within 1e-9 radius of the boundary is decided again by
     np.linalg.norm, so every decision is that of testing one point at a time.
@@ -385,7 +378,7 @@ def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
     pts = []
     budget = 8 * count
     while budget > 0 and len(pts) < count:
-        size = min(_lines_needed(count - len(pts), tup), budget)
+        size = min(-((len(pts) - count) // tup.dim), budget)
         budget -= size
         ys, us = [], []
         for _ in range(size):
@@ -404,8 +397,8 @@ def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
     return pts[:count]
 
 
-# Relative tolerance of spectral_mask for points sampled on one spectrum and
-# tested for membership in another.
+# Relative tolerance of spectral_mask in condition (II) and of matching a root
+# against another tuple's roots on the same line in _line_inclusion.
 _MEMBERSHIP_TOL = 1e-8
 
 
@@ -415,62 +408,55 @@ def _first_outside(dst: MatrixTuple, pts):
     return None if inside.all() else pts[int(np.argmin(inside))]
 
 
-def _sampled_inclusion(src: MatrixTuple, dst: MatrixTuple, sample_count, seed):
-    """Sampled inclusion sigma_p(src) in sigma_p(dst); returns (ok, witness).
+def _generic_lines(n, seed):
+    """Directions u of the lines s -> s u that decide a spectral inclusion:
+    four generic lines in C^n, then one generic line in each (A_1, A_i)
+    coordinate plane, i = 2..n, drawn from the generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    lines = np.zeros((n + 3, n), dtype=complex)
+    for k in range(4):
+        lines[k] = _random_direction(rng, n)
+    for i in range(1, n):
+        lines[3 + i, [0, i]] = _random_direction(rng, 2)
+    return lines
 
-    The points are the roots with |s| <= 4 on random lines through the
-    origin: sample_count // 2 of them on lines across the full spectrum of
-    src, then the rest on lines in the coordinate plane of a random
-    (A_1, A_i) pair, from at most 4 * sample_count lines each.  Lines are
-    drawn, solved and tested in chunks of _lines_needed lines (one
-    line_roots_batch and one spectral_mask call each); the witness is the
-    first point outside sigma_p(dst).
+
+def _unmatched(lines, roots, others):
+    """s u for the first finite root s of roots on line u that no root of
+    others on the same line matches within _MEMBERSHIP_TOL (1 + |s|), or None."""
+    for u, a, b in zip(lines, roots, others):
+        gaps = np.abs(a.finite[:, None] - b.finite).min(axis=1, initial=INF)
+        bad = np.flatnonzero(gaps > _MEMBERSHIP_TOL * (1.0 + np.abs(a.finite)))
+        if bad.size:
+            return a.finite[bad[0]] * u
+    return None
+
+
+def _line_inclusion(src: MatrixTuple, dst: MatrixTuple, seed):
+    """(w, w'): the _unmatched roots of src against dst and of dst against
+    src on the _generic_lines of seed, witnesses that sigma_p(src) is not
+    in sigma_p(dst) and the reverse.
+
+    Each irreducible component of sigma_p(src) meets a generic line, and a
+    component not inside sigma_p(dst) meets it in a proper subvariety, which
+    a generic line misses (Schwartz 1980; Zippel 1979).  So, for lines
+    drawn at random, the inclusion holds with probability 1 exactly when
+    every root of src on the lines is a root of dst on the same line.
+    Each tuple is solved on all lines with one line_roots_batch call.
     """
     if src.n != dst.n:
         raise ValueError("tuple and representation must have the same number of generators")
-    n = src.n
-    rng = np.random.default_rng(seed)
-
-    def full_line():
-        return _random_direction(rng, n), None
-
-    def plane_line():
-        i = int(rng.integers(2, n + 1))
-        u = np.zeros(n, dtype=complex)
-        u[[0, i - 1]] = _random_direction(rng, 2)
-        return u, i - 1
-
-    checked = 0
-    for draw, goal in ((full_line, sample_count // 2), (plane_line, sample_count)):
-        budget = 4 * sample_count
-        while budget > 0 and checked < goal:
-            size = min(_lines_needed(goal - checked, src), budget)
-            budget -= size
-            lines = [draw() for _ in range(size)]
-            solved = line_roots_batch(src, np.zeros((size, n)), [u for u, _ in lines])
-            pts = []
-            for (u, i), roots in zip(lines, solved):
-                for s in roots.finite:
-                    if abs(s) > 4.0:
-                        continue
-                    if i is None:
-                        p = s * u
-                    else:
-                        # the two plane coordinates as scalar products, as for
-                        # the (A_1, A_i) pair alone: s * u rounds differently
-                        p = np.zeros(n, dtype=complex)
-                        p[0], p[i] = s * u[0], s * u[i]
-                    pts.append(p)
-            witness = _first_outside(dst, pts)
-            if witness is not None:
-                return False, witness
-            checked += len(pts)
-    return True, None
+    lines = _generic_lines(src.n, seed)
+    bases = np.zeros(lines.shape)
+    a, b = line_roots_batch(src, bases, lines), line_roots_batch(dst, bases, lines)
+    return _unmatched(lines, a, b), _unmatched(lines, b, a)
 
 
-def check_condition_I(t: MatrixTuple, rep: CoxeterRep, sample_count=200, seed=0):
-    """Sampled inclusion sigma_p(rep) in sigma_p(t); returns (ok, witness)."""
-    return _sampled_inclusion(rep.as_tuple(), t, sample_count, seed)
+def check_condition_I(t: MatrixTuple, rep: CoxeterRep, seed=0):
+    """Inclusion sigma_p(rep) in sigma_p(t) decided on generic lines
+    (_line_inclusion); returns (ok, witness)."""
+    witness, _ = _line_inclusion(rep.as_tuple(), t, seed)
+    return witness is None, witness
 
 
 def extended_tuple(t: MatrixTuple):
@@ -578,13 +564,12 @@ class RestrictionReport:
     spectra_witness: object
 
 
-def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRep,
-                       sample_count=120, seed=0):
+def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRep, seed=0):
     """Check the restricted generators are a unitary self-adjoint Coxeter tuple.
 
-    The joint spectra of the restriction and of rep are compared by
-    two-sided sampled inclusion, and the pair orders recovered from the
-    restriction are compared with the orders of rep's pairs.
+    The joint spectra of the restriction and of rep are compared both ways
+    by _line_inclusion, and the pair orders recovered from the restriction
+    are compared with the orders of rep's pairs.
     """
     gens = sub.restrictions
     eye = np.eye(sub.dim)
@@ -607,9 +592,7 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
         ambiguous = ambiguous or any(len(c) != 1 for c in cands)
     exponents_ok = all(recovered[i] == expected[i] for i in recovered)
 
-    rt, rep_tup = MatrixTuple(gens), rep.as_tuple()
-    ok1, w1 = _sampled_inclusion(rep_tup, rt, sample_count, seed)
-    ok2, w2 = _sampled_inclusion(rt, rep_tup, sample_count, seed + 1)
+    w1, w2 = _line_inclusion(rep.as_tuple(), MatrixTuple(gens), seed)
 
     return RestrictionReport(
         unitary_residuals=unit,
@@ -620,7 +603,7 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
         exponents_ok=exponents_ok,
         exponent_candidates=candidates,
         exponent_ambiguous=ambiguous,
-        spectra_match=ok1 and ok2,
+        spectra_match=w1 is None and w2 is None,
         spectra_witness=w1 if w1 is not None else w2,
     )
 
@@ -892,8 +875,9 @@ class RigidityReport:
 def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120, seed=0):
     """Run the full rigidity pipeline for a candidate tuple against rep.
 
-    The last step decides with equivalence_evidence whether the restriction
-    to L is equivalent to rep.
+    sample_count sets condition (II)'s points near each coordinate point (a
+    third of it, at least 20).  The last step decides with
+    equivalence_evidence whether the restriction to L is equivalent to rep.
 
     When the multiplicity-free condition fails the report is marked not
     applicable: the invariant subspace is still extracted for inspection,
@@ -902,7 +886,7 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=1
     norms = tuple(opnorm(m) for m in t.matrices)
     norms_ok = all(abs(v - 1.0) <= 1e-8 for v in norms[1:])
     star = check_condition_star(rep)
-    cond1, w1 = check_condition_I(t, rep, sample_count=sample_count, seed=seed)
+    cond1, w1 = check_condition_I(t, rep, seed=seed)
     cond2, w2 = check_condition_II(t, rep, epsilon=epsilon,
                                    sample_count=max(sample_count // 3, 20), seed=seed + 1)
     applicable = all(star.values()) and cond1 and all(cond2.values()) and norms_ok
@@ -918,8 +902,7 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=1
         dim_l = sub.dim
         basis = sub.basis
         inv_res = sub.invariance_residuals
-        restriction = verify_restriction(sub, rep.cm, rep, sample_count=sample_count,
-                                         seed=seed + 2)
+        restriction = verify_restriction(sub, rep.cm, rep, seed=seed + 2)
         if sub.dim == rep.dim:
             equivalence = equivalence_evidence(sub.restrictions, rep.generators, rep.cm)
     except EmptySubspaceError as exc:

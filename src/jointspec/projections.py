@@ -306,7 +306,7 @@ class LimitProjection:
         }
 
 
-def limit_projection(t: MatrixTuple, b: Branch, ladder=None):
+def limit_projection(t: MatrixTuple, b: Branch):
     """Richardson limit P and derivative P'(0) of the component projections
     along the branch ladder, each extrapolated once.
 
@@ -314,9 +314,7 @@ def limit_projection(t: MatrixTuple, b: Branch, ladder=None):
     ProjectionBlowupError carrying the fitted exponent and the profile;
     this is the expected outcome for non-normal leading matrices.
     """
-    if ladder is None:
-        ladder = projection_ladders(t, [b])[0]
-    (profile,), (limit,) = _limits([b], [ladder])
+    (profile,), (limit,) = _limits([b], projection_ladders(t, [b]))
     return _checked(profile, limit)
 
 

@@ -1,5 +1,6 @@
 """Tests for spectral resolutions, branch tracking, and regularity checks."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -179,8 +180,20 @@ class TestLocalBranches:
         assert res.multiplicities[res.index_of(1.0)] == 2
 
     def test_nonzero_direction_required(self):
-        with pytest.raises(js.TrackingError):
+        with pytest.raises(ValueError, match="nonzero"):
             js.local_branches(two_line_variant(), 1.0, [0.0])
+
+    @pytest.mark.parametrize("xhat, message", [
+        ([0.0], "nonzero"), ([1.0, 0.0], "n-1=1 coordinates"), ([math.nan], "finite"),
+        ([complex(1.0, math.inf)], "finite"),
+    ])
+    def test_bad_direction_is_refused_before_any_solve(self, monkeypatch, xhat, message):
+        counts = slices.count_solves(monkeypatch)
+        for call in (lambda: js.local_branches(two_line_variant(), 1.0, xhat),
+                     lambda: js.check_regularity(two_line_variant(), xhat)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert counts == {"ggev": [], "geev": [], "eigvals": [], "schur": 0}
 
     def test_tracking_error_when_branches_merge_below_resolution(self):
         # derivative gap 1e-3: branches are separate at coarse t but fall

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,22 @@ class TestAnalyzeCommand:
         inp = write_json(tmp_path / "bad_lambda.json", obj)
         assert main(["analyze", "--input", inp]) == 2
         assert "not an eigenvalue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction, message", [
+        ([[0, 0]], "must be nonzero"),
+        ([[1, 0], [0, 1]], "must have n-1=1 coordinates"),
+        ([[math.nan, 0]], "must have finite coordinates"),
+    ], ids=["zero", "wrong-length", "nan"])
+    def test_bad_direction_exits_two(self, tmp_path, capsys, direction, message):
+        obj = {**dihedral_pair(1.0).to_json(), "schema_version": 1, "lambda": [1.0, 0],
+               "direction": direction}
+        inp = write_json(tmp_path / "bad_direction.json", obj)
+        out = tmp_path / "analysis.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic on it
+            assert main(["analyze", "--input", inp, "--out", str(out)]) == 2
+        assert f"error: direction {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_refusal_writes_a_report(self, dihedral_input, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -587,7 +604,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("command, phrases", [
         ("verify", ["relation residual"]),
-        ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8"]),
+        ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8", "generic lines"]),
     ])
     def test_tol_help_names_what_it_gates(self, capsys, command, phrases):
         with pytest.raises(SystemExit) as exc:
@@ -598,6 +615,19 @@ class TestParseErrors:
 
     def test_missing_input_flag(self):
         assert main(["verify"]) == 2
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        used = []
+        shared = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda: used.append(shared()) or used[-1])
+        assert main(["verify"]) == 2
+        assert main(["verify"]) == 2
+        assert len(used) == 2 and used[0] is used[1]
+        # a value parsed once does not become the next call's default
+        first = shared().parse_args(["coxeter-check", "--seed", "5", "--tol", "0.5"])
+        second = shared().parse_args(["coxeter-check"])
+        assert (first.seed, first.tol) == (5, 0.5)
+        assert (second.seed, second.tol) == (0, 1e-5)
 
     @pytest.mark.parametrize("argv", [
         ["plot", "--input", "x.json", "--tol", "1"],

@@ -235,19 +235,19 @@ class TestConditionStar:
 class TestConditionI:
     def test_block_containment(self):
         t, rep = planted_dihedral(4, extra=("one_dim_pm",))
-        ok, witness = js.check_condition_I(t, rep, sample_count=120, seed=0)
+        ok, witness = js.check_condition_I(t, rep, seed=0)
         assert ok and witness is None
 
     def test_different_group_fails_with_witness(self):
         rep = js.build_representation(js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2)])
         other = dihedral_pair(2 * math.pi / 3)
-        ok, witness = js.check_condition_I(other, rep, sample_count=60, seed=0)
+        ok, witness = js.check_condition_I(other, rep, seed=0)
         assert not ok and witness is not None
 
     def test_conjugated_rep_contains_itself(self):
         rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)], seed=2)
         t = js.MatrixTuple(rep.generators)
-        ok, _ = js.check_condition_I(t, rep, sample_count=80, seed=1)
+        ok, _ = js.check_condition_I(t, rep, seed=1)
         assert ok
 
 
@@ -300,8 +300,9 @@ def same_bits(got, want):
 
 
 class TestSamplersMatchTheOneLineOracles:
-    """The chunked samplers keep the points, verdicts, witnesses and random
-    stream of solving one line and testing one point at a time."""
+    """The chunked sampler of condition (II) keeps the points, verdicts,
+    witnesses and random stream of solving one line and testing one point
+    at a time."""
 
     @pytest.mark.parametrize("case", SAMPLER_CASES)
     def test_spectrum_near_points_and_generator_state(self, case):
@@ -358,26 +359,112 @@ class TestSamplersMatchTheOneLineOracles:
         if case == "planted sheet":
             assert list(got_w) == [(2, 1)]
 
-    @pytest.mark.parametrize("case", SAMPLER_CASES)
-    @pytest.mark.parametrize("sample_count", [1, 120])
-    def test_inclusion_both_ways(self, case, sample_count):
-        # sample_count=1 takes one point, from the coordinate-plane lines
-        t, rep = SAMPLER_CASES[case]()
-        for src, dst in ((rep.as_tuple(), t), (t, rep.as_tuple())):
-            ok, witness = coxeter._sampled_inclusion(src, dst, sample_count, 4)
-            want_ok, want_witness = oracles.sampled_inclusion(src.matrices, dst.matrices,
-                                                              sample_count, 4)
-            assert ok == want_ok and same_bits(witness, want_witness)
 
-    @pytest.mark.parametrize("sample_count", [1, 60])
-    def test_condition_I_against_a_different_group(self, sample_count):
+def worst_root_match(src, dst, seed):
+    """Largest min |s - s'| / (1 + |s|) over the finite roots s of src on
+    the generic lines of seed, s' over dst's roots on the same line."""
+    lines = coxeter._generic_lines(src.n, seed)
+    bases = np.zeros(lines.shape)
+    worst = 0.0
+    for a, b in zip(js.line_roots_batch(src, bases, lines), js.line_roots_batch(dst, bases, lines)):
+        gaps = np.abs(a.finite[:, None] - b.finite).min(axis=1, initial=math.inf)
+        worst = max(worst, float(np.max(gaps / (1.0 + np.abs(a.finite)), initial=0.0)))
+    return worst
+
+
+def assert_witness(witness, src, dst):
+    """witness is a point of sigma_p(src) outside sigma_p(dst)."""
+    assert witness is not None
+    assert js.spectral_mask(src, [witness], 1e-8).tolist() == [True]
+    assert js.spectral_mask(dst, [witness], 1e-8).tolist() == [False]
+
+
+def planted_as(summands, cm, seed):
+    """A tuple planted with the summands of W(cm), blocks as planted_dihedral's."""
+    return planted_tuple(js.build_representation(cm, summands),
+                         [np.diag([0.3, -0.22 + 0.1j]), random_block(2, 0.3, seed)], seed=seed)
+
+
+# Controls that miss exactly one component of rep's spectrum: rep's
+# summands, then those the tuple is planted with.
+MISSED_COMPONENT = {
+    "one_dim_pm swapped for one_dim_mp": (
+        js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2), "one_dim_pm"],
+        [js.DihedralIrrep("two_dim", math.pi / 2), "one_dim_mp"]),
+    "two_dim(2pi/5) rotated to two_dim(4pi/5)": (
+        js.dihedral(5), [js.DihedralIrrep("two_dim", 2 * math.pi / 5), "one_dim_pp"],
+        [js.DihedralIrrep("two_dim", 4 * math.pi / 5), "one_dim_pp"]),
+}
+
+
+class TestLineInclusion:
+    """Condition (I) and spectra_match, decided root against root on the
+    fixed generic lines, against the sampled-point oracle and on controls."""
+
+    def test_lines(self):
+        lines = coxeter._generic_lines(3, 0)
+        assert lines.shape == (6, 3)
+        assert_allclose(np.linalg.norm(lines, axis=1), 1.0, rtol=1e-15)
+        assert np.all(lines[:4] != 0)
+        assert [np.flatnonzero(u).tolist() for u in lines[4:]] == [[0, 1], [0, 2]]
+        assert coxeter._generic_lines(3, 0).tobytes() == lines.tobytes()
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_verdicts_match_the_sampled_oracle(self, case):
+        t, rep = SAMPLER_CASES[case]()
+        for seed in range(10):
+            for src, dst in ((rep.as_tuple(), t), (t, rep.as_tuple())):
+                witness, back = coxeter._line_inclusion(src, dst, seed)
+                want_ok, _ = oracles.sampled_inclusion(src.matrices, dst.matrices, 40, seed)
+                assert (witness is None) == want_ok
+                if witness is not None:
+                    assert_witness(witness, src, dst)
+                if back is not None:
+                    assert_witness(back, dst, src)
+            # rep is planted in t, and t adds the spectrum of its blocks
+            assert js.check_condition_I(t, rep, seed=seed) == (True, None)
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_planted_roots_match_to_1e_12(self, case):
+        t, rep = SAMPLER_CASES[case]()
+        rt = js.MatrixTuple(js.extract_invariant_subspace(t).restrictions)
+        for seed in range(50):
+            assert worst_root_match(rep.as_tuple(), t, seed) <= 1e-12
+            assert worst_root_match(rep.as_tuple(), rt, seed) <= 1e-12
+            assert worst_root_match(rt, rep.as_tuple(), seed) <= 1e-12
+
+    def test_condition_I_refuses_a_different_group(self):
         rep = js.build_representation(js.dihedral(4), [js.DihedralIrrep("two_dim", math.pi / 2)])
         other = dihedral_pair(2 * math.pi / 3)
-        ok, witness = js.check_condition_I(other, rep, sample_count=sample_count, seed=0)
-        want_ok, want_witness = oracles.sampled_inclusion(rep.as_tuple().matrices,
-                                                          other.matrices, sample_count, 0)
-        assert not ok and not want_ok
-        assert same_bits(witness, want_witness)
+        for seed in range(20):
+            ok, witness = js.check_condition_I(other, rep, seed=seed)
+            want_ok, _ = oracles.sampled_inclusion(rep.as_tuple().matrices, other.matrices,
+                                                   60, seed)
+            assert not ok and not want_ok
+            assert_witness(witness, rep.as_tuple(), other)
+
+    @pytest.mark.parametrize("control", MISSED_COMPONENT)
+    def test_a_missed_component_is_refused(self, control):
+        cm, summands, planted = MISSED_COMPONENT[control]
+        rep = js.build_representation(cm, summands)
+        for seed in range(50):
+            t = planted_as(planted, cm, seed)
+            ok, witness = js.check_condition_I(t, rep, seed=seed)
+            assert not ok
+            assert_witness(witness, rep.as_tuple(), t)
+            sub = js.extract_invariant_subspace(t)
+            assert sub.dim == rep.dim
+            rr = js.verify_restriction(sub, cm, rep, seed=seed)
+            assert not rr.spectra_match
+            rt = js.MatrixTuple(sub.restrictions)
+            on_rep, on_rt = (js.spectral_mask(tup, [rr.spectra_witness], 1e-8)[0]
+                             for tup in (rep.as_tuple(), rt))
+            assert on_rep != on_rt
+            # the same planting of rep's own summands passes both checks
+            same = planted_as(summands, cm, seed)
+            assert js.check_condition_I(same, rep, seed=seed) == (True, None)
+            assert js.verify_restriction(js.extract_invariant_subspace(same), cm, rep,
+                                         seed=seed).spectra_match
 
 
 class TestInvariantSubspace:

@@ -33,12 +33,12 @@ EXPORTS = [
 # every public function with at least one defaulted parameter; the rest have none
 DEFAULTED = {
     "CoxeterRep.validate": 1, "analyze_pair": 1, "build_representation": 1,
-    "check_condition_I": 2, "check_condition_II": 3, "check_regularity": 2,
-    "limit_projection": 1, "local_branches": 2, "projection_norm_profile": 1,
-    "rigidity_check": 3, "sample_spectrum_curve": 2, "verify_cross_moment_zero": 1,
-    "verify_first_moment": 1, "verify_orthogonality_and_resolution": 1, "verify_pair": 5,
-    "verify_prime_relations": 1, "verify_restriction": 2, "verify_same_projection_lemma": 1,
-    "verify_second_moment": 1, "verify_square_relation": 1,
+    "check_condition_I": 1, "check_condition_II": 3, "check_regularity": 2,
+    "local_branches": 2, "projection_norm_profile": 1, "rigidity_check": 3,
+    "sample_spectrum_curve": 2, "verify_cross_moment_zero": 1, "verify_first_moment": 1,
+    "verify_orthogonality_and_resolution": 1, "verify_pair": 5, "verify_prime_relations": 1,
+    "verify_restriction": 1, "verify_same_projection_lemma": 1, "verify_second_moment": 1,
+    "verify_square_relation": 1,
 }
 
 
@@ -75,4 +75,4 @@ def test_exports():
 def test_defaulted_parameters():
     counts = {name: defaulted(fn) for name, fn in public_functions()}
     assert {name: n for name, n in counts.items() if n} == DEFAULTED
-    assert sum(counts.values()) == 33
+    assert sum(counts.values()) == 30
