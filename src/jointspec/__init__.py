@@ -16,13 +16,11 @@ from .coxeter import (
     CoxeterRep,
     DihedralIrrep,
     RigidityReport,
-    SpectrumComponentDescriptor,
     build_representation,
     check_condition_I,
     check_condition_II,
     check_condition_star,
     dihedral,
-    dihedral_component_catalog,
     dihedral_pair_decomposition,
     equivalence_evidence,
     extended_tuple,

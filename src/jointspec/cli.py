@@ -91,7 +91,10 @@ def _provenance(config: RunConfig):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"the input must be a JSON object; got {type(obj).__name__}")
+    return obj
 
 
 def _tuple_from(obj):
@@ -162,11 +165,19 @@ def _cmd_coxeter_check(config: RunConfig):
     tup = _tuple_from(obj)
     cm = CoxeterMatrix.from_json(obj["coxeter_matrix"])
     rep_spec = obj["rep"]
+    if not (isinstance(rep_spec, dict) and ("matrices" in rep_spec or "assignment" in rep_spec)):
+        raise ValueError("'rep' must be an object with 'matrices' or 'assignment'")
     if "matrices" in rep_spec:
-        rep = CoxeterRep(cm=cm, generators=tuple(json_to_matrix(m) for m in rep_spec["matrices"]))
+        if not isinstance(rep_spec["matrices"], list):
+            raise ValueError("rep 'matrices' must be a list of matrices")
+        rep = CoxeterRep(cm=cm, generators=tuple(json_to_matrix(m, "each of rep's 'matrices'")
+                                                 for m in rep_spec["matrices"]))
         rep.validate(config.tol)
     else:
-        rep = build_representation(cm, rep_spec["assignment"], seed=rep_spec.get("seed"))
+        seed = rep_spec.get("seed")
+        if not (seed is None or isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"rep 'seed' must be an integer >= 0; got {seed!r}")
+        rep = build_representation(cm, rep_spec["assignment"], seed=seed)
     rig = rigidity_check(
         tup, rep, epsilon=config.epsilon, seed=config.seed,
     )
@@ -258,7 +269,7 @@ _TOL_HELP = {
         "unitary, self-adjoint and relation residuals, and the equivalence "
         "character_bound; the spectral checks stay at a fixed 1e-8 (relative): "
         "condition (I) and spectra_match match roots on generic lines, "
-        "condition (II) tests sampled points"
+        "condition (II) matches roots on random lines near each ±e_j"
     ),
 }
 _COMMANDS = {

@@ -1,4 +1,4 @@
-"""Coxeter representations, their joint-spectrum catalog, and rigidity checks.
+"""Coxeter representations and rigidity checks.
 
 A Coxeter matrix fixes relations (g_i g_j)^{m_ij} = 1 between involutive
 generators.  Dihedral (two-generator) pieces have 1- and 2-dimensional
@@ -11,13 +11,14 @@ genuine copy of that representation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import AssignmentError, EmptySubspaceError, SeparationError
-from .pencil import MatrixTuple, line_roots_batch, opnorm, spectral_mask
+from .pencil import MatrixTuple, _is_real, line_roots_batch, opnorm
 from .serialize import matrix_to_json
 
 INF = math.inf
@@ -65,6 +66,13 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json(cls, rows):
+        """Rows of numbers and "inf" (0 also reads as inf); ValueError naming
+        coxeter_matrix for anything else."""
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and all(v == "inf" or isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for row in rows for v in row)):
+            raise ValueError(f"coxeter_matrix must be a list of rows of numbers and 'inf'; "
+                             f"got {rows!r}")
         return cls([[INF if v in ("inf", 0) else v for v in row] for row in rows])
 
 
@@ -100,67 +108,6 @@ class DihedralIrrep:
             return g1, g2
         e1, e2 = ONE_DIM_SIGNS[self.kind]
         return (np.array([[e1]], dtype=complex), np.array([[e2]], dtype=complex))
-
-
-@dataclass(frozen=True)
-class SpectrumComponentDescriptor:
-    """One irreducible spectrum component of a dihedral pair, by equation.
-
-    shape 'line'/'gen_line' carries a sign pair (s1, s2) for s1 x1 + s2 x2 = 1;
-    'ellipse' is x1^2 + 2 c x1 x2 + x2^2 = 1 and 'gen_ellipse_z' is
-    x1^2 - x2^2 + 2 c x2 = 1 with c = cos(angle).
-    """
-
-    shape: str
-    parameters: tuple
-
-    def evaluate(self, x1, x2):
-        x1, x2 = complex(x1), complex(x2)
-        if self.shape in ("line", "gen_line"):
-            s1, s2 = self.parameters
-            return s1 * x1 + s2 * x2 - 1.0
-        (c,) = self.parameters
-        if self.shape == "ellipse":
-            return x1 * x1 + 2.0 * c * x1 * x2 + x2 * x2 - 1.0
-        if self.shape == "gen_ellipse_z":
-            return x1 * x1 - x2 * x2 + 2.0 * c * x2 - 1.0
-        raise ValueError(f"unknown shape {self.shape!r}")
-
-    def sample(self, count, rng):
-        """Real points on the component (the real trace is always nonempty)."""
-        pts = []
-        if self.shape in ("line", "gen_line"):
-            s1, s2 = self.parameters
-            for u in rng.uniform(-1.5, 1.5, size=count):
-                pts.append(((1.0 - s2 * u) / s1, u))
-        elif self.shape == "ellipse":
-            (c,) = self.parameters
-            q = np.array([[1.0, c], [c, 1.0]])
-            root = scipy.linalg.sqrtm(np.linalg.inv(q)).real
-            for th in rng.uniform(0.0, 2.0 * math.pi, size=count):
-                v = root @ np.array([math.cos(th), math.sin(th)])
-                pts.append((v[0], v[1]))
-        else:
-            (c,) = self.parameters
-            for u in rng.uniform(-1.5, 1.5, size=count):
-                x1 = math.sqrt(max(1.0 + u * u - 2.0 * c * u, 0.0))
-                pts.append((x1 if rng.uniform() < 0.5 else -x1, u))
-        return np.array(pts, dtype=complex)
-
-
-def dihedral_component_catalog(irrep: DihedralIrrep):
-    """Spectrum component descriptors for (g1, g2) and for (g1, g1 g2)."""
-    if irrep.kind == "two_dim":
-        c = math.cos(irrep.angle)
-        return (
-            SpectrumComponentDescriptor("ellipse", (c,)),
-            SpectrumComponentDescriptor("gen_ellipse_z", (c,)),
-        )
-    e1, e2 = ONE_DIM_SIGNS[irrep.kind]
-    return (
-        SpectrumComponentDescriptor("line", (e1, e2)),
-        SpectrumComponentDescriptor("gen_line", (e1, e1 * e2)),
-    )
 
 
 def random_unitary(dim, rng):
@@ -265,8 +212,11 @@ def build_representation(cm: CoxeterMatrix, assignment, seed=None):
     (kind, angle) pairs); for more generators the named full-group summands
     'geometric', 'trivial' and 'sign' are supported.  A seed conjugates the
     block-diagonal result by a random unitary.  Summands that break a group
-    relation (e.g. a two_dim angle that is not 2*pi*k/m) are rejected.
+    relation (e.g. a two_dim angle that is not 2*pi*k/m) are rejected, and
+    an assignment that is not a list or tuple raises ValueError.
     """
+    if not isinstance(assignment, (list, tuple)):
+        raise ValueError(f"assignment must be a list of summands; got {assignment!r}")
     summands = []
     for spec in assignment:
         if isinstance(spec, DihedralIrrep):
@@ -276,6 +226,8 @@ def build_representation(cm: CoxeterMatrix, assignment, seed=None):
         elif isinstance(spec, str) and spec in ONE_DIM_SIGNS and cm.n == 2:
             summands.append(DihedralIrrep(spec).generator_matrices)
         elif isinstance(spec, (tuple, list)) and len(spec) == 2 and spec[0] == "two_dim":
+            if not _is_real(spec[1]):
+                raise AssignmentError(f"a two_dim summand needs a real angle; got {spec[1]!r}")
             if cm.n != 2:
                 raise AssignmentError("dihedral summands require a two-generator Coxeter matrix")
             summands.append(DihedralIrrep("two_dim", float(spec[1])).generator_matrices)
@@ -362,50 +314,16 @@ def _random_direction(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _sample_spectrum_near(tup: MatrixTuple, center, radius, count, rng):
-    """Points of the proper joint spectrum within the ball |x - center| <= radius.
-
-    Random lines near the center, at most 8 * count, are drawn and solved in
-    chunks, one line_roots_batch call each.  A chunk holds the fewest lines
-    that can supply the missing points: a line meets the proper joint
-    spectrum at most N times, so every line of a chunk is used, as lines
-    taken one at a time would be, and the random stream is the same.  The
-    distances of a chunk's points to the center are taken in one stacked
-    pass; a point within 1e-9 radius of the boundary is decided again by
-    np.linalg.norm, so every decision is that of testing one point at a time.
-    """
-    center = np.asarray(center, dtype=complex)
-    pts = []
-    budget = 8 * count
-    while budget > 0 and len(pts) < count:
-        size = min(-((len(pts) - count) // tup.dim), budget)
-        budget -= size
-        ys, us = [], []
-        for _ in range(size):
-            ys.append(center + 0.4 * radius * _random_direction(rng, tup.n) * rng.uniform())
-            us.append(_random_direction(rng, tup.n))
-        solved = line_roots_batch(tup, ys, us)
-        line = np.repeat(np.arange(size), [r.finite.size for r in solved])
-        s = np.concatenate([np.zeros(0, dtype=complex)] + [r.finite for r in solved])
-        p = np.asarray(ys)[line] + s[:, None] * np.asarray(us)[line]
-        diff = p - center
-        dist = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=1))
-        inside = dist <= radius
-        for i in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
-            inside[i] = np.linalg.norm(diff[i]) <= radius
-        pts.extend(p[inside])
-    return pts[:count]
+def _random_directions(rng, count, n):
+    """count unit vectors of C^n as rows, drawn at once: all real parts,
+    then all imaginary parts."""
+    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-# Relative tolerance of spectral_mask in condition (II) and of matching a root
-# against another tuple's roots on the same line in _line_inclusion.
+# Relative tolerance of matching a root against another tuple's roots on the
+# same line (_unmatched).
 _MEMBERSHIP_TOL = 1e-8
-
-
-def _first_outside(dst: MatrixTuple, pts):
-    """The first of pts not in sigma_p(dst), or None; one spectral_mask call."""
-    inside = spectral_mask(dst, pts, _MEMBERSHIP_TOL)
-    return None if inside.all() else pts[int(np.argmin(inside))]
 
 
 def _generic_lines(n, seed):
@@ -421,15 +339,26 @@ def _generic_lines(n, seed):
     return lines
 
 
-def _unmatched(lines, roots, others):
-    """s u for the first finite root s of roots on line u that no root of
-    others on the same line matches within _MEMBERSHIP_TOL (1 + |s|), or None."""
-    for u, a, b in zip(lines, roots, others):
-        gaps = np.abs(a.finite[:, None] - b.finite).min(axis=1, initial=INF)
-        bad = np.flatnonzero(gaps > _MEMBERSHIP_TOL * (1.0 + np.abs(a.finite)))
-        if bad.size:
-            return a.finite[bad[0]] * u
-    return None
+def _root_table(solved):
+    """The finite roots of each LineRoots of solved as one row, padded with nan."""
+    width = max((r.finite.size for r in solved), default=0)
+    table = np.full((len(solved), width), np.nan, dtype=complex)
+    for row, r in zip(table, solved):
+        row[:r.finite.size] = r.finite
+    return table
+
+
+def _unmatched(bases, lines, roots, others, center, radius):
+    """y + s u for the first root s of roots, line by line, whose point on
+    its line y + s u (y in bases, u in lines) lies within radius of center
+    and that no root of others on the same line matches within
+    _MEMBERSHIP_TOL (1 + |s|), or None; roots and others are _root_tables."""
+    gaps = np.fmin.reduce(np.abs(roots[:, :, None] - others[:, None, :]), axis=2, initial=INF)
+    points = bases[:, None] + roots[:, :, None] * lines[:, None]
+    bad = ((gaps > _MEMBERSHIP_TOL * (1.0 + np.abs(roots)))
+           & (np.linalg.norm(points - center, axis=2) <= radius))
+    hits = np.argwhere(bad)
+    return points[tuple(hits[0])] if hits.size else None
 
 
 def _line_inclusion(src: MatrixTuple, dst: MatrixTuple, seed):
@@ -448,8 +377,8 @@ def _line_inclusion(src: MatrixTuple, dst: MatrixTuple, seed):
         raise ValueError("tuple and representation must have the same number of generators")
     lines = _generic_lines(src.n, seed)
     bases = np.zeros(lines.shape)
-    a, b = line_roots_batch(src, bases, lines), line_roots_batch(dst, bases, lines)
-    return _unmatched(lines, a, b), _unmatched(lines, b, a)
+    a, b = (_root_table(line_roots_batch(tup, bases, lines)) for tup in (src, dst))
+    return _unmatched(bases, lines, a, b, 0.0, INF), _unmatched(bases, lines, b, a, 0.0, INF)
 
 
 def check_condition_I(t: MatrixTuple, rep: CoxeterRep, seed=0):
@@ -465,29 +394,53 @@ def extended_tuple(t: MatrixTuple):
     return MatrixTuple(list(t.matrices) + [a1 @ m for m in t.matrices[1:]])
 
 
-def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=40, seed=0):
-    """Two-sided sampled set equality near the coordinate points.
+def _check_ball_sampling(epsilon, sample_count):
+    """ValueError unless epsilon is a finite real > 0 and sample_count a
+    positive int."""
+    if not (_is_real(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite real > 0; got {epsilon!r}")
+    if not (isinstance(sample_count, numbers.Integral) and not isinstance(sample_count, bool)
+            and sample_count > 0):
+        raise ValueError(f"sample_count must be a positive int; got {sample_count!r}")
 
-    For every generator coordinate j and sign, points of either extended
-    spectrum inside the epsilon-ball around ±e_j must belong to the other.
-    Returns (per-point dict {(j, sign): bool}, witnesses).
+
+def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=40, seed=0):
+    """Two-sided set equality of the extended spectra near the coordinate points.
+
+    Around each ±e_j, j = 1..n, sample_count lines y + s u are drawn from
+    the generator seeded with seed: y within 0.4 epsilon of the point, u a
+    random unit direction.  Each extended tuple is solved on the lines of
+    all balls with one line_roots_batch call.  The ball of radius epsilon
+    around ±e_j passes when every finite root of either tuple whose point
+    y + s u lies in it has a root of the other tuple on the same line
+    within _MEMBERSHIP_TOL (1 + |s|); rep's roots are matched first.
+    Returns ({(j, sign): bool}, {(j, sign): witness}), the witness the
+    point of the first unmatched root.  epsilon must be a finite real > 0
+    and sample_count a positive int (ValueError).
     """
+    _check_ball_sampling(epsilon, sample_count)
     ext_a = extended_tuple(t)
     ext_r = extended_tuple(rep.as_tuple())
+    balls = [(j, sign) for j in range(1, t.n + 1) for sign in (1, -1)]
+    centers = np.zeros((len(balls), ext_a.n))
+    for b, (j, sign) in enumerate(balls):
+        centers[b, j - 1] = sign
+    count = len(balls) * sample_count
     rng = np.random.default_rng(seed)
-    results = {}
-    witnesses = {}
-    for j in range(1, t.n + 1):
-        for sign in (1, -1):
-            center = np.zeros(ext_a.n, dtype=complex)
-            center[j - 1] = sign
-            for src, dst in ((ext_r, ext_a), (ext_a, ext_r)):
-                witness = _first_outside(dst, _sample_spectrum_near(src, center, epsilon,
-                                                                    sample_count, rng))
-                if witness is not None:
-                    witnesses[(j, sign)] = witness
-                    break
-            results[(j, sign)] = (j, sign) not in witnesses
+    offsets = 0.4 * epsilon * _random_directions(rng, count, ext_a.n) * rng.uniform(size=(count, 1))
+    bases = np.repeat(centers, sample_count, axis=0) + offsets
+    lines = _random_directions(rng, count, ext_a.n)
+    roots_a, roots_r = (_root_table(line_roots_batch(tup, bases, lines)) for tup in (ext_a, ext_r))
+    results, witnesses = {}, {}
+    for b, key in enumerate(balls):
+        part = slice(b * sample_count, (b + 1) * sample_count)
+        ball = (bases[part], lines[part])
+        witness = _unmatched(*ball, roots_r[part], roots_a[part], centers[b], epsilon)
+        if witness is None:
+            witness = _unmatched(*ball, roots_a[part], roots_r[part], centers[b], epsilon)
+        if witness is not None:
+            witnesses[key] = witness
+        results[key] = witness is None
     return results, witnesses
 
 
@@ -858,6 +811,12 @@ class RigidityReport:
                 "exponents_ok": self.restriction.exponents_ok,
                 "exponent_ambiguous": self.restriction.exponent_ambiguous,
                 "spectra_match": self.restriction.spectra_match,
+                "spectra_witness": vec(self.restriction.spectra_witness),
+                "expected_orders": {str(k): v for k, v
+                                    in sorted(self.restriction.expected_orders.items())},
+                "exponent_candidates": {str(k): [[list(km) for km in c] for c in cands]
+                                        for k, cands
+                                        in sorted(self.restriction.exponent_candidates.items())},
             }
         if self.equivalence is not None:
             out["equivalence"] = {
@@ -872,23 +831,25 @@ class RigidityReport:
         return out
 
 
-def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=120, seed=0):
+def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=40, seed=0):
     """Run the full rigidity pipeline for a candidate tuple against rep.
 
-    sample_count sets condition (II)'s points near each coordinate point (a
-    third of it, at least 20).  The last step decides with
-    equivalence_evidence whether the restriction to L is equivalent to rep.
+    epsilon and sample_count are condition (II)'s ball radius and lines per
+    ball (check_condition_II; ValueError unless a finite real > 0 and a
+    positive int).  The last step decides with equivalence_evidence whether
+    the restriction to L is equivalent to rep.
 
     When the multiplicity-free condition fails the report is marked not
     applicable: the invariant subspace is still extracted for inspection,
     but no representation claim is attached to it.
     """
+    _check_ball_sampling(epsilon, sample_count)
     norms = tuple(opnorm(m) for m in t.matrices)
     norms_ok = all(abs(v - 1.0) <= 1e-8 for v in norms[1:])
     star = check_condition_star(rep)
     cond1, w1 = check_condition_I(t, rep, seed=seed)
-    cond2, w2 = check_condition_II(t, rep, epsilon=epsilon,
-                                   sample_count=max(sample_count // 3, 20), seed=seed + 1)
+    cond2, w2 = check_condition_II(t, rep, epsilon=epsilon, sample_count=sample_count,
+                                   seed=seed + 1)
     applicable = all(star.values()) and cond1 and all(cond2.values()) and norms_ok
 
     failure = None

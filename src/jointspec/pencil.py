@@ -75,11 +75,14 @@ class MatrixTuple:
 
     @classmethod
     def from_json(cls, obj):
-        mats = [json_to_matrix(m) for m in obj["matrices"]]
-        tup = cls(mats)
-        if "n" in obj and int(obj["n"]) != tup.n:
+        """The tuple of a to_json object; ValueError naming the field when
+        obj is not one."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("matrices"), list)):
+            raise ValueError("a tuple must be an object whose 'matrices' is a list of matrices")
+        tup = cls([json_to_matrix(m, "each of the tuple's 'matrices'") for m in obj["matrices"]])
+        if "n" in obj and obj["n"] != tup.n:
             raise DimensionMismatchError(f"declared n={obj['n']} but {tup.n} matrices given")
-        if "N" in obj and int(obj["N"]) != tup.dim:
+        if "N" in obj and obj["N"] != tup.dim:
             raise DimensionMismatchError(f"declared N={obj['N']} but matrices are {tup.dim}x{tup.dim}")
         return tup
 

@@ -14,11 +14,18 @@ def complex_to_pair(z):
     return [z.real, z.imag]
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def pair_to_complex(p):
-    if isinstance(p, (int, float)):
+    """A number, or an [re, im] pair of numbers, as a complex; ValueError
+    for anything else."""
+    if _is_number(p):
         return complex(p)
-    re, im = p
-    return complex(re, im)
+    if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))):
+        raise ValueError(f"a complex number must be a number or an [re, im] pair; got {p!r}")
+    return complex(*p)
 
 
 def matrix_to_json(m):
@@ -26,7 +33,11 @@ def matrix_to_json(m):
     return m.view(float).reshape(*m.shape, 2).tolist()
 
 
-def json_to_matrix(rows):
+def json_to_matrix(rows, field="a matrix"):
+    """rows of numbers and [re, im] pairs as a complex array; ValueError
+    naming field unless rows is a list of lists."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"{field} must be a list of rows, each a list of entries")
     return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
 
 

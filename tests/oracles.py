@@ -7,6 +7,7 @@ perturbation), so the tests stay two-sided.
 
 import json
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -281,6 +282,74 @@ def cluster_values(values, tol):
     clusters = [(values[idx].mean(), list(idx)) for idx in groups.values()]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
+
+
+# -- dihedral spectrum components, by equation --------------------------------
+#
+# The closed-form components of a dihedral irrep's pair spectra, which the
+# tests check the computed spectra against.
+
+
+@dataclass(frozen=True)
+class SpectrumComponentDescriptor:
+    """One irreducible spectrum component of a dihedral pair, by equation.
+
+    shape 'line'/'gen_line' carries a sign pair (s1, s2) for s1 x1 + s2 x2 = 1;
+    'ellipse' is x1^2 + 2 c x1 x2 + x2^2 = 1 and 'gen_ellipse_z' is
+    x1^2 - x2^2 + 2 c x2 = 1 with c = cos(angle).
+    """
+
+    shape: str
+    parameters: tuple
+
+    def evaluate(self, x1, x2):
+        x1, x2 = complex(x1), complex(x2)
+        if self.shape in ("line", "gen_line"):
+            s1, s2 = self.parameters
+            return s1 * x1 + s2 * x2 - 1.0
+        (c,) = self.parameters
+        if self.shape == "ellipse":
+            return x1 * x1 + 2.0 * c * x1 * x2 + x2 * x2 - 1.0
+        if self.shape == "gen_ellipse_z":
+            return x1 * x1 - x2 * x2 + 2.0 * c * x2 - 1.0
+        raise ValueError(f"unknown shape {self.shape!r}")
+
+    def sample(self, count, rng):
+        """Real points on the component (the real trace is always nonempty)."""
+        pts = []
+        if self.shape in ("line", "gen_line"):
+            s1, s2 = self.parameters
+            for u in rng.uniform(-1.5, 1.5, size=count):
+                pts.append(((1.0 - s2 * u) / s1, u))
+        elif self.shape == "ellipse":
+            (c,) = self.parameters
+            q = np.array([[1.0, c], [c, 1.0]])
+            root = scipy.linalg.sqrtm(np.linalg.inv(q)).real
+            for th in rng.uniform(0.0, 2.0 * math.pi, size=count):
+                v = root @ np.array([math.cos(th), math.sin(th)])
+                pts.append((v[0], v[1]))
+        else:
+            (c,) = self.parameters
+            for u in rng.uniform(-1.5, 1.5, size=count):
+                x1 = math.sqrt(max(1.0 + u * u - 2.0 * c * u, 0.0))
+                pts.append((x1 if rng.uniform() < 0.5 else -x1, u))
+        return np.array(pts, dtype=complex)
+
+
+def dihedral_component_catalog(irrep):
+    """Spectrum component descriptors for (g1, g2) and for (g1, g1 g2) of a
+    jointspec.DihedralIrrep."""
+    if irrep.kind == "two_dim":
+        c = math.cos(irrep.angle)
+        return (
+            SpectrumComponentDescriptor("ellipse", (c,)),
+            SpectrumComponentDescriptor("gen_ellipse_z", (c,)),
+        )
+    e1, e2 = (float(g[0, 0].real) for g in irrep.generator_matrices)
+    return (
+        SpectrumComponentDescriptor("line", (e1, e2)),
+        SpectrumComponentDescriptor("gen_line", (e1, e1 * e2)),
+    )
 
 
 # -- rigidity samplers, one line and one point at a time ----------------------

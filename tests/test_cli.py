@@ -426,6 +426,35 @@ class TestCoxeterCheckCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, path, value, field", [
+        ("top-level list", None, None, "input must be a JSON object"),
+        ("tuple a number", ("tuple",), 3, "a tuple must be an object"),
+        ("matrices of scalars", ("tuple", "matrices"), [1, 2], "tuple's 'matrices'"),
+        ("null matrix entry", ("tuple", "matrices", 0, 0, 0), None, "complex number"),
+        ("coxeter_matrix a number", ("coxeter_matrix",), 3, "coxeter_matrix"),
+        ("null order", ("coxeter_matrix", 0, 1), None, "coxeter_matrix"),
+        ("rep a list", ("rep",), [1], "'rep' must be an object"),
+        ("assignment a number", ("rep", "assignment"), 3, "assignment must be a list"),
+        ("null angle", ("rep", "assignment", 0, 1), None, "two_dim summand needs a real angle"),
+        ("seed a string", ("rep", "seed"), "x", "rep 'seed'"),
+        ("rep matrices a number", ("rep",), {"matrices": 3}, "rep 'matrices'"),
+    ])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, case, path, value, field):
+        obj = json.loads(open(self.make_input(tmp_path)).read())
+        if path is None:
+            obj = [obj]
+        else:
+            node = obj
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        inp = write_json(tmp_path / "malformed.json", obj)
+        out = tmp_path / "out.json"
+        assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert not out.exists()
+
     def test_rounded_explicit_matrices_follow_tol(self, tmp_path, capsys):
         # written to 9 decimals, the matrices break the relations by about 1e-9
         rep = js.build_representation(
@@ -604,7 +633,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("command, phrases", [
         ("verify", ["relation residual"]),
-        ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8", "generic lines"]),
+        ("coxeter-check", ["restriction", "character_bound", "fixed 1e-8", "generic lines",
+                           "random lines near each ±e_j"]),
     ])
     def test_tol_help_names_what_it_gates(self, capsys, command, phrases):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Tests for Coxeter representations, the spectrum catalog, and rigidity."""
 
+import functools
+import json
 import math
 import time
 
@@ -9,11 +11,11 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import jointspec as js
-from jointspec import coxeter
+from jointspec import coxeter, pencil
 from jointspec.coxeter import (coxeter_type, geometric_representation, is_nonspecial,
                                random_unitary)
 from jointspec.fixtures import dihedral_pair, planted_tuple
-from jointspec.pencil import LineRoots
+from jointspec.serialize import _report_text
 import oracles
 from oracles import group_character_gap, word_character_gap
 from slices import e1_line_roots
@@ -150,24 +152,24 @@ class TestBuildRepresentation:
 
 class TestCatalog:
     def test_two_dim_right_angle(self):
-        c1, c2 = js.dihedral_component_catalog(js.DihedralIrrep("two_dim", math.pi / 2))
+        c1, c2 = oracles.dihedral_component_catalog(js.DihedralIrrep("two_dim", math.pi / 2))
         assert c1.shape == "ellipse" and abs(c1.parameters[0]) <= 1e-15
         assert c2.shape == "gen_ellipse_z"
         assert abs(c1.evaluate(0.6, 0.8)) <= 1e-12          # on the circle
         assert abs(c2.evaluate(np.sqrt(2.0), 1.0)) <= 1e-12  # x1^2 - x2^2 = 1
 
     def test_one_dim_lines(self):
-        line, gen = js.dihedral_component_catalog(js.DihedralIrrep("one_dim_pm"))
+        line, gen = oracles.dihedral_component_catalog(js.DihedralIrrep("one_dim_pm"))
         assert line.parameters == (1.0, -1.0)
         assert gen.parameters == (1.0, -1.0)
-        line_pp, gen_pp = js.dihedral_component_catalog(js.DihedralIrrep("one_dim_pp"))
+        line_pp, gen_pp = oracles.dihedral_component_catalog(js.DihedralIrrep("one_dim_pp"))
         assert line_pp.parameters == (1.0, 1.0)
         assert abs(line_pp.evaluate(0.25, 0.75)) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 4, 2 * math.pi / 5])
     def test_descriptor_samples_lie_on_spectrum(self, alpha):
         irr = js.DihedralIrrep("two_dim", alpha)
-        cat_xy, cat_z = js.dihedral_component_catalog(irr)
+        cat_xy, cat_z = oracles.dihedral_component_catalog(irr)
         g1, g2 = irr.generator_matrices
         pair_xy = js.MatrixTuple([g1, g2])
         pair_z = js.MatrixTuple([g1, g1 @ g2])
@@ -179,7 +181,7 @@ class TestCatalog:
     @pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 2])
     def test_spectrum_slices_satisfy_descriptor(self, alpha):
         irr = js.DihedralIrrep("two_dim", alpha)
-        cat_xy, cat_z = js.dihedral_component_catalog(irr)
+        cat_xy, cat_z = oracles.dihedral_component_catalog(irr)
         g1, g2 = irr.generator_matrices
         rng = np.random.default_rng(1)
         for desc, pair in ((cat_xy, js.MatrixTuple([g1, g2])),
@@ -292,74 +294,6 @@ SAMPLER_CASES = {
 }
 
 
-def same_bits(got, want):
-    """Equal bit for bit: both None, or arrays with the same bytes."""
-    if got is None or want is None:
-        return got is want
-    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-class TestSamplersMatchTheOneLineOracles:
-    """The chunked sampler of condition (II) keeps the points, verdicts,
-    witnesses and random stream of solving one line and testing one point
-    at a time."""
-
-    @pytest.mark.parametrize("case", SAMPLER_CASES)
-    def test_spectrum_near_points_and_generator_state(self, case):
-        t, rep = SAMPLER_CASES[case]()
-        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for tup in (js.extended_tuple(t), js.extended_tuple(rep.as_tuple())):
-            for j in range(t.n):
-                for sign in (1, -1):
-                    center = np.zeros(tup.n, dtype=complex)
-                    center[j] = sign
-                    got = coxeter._sample_spectrum_near(tup, center, 0.15, 40, rng)
-                    want = oracles.sample_spectrum_near(tup.matrices, center, 0.15, 40,
-                                                        oracle_rng)
-                    assert len(got) == len(want)
-                    assert all(same_bits(g, w) for g, w in zip(got, want))
-                    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-    def test_points_on_the_boundary_are_decided_one_at_a_time(self, monkeypatch):
-        # every root put within a few ulps of the sphere |x - center| = radius:
-        # the stacked distances must leave those decisions to np.linalg.norm
-        t, _ = SAMPLER_CASES["dihedral m=3"]()
-        tup = js.extended_tuple(t)
-        center = np.zeros(tup.n, dtype=complex)
-        center[0] = 1.0
-        radius = 0.15
-        lines = []
-
-        def boundary_roots(t_, ys, us):
-            out = []
-            for y, u in zip(ys, us):
-                w = y - center
-                perp = w - (u.conj() @ w) * u
-                alpha = np.sqrt(radius**2 - np.linalg.norm(perp) ** 2)
-                roots = -(u.conj() @ w) + alpha * (1.0 + 1e-16 * np.arange(-6, 7))
-                lines.append((y, u, roots))
-                out.append(LineRoots(roots, 0))
-            return out
-
-        monkeypatch.setattr(coxeter, "line_roots_batch", boundary_roots)
-        got = coxeter._sample_spectrum_near(tup, center, radius, 400, np.random.default_rng(5))
-        want = [y + s * u for y, u, roots in lines for s in roots
-                if np.linalg.norm(y + s * u - center) <= radius][:400]
-        assert 0 < len(want) == len(got) < 13 * len(lines)
-        assert all(same_bits(g, w) for g, w in zip(got, want))
-
-    @pytest.mark.parametrize("case", SAMPLER_CASES)
-    def test_condition_II_verdicts_and_witnesses(self, case):
-        t, rep = SAMPLER_CASES[case]()
-        got, got_w = js.check_condition_II(t, rep, sample_count=40, seed=1)
-        want, want_w = oracles.condition_II(t.matrices, rep.as_tuple().matrices, 0.15, 40, 1)
-        assert got == want
-        assert got_w.keys() == want_w.keys()
-        assert all(same_bits(got_w[k], want_w[k]) for k in want_w)
-        if case == "planted sheet":
-            assert list(got_w) == [(2, 1)]
-
-
 def worst_root_match(src, dst, seed):
     """Largest min |s - s'| / (1 + |s|) over the finite roots s of src on
     the generic lines of seed, s' over dst's roots on the same line."""
@@ -465,6 +399,85 @@ class TestLineInclusion:
             assert js.check_condition_I(same, rep, seed=seed) == (True, None)
             assert js.verify_restriction(js.extract_invariant_subspace(same), cm, rep,
                                          seed=seed).spectra_match
+
+
+def conjugated_rep():
+    rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)],
+                                  seed=4)
+    return js.MatrixTuple(rep.generators), rep
+
+
+def missed_component(control, seed):
+    cm, summands, planted = MISSED_COMPONENT[control]
+    return planted_as(planted, cm, seed), js.build_representation(cm, summands)
+
+
+CONDITION_II_CASES = {
+    **SAMPLER_CASES,
+    **{control: functools.partial(missed_component, control, 3) for control in MISSED_COMPONENT},
+    "conjugated rep": conjugated_rep,
+}
+
+
+class TestSamplersMatchTheOneLineOracles:
+    """Condition (II), decided root against root on the same lines, gives
+    the verdicts of sampling points one line at a time and testing each
+    with an SVD."""
+
+    @pytest.mark.parametrize("case", CONDITION_II_CASES)
+    def test_condition_II_verdicts_and_witnesses(self, case):
+        t, rep = CONDITION_II_CASES[case]()
+        ext_t, ext_rep = js.extended_tuple(t), js.extended_tuple(rep.as_tuple())
+        for seed in range(20):
+            got, got_w = js.check_condition_II(t, rep, sample_count=40, seed=seed)
+            want, _ = oracles.condition_II(t.matrices, rep.as_tuple().matrices, 0.15, 40, seed)
+            assert got == want
+            assert got_w.keys() == {k for k, ok in got.items() if not ok}
+            for (j, sign), witness in got_w.items():
+                center = np.zeros(ext_t.n)
+                center[j - 1] = sign
+                assert np.linalg.norm(witness - center) <= 0.15
+                on_t, on_rep = (js.spectral_mask(tup, [witness], 1e-8)[0]
+                                for tup in (ext_t, ext_rep))
+                assert on_t != on_rep
+            if case == "planted sheet":
+                assert list(got_w) == [(2, 1)]
+
+    @pytest.mark.parametrize("case", CONDITION_II_CASES)
+    def test_verdicts_do_not_change_under_conjugation(self, case):
+        t, rep = CONDITION_II_CASES[case]()
+        for seed in range(10):
+            got, _ = js.check_condition_II(js.MatrixTuple(conjugate_tuple(t.matrices, seed)), rep,
+                                          seed=seed)
+            assert got == js.check_condition_II(t, rep, seed=seed)[0]
+
+    def test_two_line_solves_and_no_point_tests(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(coxeter, "line_roots_batch",
+                            counted("line_roots_batch", coxeter.line_roots_batch))
+        monkeypatch.setattr(pencil, "spectral_mask", counted("spectral_mask", pencil.spectral_mask))
+        t, rep = planted_sheet()
+        results, _ = js.check_condition_II(t, rep, sample_count=40, seed=0)
+        assert calls == ["line_roots_batch"] * 2
+        assert [k for k, ok in results.items() if not ok] == [(2, 1)]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sample_count": 0}, "sample_count"), ({"sample_count": -5}, "sample_count"),
+        ({"sample_count": True}, "sample_count"), ({"sample_count": 2.5}, "sample_count"),
+        ({"epsilon": 0.0}, "epsilon"), ({"epsilon": -0.15}, "epsilon"),
+        ({"epsilon": math.inf}, "epsilon"), ({"epsilon": math.nan}, "epsilon"),
+        ({"epsilon": True}, "epsilon"),
+    ])
+    @pytest.mark.parametrize("check", [js.check_condition_II, js.rigidity_check])
+    def test_bad_sampling_is_refused(self, check, kwargs, message):
+        # sample_count=0 used to pass every ball of the planted sheet: no line, no witness
+        t, rep = planted_sheet()
+        with pytest.raises(ValueError, match=message):
+            check(t, rep, **kwargs)
 
 
 class TestInvariantSubspace:
@@ -783,6 +796,21 @@ class TestRigidityPipeline:
         assert rig.equivalence.max_discrepancy <= 1e-6
         obj = rig.to_json()
         assert obj["applicable"] is True and obj["dim_L"] == rep.dim
+
+    @pytest.mark.parametrize("control, order, candidates", [
+        ("one_dim_pm swapped for one_dim_mp", 4, [[[1, 4]]]),
+        ("two_dim(2pi/5) rotated to two_dim(4pi/5)", 5, [[[2, 5]]]),
+    ])
+    def test_report_carries_the_restriction_witness(self, control, order, candidates):
+        t, rep = missed_component(control, 3)
+        restriction = json.loads(_report_text(js.rigidity_check(t, rep).to_json()))["restriction"]
+        assert restriction["spectra_match"] is False
+        witness = [complex(re, im) for re, im in restriction["spectra_witness"]]
+        rt = js.MatrixTuple(js.extract_invariant_subspace(t).restrictions)
+        on_rep, on_rt = (js.spectral_mask(tup, [witness], 1e-8)[0] for tup in (rep.as_tuple(), rt))
+        assert on_rep != on_rt
+        assert restriction["expected_orders"] == {"2": order}
+        assert restriction["exponent_candidates"] == {"2": candidates}
 
     def test_duplicated_irrep_marks_not_applicable(self):
         cm = js.dihedral(5)

@@ -17,10 +17,10 @@ EXPORTS = [
     "LimitProjection", "MatrixTuple", "NormProfile", "NormalityReport", "NotNormalError",
     "PairAnalysis", "PairingAmbiguityError", "ProjectionBlowupError", "RegularityReport",
     "RelationReport", "RigidityReport", "SeparationError", "SpectralResolution",
-    "SpectrumComponentDescriptor", "TOperator", "TrackingError", "UnknownEigenvalueError",
+    "TOperator", "TrackingError", "UnknownEigenvalueError",
     "analyze_pair", "build_representation", "check_condition_I", "check_condition_II",
     "check_condition_star", "check_regularity", "component_projection", "dihedral",
-    "dihedral_component_catalog", "dihedral_pair_decomposition", "equivalence_evidence",
+    "dihedral_pair_decomposition", "equivalence_evidence",
     "extended_tuple", "extract_invariant_subspace", "geometric_representation",
     "limit_projection", "line_roots_batch", "local_branches", "normality_report", "opnorm",
     "projection_ladders", "projection_norm_profile", "regularity_report", "rigidity_check",
@@ -69,7 +69,7 @@ def defaulted(fn):
 
 def test_exports():
     assert exports() == EXPORTS
-    assert len(EXPORTS) == 65
+    assert len(EXPORTS) == 63
 
 
 def test_defaulted_parameters():
