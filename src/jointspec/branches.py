@@ -26,9 +26,7 @@ from .errors import (
 from .pencil import (
     MatrixTuple,
     _commutator_test,
-    _geev_stack,
     _is_real,
-    _line_solves,
     _svd_extremes,
     line_roots_batch,
     opnorm,
@@ -153,11 +151,11 @@ class Branch:
     the relative smallest singular value s_min / (1 + s_max) of the pencil
     matrix at samples[k]: v A_1 + t xhat.A_rest - I for the nonzero kind,
     A_1 + t xhat.A_rest - v I for the zero kind.  They are computed from
-    pencil on first read, with one stacked SVD.  _rungs holds the
-    (alpha, beta, vl, vr) stacks of its kind's rung eigensolves with left
-    and right vectors when the ladder the branch was tracked on kept them
-    (see SliceLadder), so its projections solve nothing again; equality
-    ignores pencil, residuals and _rungs.
+    pencil on first read, with one stacked SVD.  _rung_roots holds the
+    roots of its kind at every rung of the ladder it was tracked on (see
+    SliceLadder), which its projections test its separation against, so
+    they solve no rung again; equality ignores pencil, residuals and
+    _rung_roots.
     """
 
     lam: complex
@@ -171,7 +169,7 @@ class Branch:
     d1_error: float = None
     d2_error: float = None
     pencil: MatrixTuple = field(default=None, compare=False, repr=False)
-    _rungs: tuple = field(default=None, compare=False, repr=False)
+    _rung_roots: tuple = field(default=None, compare=False, repr=False)
 
     @cached_property
     def residuals(self):
@@ -214,47 +212,42 @@ def _kind_of(reference, lam):
     return kinds[_nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")]
 
 
-def _ladder_roots(t: MatrixTuple, kind, xhat, ts, vectors=False):
-    """(roots, rungs): the roots of kind on the slice along t_k xhat, for
-    every t_k in ts.  This is the one place slice pencils are assembled to
-    be solved.
+def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
+    """The roots of kind on the slice along t_k xhat, one array for every
+    t_k in ts.  This is the one place slice pencils are assembled to be
+    solved, and nothing solves them with eigenvectors.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
     = 0 from one line_roots_batch call: the bases are the rows (0, t_k xhat)
     and every direction is e_1.  For the zero kind, the eigenvalues of
-    A_1 + t_k xhat.A_rest from one stacked eigvals.  With vectors the same
-    matrices are solved with left and right eigenvectors instead, by ggev
-    (nonzero kind) or geev (zero kind), and the roots are the same bit for
-    bit; rungs is then their (alpha, beta, vl, vr) stacks, else None.
+    A_1 + t_k xhat.A_rest from one stacked eigvals.
     """
     ts = np.asarray(ts, dtype=float)
     if kind == "zero":
         b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        m = t.matrices[0] + ts[:, None, None] * b
-        if vectors:
-            rungs = _geev_stack(m)
-            return tuple(rungs[0]), rungs
-        return tuple(np.linalg.eigvals(m)), None
+        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b))
     bases = np.zeros((ts.size, t.n), dtype=complex)
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    if vectors:
-        lines, rungs = _line_solves(t, bases, e1, vectors=True)
-    else:
-        lines, rungs = line_roots_batch(t, bases, e1), None
-    return tuple(r.finite for r in lines), rungs
+    return tuple(r.finite for r in line_roots_batch(t, bases, e1))
+
+
+def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values):
+    """The pencil matrix at every sample (t_k, values[k]), stacked:
+    v A_1 + t xhat.A_rest - I for the nonzero kind, A_1 + t xhat.A_rest - v I
+    for the zero kind.  It is singular where v is a root of the slice at t."""
+    rest = np.asarray(ts, dtype=float)[:, None, None] * sum(
+        c * m for c, m in zip(xhat, t.matrices[1:]))
+    v = np.asarray(values, dtype=complex)[:, None, None]
+    if kind == "zero":
+        return t.matrices[0] + rest - v * np.eye(t.dim)
+    return v * t.matrices[0] + rest - np.eye(t.dim)
 
 
 def _branch_residuals(t: MatrixTuple, kind, xhat, ts, values):
     """s_min / (1 + s_max) of the pencil matrix at every sample, from one stacked SVD."""
-    rest = ts[:, None, None] * sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-    v = np.asarray(values, dtype=complex)[:, None, None]
-    if kind == "zero":
-        m = t.matrices[0] + rest - v * np.eye(t.dim)
-    else:
-        m = v * t.matrices[0] + rest - np.eye(t.dim)
-    smin, smax = _svd_extremes(m)
+    smin, smax = _svd_extremes(_shifted_pencils(t, kind, xhat, ts, values))
     return tuple((smin / (1.0 + smax)).tolist())
 
 
@@ -289,12 +282,10 @@ class SliceLadder:
     solved kind to the roots at every t_k: x_1 of the slice for "nonzero",
     the eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend
     on the tuple, the direction and the ladder only, so one ladder serves
-    the branches at every eigenvalue of A_1.  _rungs maps each kind solved
-    with left and right eigenvectors to its (alpha, beta, vl, vr) stacks
-    (pencil's _ggev_stack for "nonzero", _geev_stack for "zero"); the
-    branches of that kind tracked on the ladder carry them to
-    projection_ladders and component_projection, which then solve no rung
-    again.  A kind whose branches are not projected keeps none.
+    the branches at every eigenvalue of A_1.  Every kind is solved for its
+    roots only; the branches tracked on the ladder carry their kind's roots
+    to projection_ladders and component_projection, which then solve no
+    rung again.
     """
 
     direction: tuple
@@ -302,15 +293,12 @@ class SliceLadder:
     reference: tuple
     kinds: tuple
     roots: dict
-    _rungs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None,
-                  vectors=()):
+def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None):
     """The ladder of t along the unit xhat with the roots of each kind in
     solved (by default every kind of A_1); reference and kinds are those of
-    _reference_spectrum.  The kinds in vectors are solved with left and
-    right eigenvectors, which the ladder keeps.
+    _reference_spectrum.
 
     Every ladder is built here: t_max must be a finite real > 0 and samples
     an integer >= 2 whose finest rung t_max * 2^-(samples-1) is a positive
@@ -327,18 +315,12 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved
                          f"positive normal float; got {samples!r} (rung {finest!r})")
     solved = sorted(set(kinds)) if solved is None else solved
     ts = t_max * 2.0 ** (-np.arange(samples))
-    roots, rungs = {}, {}
-    for k in solved:
-        roots[k], solve = _ladder_roots(t, k, xhat, ts, k in vectors)
-        if solve is not None:
-            rungs[k] = solve
     return SliceLadder(
         direction=tuple(xhat.tolist()),
         ts=ts,
         reference=tuple(reference),
         kinds=tuple(kinds),
-        roots=roots,
-        _rungs=rungs,
+        roots={k: _ladder_roots(t, k, xhat, ts) for k in solved},
     )
 
 
@@ -354,18 +336,18 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8):
     one stacked extrapolation each; the first branch whose derivatives do
     not converge raises ExtrapolationError (d1 before d2).
 
-    Only the kind lambda needs is solved, with left and right eigenvectors,
-    which the branches keep for their projections.  An xhat that is not
-    n-1 finite coordinates, not all 0, a t_max that is not a finite
-    real > 0 or a samples that is not an integer >= 2 raises ValueError
-    before anything is solved.  The branches keep t as their pencil and
-    compute their residuals when first read.
+    Only the kind lambda needs is solved, and the branches keep its roots
+    for their projections.  An xhat that is not n-1 finite coordinates,
+    not all 0, a t_max that is not a finite real > 0 or a samples that is
+    not an integer >= 2 raises ValueError before anything is solved.  The
+    branches keep t as their pencil and compute their residuals when first
+    read.
     """
     xhat = _unit_direction(t, xhat)
     a1 = t.matrices[0]
     reference = _reference_spectrum(a1, opnorm(a1))
     kind = _kind_of(reference, lam)
-    ladder = _solve_ladder(t, xhat, t_max, samples, *reference, (kind,), vectors=(kind,))
+    ladder = _solve_ladder(t, xhat, t_max, samples, *reference, (kind,))
     (found,) = _branch_sets(t, ladder, [lam])
     if isinstance(found, Exception):
         raise found
@@ -489,7 +471,7 @@ def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
                     d1_error=None if e1 is None else float(e1),
                     d2_error=None if e2 is None else float(e2),
                     pencil=t,
-                    _rungs=ladder._rungs.get(kind),
+                    _rung_roots=ladder.roots[kind],
                 )
             )
         out.append(failure or branches)

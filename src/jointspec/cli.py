@@ -108,9 +108,9 @@ def _cmd_analyze(config: RunConfig):
     tup = _tuple_from(obj)
     if "lambda" not in obj:
         raise KeyError("analyze input needs a 'lambda' field")
-    lam = pair_to_complex(obj["lambda"])
+    lam = pair_to_complex(obj["lambda"], "lambda")
     if "direction" in obj:
-        xhat = np.array([pair_to_complex(v) for v in obj["direction"]])
+        xhat = np.array([pair_to_complex(v, "direction") for v in obj["direction"]])
     else:
         xhat = np.zeros(tup.n - 1)
         xhat[0] = 1.0

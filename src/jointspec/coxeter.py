@@ -66,14 +66,17 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json(cls, rows):
-        """Rows of numbers and "inf" (0 also reads as inf); ValueError naming
-        coxeter_matrix for anything else."""
+        """Rows of numbers and "inf", every off-diagonal order an integer >= 2
+        or "inf"; ValueError naming coxeter_matrix for anything else."""
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
                 and all(v == "inf" or isinstance(v, numbers.Real) and not isinstance(v, bool)
                         for row in rows for v in row)):
             raise ValueError(f"coxeter_matrix must be a list of rows of numbers and 'inf'; "
                              f"got {rows!r}")
-        return cls([[INF if v in ("inf", 0) else v for v in row] for row in rows])
+        try:
+            return cls([[INF if v == "inf" else v for v in row] for row in rows])
+        except ValueError as exc:
+            raise ValueError(f"coxeter_matrix: {exc}") from None
 
 
 def dihedral(m):
@@ -373,12 +376,17 @@ def _line_inclusion(src: MatrixTuple, dst: MatrixTuple, seed):
     every root of src on the lines is a root of dst on the same line.
     Each tuple is solved on all lines with one line_roots_batch call.
     """
-    if src.n != dst.n:
-        raise ValueError("tuple and representation must have the same number of generators")
+    _check_generators(src, dst)
     lines = _generic_lines(src.n, seed)
     bases = np.zeros(lines.shape)
     a, b = (_root_table(line_roots_batch(tup, bases, lines)) for tup in (src, dst))
     return _unmatched(bases, lines, a, b, 0.0, INF), _unmatched(bases, lines, b, a, 0.0, INF)
+
+
+def _check_generators(t: MatrixTuple, rep_tuple: MatrixTuple):
+    """ValueError unless t and rep_tuple have the same number of matrices."""
+    if t.n != rep_tuple.n:
+        raise ValueError("tuple and representation must have the same number of generators")
 
 
 def check_condition_I(t: MatrixTuple, rep: CoxeterRep, seed=0):
@@ -419,6 +427,7 @@ def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_cou
     and sample_count a positive int (ValueError).
     """
     _check_ball_sampling(epsilon, sample_count)
+    _check_generators(t, rep.as_tuple())
     ext_a = extended_tuple(t)
     ext_r = extended_tuple(rep.as_tuple())
     balls = [(j, sign) for j in range(1, t.n + 1) for sign in (1, -1)]

@@ -131,53 +131,25 @@ def spectral_mask(t: MatrixTuple, points, tol):
     return smin <= tol * (1.0 + smax)
 
 
-def _ggev_stack(a, b, vectors):
-    """LAPACK ggev on every pencil (a[i], b[i]) of two complex stacks.
+def _ggev_stack(a, b):
+    """The (alpha, beta) of LAPACK ggev, eigenvalues only, on every pencil
+    (a[i], b[i]) of two complex stacks: the eigenvalues are alpha / beta.
 
-    Returns (alpha, beta, vl, vr): the eigenvalues are alpha / beta, and vl,
-    vr hold the left and right eigenvectors as columns (None unless
-    vectors).  The finiteness check and the workspace query are made once
-    per stack; a nonzero info raises LinAlgError.
+    The finiteness check and the workspace query are made once per stack; a
+    nonzero info raises LinAlgError.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (a[0], b[0]))
     lwork = int(ggev(a[0], b[0], lwork=-1)[-2][0].real)
-    job = int(vectors)
     alpha = np.empty(a.shape[:2], dtype=complex)
     beta = np.empty(a.shape[:2], dtype=complex)
-    vl = np.empty(a.shape, dtype=complex) if vectors else None
-    vr = np.empty(a.shape, dtype=complex) if vectors else None
     for i, (ai, bi) in enumerate(zip(a, b)):
-        alpha[i], beta[i], li, ri, _, info = ggev(ai, bi, job, job, lwork)
+        # positional: no left or right vectors (keywords cost 2 us a call)
+        alpha[i], beta[i], _, _, _, info = ggev(ai, bi, 0, 0, lwork)
         if info != 0:
             raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info={info}")
-        if vectors:
-            vl[i], vr[i] = li, ri
-    return alpha, beta, vl, vr
-
-
-def _geev_stack(a):
-    """LAPACK geev with left and right eigenvectors on every matrix a[i] of a
-    complex stack.
-
-    Returns (alpha, beta, vl, vr) as _ggev_stack does with vectors, with
-    beta all ones: the eigenvalues alpha are those of np.linalg.eigvals bit
-    for bit.  The finiteness check and the workspace query are made once per
-    stack; a nonzero info raises LinAlgError.
-    """
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), (a[0],))
-    lwork = int(geev_lwork(a.shape[1])[0].real)
-    alpha = np.empty(a.shape[:2], dtype=complex)
-    vl = np.empty(a.shape, dtype=complex)
-    vr = np.empty(a.shape, dtype=complex)
-    for i, ai in enumerate(a):
-        alpha[i], vl[i], vr[i], info = geev(ai, lwork=lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"eig algorithm (geev) failed: info={info}")
-    return alpha, np.ones(a.shape[:2], dtype=complex), vl, vr
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -206,22 +178,14 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     not once per line as in scipy.linalg.eigvals, whose roots these equal
     bit for bit.
     """
-    return _line_solves(t, bases, directions, vectors=False)[0]
-
-
-def _line_solves(t: MatrixTuple, bases, directions, vectors):
-    """line_roots_batch's LineRoots, and the (alpha, beta, vl, vr) stacks of
-    pencil._ggev_stack they came from: with left and right eigenvectors when
-    vectors, else with vl and vr None.  No lines give ([], None)."""
     bases = _coord_rows(t, bases)
     directions = _coord_rows(t, directions)
     if bases.shape != directions.shape:
         raise DimensionMismatchError("one direction is needed for every base")
     if bases.shape[0] == 0:
-        return [], None
-    solved = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
-                         _pencil_stack(t, directions), vectors)
-    alpha, beta = solved[:2]
+        return []
+    alpha, beta = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
+                              _pencil_stack(t, directions))
     # beta == 0 is an infinite root, and so is a quotient that overflows.
     roots = np.full(alpha.shape, np.inf, dtype=complex)
     nonzero = beta != 0
@@ -230,8 +194,7 @@ def _line_solves(t: MatrixTuple, bases, directions, vectors):
     # finite roots first, each line's sorted by real part, then imaginary part
     order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
     roots = np.take_along_axis(roots, order, axis=-1)
-    return ([LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())],
-            solved)
+    return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
 
 
 def _is_pair(v):

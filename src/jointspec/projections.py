@@ -5,18 +5,17 @@ projection of the frozen pencil m = v A_1 + t xhat.A_rest (nonzero kind) or
 A_1 + t xhat.A_rest - v I (zero kind) onto its eigenvalues at the branch's own
 eigenvalue, 1 or 0.  For a simple branch that eigenvalue is simple and the
 projection is z y* / (y* z), with z and y its right and left eigenvectors
-(Kato, Perturbation Theory for Linear Operators, II 1.4).  They are the
-eigenvectors of the slice the ladder solves, (I - t B) z = x_1 A_1 z with
-B = xhat.A_rest at x_1 = v (or A_1 + t B at v), so one eigensolve with left and
-right vectors per (kind, rung) serves every branch on the rung.  That
-eigensolve is the one the branches' slice ladder kept (branches._ladder_roots
-with vectors); a branch tracked without it gets one more _ladder_roots call
-with vectors, and nothing here assembles a slice of its own.  The rung's
-other roots v_i place the frozen pencil's other eigenvalues at v / v_i (to first
-order in t) or v_i - v (exactly); the nearest must lie farther than twice the
-selection tolerance.  A multiplicity-k branch, or a rung where that distance
-is not met, takes the general kernel: one sorted complex Schur form and one
-Sylvester solve on its triangular blocks.
+(Kato, Perturbation Theory for Linear Operators, II 1.4): the null vectors
+of the frozen pencil less that eigenvalue, F = v A_1 + t xhat.A_rest - I or
+A_1 + t xhat.A_rest - v I.  They come from two steps of inverse iteration on
+F, and every simple (branch, rung) of one call is one stacked solve.  The
+slice ladder the branches were tracked on is solved for roots only, and the
+branches keep their kind's rung roots: the rung's other roots v_i place the
+frozen pencil's other eigenvalues at v / v_i (to first order in t, an
+infinite root at distance 1) or v_i - v (exactly), and the nearest must lie
+farther than twice the selection tolerance.  A multiplicity-k branch, or a
+rung where that distance is not met, takes the general kernel: one sorted
+complex Schur form and one Sylvester solve on its triangular blocks.
 Along a non-tangential line the family extends analytically to t = 0; the
 limit and its first t-derivative P'(0) are produced by the same ladder
 extrapolation used for branch values.  For non-normal leading matrices the
@@ -25,6 +24,7 @@ fitted, and reported as a first-class diagnostic rather than hidden in an
 exception trace.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,7 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrsyl
 
 from . import extrapolate
-from .branches import Branch, _ladder_roots, _nearest_unambiguous
+from .branches import Branch, _ladder_roots, _nearest_unambiguous, _shifted_pencils
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
 from .pencil import MatrixTuple, _svd_extremes
 from .serialize import complex_to_pair, matrix_to_json
@@ -109,11 +109,6 @@ def _sample_index(b: Branch, tparam):
     return None
 
 
-def _kept_rungs(t: MatrixTuple, b: Branch):
-    """The rung solves with vectors b's ladder kept, when b was tracked on t, else None."""
-    return b._rungs if b.pencil is t else None
-
-
 def _branch_value_at(b: Branch, tparam, roots):
     """b's value at tparam: the root of roots, b's slice at tparam, nearest
     its local model."""
@@ -136,28 +131,22 @@ def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):
     return value * t.matrices[0] + rest
 
 
-def _component(t: MatrixTuple, b: Branch, tparam, value, solve):
-    """(P, rank, radius) of b at tparam by component_projection's rule, where
-    b's value is value.
+def _root_gap(kind, value, roots, dim):
+    """Distance from the branch eigenvalue to the frozen pencil's nearest
+    other one, from its slice's finite roots (value among them): |v_i - v|
+    (zero kind) or |1 - v / v_i|, an infinite root at 1 (nonzero kind)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(roots - value if kind == "zero" else value / roots - 1.0)
+    # the nearest root is the branch's own; the runner-up is the nearest other
+    dist[dist.argmin()] = math.inf
+    gap = float(dist.min())
+    return min(gap, 1.0) if dist.size < dim else gap
 
-    solve is one rung of the (alpha, beta, vl, vr) stacks of
-    branches._ladder_roots with vectors, b's slice at tparam; it is None for
-    a repeated branch, which the Schur kernel projects.  For the zero kind
-    beta is 1.
-    """
-    center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
-    own_tol = 1e-6 * (1.0 + abs(center))
-    if solve is not None:
-        alpha, beta, vl, vr = solve
-        # each slice root's eigenvalue of the frozen pencil, less the center
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = alpha / beta - value if b.kind == "zero" else value * beta / alpha - 1.0
-        dist = np.abs(shift)
-        own = int(np.argmin(dist))
-        dmin = float(np.min(np.delete(dist, own), initial=np.inf))
-        if dmin > 2.0 * own_tol:
-            z, y = vr[:, own], vl[:, own].conj()
-            return np.outer(z, y) / (y @ z), 1, _radius(dmin, center)
+
+def _schur_component(t: MatrixTuple, b: Branch, tparam, value, center, own_tol):
+    """(P, rank, radius) of b at tparam from the Schur kernel, where b's
+    value is value; SeparationError when the nearest excluded eigenvalue of
+    the frozen pencil is within 2 own_tol of center."""
     p, rank, excluded = _spectral_projection(_frozen_pencil(t, b, tparam, value), center, own_tol)
     dmin = float(np.min(np.abs(excluded - center), initial=np.inf))
     if dmin <= 2.0 * own_tol:
@@ -166,6 +155,60 @@ def _component(t: MatrixTuple, b: Branch, tparam, value, solve):
             f"branch eigenvalue; component is not separated (t={tparam})"
         )
     return p, rank, _radius(dmin, center)
+
+
+def _rank_one_projections(f):
+    """z y* / (y* z) for every F of the stack f, a frozen pencil less its
+    simple, separated branch eigenvalue, with z and y F's right and left
+    null vectors: two steps of inverse iteration (Ipsen, SIAM Review 39,
+    1997) on F - delta I and F* - delta I from one fixed, generic start
+    vector, each step one stacked solve.  delta = 2^-50 (1 + ||F||_F) keeps
+    an exactly singular F solvable.
+    """
+    count, n = f.shape[:2]
+    both = np.empty((2 * count, n, n), dtype=complex)
+    both[:count] = f
+    np.conjugate(f.transpose(0, 2, 1), out=both[count:])
+    # ||F||_F^2 = sum F_ij conj(F_ij), with no temporary stack
+    delta = 2.0 ** -50 * (1.0 + np.sqrt(np.einsum("kij,kji->k", f, both[count:]).real))
+    both[:, range(n), range(n)] -= np.concatenate([delta, delta])[:, None]
+    phase = math.pi * (math.sqrt(5.0) - 1.0)  # the golden angle
+    x = np.array([[complex(math.cos(phase * k), math.sin(phase * k))] for k in range(1, n + 1)])
+    for _ in range(2):
+        x = np.linalg.solve(both, np.broadcast_to(x, (2 * count, n, 1)))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    z, y = x[:count, :, 0], x[count:, :, 0].conj()
+    return z[:, :, None] * (y / (y * z).sum(axis=1)[:, None])[:, None, :]
+
+
+def _components(t: MatrixTuple, branches, rungs):
+    """(t_k, (P, rank, radius)) at each rung of each branch by
+    component_projection's rule; rungs[i] holds (t_k, value, roots of the
+    slice there, None for a repeated branch) at each rung of branches[i].
+    All rank-1 projections are one _rank_one_projections stack; the Schur
+    forms are made in order, so the first unseparated component raises.
+    """
+    parts, pencil_args = [], []
+    for b, rs in zip(branches, rungs):
+        center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
+        own_tol = 1e-6 * (1.0 + abs(center))
+        part, simple = [], []
+        for tk, v, roots in rs:
+            dmin = 0.0 if roots is None else _root_gap(b.kind, v, roots, t.dim)
+            if dmin > 2.0 * own_tol:
+                part.append((tk, (None, 1, _radius(dmin, center))))
+                simple.append((tk, v))
+            else:
+                part.append((tk, _schur_component(t, b, tk, v, center, own_tol)))
+        if simple:
+            pencil_args.append((b.kind, np.asarray(b.direction), *zip(*simple)))
+        parts.append(part)
+    if not pencil_args:
+        return parts
+    f = np.concatenate([_shifted_pencils(t, *args) for args in pencil_args])
+    rank_one = iter(_rank_one_projections(f))
+    return [[(tk, (next(rank_one) if p is None else p, rank, radius))
+             for tk, (p, rank, radius) in part] for part in parts]
 
 
 def _radius(dmin, center):
@@ -203,60 +246,49 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
     The projection is onto the eigenvalues of the frozen pencil within
     own_tol = 1e-6 (1 + |c|) of the branch eigenvalue c (1, or 0 for the
     zero kind).  A simple branch gets the rank-1 projection z y* / (y* z)
-    from one eigensolve of its slice at tparam, when every other root of
-    that slice lies farther than 2 own_tol from it in the frozen pencil's
-    eigenvalue scale: |1 - v / v_i| for the nonzero kind, |v_i - v| for the
-    zero kind.  A repeated branch, or a closer root, takes the Schur kernel,
-    which raises SeparationError when the nearest excluded eigenvalue of the
-    frozen pencil is within 2 own_tol.  The reported radius is half the
-    distance that was tested.
+    from inverse iteration, when every other root of its slice at tparam
+    lies farther than 2 own_tol from it in the frozen pencil's eigenvalue
+    scale (_root_gap).  A repeated branch, or a closer root, takes the Schur
+    kernel, which raises SeparationError when the nearest excluded
+    eigenvalue of the frozen pencil is within 2 own_tol.  The reported
+    radius is half the distance that was tested.
 
-    At a ladder sample of a branch that kept its rung solves (see Branch)
-    nothing is solved.  Otherwise the slice at tparam is solved once, with
-    vectors for a simple branch; off the ladder its root nearest the
-    branch's local model is the branch value.
+    At a ladder sample of a branch that kept its rung roots (see Branch) no
+    slice is solved; otherwise the slice at tparam is solved once, for
+    roots, and off the ladder its root nearest the branch's local model is
+    the branch value.
     """
-    simple = b.multiplicity == 1
-    k, rungs = _sample_index(b, tparam), _kept_rungs(t, b)
-    if k is None or (simple and rungs is None):
-        roots, rungs = _ladder_roots(t, b.kind, np.asarray(b.direction), [tparam],
-                                     vectors=simple)
-        value = _branch_value_at(b, tparam, roots[0]) if k is None else b.samples[k][1]
-        k = 0
+    simple, k = b.multiplicity == 1, _sample_index(b, tparam)
+    kept = b._rung_roots if b.pencil is t else None
+    if k is None or (simple and kept is None):
+        roots = _ladder_roots(t, b.kind, np.asarray(b.direction), [tparam])[0]
+        value = _branch_value_at(b, tparam, roots) if k is None else b.samples[k][1]
     else:
-        value = b.samples[k][1]
-    solve = tuple(x[k] for x in rungs) if simple else None
-    part = _component(t, b, tparam, value, solve)
-    return _ladders([b], [[(tparam, part)]])[0][0]
+        roots, value = kept[k] if simple else None, b.samples[k][1]
+    (part,) = _components(t, [b], [[(tparam, value, roots if simple else None)]])
+    return _ladders([b], [part])[0][0]
 
 
 def projection_ladders(t: MatrixTuple, branches):
     """Component projections at every ladder sample of each branch, one list
     per branch.
 
-    The simple branches of one kind along one direction and ladder share one
-    eigensolve with vectors per rung; each projection is
-    component_projection's at that sample.  That eigensolve is the one the
-    slice ladder of t kept when the branches were tracked on it (the ladders
-    of local_branches and verify_pair keep them), else one _ladder_roots
-    call with vectors.  The idempotency residuals of all of them come from
-    one stacked SVD.
+    Each projection is component_projection's at that sample; the rank-1
+    ones of all branches are one stacked inverse iteration.  The separation
+    test reads the rung roots the branches kept when tracked on t; a simple
+    branch tracked on another tuple, or without them, gets one
+    _ladder_roots call.  The idempotency residuals of all projections come
+    from one stacked SVD.
     """
-    def key(b):
-        return b.kind, b.direction, tuple(tk for tk, _ in b.samples)
-
-    solves = {}
+    rungs = []
     for b in branches:
-        if b.multiplicity == 1 and key(b) not in solves:
-            kind, direction, ts = key(b)
-            solves[key(b)] = (_kept_rungs(t, b)
-                              or _ladder_roots(t, kind, np.asarray(direction), ts, vectors=True)[1])
-    parts = []
-    for b in branches:
-        s = solves.get(key(b))
-        parts.append([(tk, _component(t, b, tk, v, None if s is None else tuple(x[k] for x in s)))
+        roots = b._rung_roots if b.pencil is t else None
+        if b.multiplicity == 1 and roots is None:
+            roots = _ladder_roots(t, b.kind, np.asarray(b.direction),
+                                  [tk for tk, _ in b.samples])
+        rungs.append([(tk, v, None if b.multiplicity > 1 else roots[k])
                       for k, (tk, v) in enumerate(b.samples)])
-    return tuple(_ladders(branches, parts))
+    return tuple(_ladders(branches, _components(t, branches, rungs)))
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,8 @@ def analyze_pair(t: MatrixTuple, lam, resolution=None):
     """Track branches at lam along e_1 on the default ladder (t_max 1e-2, 8
     samples), build projection ladders, extrapolate limits.
 
-    The ladder is solved once, with the vectors the projections read.
+    The ladder is solved once, and the projections test separation against
+    its roots.
     """
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
@@ -372,17 +373,16 @@ def verify_pair(
     all branch derivatives of a pair come from one stacked extrapolation
     each.  The analyses at lam reuse those branches.  The projection ladders
     of every analysed branch of a pair come from one projection_ladders
-    call, so each rung's eigensolve serves all of them; P and P'(0) of every
-    analysed branch of both pairs come from one stacked extrapolation each,
-    and every operator norm of the reports from one stacked SVD.  Failures
-    are raised in the order of analysing one eigenvalue and one branch at a
-    time.
+    call, whose rank-1 projections are one stacked inverse iteration; P and
+    P'(0) of every analysed branch of both pairs come from one stacked
+    extrapolation each, and every operator norm of the reports from one
+    stacked SVD.  Failures are raised in the order of analysing one
+    eigenvalue and one branch at a time.
 
-    Each pair's slice ladder solves every kind of A1 once, for the gate and
-    the projections alike; a kind is solved with left and right eigenvectors
-    only when the pair analyses an eigenvalue of that kind, and the
-    projection ladders read them.  With check_hypotheses=False nothing is
-    gated, and each ladder solves only the kinds its pair analyses.
+    Each pair's slice ladder solves every kind of A1 once, for its roots
+    only, for the gate and the projections alike.  With
+    check_hypotheses=False nothing is gated, and each ladder solves only
+    the kinds its pair analyses.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
     regularity gate fails (unless check_hypotheses=False, in which case all
@@ -404,13 +404,10 @@ def verify_pair(
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
     # (A1, A1 A2) is analysed at the nonzero eigenvalues only
     wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
-    # each pair's ladder keeps vectors for the kinds it analyses; with no
-    # gate to feed, it solves only those
-    kind = {k: _kind_of(reference, eigs[k]) for k in ks}
-    analysed = [sorted({kind[k] for k in wanted[pair]}) for pair in range(len(pairs))]
+    # with no gate to feed, each pair's ladder solves only the kinds it analyses
     ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
-                             solved=None if check_hypotheses else analysed[pair],
-                             vectors=analysed[pair])
+                             solved=None if check_hypotheses
+                             else sorted({_kind_of(reference, eigs[k]) for k in wanted[pair]}))
                for pair, tt in enumerate(pairs)]
     if check_hypotheses:
         gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]

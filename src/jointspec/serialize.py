@@ -1,6 +1,7 @@
 """JSON helpers: complex scalars as [re, im], matrices as nested lists, and
 the report writer."""
 
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -18,14 +19,24 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def pair_to_complex(p):
-    """A number, or an [re, im] pair of numbers, as a complex; ValueError
-    for anything else."""
+def pair_to_complex(p, field):
+    """A number, or an [re, im] pair of numbers, as a finite complex;
+    ValueError for anything else, naming field when p is NaN, infinite or
+    an integer past the float range."""
     if _is_number(p):
-        return complex(p)
-    if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))):
+        parts = (p,)
+    elif isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)):
+        parts = p
+    else:
         raise ValueError(f"a complex number must be a number or an [re, im] pair; got {p!r}")
-    return complex(*p)
+    try:
+        z = complex(*parts)
+        finite = math.isfinite(z.real) and math.isfinite(z.imag)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{field} must be finite; got {p!r}")
+    return z
 
 
 def matrix_to_json(m):
@@ -38,7 +49,8 @@ def json_to_matrix(rows, field="a matrix"):
     naming field unless rows is a list of lists."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{field} must be a list of rows, each a list of entries")
-    return np.array([[pair_to_complex(v) for v in row] for row in rows], dtype=complex)
+    entry = f"every entry of {field}"
+    return np.array([[pair_to_complex(v, entry) for v in row] for row in rows], dtype=complex)
 
 
 def _report_text(report):

@@ -227,17 +227,16 @@ def quadratic_fit_d2(ts, values, v0):
 
 # -- slice eigensolves and root clusters, one at a time -----------------------
 #
-# jointspec solves a slice ladder's rungs as one stack and keeps the nonzero
-# kind's eigenvectors for the projections; these are the separate re-solve it
-# replaced, one LAPACK call per rung, and the clustering without its shortcut
-# for a lone value.
+# jointspec solves a slice ladder's rungs as one stack, for roots only, and
+# takes each projection's vectors from inverse iteration on its frozen pencil;
+# these solve every rung on its own with eigenvectors, one LAPACK call per
+# rung, and cluster without the library's shortcut for a lone value.
 
 
 def rung_solves(mats, kind, xhat, ts):
     """The slice of kind at every rung t_k with left and right eigenvectors,
     as (alpha, beta, vl, vr) stacks: one raw LAPACK ggev per rung, each with
-    its own workspace query, on the pencils the projections' re-solve
-    assembles.
+    its own workspace query.
 
     Nonzero kind: (I - t_k B) z = x_1 A_1 z with B = xhat.A_rest.  Zero kind:
     A_1 + t_k B against I.

@@ -24,48 +24,46 @@ def e1_line_roots(t, rests):
     return js.line_roots_batch(t, bases, e1)
 
 
-def ladder(t, xhat=(1.0,), t_max=1e-2, samples=8, vectors=()):
+def ladder(t, xhat=(1.0,), t_max=1e-2, samples=8):
     """The slice ladder check_regularity tracks: every kind of A_1 solved
-    along xhat, with left and right eigenvectors for the kinds in vectors."""
+    along xhat, for its roots."""
     a1 = t.matrices[0]
     return branches._solve_ladder(t, branches._unit_direction(t, xhat), t_max, samples,
-                                  *branches._reference_spectrum(a1, js.opnorm(a1)),
-                                  vectors=vectors)
+                                  *branches._reference_spectrum(a1, js.opnorm(a1)))
 
 
 def count_solves(monkeypatch):
-    """Count every slice eigensolve and Schur form made from here on.
+    """Count every slice eigensolve and projection kernel call made from here on.
 
-    Returns a dict that fills as the library runs: "ggev" holds the
-    (pencils, with vectors) of each pencil._ggev_stack call, "geev" the
-    number of matrices of each pencil._geev_stack call, "eigvals" that of
-    each np.linalg.eigvals call on a stack, and "schur" the number of Schur
-    forms projections made.
+    Returns a dict that fills as the library runs: "ggev" holds the number
+    of pencils of each pencil._ggev_stack call, "eigvals" that of each
+    np.linalg.eigvals call on a stack, "rank1" the number of matrices of
+    each projections._rank_one_projections stack, and "schur" the number of
+    Schur forms projections made.
     """
-    counts = {"ggev": [], "geev": [], "eigvals": [], "schur": 0}
-    ggev, geev, eigvals = pencil._ggev_stack, pencil._geev_stack, np.linalg.eigvals
-    schur = projections._spectral_projection
+    counts = {"ggev": [], "eigvals": [], "rank1": [], "schur": 0}
+    ggev, eigvals = pencil._ggev_stack, np.linalg.eigvals
+    rank_one, schur = projections._rank_one_projections, projections._spectral_projection
 
-    def counted_ggev(a, b, vectors):
-        counts["ggev"].append((len(a), bool(vectors)))
-        return ggev(a, b, vectors)
-
-    def counted_geev(a):
-        counts["geev"].append(len(a))
-        return geev(a)
+    def counted_ggev(a, b):
+        counts["ggev"].append(len(a))
+        return ggev(a, b)
 
     def counted_eigvals(a):
         if np.ndim(a) == 3:
             counts["eigvals"].append(len(a))
         return eigvals(a)
 
+    def counted_rank_one(f):
+        counts["rank1"].append(len(f))
+        return rank_one(f)
+
     def counted_schur(*args):
         counts["schur"] += 1
         return schur(*args)
 
     monkeypatch.setattr(pencil, "_ggev_stack", counted_ggev)
-    for mod in (pencil, branches):
-        monkeypatch.setattr(mod, "_geev_stack", counted_geev)
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(projections, "_rank_one_projections", counted_rank_one)
     monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
     return counts

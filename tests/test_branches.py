@@ -193,7 +193,7 @@ class TestLocalBranches:
                      lambda: js.check_regularity(two_line_variant(), xhat)):
             with pytest.raises(ValueError, match=message):
                 call()
-        assert counts == {"ggev": [], "geev": [], "eigvals": [], "schur": 0}
+        assert counts == {"ggev": [], "eigvals": [], "rank1": [], "schur": 0}
 
     def test_tracking_error_when_branches_merge_below_resolution(self):
         # derivative gap 1e-3: branches are separate at coarse t but fall
@@ -217,8 +217,8 @@ class TestLocalBranches:
 
 class TestSliceLadder:
     def test_tracking_on_a_ladder_matches_solving_again(self):
-        # check_regularity tracks every eigenvalue on one ladder without
-        # vectors; local_branches solves its own kind with vectors
+        # check_regularity tracks every eigenvalue on one ladder of every
+        # kind; local_branches solves its own kind only
         t = regular_random_pair(100, 4, zero_eigenvalue=True)[0]
         eigs = js.spectral_resolution(t.matrices[0]).eigenvalues
         reports = js.check_regularity(t, [1.0])

@@ -96,6 +96,17 @@ class TestCoxeterMatrix:
         back = js.CoxeterMatrix.from_json(cm.to_json())
         assert math.isinf(back.order(0, 1))
 
+    @pytest.mark.parametrize("rows, message", [
+        # 0 is no order; read as "inf" it would give the infinite dihedral group
+        ([[1, 0], [0, 1]], "off-diagonal Coxeter orders must be >= 2"),
+        ([[1, 1], [1, 1]], "off-diagonal Coxeter orders must be >= 2"),
+        ([[0, 3], [3, 1]], "ones on the diagonal"),
+        ([[1, 3], [4, 1]], "symmetric"),
+    ])
+    def test_from_json_refusals_name_the_field(self, rows, message):
+        with pytest.raises(ValueError, match=f"^coxeter_matrix: .*{message}"):
+            js.CoxeterMatrix.from_json(rows)
+
     def test_type_classification(self):
         assert coxeter_type(js.dihedral(5)) == "dihedral"
         assert coxeter_type(a3_matrix()) == "A"
@@ -105,6 +116,19 @@ class TestCoxeterMatrix:
         assert coxeter_type(d4) == "D"
         assert is_nonspecial(js.dihedral(7))
         assert not is_nonspecial(h3_matrix())
+
+
+# an A3 tuple against a representation of a dihedral group: each check
+# refuses before it solves, with the same ValueError
+@pytest.mark.parametrize("check", [js.check_condition_I, js.check_condition_II,
+                                   js.rigidity_check])
+def test_generator_count_mismatch_is_refused(check):
+    tup = js.MatrixTuple(geometric_representation(a3_matrix()))
+    rep = js.build_representation(js.dihedral(3), [js.DihedralIrrep("two_dim", 2 * math.pi / 3)])
+    with pytest.raises(ValueError) as exc:
+        check(tup, rep)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "tuple and representation must have the same number of generators"
 
 
 class TestBuildRepresentation:

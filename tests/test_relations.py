@@ -479,47 +479,54 @@ class TestOneAnalysisPerEigenvalue:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Every slice eigensolve and Schur form (slices.count_solves)."""
+        """Every slice eigensolve and projection kernel call (slices.count_solves)."""
         return count_solves(monkeypatch)
 
-    def test_one_slice_ladder_per_pair(self, solves):
+    @pytest.mark.parametrize("make, lam, rank1", [
+        (lambda: regular_random_pair(5, 8)[0], None, [64, 64]),
+        (lambda: regular_random_pair(5, 8)[0], 1.0, [16, 16]),
+        (lambda: regular_random_pair(2, 32)[0], 1.0, [16, 16]),
+        (lambda: dihedral_pair(np.pi / 3), None, [16, 16]),
+    ], ids=["N8", "N8-lambda1", "N32-lambda1", "dihedral"])
+    def test_one_slice_ladder_per_pair(self, solves, make, lam, rank1):
         # two pairs, one stack of eight rungs each, whatever the number of
-        # eigenvalues: each solved with vectors once, for the gate and the
-        # projections alike
-        pair = regular_random_pair(5, 8)[0]
-        for t, lam in ((pair, None), (pair, 1.0), (dihedral_pair(np.pi / 3), None)):
-            solves.update(ggev=[])
-            js.verify_pair(t, lam=lam)
-            assert solves == {"ggev": [(8, True)] * 2, "geev": [], "eigvals": [], "schur": 0}
-
-    @pytest.mark.parametrize("seed, dim, zero, lam, ggev, geev, eigvals", [
-        # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
-        (5, 16, False, None, [(8, True)] * 2, [], []),
-        (7, 16, False, None, [(8, True)] * 2, [], []),
-        # both kinds of both pairs, each solved once; only the kinds a pair
-        # analyses keep vectors: (A1, A1 A2) is never analysed at 0, and at
-        # lambda = 0 (A1, A2) is analysed at the zero kind only
-        (100, 4, True, None, [(8, True)] * 2, [8], [8]),
-        (100, 4, True, 0.0, [(8, False)] * 2, [8], [8]),
-    ])
-    def test_one_vector_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, ggev,
-                                                     geev, eigvals):
-        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
-        solves.update(ggev=[], geev=[], eigvals=[])
+        # eigenvalues: each solved for its roots once, for the gate and the
+        # projections alike; every analysed (branch, rung) of a pair is one
+        # matrix of the pair's one rank-1 kernel stack
+        t = make()
+        solves.update(ggev=[])
         js.verify_pair(t, lam=lam)
-        assert solves == {"ggev": ggev, "geev": geev, "eigvals": eigvals, "schur": 0}
+        assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": rank1, "schur": 0}
 
-    @pytest.mark.parametrize("lam, ggev, geev", [
-        (None, [(8, True)] * 2, [8]),
-        # (A1, A1 A2) is never analysed at 0, so its ladder solves nothing
-        (0.0, [], [8]),
+    @pytest.mark.parametrize("seed, dim, zero, lam, eigvals, rank1", [
+        # two pairs, one kind: every branch at every eigenvalue shares each rung's solve
+        (5, 16, False, None, [], [128, 128]),
+        (7, 16, False, None, [], [128, 128]),
+        # both kinds of both pairs, each solved once: (A1, A1 A2) is never
+        # analysed at 0, and at lambda = 0 (A1, A2) is analysed at the zero
+        # kind only
+        (100, 4, True, None, [8, 8], [32, 24]),
+        (100, 4, True, 0.0, [8, 8], [8]),
     ])
-    def test_ungated_ladders_solve_only_the_analysed_kinds(self, solves, lam, ggev, geev):
+    def test_one_solve_per_pair_kind_and_rung(self, solves, seed, dim, zero, lam, eigvals,
+                                              rank1):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        solves.update(ggev=[], eigvals=[])
+        js.verify_pair(t, lam=lam)
+        assert solves == {"ggev": [8] * 2, "eigvals": eigvals, "rank1": rank1, "schur": 0}
+
+    @pytest.mark.parametrize("lam, ggev, eigvals, rank1", [
+        (None, [8] * 2, [8], [32, 24]),
+        # (A1, A1 A2) is never analysed at 0, so its ladder solves nothing
+        (0.0, [], [8], [8]),
+    ])
+    def test_ungated_ladders_solve_only_the_analysed_kinds(self, solves, lam, ggev, eigvals,
+                                                           rank1):
         t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
         gated = js.verify_pair(t, lam=lam)
-        solves.update(ggev=[], geev=[], eigvals=[])
+        solves.update(ggev=[], eigvals=[], rank1=[])
         ungated = js.verify_pair(t, lam=lam, check_hypotheses=False)
-        assert solves == {"ggev": ggev, "geev": geev, "eigvals": [], "schur": 0}
+        assert solves == {"ggev": ggev, "eigvals": eigvals, "rank1": rank1, "schur": 0}
         assert ungated == [dataclasses.replace(r, passed=None) for r in gated]
 
     @pytest.mark.parametrize("args, kwargs, eigvals", [
@@ -538,23 +545,23 @@ class TestOneAnalysisPerEigenvalue:
         monkeypatch.setattr(fixtures, "random_normal_pair", counted)
         regular_random_pair(*args, **kwargs)
         assert len(tries) == 1
-        # the gate projects nothing, so it solves no vectors
-        assert solves == {"ggev": [(8, False), (8, False)], "geev": [], "eigvals": eigvals,
-                          "schur": 0}
+        # the gate projects nothing
+        assert solves == {"ggev": [8, 8], "eigvals": eigvals, "rank1": [], "schur": 0}
 
     @pytest.mark.parametrize("args, lam", [((5, 8), 1.0), ((100, 4), 0.0)])
     def test_analyze_pair_solves_one_slice_stack(self, solves, args, lam):
         t, _ = regular_random_pair(*args, zero_eigenvalue=lam == 0.0)
-        solves.update(ggev=[], geev=[], eigvals=[])
+        solves.update(ggev=[], eigvals=[])
         js.analyze_pair(t, lam)
-        want = {"ggev": [(8, True)], "geev": []} if lam else {"ggev": [], "geev": [8]}
-        assert solves == {**want, "eigvals": [], "schur": 0}
+        want = {"ggev": [8], "eigvals": [], "rank1": [16]} if lam else {
+            "ggev": [], "eigvals": [8], "rank1": [8]}
+        assert solves == {**want, "schur": 0}
 
     @pytest.mark.parametrize("wrapper", [js.verify_same_projection_lemma,
                                          js.verify_square_relation])
     def test_product_pair_wrappers_solve_one_stack_per_pair(self, solves, wrapper):
         wrapper(dihedral_pair(np.pi / 3), 1.0)
-        assert solves == {"ggev": [(8, True)] * 2, "geev": [], "eigvals": [], "schur": 0}
+        assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": [8] * 2, "schur": 0}
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
@@ -586,8 +593,7 @@ class TestToleranceInput:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved a pencil before checking tol")
 
-        for mod, name in ((pencil, "_ggev_stack"), (branches, "_geev_stack"),
-                          (np.linalg, "eigvals"), (relations, "opnorm"),
+        for mod, name in ((pencil, "_ggev_stack"), (np.linalg, "eigvals"), (relations, "opnorm"),
                           (relations, "_spectral_resolution")):
             monkeypatch.setattr(mod, name, no_solve)
         with pytest.raises(ValueError, match="tol must be a finite real > 0"):
