@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fixtures import blowup_demo_pair
 from .pencil import MatrixTuple, _is_real, normality_report, sample_spectrum_curve
-from .projections import _checked, _limits, projection_ladders, projection_norm_profile
+from .projections import _checked, _ladders, _limits, _norm_profiles, _rung_stack
 from .relations import verify_pair
 from .serialize import SCHEMA_VERSION, _report_text, json_to_matrix, pair_to_complex
 
@@ -97,6 +97,13 @@ def _load_json(path):
     return obj
 
 
+def _field(obj, key, config: RunConfig):
+    """obj[key]; KeyError naming the field when the input has none."""
+    if key not in obj:
+        raise KeyError(f"{config.command} input needs a '{key}' field")
+    return obj[key]
+
+
 def _tuple_from(obj):
     if "tuple" in obj:
         obj = obj["tuple"]
@@ -106,14 +113,14 @@ def _tuple_from(obj):
 def _cmd_analyze(config: RunConfig):
     obj = _load_json(config.input)
     tup = _tuple_from(obj)
-    if "lambda" not in obj:
-        raise KeyError("analyze input needs a 'lambda' field")
-    lam = pair_to_complex(obj["lambda"], "lambda")
-    if "direction" in obj:
-        xhat = np.array([pair_to_complex(v, "direction") for v in obj["direction"]])
-    else:
-        xhat = np.zeros(tup.n - 1)
-        xhat[0] = 1.0
+    if tup.n < 2:
+        raise ValueError(f"analyze needs a tuple of at least two 'matrices'; got {tup.n}")
+    lam = pair_to_complex(_field(obj, "lambda", config), "lambda")
+    direction = obj.get("direction", [1.0] + [0.0] * (tup.n - 2))
+    if not isinstance(direction, list):
+        raise ValueError(f"direction must be a list of n-1={tup.n - 1} [re, im] pairs; "
+                         f"got {direction!r}")
+    xhat = np.array([pair_to_complex(v, "direction") for v in direction])
 
     report = _provenance(config)
     norm = normality_report(tup.matrices[0])
@@ -128,8 +135,9 @@ def _cmd_analyze(config: RunConfig):
     report["regularity"] = reg.to_json()
     report["projections"] = []
     blowup = None
-    ladders = projection_ladders(tup, branches)
-    for b, ladder, profile, limit in zip(branches, ladders, *_limits(branches, ladders)):
+    stack, ranks, radii = _rung_stack(tup, branches)
+    ladders = _ladders(branches, stack, ranks, radii)
+    for b, ladder, profile, limit in zip(branches, ladders, *_limits(branches, stack)):
         entry = {"j": b.index, "norm_profile": profile.to_json(),
                  "ladder": [cp.to_json() for cp in ladder]}
         try:
@@ -163,8 +171,8 @@ def _cmd_verify(config: RunConfig):
 def _cmd_coxeter_check(config: RunConfig):
     obj = _load_json(config.input)
     tup = _tuple_from(obj)
-    cm = CoxeterMatrix.from_json(obj["coxeter_matrix"])
-    rep_spec = obj["rep"]
+    cm = CoxeterMatrix.from_json(_field(obj, "coxeter_matrix", config))
+    rep_spec = _field(obj, "rep", config)
     if not (isinstance(rep_spec, dict) and ("matrices" in rep_spec or "assignment" in rep_spec)):
         raise ValueError("'rep' must be an object with 'matrices' or 'assignment'")
     if "matrices" in rep_spec:
@@ -243,15 +251,11 @@ def _cmd_demo_blowup(config: RunConfig):
     branches = local_branches(tup, 1.0, [1.0], t_max=0.1, samples=config.samples)
     report = _provenance(config)
     report["ladder"] = {"t_max": 0.1, "samples": config.samples}
-    report["profiles"] = []
-    exponents = []
-    for b, ladder in zip(branches, projection_ladders(tup, branches)):
-        profile = projection_norm_profile(tup, b, ladder=ladder)
-        report["profiles"].append({"j": b.index, **profile.to_json()})
-        exponents.append(profile.exponent)
+    profiles = _norm_profiles(branches, _rung_stack(tup, branches)[0])
+    report["profiles"] = [{"j": b.index, **p.to_json()} for b, p in zip(branches, profiles)]
     report["refusal"] = (
         f"component projections blow up as t -> 0 (fitted exponents "
-        f"{[round(e, 3) for e in exponents]}); the leading matrix is not normal"
+        f"{[round(p.exponent, 3) for p in profiles]}); the leading matrix is not normal"
     )
     report["error"] = ProjectionBlowupError.__name__
     _emit(report, config)

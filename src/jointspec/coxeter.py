@@ -66,13 +66,13 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json(cls, rows):
-        """Rows of numbers and "inf", every off-diagonal order an integer >= 2
-        or "inf"; ValueError naming coxeter_matrix for anything else."""
+        """Rows of finite numbers and "inf", every off-diagonal order an
+        integer >= 2 or "inf"; ValueError naming coxeter_matrix for anything
+        else (NaN, an integer past the float range)."""
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-                and all(v == "inf" or isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        for row in rows for v in row)):
-            raise ValueError(f"coxeter_matrix must be a list of rows of numbers and 'inf'; "
-                             f"got {rows!r}")
+                and all(v in ("inf", INF) or _is_real(v) for row in rows for v in row)):
+            raise ValueError(f"coxeter_matrix must be a list of rows of finite numbers and "
+                             f"'inf'; got {rows!r}")
         try:
             return cls([[INF if v == "inf" else v for v in row] for row in rows])
         except ValueError as exc:

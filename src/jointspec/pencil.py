@@ -202,7 +202,10 @@ def _is_pair(v):
 
 
 def _is_real(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    try:  # an int past the float range is no finite real: isfinite overflows
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_window_grid(window, grid):

@@ -16,6 +16,9 @@ infinite root at distance 1) or v_i - v (exactly), and the nearest must lie
 farther than twice the selection tolerance.  A multiplicity-k branch, or a
 rung where that distance is not met, takes the general kernel: one sorted
 complex Schur form and one Sylvester solve on its triangular blocks.
+The projections of a call are one branch-major stack, which the limits
+read; a ComponentProjection, with its idempotency residual (only rounding:
+both kernels are idempotent), is built only where one is reported.
 Along a non-tangential line the family extends analytically to t = 0; the
 limit and its first t-derivative P'(0) are produced by the same ladder
 extrapolation used for branch values.  For non-normal leading matrices the
@@ -182,62 +185,53 @@ def _rank_one_projections(f):
 
 
 def _components(t: MatrixTuple, branches, rungs):
-    """(t_k, (P, rank, radius)) at each rung of each branch by
-    component_projection's rule; rungs[i] holds (t_k, value, roots of the
-    slice there, None for a repeated branch) at each rung of branches[i].
-    All rank-1 projections are one _rank_one_projections stack; the Schur
-    forms are made in order, so the first unseparated component raises.
-    """
-    parts, pencil_args = [], []
+    """(stack, ranks, radii): P, rank and radius at each rung of each branch,
+    branch-major, by component_projection's rule; rungs[j] holds (t_k, value,
+    roots of the slice there, None for a repeated branch) at each rung of
+    branches[j].  All rank-1 projections are one _rank_one_projections
+    stack; the Schur forms are made in order, so the first unseparated
+    component raises."""
+    stack = np.empty((sum(map(len, rungs)), t.dim, t.dim), dtype=complex)
+    ranks, radii, simple, pencil_args = [], [], [], []
     for b, rs in zip(branches, rungs):
         center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
         own_tol = 1e-6 * (1.0 + abs(center))
-        part, simple = [], []
+        rows = []
         for tk, v, roots in rs:
             dmin = 0.0 if roots is None else _root_gap(b.kind, v, roots, t.dim)
             if dmin > 2.0 * own_tol:
-                part.append((tk, (None, 1, _radius(dmin, center))))
-                simple.append((tk, v))
+                simple.append(len(ranks))
+                rows.append((tk, v))
+                rank, radius = 1, _radius(dmin, center)
             else:
-                part.append((tk, _schur_component(t, b, tk, v, center, own_tol)))
-        if simple:
-            pencil_args.append((b.kind, np.asarray(b.direction), *zip(*simple)))
-        parts.append(part)
-    if not pencil_args:
-        return parts
-    f = np.concatenate([_shifted_pencils(t, *args) for args in pencil_args])
-    rank_one = iter(_rank_one_projections(f))
-    return [[(tk, (next(rank_one) if p is None else p, rank, radius))
-             for tk, (p, rank, radius) in part] for part in parts]
+                stack[len(ranks)], rank, radius = _schur_component(t, b, tk, v, center, own_tol)
+            ranks.append(rank)
+            radii.append(radius)
+        if rows:
+            pencil_args.append((b.kind, np.asarray(b.direction), *zip(*rows)))
+    if pencil_args:
+        f = np.concatenate([_shifted_pencils(t, *args) for args in pencil_args])
+        stack[simple] = _rank_one_projections(f)
+    return stack, ranks, radii
 
 
 def _radius(dmin, center):
     return 0.5 * dmin if np.isfinite(dmin) else 0.5 * (1.0 + abs(center))
 
 
-def _ladders(branches, parts):
-    """ComponentProjections of each branch from its (t, (P, rank, radius))
-    parts; the idempotency residuals of all come from one stacked SVD."""
-    if not branches:
-        return []
-    _, idem = _svd_extremes(np.array([p @ p - p for ps in parts for _, (p, _, _) in ps]))
-    idem = iter(idem.tolist())
-    return [
-        [
-            ComponentProjection(
-                branch_index=b.index,
-                lam=b.lam,
-                kind=b.kind,
-                t=float(tk),
-                matrix=p,
-                idempotency_residual=next(idem),
-                rank=rank,
-                radius=radius,
-            )
-            for tk, (p, rank, radius) in ps
-        ]
-        for b, ps in zip(branches, parts)
-    ]
+def _ladders(branches, stack, ranks, radii, ts=None):
+    """ComponentProjections of each branch from the rows of _components'
+    (stack, ranks, radii), each matrix a view of stack; ts[j] holds the
+    parameters of branches[j]'s rows, by default its ladder samples.  The
+    idempotency residuals of all come from one stacked SVD."""
+    ts = ts or [[tk for tk, _ in b.samples] for b in branches]
+    _, idem = _svd_extremes(stack @ stack - stack)
+    rows = iter(zip(stack, ranks, radii, idem.tolist()))
+    return [[ComponentProjection(branch_index=b.index, lam=b.lam, kind=b.kind, t=float(tk),
+                                 matrix=p, idempotency_residual=idem_k, rank=rank,
+                                 radius=radius)
+             for tk, (p, rank, radius, idem_k) in zip(bts, rows)]
+            for b, bts in zip(branches, ts)]
 
 
 def component_projection(t: MatrixTuple, b: Branch, tparam):
@@ -265,20 +259,17 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
         value = _branch_value_at(b, tparam, roots) if k is None else b.samples[k][1]
     else:
         roots, value = kept[k] if simple else None, b.samples[k][1]
-    (part,) = _components(t, [b], [[(tparam, value, roots if simple else None)]])
-    return _ladders([b], [part])[0][0]
+    rung = (tparam, value, roots if simple else None)
+    return _ladders([b], *_components(t, [b], [[rung]]), ts=[[tparam]])[0][0]
 
 
-def projection_ladders(t: MatrixTuple, branches):
-    """Component projections at every ladder sample of each branch, one list
-    per branch.
+def _rung_stack(t: MatrixTuple, branches):
+    """_components' (stack, ranks, radii) at every ladder sample of each
+    branch: projection_ladders' projections, with no ComponentProjection.
 
-    Each projection is component_projection's at that sample; the rank-1
-    ones of all branches are one stacked inverse iteration.  The separation
-    test reads the rung roots the branches kept when tracked on t; a simple
-    branch tracked on another tuple, or without them, gets one
-    _ladder_roots call.  The idempotency residuals of all projections come
-    from one stacked SVD.
+    The separation test reads the rung roots the branches kept when tracked
+    on t; a simple branch tracked on another tuple, or without them, gets
+    one _ladder_roots call.
     """
     rungs = []
     for b in branches:
@@ -288,7 +279,17 @@ def projection_ladders(t: MatrixTuple, branches):
                                   [tk for tk, _ in b.samples])
         rungs.append([(tk, v, None if b.multiplicity > 1 else roots[k])
                       for k, (tk, v) in enumerate(b.samples)])
-    return tuple(_ladders(branches, _components(t, branches, rungs)))
+    return _components(t, branches, rungs)
+
+
+def projection_ladders(t: MatrixTuple, branches):
+    """Component projections at every ladder sample of each branch, one list
+    per branch.
+
+    Each projection is component_projection's at that sample, from one
+    _rung_stack; the idempotency residuals of all come from one stacked SVD.
+    """
+    return tuple(_ladders(branches, *_rung_stack(t, branches)))
 
 
 @dataclass(frozen=True)
@@ -305,12 +306,18 @@ def _profile(ts, norms):
                        exponent=extrapolate.fit_power_law(ts, norms))
 
 
-def projection_norm_profile(t: MatrixTuple, b: Branch, ladder=None):
-    """Projection norms down the ladder with a fitted power-law exponent."""
-    if ladder is None:
-        ladder = projection_ladders(t, [b])[0]
-    _, norms = _svd_extremes(np.array([cp.matrix for cp in ladder]))
-    return _profile([cp.t for cp in ladder], norms.tolist())
+def _norm_profiles(branches, stack):
+    """The NormProfile of each branch from its rows of a _rung_stack stack,
+    all norms from one stacked SVD."""
+    norms = iter(_svd_extremes(stack)[1].tolist())
+    return [_profile([tk for tk, _ in b.samples], [next(norms) for _ in b.samples])
+            for b in branches]
+
+
+def projection_norm_profile(t: MatrixTuple, b: Branch):
+    """Projection norms down the ladder, from its rung stack, with a fitted
+    power-law exponent."""
+    return _norm_profiles([b], _rung_stack(t, [b])[0])[0]
 
 
 @dataclass(frozen=True)
@@ -346,32 +353,31 @@ def limit_projection(t: MatrixTuple, b: Branch):
     ProjectionBlowupError carrying the fitted exponent and the profile;
     this is the expected outcome for non-normal leading matrices.
     """
-    (profile,), (limit,) = _limits([b], projection_ladders(t, [b]))
+    (profile,), (limit,) = _limits([b], _rung_stack(t, [b])[0])
     return _checked(profile, limit)
 
 
-def _limits(branches, ladders):
-    """Norm profiles and limit projections of branches from their projection
-    ladders, which share one ladder of parameters t_k.
+def _limits(branches, *stacks):
+    """Norm profiles and limit projections of branches on one ladder of t_k
+    from the _rung_stack stacks that, concatenated, hold their P(t_k).
 
-    P and P'(0) of all branches come from one stacked richardson_limit call
-    each (P'(0) from the quotients (P(t_k) - P) / t_k), and the profile
-    norms and the idempotency residuals of the limits from one stacked SVD.
-    Returns (profiles, limits): limits[i] is the LimitProjection of
-    branches[i], or the ExtrapolationError of its P, else of its P'(0);
-    _checked(profiles[i], limits[i]) is what limit_projection returns or
-    raises for it.
+    The P(t_k) are copied once into a buffer _limits owns; stacks and views
+    of them stay unchanged.  P and P'(0) of all branches come from one
+    stacked richardson_limit call each (P'(0) from the quotients
+    (P(t_k) - P) / t_k, made in that buffer), and the profile norms and the
+    idempotency residuals of the limits from one stacked SVD.  Returns
+    (profiles, limits): limits[i] is the LimitProjection of branches[i], or
+    the ExtrapolationError of its P, else of its P'(0); _checked(profiles[i],
+    limits[i]) is what limit_projection returns or raises for it.
     """
     if not branches:
         return [], []
-    ts = [cp.t for cp in ladders[0]]
-    count, rungs, dim = len(ladders), len(ts), ladders[0][0].matrix.shape[0]
-    # the ladder matrices, then the limits' p @ p - p, for the one SVD
+    ts = [tk for tk, _ in branches[0].samples]
+    count, rungs, dim = len(branches), len(ts), stacks[0].shape[-1]
+    # the rung matrices, then the limits' p @ p - p, for the one SVD
     stack = np.empty((count * (rungs + 1), dim, dim), dtype=complex)
+    np.concatenate(stacks, out=stack[:count * rungs])
     mats = stack[:count * rungs].reshape(count, rungs, dim, dim)
-    for ladder, row in zip(ladders, mats):
-        for cp, m in zip(ladder, row):
-            m[...] = cp.matrix
     p, err, p_failed = extrapolate._each_series(extrapolate.richardson_limit, ts, mats)
     stack[count * rungs:] = p @ p - p
     _, smax = _svd_extremes(stack)
@@ -386,16 +392,10 @@ def _limits(branches, ladders):
             limits.append(p_failed[i] or dp_failed[i])
         else:
             limits.append(LimitProjection(
-                branch_index=b.index,
-                lam=b.lam,
-                kind=b.kind,
-                direction=b.direction,
-                matrix=p[i],
-                extrapolation_error=float(err[i]),
-                rank=int(round(np.trace(p[i]).real)),
-                idempotency_residual=float(idem[i]),
-                derivative=dp[i],
-            ))
+                branch_index=b.index, lam=b.lam, kind=b.kind, direction=b.direction,
+                matrix=p[i], extrapolation_error=float(err[i]),
+                rank=int(round(np.trace(p[i]).real)), idempotency_residual=float(idem[i]),
+                derivative=dp[i]))
     return profiles, limits
 
 

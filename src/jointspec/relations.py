@@ -7,10 +7,10 @@ stacked SVD.  The pair-level aggregator computes one analysis per (pair,
 eigenvalue): it tracks the branches of (A1, A2) and (A1, A1 A2) once at
 each eigenvalue of A1, derives the regularity gate from those branches
 (normal leading matrix, conditions a/b at every eigenvalue,
-multiplicity-1 branches) and refuses when it fails; projection ladders and
-limits are built once from the same branches and serve every identity at
-that eigenvalue.  check_hypotheses=False computes residuals anyway with no
-pass/fail claim.
+multiplicity-1 branches) and refuses when it fails; the rung projections
+and limits are built once from the same branches, and the limits serve
+every identity at that eigenvalue.  check_hypotheses=False computes
+residuals anyway with no pass/fail claim.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from .branches import (
 )
 from .errors import JointSpecError, PairingAmbiguityError
 from .pencil import MatrixTuple, _is_real, _svd_extremes, opnorm
-from .projections import _checked, _limits, projection_ladders
+from .projections import _checked, _limits, _rung_stack
 from .serialize import complex_to_pair
 
 
@@ -220,40 +220,33 @@ def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
 
 @dataclass(frozen=True)
 class PairAnalysis:
-    """Branches, projection ladders and limit projections at one eigenvalue."""
+    """Branches and limit projections at one eigenvalue; the rung projections
+    are intermediate data, which projection_ladders returns."""
 
     tup: MatrixTuple
     lam: complex
     resolution: SpectralResolution
     branches: tuple
-    ladders: tuple
     limits: tuple
 
 
 def analyze_pair(t: MatrixTuple, lam, resolution=None):
     """Track branches at lam along e_1 on the default ladder (t_max 1e-2, 8
-    samples), build projection ladders, extrapolate limits.
+    samples), project every branch at every rung, extrapolate limits.
 
     The ladder is solved once, and the projections test separation against
-    its roots.
+    its roots.  The rung projections go to the extrapolation as one stack.
     """
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
-    ladders = projection_ladders(t, branches)
-    limits = [_checked(*pl) for pl in zip(*_limits(branches, ladders))]
-    return _analysis(t, branches, ladders, limits, resolution)
+    limits = [_checked(*pl) for pl in zip(*_limits(branches, _rung_stack(t, branches)[0]))]
+    return _analysis(t, branches, limits, resolution)
 
 
-def _analysis(t: MatrixTuple, branches, ladders, limits, resolution):
-    return PairAnalysis(
-        tup=t,
-        lam=complex(branches[0].lam),
-        resolution=resolution,
-        branches=tuple(branches),
-        ladders=tuple(ladders),
-        limits=tuple(limits),
-    )
+def _analysis(t: MatrixTuple, branches, limits, resolution):
+    return PairAnalysis(tup=t, lam=complex(branches[0].lam), resolution=resolution,
+                        branches=tuple(branches), limits=tuple(limits))
 
 
 def _pair_by_derivative(x_branches, z_branches, lam):
@@ -371,13 +364,13 @@ def verify_pair(
     slice ladder per pair), and check_regularity tracks (A1, A2) and
     (A1, A1 A2) on them at every eigenvalue of A1, also when lam is given:
     all branch derivatives of a pair come from one stacked extrapolation
-    each.  The analyses at lam reuse those branches.  The projection ladders
-    of every analysed branch of a pair come from one projection_ladders
-    call, whose rank-1 projections are one stacked inverse iteration; P and
-    P'(0) of every analysed branch of both pairs come from one stacked
-    extrapolation each, and every operator norm of the reports from one
-    stacked SVD.  Failures are raised in the order of analysing one
-    eigenvalue and one branch at a time.
+    each.  The analyses at lam reuse those branches.  The projections at
+    every rung of every analysed branch of a pair are one stack, with no
+    ComponentProjection built; its rank-1 projections are one stacked
+    inverse iteration.  P and P'(0) of every analysed branch of both pairs
+    come from one stacked extrapolation each, and the call takes two
+    stacked SVDs: the limits' and the reports'.  Failures are raised in the
+    order of analysing one eigenvalue and one branch at a time.
 
     Each pair's slice ladder solves every kind of A1 once, for its roots
     only, for the gate and the projections alike.  With
@@ -411,7 +404,7 @@ def verify_pair(
                for pair, tt in enumerate(pairs)]
     if check_hypotheses:
         gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]
-    # each pair's branches and projection ladders; the limits of both pairs
+    # each pair's branches and rung projections; the limits of both pairs
     # are extrapolated together below, so a failure here is raised after
     # those of the pairs before it, as when each pair was finished in turn
     sets, pending = [], None
@@ -424,20 +417,17 @@ def verify_pair(
                 for out in found:
                     if isinstance(out, Exception):
                         raise out
-            sets.append((found, projection_ladders(tt, [b for bs in found for b in bs])))
+            sets.append((found, _rung_stack(tt, [b for bs in found for b in bs])[0]))
         except Exception as exc:  # raised below, after the limits before it
             pending = exc
             break
     tracked = [b for found, _ in sets for bs in found for b in bs]
-    projected = [lad for _, lads in sets for lad in lads]
-    limits = iter([_checked(*pl) for pl in zip(*_limits(tracked, projected))])
+    limits = iter([_checked(*pl) for pl in zip(*_limits(tracked, *[s for _, s in sets]))])
     if pending is not None:
         raise pending
 
-    projected = iter(projected)
     analyses = [
-        {k: _analysis(pairs[pair], bs, [next(projected) for _ in bs],
-                      [next(limits) for _ in bs], res)
+        {k: _analysis(pairs[pair], bs, [next(limits) for _ in bs], res)
          for k, bs in zip(wanted[pair], found)}
         for pair, (found, _) in enumerate(sets)
     ]

@@ -8,7 +8,7 @@ branches._solve_ladder.
 import numpy as np
 
 import jointspec as js
-from jointspec import branches, pencil, projections
+from jointspec import branches, pencil, projections, relations
 
 
 def e1_line_roots(t, rests):
@@ -38,11 +38,12 @@ def count_solves(monkeypatch):
     Returns a dict that fills as the library runs: "ggev" holds the number
     of pencils of each pencil._ggev_stack call, "eigvals" that of each
     np.linalg.eigvals call on a stack, "rank1" the number of matrices of
-    each projections._rank_one_projections stack, and "schur" the number of
-    Schur forms projections made.
+    each projections._rank_one_projections stack, "schur" the number of
+    Schur forms projections made, and "svd" the number of matrices of each
+    pencil._svd_extremes stack, from whichever module calls it.
     """
-    counts = {"ggev": [], "eigvals": [], "rank1": [], "schur": 0}
-    ggev, eigvals = pencil._ggev_stack, np.linalg.eigvals
+    counts = {"ggev": [], "eigvals": [], "rank1": [], "schur": 0, "svd": []}
+    ggev, eigvals, svd = pencil._ggev_stack, np.linalg.eigvals, pencil._svd_extremes
     rank_one, schur = projections._rank_one_projections, projections._spectral_projection
 
     def counted_ggev(a, b):
@@ -62,8 +63,14 @@ def count_solves(monkeypatch):
         counts["schur"] += 1
         return schur(*args)
 
+    def counted_svd(stack):
+        counts["svd"].append(len(stack))
+        return svd(stack)
+
     monkeypatch.setattr(pencil, "_ggev_stack", counted_ggev)
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(projections, "_rank_one_projections", counted_rank_one)
     monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
+    for module in (pencil, branches, projections, relations):
+        monkeypatch.setattr(module, "_svd_extremes", counted_svd)
     return counts

@@ -193,7 +193,7 @@ class TestLocalBranches:
                      lambda: js.check_regularity(two_line_variant(), xhat)):
             with pytest.raises(ValueError, match=message):
                 call()
-        assert counts == {"ggev": [], "eigvals": [], "rank1": [], "schur": 0}
+        assert counts == {"ggev": [], "eigvals": [], "rank1": [], "schur": 0, "svd": []}
 
     def test_tracking_error_when_branches_merge_below_resolution(self):
         # derivative gap 1e-3: branches are separate at coarse t but fall

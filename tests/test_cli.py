@@ -25,6 +25,10 @@ from oracles import exact_projection, rung_solves
 from slices import count_solves
 
 
+# a field the malformed-input cases delete rather than set
+_MISSING = object()
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -114,20 +118,25 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", inp]) == 2
         assert "not an eigenvalue" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("direction, message", [
-        ([[0, 0]], "must be nonzero"),
-        ([[1, 0], [0, 1]], "must have n-1=1 coordinates"),
-        ([[math.nan, 0]], "must be finite; got [nan, 0]"),
-    ], ids=["zero", "wrong-length", "nan"])
-    def test_bad_direction_exits_two(self, tmp_path, capsys, direction, message):
+    @pytest.mark.parametrize("fields, message", [
+        ({"direction": [[0, 0]]}, "direction must be nonzero"),
+        ({"direction": [[1, 0], [0, 1]]}, "direction must have n-1=1 coordinates"),
+        ({"direction": [[math.nan, 0]]}, "direction must be finite; got [nan, 0]"),
+        ({"direction": 1}, "direction must be a list of n-1=1 [re, im] pairs; got 1"),
+        # one matrix leaves no coordinate for a direction, given or default
+        ({"n": 1, "matrices": [[[1, 0], [0, 2]]]},
+         "analyze needs a tuple of at least two 'matrices'; got 1"),
+    ], ids=["zero", "wrong-length", "nan", "not-a-list", "one-matrix"])
+    def test_bad_direction_exits_two(self, tmp_path, capsys, fields, message):
         obj = {**dihedral_pair(1.0).to_json(), "schema_version": 1, "lambda": [1.0, 0],
-               "direction": direction}
+               **fields}
         inp = write_json(tmp_path / "bad_direction.json", obj)
         out = tmp_path / "analysis.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any arithmetic on it
             assert main(["analyze", "--input", inp, "--out", str(out)]) == 2
-        assert f"error: direction {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_numerical_refusal_writes_a_report(self, dihedral_input, tmp_path, monkeypatch):
@@ -189,14 +198,17 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("lam, kw", [(1.0, {"ggev": [8]}), (0.0, {"eigvals": [8]})])
     def test_one_slice_stack_per_call(self, tmp_path, monkeypatch, lam, kw):
         # the ladder keeps the roots its projections read, and the one
-        # branch's eight rank-1 projections are one stack
+        # branch's eight rank-1 projections are one stack; one stacked SVD
+        # each for the branch residuals, the report ladder's idempotency and
+        # the limit (eight rung norms and its idempotency)
         tup = js.MatrixTuple([np.diag([0.0, 2.0, 1.0]), np.diag([1.0, 1.0, 1.0])
                               + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)])
         inp = write_json(tmp_path / "input.json",
                          {**tup.to_json(), "schema_version": 1, "lambda": [lam, 0.0]})
         solves = count_solves(monkeypatch)
         assert main(["analyze", "--input", inp, "--out", str(tmp_path / "a.json")]) == 0
-        assert solves == {"ggev": [], "eigvals": [], "rank1": [8], "schur": 0, **kw}
+        assert solves == {"ggev": [], "eigvals": [], "rank1": [8], "schur": 0,
+                          "svd": [8, 8, 9], **kw}
 
 
 def _analyze_along(tmp_path, tup, lam, direction):
@@ -289,7 +301,9 @@ class TestPlotCommand:
         ("grid", [41.5, 41], "'grid' must be two positive integers"),
         ("grid", [0, 41], "'grid' must be two positive integers"),
         ("window", [["a", 2.0], [-2.0, 2.0]], "'window' must be two [lo, hi] pairs"),
-    ], ids=["non_integer_grid", "zero_grid", "non_numeric_window"])
+        # an integer past the float range is no finite real
+        ("window", [[-10**400, 2], [-2, 2]], "'window' must be two [lo, hi] pairs"),
+    ], ids=["non_integer_grid", "zero_grid", "non_numeric_window", "huge_integer_window"])
     def test_bad_window_or_grid_is_a_usage_error(self, tmp_path, capsys, field, value, message):
         obj = {**dihedral_pair(np.pi / 3).to_json(), "schema_version": 1, field: value}
         inp = write_json(tmp_path / "bad.json", obj)
@@ -320,8 +334,9 @@ class TestDemoBlowupCommand:
     def test_one_slice_stack_per_call(self, tmp_path, monkeypatch):
         solves = count_solves(monkeypatch)
         assert main(["demo-blowup", "--out", str(tmp_path / "demo.json")]) == 3
-        # two branches, ten rungs each: one rank-1 stack
-        assert solves == {"ggev": [10], "eigvals": [], "rank1": [20], "schur": 0}
+        # two branches, ten rungs each: one rank-1 stack, and one stacked SVD
+        # for the profile norms, none for the rung projections' idempotency
+        assert solves == {"ggev": [10], "eigvals": [], "rank1": [20], "schur": 0, "svd": [20]}
 
     def test_samples_set_the_ladder(self, tmp_path):
         out = tmp_path / "demo.json"
@@ -457,6 +472,17 @@ class TestCoxeterCheckCommand:
         ("null angle", ("rep", "assignment", 0, 1), None, "two_dim summand needs a real angle"),
         ("seed a string", ("rep", "seed"), "x", "rep 'seed'"),
         ("rep matrices a number", ("rep",), {"matrices": 3}, "rep 'matrices'"),
+        pytest.param("no rep", ("rep",), _MISSING, "coxeter-check input needs a 'rep' field",
+                     id="no rep"),
+        pytest.param("no coxeter_matrix", ("coxeter_matrix",), _MISSING,
+                     "coxeter-check input needs a 'coxeter_matrix' field", id="no coxeter_matrix"),
+        # integers past the float range, and NaN, are no orders and no angles
+        pytest.param("huge order", ("coxeter_matrix",), [[1, 10**400], [10**400, 1]],
+                     "coxeter_matrix must be a list of rows of finite numbers", id="huge order"),
+        pytest.param("NaN order", ("coxeter_matrix",), [[1, math.nan], [math.nan, 1]],
+                     "coxeter_matrix must be a list of rows of finite numbers", id="NaN order"),
+        pytest.param("huge angle", ("rep", "assignment", 0, 1), 10**400,
+                     "two_dim summand needs a real angle", id="huge angle"),
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, case, path, value, field):
         obj = json.loads(open(self.make_input(tmp_path)).read())
@@ -466,7 +492,10 @@ class TestCoxeterCheckCommand:
             node = obj
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = value
+            if value is _MISSING:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
         inp = write_json(tmp_path / "malformed.json", obj)
         out = tmp_path / "out.json"
         assert main(["coxeter-check", "--input", inp, "--out", str(out)]) == 2

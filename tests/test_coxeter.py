@@ -107,6 +107,18 @@ class TestCoxeterMatrix:
         with pytest.raises(ValueError, match=f"^coxeter_matrix: .*{message}"):
             js.CoxeterMatrix.from_json(rows)
 
+    @pytest.mark.parametrize("order", [math.nan, 10**400, True, "3"],
+                             ids=["nan", "huge-integer", "bool", "string"])
+    def test_from_json_refuses_orders_that_are_no_finite_number(self, order):
+        # NaN is unequal to itself, and float() overflows on 10**400: refused
+        # before either reaches the order checks
+        with pytest.raises(ValueError, match="^coxeter_matrix must be a list of rows of "
+                                             "finite numbers and 'inf'"):
+            js.CoxeterMatrix.from_json([[1, order], [order, 1]])
+
+    def test_from_json_reads_an_infinite_number_as_inf(self):
+        assert js.CoxeterMatrix.from_json([[1, math.inf], [math.inf, 1]]) == js.dihedral(math.inf)
+
     def test_type_classification(self):
         assert coxeter_type(js.dihedral(5)) == "dihedral"
         assert coxeter_type(a3_matrix()) == "A"

@@ -301,23 +301,26 @@ class TestRungOracle:
     def test_verify_pair_projections(self, name, make, lam, monkeypatch):
         t = make()
         made = []
-        ladders = relations.projection_ladders
+        rung_stack = relations._rung_stack
 
         def kept(tt, bs):
-            made.append((tt, bs, ladders(tt, bs)))
+            made.append((tt, bs, rung_stack(tt, bs)))
             return made[-1][2]
 
-        monkeypatch.setattr(relations, "projection_ladders", kept)
+        monkeypatch.setattr(relations, "_rung_stack", kept)
         js.verify_pair(t, lam=lam, check_hypotheses=False)
         assert made
-        for tt, bs, got in made:
+        for tt, bs, (stack, ranks, radii) in made:
             assert all(b._rung_roots is not None and b.multiplicity == 1 for b in bs)
-            for b, lad in zip(bs, got):
+            assert len(stack) == len(ranks) == len(radii) == sum(len(b.samples) for b in bs)
+            rows = iter(zip(stack, ranks, radii))
+            for b in bs:
                 bound = 1e-9 if b.kind == "nonzero" else 1e-14
-                for cp, (p, radius) in zip(lad, _oracle_projections(tt, b)):
-                    assert cp.rank == 1
-                    assert js.opnorm(cp.matrix - p) <= bound * js.opnorm(p)
-                    assert abs(cp.radius - radius) <= bound * radius
+                # the oracle's rows first: zip stops there and leaves rows at the next branch
+                for (p, radius), (got, rank, got_radius) in zip(_oracle_projections(tt, b), rows):
+                    assert rank == 1
+                    assert js.opnorm(got - p) <= bound * js.opnorm(p)
+                    assert abs(got_radius - radius) <= bound * radius
 
 
 class TestComponentProjection:
@@ -373,7 +376,7 @@ class TestComponentProjection:
         b = branches[0]
         tk = b.samples[3][0]
         assert js.component_projection(t, b, tk).to_json() == ladders[0][3].to_json()
-        assert solves == {"ggev": [], "eigvals": [], "rank1": [1], "schur": 0}
+        assert solves == {"ggev": [], "eigvals": [], "rank1": [1], "schur": 0, "svd": [1]}
         # tracked without kept rung roots, or off the ladder: one one-rung
         # solve for roots, which also gives the branch value off the ladder
         alone = dataclasses.replace(b, _rung_roots=None)
@@ -381,7 +384,7 @@ class TestComponentProjection:
         js.component_projection(t, b, 0.75 * tk)
         solved = {"nonzero": "ggev", "zero": "eigvals"}[b.kind]
         assert solves == {"ggev": [], "eigvals": [], **{solved: [1, 1]}, "rank1": [1] * 3,
-                          "schur": 0}
+                          "schur": 0, "svd": [1] * 3}
 
     def test_unseparated_component_refused(self):
         # the sibling branch of diag(0, 0.5) is 3e-6 away at t = 6e-6: outside
@@ -420,6 +423,20 @@ class TestLimitProjection:
             assert js.opnorm(a1 @ p - b.lam * p) <= 1e-7
             assert js.opnorm(p @ a1 - b.lam * p) <= 1e-7
 
+    @pytest.mark.parametrize("seed, dim, zero", [
+        (17, 4, False), (5, 8, False), (100, 4, True), (2, 32, False),
+    ])
+    def test_analyze_pair_limits_equal_limit_projection(self, seed, dim, zero):
+        t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
+        for lam in ([1.0, 0.0] if zero else [1.0]):
+            analysis = js.analyze_pair(t, lam)
+            assert len(analysis.limits) == len(analysis.branches)
+            for b, lp in zip(analysis.branches, analysis.limits):
+                alone = js.limit_projection(t, b)
+                assert lp.matrix.tobytes() == alone.matrix.tobytes()
+                assert lp.derivative.tobytes() == alone.derivative.tobytes()
+                assert lp.to_json() == alone.to_json()
+
     def test_blowup_detected(self):
         t = blowup_demo_pair()
         b = js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=10)[0]
@@ -439,6 +456,67 @@ class TestLimitProjection:
         target = evs[np.argmin(np.abs(evs - 1.0))]
         direct = eigenprojection_direct(m, target, 1e-8)
         assert js.opnorm(lp.matrix - direct) <= 1e-6
+
+
+# (tuple, eigenvalue, local_branches keywords): rank-1 projections of both
+# kinds, a Schur projection of a repeated branch, and the blow-up pair
+_STACK_CASES = [
+    pytest.param(lambda: regular_random_pair(5, 8)[0], 1.0, {}, id="N8"),
+    pytest.param(lambda: regular_random_pair(100, 4, zero_eigenvalue=True)[0], 0.0, {},
+                 id="zero-kind"),
+    pytest.param(lambda: js.MatrixTuple([np.diag([1.0, 1.0, 2.0]), np.eye(3)]), 1.0, {},
+                 id="repeated"),
+    pytest.param(blowup_demo_pair, 1.0, {"t_max": 0.1, "samples": 10}, id="blowup"),
+]
+
+
+class TestRungStack:
+    """The branch-major stack of rung projections that the limits read, and
+    the ComponentProjections built from it where they are reported."""
+
+    @pytest.mark.parametrize("make, lam, kw", _STACK_CASES)
+    def test_projection_ladders_equal_the_stack(self, make, lam, kw):
+        t = make()
+        branches = js.local_branches(t, lam, [1.0], **kw)
+        stack, ranks, radii = projections._rung_stack(t, branches)
+        ladders = js.projection_ladders(t, branches)
+        got = [cp for ladder in ladders for cp in ladder]
+        assert len(got) == len(stack) == sum(len(b.samples) for b in branches)
+        assert np.array([cp.matrix for cp in got]).tobytes() == stack.tobytes()
+        assert [cp.rank for cp in got] == ranks
+        assert [cp.radius for cp in got] == radii
+        assert [[cp.t for cp in ladder] for ladder in ladders] == [
+            [tk for tk, _ in b.samples] for b in branches]
+
+    @pytest.mark.parametrize("make, lam, kw", _STACK_CASES)
+    def test_projection_ladders_take_one_idempotency_stack(self, make, lam, kw, monkeypatch):
+        t = make()
+        branches = js.local_branches(t, lam, [1.0], **kw)
+        solves = count_solves(monkeypatch)
+        js.projection_ladders(t, branches)
+        assert solves["svd"] == [sum(len(b.samples) for b in branches)]
+
+    @pytest.mark.parametrize("make, lam, kw", _STACK_CASES[:3])
+    def test_limit_projection_takes_no_svd_over_rung_projections(self, make, lam, kw,
+                                                                 monkeypatch):
+        # one stack: the rung norms and the limit's idempotency, no
+        # idempotency of a rung projection
+        t = make()
+        b = js.local_branches(t, lam, [1.0], **kw)[0]
+        solves = count_solves(monkeypatch)
+        js.limit_projection(t, b)
+        assert solves["svd"] == [len(b.samples) + 1]
+
+    @pytest.mark.parametrize("make, lam, kw", _STACK_CASES[:3])
+    def test_limits_leave_the_stack_unchanged(self, make, lam, kw):
+        # the quotients of P'(0) overwrite a copy that _limits owns, so a
+        # ComponentProjection that views the stack keeps its matrix
+        t = make()
+        branches = js.local_branches(t, lam, [1.0], **kw)
+        stack = projections._rung_stack(t, branches)[0]
+        before = stack.copy()
+        projections._limits(branches, stack)
+        assert stack.tobytes() == before.tobytes()
 
 
 class TestNormProfile:

@@ -1,11 +1,12 @@
-"""The public API, pinned: the names jointspec exports and the defaulted
-parameters of every public function, so that each API change shows as a
-diff here.
+"""The public API, pinned: the names jointspec exports, the defaulted
+parameters of every public function and the fields of every exported
+dataclass, so that each API change shows as a diff here.
 
 A public function is an exported function or a public method of an exported
 class; exception classes are left out.
 """
 
+import dataclasses
 import inspect
 
 import jointspec as js
@@ -34,11 +35,39 @@ EXPORTS = [
 DEFAULTED = {
     "CoxeterRep.validate": 1, "analyze_pair": 1, "build_representation": 1,
     "check_condition_I": 1, "check_condition_II": 3, "check_regularity": 2,
-    "local_branches": 2, "projection_norm_profile": 1, "rigidity_check": 3,
+    "local_branches": 2, "rigidity_check": 3,
     "sample_spectrum_curve": 2, "verify_cross_moment_zero": 1, "verify_first_moment": 1,
     "verify_orthogonality_and_resolution": 1, "verify_pair": 5, "verify_prime_relations": 1,
     "verify_restriction": 1, "verify_same_projection_lemma": 1, "verify_second_moment": 1,
     "verify_square_relation": 1,
+}
+
+
+# the field names of every exported dataclass, in declaration order
+FIELDS = {
+    "Branch": ["lam", "kind", "direction", "index", "samples", "multiplicity", "d1", "d2",
+               "d1_error", "d2_error", "pencil", "_rung_roots"],
+    "ComponentProjection": ["branch_index", "lam", "kind", "t", "matrix",
+                            "idempotency_residual", "rank", "radius"],
+    "CoxeterMatrix": ["orders"],
+    "CoxeterRep": ["cm", "generators"],
+    "DihedralIrrep": ["kind", "angle"],
+    "LimitProjection": ["branch_index", "lam", "kind", "direction", "matrix",
+                        "extrapolation_error", "rank", "idempotency_residual", "derivative"],
+    "MatrixTuple": ["matrices"],
+    "NormProfile": ["points", "exponent"],
+    "NormalityReport": ["commutator_norm", "is_normal", "is_diagonalizable", "tolerance"],
+    "PairAnalysis": ["tup", "lam", "resolution", "branches", "limits"],
+    "RegularityReport": ["lam", "condition_a", "condition_b", "branch_derivative_gaps",
+                         "tangency_margin", "tangency_ok", "branches", "failure", "error"],
+    "RelationReport": ["relation_id", "lam", "branch_indices", "residual", "tolerance",
+                       "passed"],
+    "RigidityReport": ["condition_star", "condition_I", "condition_I_witness", "condition_II",
+                       "condition_II_witnesses", "applicable", "generator_norms", "norms_ok",
+                       "dim_L", "L_basis", "invariance_residuals", "restriction",
+                       "equivalence", "nonspecial", "seed", "epsilon", "failure"],
+    "SpectralResolution": ["eigenvalues", "projections", "multiplicities"],
+    "TOperator": ["base_eigenvalue", "matrix"],
 }
 
 
@@ -75,4 +104,10 @@ def test_exports():
 def test_defaulted_parameters():
     counts = {name: defaulted(fn) for name, fn in public_functions()}
     assert {name: n for name, n in counts.items() if n} == DEFAULTED
-    assert sum(counts.values()) == 30
+    assert sum(counts.values()) == 29
+
+
+def test_dataclass_fields():
+    got = {name: [f.name for f in dataclasses.fields(getattr(js, name))]
+           for name in exports() if dataclasses.is_dataclass(getattr(js, name))}
+    assert got == FIELDS

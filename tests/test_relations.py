@@ -344,9 +344,9 @@ class TestOneAnalysisPerEigenvalue:
     def work(self, monkeypatch):
         """The tracks of every eigenvalue tracked (one _track call each, from
         check_regularity or the relations layer), and the branches of each
-        projection_ladders call the relations layer makes."""
+        rung stack the relations layer projects (_rung_stack)."""
         counts = {"tracked": [], "ladders": []}
-        track, ladders = branches._track, relations.projection_ladders
+        track, ladders = branches._track, relations._rung_stack
 
         def counted_track(*args):
             out = track(*args)
@@ -358,7 +358,7 @@ class TestOneAnalysisPerEigenvalue:
             return ladders(t, bs)
 
         monkeypatch.setattr(branches, "_track", counted_track)
-        monkeypatch.setattr(relations, "projection_ladders", counted_ladders)
+        monkeypatch.setattr(relations, "_rung_stack", counted_ladders)
         return counts
 
     def test_each_pair_tracked_once_per_eigenvalue(self, work):
@@ -368,7 +368,7 @@ class TestOneAnalysisPerEigenvalue:
         assert all(abs(lv) > 1e-12 for lv in eigs)
         js.verify_pair(t)
         assert len(work["tracked"]) == 2 * len(eigs)
-        # every eigenvalue is nonzero: one projection_ladders call per pair
+        # every eigenvalue is nonzero: one rung stack per pair
         # takes the branches of all its eigenvalues
         assert [len(bs) for bs in work["ladders"]] == [
             sum(len(tracks) for tracks in work["tracked"][:len(eigs)]),
@@ -482,6 +482,14 @@ class TestOneAnalysisPerEigenvalue:
         """Every slice eigensolve and projection kernel call (slices.count_solves)."""
         return count_solves(monkeypatch)
 
+    @staticmethod
+    def assert_two_svd_stacks(svd, rank1):
+        """A verify_pair call takes two stacked SVDs: the limits' (every rung
+        projection of the analysed branches of both pairs, and their limits:
+        branches x (rungs + 1) matrices), then the reports'; none over the
+        rung projections' idempotency."""
+        assert len(svd) == 2 and svd[0] == sum(rank1) // 8 * (8 + 1)
+
     @pytest.mark.parametrize("make, lam, rank1", [
         (lambda: regular_random_pair(5, 8)[0], None, [64, 64]),
         (lambda: regular_random_pair(5, 8)[0], 1.0, [16, 16]),
@@ -496,6 +504,7 @@ class TestOneAnalysisPerEigenvalue:
         t = make()
         solves.update(ggev=[])
         js.verify_pair(t, lam=lam)
+        self.assert_two_svd_stacks(solves.pop("svd"), rank1)
         assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": rank1, "schur": 0}
 
     @pytest.mark.parametrize("seed, dim, zero, lam, eigvals, rank1", [
@@ -513,6 +522,7 @@ class TestOneAnalysisPerEigenvalue:
         t, _ = regular_random_pair(seed, dim, zero_eigenvalue=zero)
         solves.update(ggev=[], eigvals=[])
         js.verify_pair(t, lam=lam)
+        self.assert_two_svd_stacks(solves.pop("svd"), rank1)
         assert solves == {"ggev": [8] * 2, "eigvals": eigvals, "rank1": rank1, "schur": 0}
 
     @pytest.mark.parametrize("lam, ggev, eigvals, rank1", [
@@ -524,8 +534,9 @@ class TestOneAnalysisPerEigenvalue:
                                                            rank1):
         t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
         gated = js.verify_pair(t, lam=lam)
-        solves.update(ggev=[], eigvals=[], rank1=[])
+        solves.update(ggev=[], eigvals=[], rank1=[], svd=[])
         ungated = js.verify_pair(t, lam=lam, check_hypotheses=False)
+        self.assert_two_svd_stacks(solves.pop("svd"), rank1)
         assert solves == {"ggev": ggev, "eigvals": eigvals, "rank1": rank1, "schur": 0}
         assert ungated == [dataclasses.replace(r, passed=None) for r in gated]
 
@@ -545,23 +556,27 @@ class TestOneAnalysisPerEigenvalue:
         monkeypatch.setattr(fixtures, "random_normal_pair", counted)
         regular_random_pair(*args, **kwargs)
         assert len(tries) == 1
-        # the gate projects nothing
-        assert solves == {"ggev": [8, 8], "eigvals": eigvals, "rank1": [], "schur": 0}
+        # the gate projects nothing and measures no residual
+        assert solves == {"ggev": [8, 8], "eigvals": eigvals, "rank1": [], "schur": 0,
+                          "svd": []}
 
     @pytest.mark.parametrize("args, lam", [((5, 8), 1.0), ((100, 4), 0.0)])
     def test_analyze_pair_solves_one_slice_stack(self, solves, args, lam):
         t, _ = regular_random_pair(*args, zero_eigenvalue=lam == 0.0)
         solves.update(ggev=[], eigvals=[])
         js.analyze_pair(t, lam)
-        want = {"ggev": [8], "eigvals": [], "rank1": [16]} if lam else {
-            "ggev": [], "eigvals": [8], "rank1": [8]}
+        # one stacked SVD, the limits': no idempotency of a rung projection
+        want = {"ggev": [8], "eigvals": [], "rank1": [16], "svd": [2 * 9]} if lam else {
+            "ggev": [], "eigvals": [8], "rank1": [8], "svd": [1 * 9]}
         assert solves == {**want, "schur": 0}
 
     @pytest.mark.parametrize("wrapper", [js.verify_same_projection_lemma,
                                          js.verify_square_relation])
     def test_product_pair_wrappers_solve_one_stack_per_pair(self, solves, wrapper):
         wrapper(dihedral_pair(np.pi / 3), 1.0)
-        assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": [8] * 2, "schur": 0}
+        # each analysis' limit stack, then the two residuals of the pair
+        assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": [8] * 2, "schur": 0,
+                          "svd": [9, 9, 2]}
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
@@ -736,11 +751,11 @@ class TestRefusalOrder:
     def test_limits_of_the_first_pair_come_before_the_second_pair(self, corrupt, monkeypatch,
                                                                   check):
         # P of the first branch of (A1, A2) does not converge, and the
-        # projection ladders of (A1, A1 A2) are refused: the first pair's
+        # rung projections of (A1, A1 A2) are refused: the first pair's
         # limits were due first.  The stacked calls: d1, d2 of each pair, then
         # P and P'(0) of both.
         t, _ = regular_random_pair(17, 4)
-        ladders = relations.projection_ladders
+        ladders = relations._rung_stack
         made = []
 
         def refuse_second(tt, bs):
@@ -749,7 +764,7 @@ class TestRefusalOrder:
                 raise js.SeparationError("refused for the test")
             return ladders(tt, bs)
 
-        monkeypatch.setattr(relations, "projection_ladders", refuse_second)
+        monkeypatch.setattr(relations, "_rung_stack", refuse_second)
         with pytest.raises(js.SeparationError):
             js.verify_pair(t, check_hypotheses=check)
         made.clear()
