@@ -27,6 +27,7 @@ from .pencil import (
     MatrixTuple,
     _commutator_test,
     _is_real,
+    _root_table,
     _svd_extremes,
     line_roots_batch,
     opnorm,
@@ -78,10 +79,11 @@ class SpectralResolution:
 
 
 def _nearest_eigenvalue(eigenvalues, lam, matrix_name):
-    """Index of the eigenvalue nearest lam; it must lie within 1e-6 (1 + |lam|)."""
+    """Index of the eigenvalue nearest lam; it must lie within 1e-6 (1 + |lam|),
+    which no NaN does."""
     d = np.abs(eigenvalues - complex(lam))
     i = int(np.argmin(d))
-    if d[i] > 1e-6 * (1.0 + abs(lam)):
+    if not d[i] <= 1e-6 * (1.0 + abs(lam)):
         raise UnknownEigenvalueError(
             f"{lam} is not an eigenvalue of {matrix_name} (nearest: {eigenvalues[i]})"
         )
@@ -151,11 +153,10 @@ class Branch:
     the relative smallest singular value s_min / (1 + s_max) of the pencil
     matrix at samples[k]: v A_1 + t xhat.A_rest - I for the nonzero kind,
     A_1 + t xhat.A_rest - v I for the zero kind.  They are computed from
-    pencil on first read, with one stacked SVD.  _rung_roots holds the
-    roots of its kind at every rung of the ladder it was tracked on (see
-    SliceLadder), which its projections test its separation against, so
-    they solve no rung again; equality ignores pencil, residuals and
-    _rung_roots.
+    pencil on first read, with one stacked SVD.  _rung_roots is the root
+    table of its kind on the ladder it was tracked on (see SliceLadder),
+    which its projections test its separation against, so they solve no
+    rung again; equality ignores pencil, residuals and _rung_roots.
     """
 
     lam: complex
@@ -213,36 +214,50 @@ def _kind_of(reference, lam):
 
 
 def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
-    """The roots of kind on the slice along t_k xhat, one array for every
-    t_k in ts.  This is the one place slice pencils are assembled to be
-    solved, and nothing solves them with eigenvectors.
+    """The roots of kind on the slice along t_k xhat as a table, one row for
+    every t_k in ts, padded with nan.  This is the one place slice pencils
+    are assembled to be solved, and nothing solves them with eigenvectors.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
-    = 0 from one line_roots_batch call: the bases are the rows (0, t_k xhat)
-    and every direction is e_1.  For the zero kind, the eigenvalues of
-    A_1 + t_k xhat.A_rest from one stacked eigvals.
+    = 0 from one line_roots_batch call (_root_table): the bases are the rows
+    (0, t_k xhat) and every direction is e_1.  For the zero kind, the
+    eigenvalues of A_1 + t_k xhat.A_rest from one stacked eigvals, which
+    fill every row.
     """
     ts = np.asarray(ts, dtype=float)
     if kind == "zero":
         b = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
-        return tuple(np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b))
+        return np.linalg.eigvals(t.matrices[0] + ts[:, None, None] * b)
     bases = np.zeros((ts.size, t.n), dtype=complex)
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return tuple(r.finite for r in line_roots_batch(t, bases, e1))
+    return _root_table(line_roots_batch(t, bases, e1))
 
 
-def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values):
+def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values, out=None):
     """The pencil matrix at every sample (t_k, values[k]), stacked:
     v A_1 + t xhat.A_rest - I for the nonzero kind, A_1 + t xhat.A_rest - v I
-    for the zero kind.  It is singular where v is a root of the slice at t."""
-    rest = np.asarray(ts, dtype=float)[:, None, None] * sum(
-        c * m for c, m in zip(xhat, t.matrices[1:]))
+    for the zero kind.  It is singular where v is a root of the slice at t.
+
+    The stack is written into out, a contiguous complex stack, when given;
+    one stack-sized temporary is made either way.
+    """
+    ts = np.asarray(ts, dtype=float)[:, None, None]
     v = np.asarray(values, dtype=complex)[:, None, None]
+    rest = sum(c * m for c, m in zip(xhat, t.matrices[1:]))
+    if out is None:
+        out = np.empty((ts.shape[0], t.dim, t.dim), dtype=complex)
     if kind == "zero":
-        return t.matrices[0] + rest - v * np.eye(t.dim)
-    return v * t.matrices[0] + rest - np.eye(t.dim)
+        np.multiply(ts, rest, out=out)
+        out += t.matrices[0]
+        out -= v * np.eye(t.dim)
+    else:
+        np.multiply(v, t.matrices[0], out=out)
+        out += ts * rest
+        # the diagonal, a view: out less I
+        out.reshape(len(out), -1)[:, ::t.dim + 1] -= 1.0
+    return out
 
 
 def _branch_residuals(t: MatrixTuple, kind, xhat, ts, values):
@@ -279,13 +294,14 @@ class SliceLadder:
 
     ts holds the t_k; reference holds the eigenvalue clusters of A_1 and
     kinds the kind of each cluster, "zero" or "nonzero"; roots maps each
-    solved kind to the roots at every t_k: x_1 of the slice for "nonzero",
-    the eigenvalues of A_1 + t_k xhat.A_rest for "zero".  The roots depend
-    on the tuple, the direction and the ladder only, so one ladder serves
-    the branches at every eigenvalue of A_1.  Every kind is solved for its
-    roots only; the branches tracked on the ladder carry their kind's roots
-    to projection_ladders and component_projection, which then solve no
-    rung again.
+    solved kind to its _ladder_roots table, one row per t_k: x_1 of the
+    slice for "nonzero", the eigenvalues of A_1 + t_k xhat.A_rest for
+    "zero".  The roots depend on the tuple, the direction and the ladder
+    only, so one ladder serves the branches at every eigenvalue of A_1, and
+    each kind's table is built once.  Every kind is solved for its roots
+    only; the branches tracked on the ladder carry their kind's table to
+    projection_ladders and component_projection, which then solve no rung
+    again.
     """
 
     direction: tuple
@@ -293,6 +309,11 @@ class SliceLadder:
     reference: tuple
     kinds: tuple
     roots: dict
+
+
+def _is_integer(v):
+    """Whether v is an integer (an Integral, not a bool)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved=None):
@@ -306,8 +327,7 @@ def _solve_ladder(t: MatrixTuple, xhat, t_max, samples, reference, kinds, solved
     """
     if not (_is_real(t_max) and t_max > 0):
         raise ValueError(f"t_max must be a finite real > 0; got {t_max!r}")
-    if not (isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
-            and samples >= 2):
+    if not (_is_integer(samples) and samples >= 2):
         raise ValueError(f"samples must be an integer >= 2; got {samples!r}")
     finest = math.ldexp(t_max, 1 - int(samples))
     if finest < np.finfo(float).smallest_normal:
@@ -362,6 +382,12 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
     (values down the ladder, multiplicity) per branch, in the order of the
     first values.  Raises UnknownEigenvalueError and the tracking errors
     of local_branches.
+
+    The roots in the selection disk of every rung come from one comparison
+    on the kind's root table.  A simple eigenvalue whose disk holds one root
+    at every rung takes those roots as its track (_isolated_track); every
+    other eigenvalue clusters each rung's roots and matches the clusters
+    rung to rung.
     """
     refs, kinds = ladder.reference, ladder.kinds
     i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
@@ -380,11 +406,13 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
         )
     coincide_tol = 1e-6 * (1.0 + abs(center))
 
-    levels = []
-    for roots in ladder.roots[kind]:
-        sel = roots[np.abs(roots - center) <= sel_radius]
-        clusters = [(c, len(idx)) for c, idx in _cluster_values(sel, coincide_tol)]
-        levels.append(clusters)
+    table = ladder.roots[kind]
+    inside = np.abs(table - center) <= sel_radius
+    track = _isolated_track(table, inside, mult_lam)
+    if track is not None:
+        return lam0, kind, center, [(track, 1)]
+    levels = [[(c, len(idx)) for c, idx in _cluster_values(roots[keep], coincide_tol)]
+              for roots, keep in zip(table, inside)]
 
     counts = {len(lv) for lv in levels}
     if len(counts) != 1:
@@ -420,6 +448,17 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
 
     tracks.sort(key=lambda tr: (tr[0][0].real, tr[0][0].imag))
     return lam0, kind, center, [([c for c, _ in tr], tr[0][1]) for tr in tracks]
+
+
+def _isolated_track(table, inside, multiplicity):
+    """The track of a simple eigenvalue whose selection disk holds one root
+    at every rung (inside marks the roots of table in the disk): that root,
+    rung by rung.  Clustering one value keeps it and matching one candidate
+    takes it, so _track would find the same track.  None otherwise.
+    """
+    if multiplicity == 1 and (inside.sum(axis=1) == 1).all():
+        return list(table[inside])
+    return None
 
 
 def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):

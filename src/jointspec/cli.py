@@ -135,9 +135,9 @@ def _cmd_analyze(config: RunConfig):
     report["regularity"] = reg.to_json()
     report["projections"] = []
     blowup = None
-    stack, ranks, radii = _rung_stack(tup, branches)
-    ladders = _ladders(branches, stack, ranks, radii)
-    for b, ladder, profile, limit in zip(branches, ladders, *_limits(branches, stack)):
+    rungs = _rung_stack(tup, branches)
+    for b, ladder, profile, limit in zip(branches, _ladders(branches, rungs),
+                                         *_limits(branches, rungs)):
         entry = {"j": b.index, "norm_profile": profile.to_json(),
                  "ladder": [cp.to_json() for cp in ladder]}
         try:
@@ -251,7 +251,7 @@ def _cmd_demo_blowup(config: RunConfig):
     branches = local_branches(tup, 1.0, [1.0], t_max=0.1, samples=config.samples)
     report = _provenance(config)
     report["ladder"] = {"t_max": 0.1, "samples": config.samples}
-    profiles = _norm_profiles(branches, _rung_stack(tup, branches)[0])
+    profiles = _norm_profiles(branches, _rung_stack(tup, branches).norms)
     report["profiles"] = [{"j": b.index, **p.to_json()} for b, p in zip(branches, profiles)]
     report["refusal"] = (
         f"component projections blow up as t -> 0 (fitted exponents "

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssignmentError, EmptySubspaceError, SeparationError
-from .pencil import MatrixTuple, _is_real, line_roots_batch, opnorm
+from .pencil import MatrixTuple, _is_real, _root_table, line_roots_batch, opnorm
 from .serialize import matrix_to_json
 
 INF = math.inf
@@ -38,7 +38,7 @@ class CoxeterMatrix:
     orders: tuple
 
     def __init__(self, orders):
-        rows = tuple(tuple(float(v) for v in row) for row in orders)
+        rows = _orders(orders)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -69,14 +69,31 @@ class CoxeterMatrix:
         """Rows of finite numbers and "inf", every off-diagonal order an
         integer >= 2 or "inf"; ValueError naming coxeter_matrix for anything
         else (NaN, an integer past the float range)."""
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-                and all(v in ("inf", INF) or _is_real(v) for row in rows for v in row)):
-            raise ValueError(f"coxeter_matrix must be a list of rows of finite numbers and "
-                             f"'inf'; got {rows!r}")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            _refuse_orders(rows)
+        orders = _orders([[INF if v == "inf" else v for v in row] for row in rows])
         try:
-            return cls([[INF if v == "inf" else v for v in row] for row in rows])
+            return cls(orders)
         except ValueError as exc:
             raise ValueError(f"coxeter_matrix: {exc}") from None
+
+
+def _refuse_orders(orders):
+    raise ValueError(f"coxeter_matrix must be a list of rows of finite numbers and 'inf'; "
+                     f"got {orders!r}")
+
+
+def _orders(orders):
+    """orders as a tuple of rows of floats; ValueError unless every order is
+    a finite real or inf (not NaN, not an integer past the float range)."""
+    try:
+        rows = tuple(tuple(row) for row in orders)
+    except TypeError:
+        _refuse_orders(orders)
+    if not all(_is_real(v) or (isinstance(v, numbers.Real) and v == INF)
+               for row in rows for v in row):
+        _refuse_orders(orders)
+    return tuple(tuple(float(v) for v in row) for row in rows)
 
 
 def dihedral(m):
@@ -340,15 +357,6 @@ def _generic_lines(n, seed):
     for i in range(1, n):
         lines[3 + i, [0, i]] = _random_direction(rng, 2)
     return lines
-
-
-def _root_table(solved):
-    """The finite roots of each LineRoots of solved as one row, padded with nan."""
-    width = max((r.finite.size for r in solved), default=0)
-    table = np.full((len(solved), width), np.nan, dtype=complex)
-    for row, r in zip(table, solved):
-        row[:r.finite.size] = r.finite
-    return table
 
 
 def _unmatched(bases, lines, roots, others, center, radius):

@@ -160,8 +160,12 @@ def second_derivative(ts, values, v0):
 
 
 def fit_power_law(ts, magnitudes):
-    """Least-squares slope of log(magnitude) against log(t)."""
+    """Least-squares slope of log(magnitude) against log(t).
+
+    magnitudes has shape (rungs,), for one float slope, or (rungs, series),
+    for an array of one slope per column; all come from one polyfit.
+    """
     ts = np.asarray(ts, dtype=float)
     mags = np.maximum(np.asarray(magnitudes, dtype=float), 1e-300)
-    slope, _ = np.polyfit(np.log(ts), np.log(mags), 1)
-    return float(slope)
+    slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
+    return float(slope) if slope.ndim == 0 else slope

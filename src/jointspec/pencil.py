@@ -197,6 +197,15 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
 
 
+def _root_table(solved):
+    """The finite roots of each LineRoots of solved as one row, padded with nan."""
+    width = max((r.finite.size for r in solved), default=0)
+    table = np.full((len(solved), width), np.nan, dtype=complex)
+    for row, r in zip(table, solved):
+        row[:r.finite.size] = r.finite
+    return table
+
+
 def _is_pair(v):
     return isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2
 

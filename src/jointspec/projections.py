@@ -10,15 +10,19 @@ of the frozen pencil less that eigenvalue, F = v A_1 + t xhat.A_rest - I or
 A_1 + t xhat.A_rest - v I.  They come from two steps of inverse iteration on
 F, and every simple (branch, rung) of one call is one stacked solve.  The
 slice ladder the branches were tracked on is solved for roots only, and the
-branches keep their kind's rung roots: the rung's other roots v_i place the
+branches keep their kind's root table: the rung's other roots v_i place the
 frozen pencil's other eigenvalues at v / v_i (to first order in t, an
 infinite root at distance 1) or v_i - v (exactly), and the nearest must lie
-farther than twice the selection tolerance.  A multiplicity-k branch, or a
-rung where that distance is not met, takes the general kernel: one sorted
-complex Schur form and one Sylvester solve on its triangular blocks.
-The projections of a call are one branch-major stack, which the limits
-read; a ComponentProjection, with its idempotency residual (only rounding:
-both kernels are idempotent), is built only where one is reported.
+farther than twice the selection tolerance; that test is one array
+operation for every (branch, rung) of a call.  A multiplicity-k branch, or
+a rung where that distance is not met, takes the general kernel: one
+sorted complex Schur form and one Sylvester solve on its triangular
+blocks.  The projections of a call are one branch-major stack, with their
+2-norms beside it: 1 / |y* z| from the rank-1 kernel, the eigenvalue's
+condition number, and an SVD for the Schur kernel's rows only.  The limits
+and the norm profiles read them; a ComponentProjection, with its
+idempotency residual (only rounding: both kernels are idempotent), is
+built only where one is reported.
 Along a non-tangential line the family extends analytically to t = 0; the
 limit and its first t-derivative P'(0) are produced by the same ladder
 extrapolation used for branch values.  For non-normal leading matrices the
@@ -29,6 +33,7 @@ exception trace.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -134,16 +139,21 @@ def _frozen_pencil(t: MatrixTuple, b: Branch, tparam, value):
     return value * t.matrices[0] + rest
 
 
-def _root_gap(kind, value, roots, dim):
-    """Distance from the branch eigenvalue to the frozen pencil's nearest
-    other one, from its slice's finite roots (value among them): |v_i - v|
-    (zero kind) or |1 - v / v_i|, an infinite root at 1 (nonzero kind)."""
+def _root_gaps(zero, values, table, dim):
+    """Distance from each row's branch eigenvalue to the frozen pencil's
+    nearest other one, from the finite roots of its slice (a row of table,
+    padded with nan; values[i] among them): |v_i - v| (zero[i]) or
+    |1 - v / v_i|, an infinite root at 1 (nonzero kind)."""
+    pad = np.isnan(table)
+    dist = np.empty(table.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(roots - value if kind == "zero" else value / roots - 1.0)
+        dist[zero] = np.abs(table[zero] - values[zero, None])
+        dist[~zero] = np.abs(values[~zero, None] / table[~zero] - 1.0)
+    dist[pad] = math.inf
     # the nearest root is the branch's own; the runner-up is the nearest other
-    dist[dist.argmin()] = math.inf
-    gap = float(dist.min())
-    return min(gap, 1.0) if dist.size < dim else gap
+    dist[np.arange(len(dist)), dist.argmin(axis=1)] = math.inf
+    gaps = dist.min(axis=1)
+    return np.where((~pad).sum(axis=1) < dim, np.minimum(gaps, 1.0), gaps)
 
 
 def _schur_component(t: MatrixTuple, b: Branch, tparam, value, center, own_tol):
@@ -161,9 +171,11 @@ def _schur_component(t: MatrixTuple, b: Branch, tparam, value, center, own_tol):
 
 
 def _rank_one_projections(f):
-    """z y* / (y* z) for every F of the stack f, a frozen pencil less its
-    simple, separated branch eigenvalue, with z and y F's right and left
-    null vectors: two steps of inverse iteration (Ipsen, SIAM Review 39,
+    """(projections, norms): z y* / (y* z) for every F of the stack f, a
+    frozen pencil less its simple, separated branch eigenvalue, with z and
+    y F's unit right and left null vectors, and its 2-norm 1 / |y* z|, the
+    eigenvalue's condition number (Wilkinson, The Algebraic Eigenvalue
+    Problem, 2.9).  Two steps of inverse iteration (Ipsen, SIAM Review 39,
     1997) on F - delta I and F* - delta I from one fixed, generic start
     vector, each step one stacked solve.  delta = 2^-50 (1 + ||F||_F) keeps
     an exactly singular F solvable.
@@ -181,52 +193,94 @@ def _rank_one_projections(f):
         x = np.linalg.solve(both, np.broadcast_to(x, (2 * count, n, 1)))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
     z, y = x[:count, :, 0], x[count:, :, 0].conj()
-    return z[:, :, None] * (y / (y * z).sum(axis=1)[:, None])[:, None, :]
+    yz = (y * z).sum(axis=1)
+    return z[:, :, None] * (y / yz[:, None])[:, None, :], 1.0 / np.abs(yz)
+
+
+class _RungStack(NamedTuple):
+    """The rung projections of a call, branch-major: P, its rank, radius and
+    2-norm at each rung of each branch."""
+
+    stack: np.ndarray
+    ranks: list
+    radii: list
+    norms: np.ndarray
 
 
 def _components(t: MatrixTuple, branches, rungs):
-    """(stack, ranks, radii): P, rank and radius at each rung of each branch,
-    branch-major, by component_projection's rule; rungs[j] holds (t_k, value,
-    roots of the slice there, None for a repeated branch) at each rung of
-    branches[j].  All rank-1 projections are one _rank_one_projections
-    stack; the Schur forms are made in order, so the first unseparated
-    component raises."""
-    stack = np.empty((sum(map(len, rungs)), t.dim, t.dim), dtype=complex)
-    ranks, radii, simple, pencil_args = [], [], [], []
-    for b, rs in zip(branches, rungs):
+    """The _RungStack of branches by component_projection's rule; rungs[j]
+    holds (ts, values, table) of branches[j]: its rungs' t_k, its values
+    there, and their roots as rows of a _ladder_roots table, None for a
+    repeated branch.
+
+    The separation test of every row is one _root_gaps call, the frozen
+    pencils of the separated rows of one kind and direction one broadcast,
+    and their projections and norms one _rank_one_projections stack.  The
+    Schur forms are made in order, so the first unseparated component
+    raises; their norms come from one stacked SVD of their rows.
+    """
+    owner = np.repeat(np.arange(len(branches)), [len(ts) for ts, _, _ in rungs])
+    ts = np.array([tk for bts, _, _ in rungs for tk in bts], dtype=float)
+    values = np.array([v for _, vs, _ in rungs for v in vs], dtype=complex)
+    zero = np.array([b.kind == "zero" for b in branches], dtype=bool)[owner]
+    # |c| of the branch eigenvalue c: 1, or 0 for the zero kind
+    abs_center = np.where(zero, 0.0, 1.0)
+    own_tol = 1e-6 * (1.0 + abs_center)
+    # the simple branches' rows of one root table, padded with nan; a
+    # repeated branch keeps gap 0, so its rungs take the Schur kernel
+    tables = [tab for _, _, tab in rungs if tab is not None]
+    rooted = np.array([tab is not None for _, _, tab in rungs], dtype=bool)[owner]
+    gaps = np.zeros(len(ts))
+    if tables:
+        table = np.full((rooted.sum(), max(tab.shape[1] for tab in tables)), np.nan,
+                        dtype=complex)
+        start = 0
+        for tab in tables:
+            table[start:start + len(tab), :tab.shape[1]] = tab
+            start += len(tab)
+        gaps[rooted] = _root_gaps(zero[rooted], values[rooted], table, t.dim)
+    simple = gaps > 2.0 * own_tol
+    # _radius of every row; the Schur kernel's rows get theirs below
+    radii = np.where(np.isfinite(gaps), 0.5 * gaps, 0.5 * (1.0 + abs_center)).tolist()
+    ranks = [1] * len(ts)
+    stack = np.empty((len(ts), t.dim, t.dim), dtype=complex)
+    norms = np.empty(len(ts))
+    schur = np.flatnonzero(~simple)
+    for row in schur.tolist():
+        b = branches[owner[row]]
         center = 0.0 + 0.0j if b.kind == "zero" else 1.0 + 0.0j
-        own_tol = 1e-6 * (1.0 + abs(center))
+        stack[row], ranks[row], radii[row] = _schur_component(
+            t, b, float(ts[row]), complex(values[row]), center, float(own_tol[row]))
+    if schur.size:
+        norms[schur] = _svd_extremes(stack[schur])[1]
+    if simple.any():
+        # the separated rows, grouped by kind and direction, each group's
+        # pencils one broadcast written in place
+        keys = [(b.kind, tuple(b.direction)) for b in branches]
+        f = np.empty((simple.sum(), t.dim, t.dim), dtype=complex)
         rows = []
-        for tk, v, roots in rs:
-            dmin = 0.0 if roots is None else _root_gap(b.kind, v, roots, t.dim)
-            if dmin > 2.0 * own_tol:
-                simple.append(len(ranks))
-                rows.append((tk, v))
-                rank, radius = 1, _radius(dmin, center)
-            else:
-                stack[len(ranks)], rank, radius = _schur_component(t, b, tk, v, center, own_tol)
-            ranks.append(rank)
-            radii.append(radius)
-        if rows:
-            pencil_args.append((b.kind, np.asarray(b.direction), *zip(*rows)))
-    if pencil_args:
-        f = np.concatenate([_shifted_pencils(t, *args) for args in pencil_args])
-        stack[simple] = _rank_one_projections(f)
-    return stack, ranks, radii
+        for key in dict.fromkeys(keys):
+            group = np.flatnonzero(simple & np.array([k == key for k in keys])[owner])
+            _shifted_pencils(t, key[0], np.asarray(key[1]), ts[group], values[group],
+                             out=f[len(rows):len(rows) + group.size])
+            rows.extend(group.tolist())
+        stack[rows], norms[rows] = _rank_one_projections(f)
+    return _RungStack(stack, ranks, radii, norms)
 
 
 def _radius(dmin, center):
     return 0.5 * dmin if np.isfinite(dmin) else 0.5 * (1.0 + abs(center))
 
 
-def _ladders(branches, stack, ranks, radii, ts=None):
-    """ComponentProjections of each branch from the rows of _components'
-    (stack, ranks, radii), each matrix a view of stack; ts[j] holds the
-    parameters of branches[j]'s rows, by default its ladder samples.  The
-    idempotency residuals of all come from one stacked SVD."""
+def _ladders(branches, rungs, ts=None):
+    """ComponentProjections of each branch from the rows of the _RungStack
+    rungs, each matrix a view of its stack; ts[j] holds the parameters of
+    branches[j]'s rows, by default its ladder samples.  The idempotency
+    residuals of all come from one stacked SVD."""
     ts = ts or [[tk for tk, _ in b.samples] for b in branches]
+    stack = rungs.stack
     _, idem = _svd_extremes(stack @ stack - stack)
-    rows = iter(zip(stack, ranks, radii, idem.tolist()))
+    rows = iter(zip(stack, rungs.ranks, rungs.radii, idem.tolist()))
     return [[ComponentProjection(branch_index=b.index, lam=b.lam, kind=b.kind, t=float(tk),
                                  matrix=p, idempotency_residual=idem_k, rank=rank,
                                  radius=radius)
@@ -242,7 +296,7 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
     zero kind).  A simple branch gets the rank-1 projection z y* / (y* z)
     from inverse iteration, when every other root of its slice at tparam
     lies farther than 2 own_tol from it in the frozen pencil's eigenvalue
-    scale (_root_gap).  A repeated branch, or a closer root, takes the Schur
+    scale (_root_gaps).  A repeated branch, or a closer root, takes the Schur
     kernel, which raises SeparationError when the nearest excluded
     eigenvalue of the frozen pencil is within 2 own_tol.  The reported
     radius is half the distance that was tested.
@@ -255,30 +309,33 @@ def component_projection(t: MatrixTuple, b: Branch, tparam):
     simple, k = b.multiplicity == 1, _sample_index(b, tparam)
     kept = b._rung_roots if b.pencil is t else None
     if k is None or (simple and kept is None):
-        roots = _ladder_roots(t, b.kind, np.asarray(b.direction), [tparam])[0]
-        value = _branch_value_at(b, tparam, roots) if k is None else b.samples[k][1]
+        # one rung: a table of one row, with no padding
+        roots = _ladder_roots(t, b.kind, np.asarray(b.direction), [tparam])
+        value = _branch_value_at(b, tparam, roots[0]) if k is None else b.samples[k][1]
     else:
-        roots, value = kept[k] if simple else None, b.samples[k][1]
-    rung = (tparam, value, roots if simple else None)
-    return _ladders([b], *_components(t, [b], [[rung]]), ts=[[tparam]])[0][0]
+        roots, value = kept[k:k + 1] if simple else None, b.samples[k][1]
+    rung = ([tparam], [value], roots if simple else None)
+    return _ladders([b], _components(t, [b], [rung]), ts=[[tparam]])[0][0]
 
 
 def _rung_stack(t: MatrixTuple, branches):
-    """_components' (stack, ranks, radii) at every ladder sample of each
-    branch: projection_ladders' projections, with no ComponentProjection.
+    """The _RungStack of _components at every ladder sample of each branch:
+    projection_ladders' projections and their norms, with no
+    ComponentProjection.
 
-    The separation test reads the rung roots the branches kept when tracked
-    on t; a simple branch tracked on another tuple, or without them, gets
-    one _ladder_roots call.
+    The separation test reads the root table the branches kept when tracked
+    on t; a simple branch tracked on another tuple, or without it, gets one
+    _ladder_roots call.
     """
     rungs = []
     for b in branches:
+        ts = [tk for tk, _ in b.samples]
         roots = b._rung_roots if b.pencil is t else None
-        if b.multiplicity == 1 and roots is None:
-            roots = _ladder_roots(t, b.kind, np.asarray(b.direction),
-                                  [tk for tk, _ in b.samples])
-        rungs.append([(tk, v, None if b.multiplicity > 1 else roots[k])
-                      for k, (tk, v) in enumerate(b.samples)])
+        if b.multiplicity > 1:
+            roots = None
+        elif roots is None:
+            roots = _ladder_roots(t, b.kind, np.asarray(b.direction), ts)
+        rungs.append((ts, [v for _, v in b.samples], roots))
     return _components(t, branches, rungs)
 
 
@@ -289,7 +346,7 @@ def projection_ladders(t: MatrixTuple, branches):
     Each projection is component_projection's at that sample, from one
     _rung_stack; the idempotency residuals of all come from one stacked SVD.
     """
-    return tuple(_ladders(branches, *_rung_stack(t, branches)))
+    return tuple(_ladders(branches, _rung_stack(t, branches)))
 
 
 @dataclass(frozen=True)
@@ -301,23 +358,21 @@ class NormProfile:
         return {"points": [[t, v] for t, v in self.points], "exponent": self.exponent}
 
 
-def _profile(ts, norms):
-    return NormProfile(points=tuple(zip(ts, norms)),
-                       exponent=extrapolate.fit_power_law(ts, norms))
-
-
-def _norm_profiles(branches, stack):
-    """The NormProfile of each branch from its rows of a _rung_stack stack,
-    all norms from one stacked SVD."""
-    norms = iter(_svd_extremes(stack)[1].tolist())
-    return [_profile([tk for tk, _ in b.samples], [next(norms) for _ in b.samples])
-            for b in branches]
+def _norm_profiles(branches, norms):
+    """The NormProfile of each branch, all on one ladder, from its rows of
+    the norms of a _RungStack; the exponents of all come from one
+    fit_power_law."""
+    ts = [tk for tk, _ in branches[0].samples]
+    norms = np.reshape(norms, (len(branches), len(ts)))
+    exponents = extrapolate.fit_power_law(ts, norms.T).tolist()
+    return [NormProfile(points=tuple(zip(ts, row)), exponent=e)
+            for row, e in zip(norms.tolist(), exponents)]
 
 
 def projection_norm_profile(t: MatrixTuple, b: Branch):
     """Projection norms down the ladder, from its rung stack, with a fitted
     power-law exponent."""
-    return _norm_profiles([b], _rung_stack(t, [b])[0])[0]
+    return _norm_profiles([b], _rung_stack(t, [b]).norms)[0]
 
 
 @dataclass(frozen=True)
@@ -353,39 +408,36 @@ def limit_projection(t: MatrixTuple, b: Branch):
     ProjectionBlowupError carrying the fitted exponent and the profile;
     this is the expected outcome for non-normal leading matrices.
     """
-    (profile,), (limit,) = _limits([b], _rung_stack(t, [b])[0])
+    (profile,), (limit,) = _limits([b], _rung_stack(t, [b]))
     return _checked(profile, limit)
 
 
-def _limits(branches, *stacks):
+def _limits(branches, *rungs):
     """Norm profiles and limit projections of branches on one ladder of t_k
-    from the _rung_stack stacks that, concatenated, hold their P(t_k).
+    from the _RungStacks rungs that, concatenated, hold their P(t_k) and
+    its norms.
 
-    The P(t_k) are copied once into a buffer _limits owns; stacks and views
-    of them stay unchanged.  P and P'(0) of all branches come from one
+    The P(t_k) are copied once into a buffer _limits owns; the stacks and
+    views of them stay unchanged.  P and P'(0) of all branches come from one
     stacked richardson_limit call each (P'(0) from the quotients
-    (P(t_k) - P) / t_k, made in that buffer), and the profile norms and the
-    idempotency residuals of the limits from one stacked SVD.  Returns
-    (profiles, limits): limits[i] is the LimitProjection of branches[i], or
-    the ExtrapolationError of its P, else of its P'(0); _checked(profiles[i],
+    (P(t_k) - P) / t_k, made in that buffer), the idempotency residuals of
+    the limits from one stacked SVD of their P @ P - P, and the profiles
+    from the rung norms (_norm_profiles).  Returns (profiles, limits):
+    limits[i] is the LimitProjection of branches[i], or the
+    ExtrapolationError of its P, else of its P'(0); _checked(profiles[i],
     limits[i]) is what limit_projection returns or raises for it.
     """
     if not branches:
         return [], []
     ts = [tk for tk, _ in branches[0].samples]
-    count, rungs, dim = len(branches), len(ts), stacks[0].shape[-1]
-    # the rung matrices, then the limits' p @ p - p, for the one SVD
-    stack = np.empty((count * (rungs + 1), dim, dim), dtype=complex)
-    np.concatenate(stacks, out=stack[:count * rungs])
-    mats = stack[:count * rungs].reshape(count, rungs, dim, dim)
+    count, dim = len(branches), rungs[0].stack.shape[-1]
+    mats = np.concatenate([r.stack for r in rungs]).reshape(count, len(ts), dim, dim)
     p, err, p_failed = extrapolate._each_series(extrapolate.richardson_limit, ts, mats)
-    stack[count * rungs:] = p @ p - p
-    _, smax = _svd_extremes(stack)
+    _, idem = _svd_extremes(p @ p - p)
     # the quotients of P'(0) overwrite the ladder matrices, read by now
     dp, _, dp_failed = extrapolate._each_series(
         extrapolate.richardson_limit, ts, extrapolate._quotients(ts, mats, p))
-    norms, idem = smax[:count * rungs].reshape(count, rungs), smax[count * rungs:]
-    profiles = [_profile(ts, row.tolist()) for row in norms]
+    profiles = _norm_profiles(branches, np.concatenate([r.norms for r in rungs]))
     limits = []
     for i, b in enumerate(branches):
         if p_failed[i] or dp_failed[i]:

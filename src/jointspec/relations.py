@@ -21,6 +21,7 @@ from .branches import (
     SpectralResolution,
     TOperator,
     _branch_sets,
+    _is_integer,
     _kind_of,
     _nearest_unambiguous,
     _reference_spectrum,
@@ -240,7 +241,7 @@ def analyze_pair(t: MatrixTuple, lam, resolution=None):
     if resolution is None:
         resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
-    limits = [_checked(*pl) for pl in zip(*_limits(branches, _rung_stack(t, branches)[0]))]
+    limits = [_checked(*pl) for pl in zip(*_limits(branches, _rung_stack(t, branches)))]
     return _analysis(t, branches, limits, resolution)
 
 
@@ -369,8 +370,11 @@ def verify_pair(
     ComponentProjection built; its rank-1 projections are one stacked
     inverse iteration.  P and P'(0) of every analysed branch of both pairs
     come from one stacked extrapolation each, and the call takes two
-    stacked SVDs: the limits' and the reports'.  Failures are raised in the
-    order of analysing one eigenvalue and one branch at a time.
+    stacked SVDs: the limits' idempotency and the reports'.  The rung
+    norms of the blow-up test come from the rank-1 kernel, so no rung
+    projection is decomposed when every rung is rank 1.  Failures are
+    raised in the order of analysing one eigenvalue and one branch at a
+    time.
 
     Each pair's slice ladder solves every kind of A1 once, for its roots
     only, for the gate and the projections alike.  With
@@ -385,6 +389,8 @@ def verify_pair(
     """
     if t.n != 2:
         raise ValueError("verify_pair is defined for pairs (n = 2)")
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer; got {samples!r}")
     if samples < 5:
         raise ValueError("verify_pair reads branch derivatives: it needs samples >= 5")
     _check_tol(tol)
@@ -417,7 +423,7 @@ def verify_pair(
                 for out in found:
                     if isinstance(out, Exception):
                         raise out
-            sets.append((found, _rung_stack(tt, [b for bs in found for b in bs])[0]))
+            sets.append((found, _rung_stack(tt, [b for bs in found for b in bs])))
         except Exception as exc:  # raised below, after the limits before it
             pending = exc
             break

@@ -496,3 +496,9 @@ def matrix_pairs(m):
     """A matrix as rows of [re, im] pairs, one complex entry at a time."""
     return [[[complex(v).real, complex(v).imag] for v in row]
             for row in np.asarray(m, dtype=complex)]
+
+
+def operator_norms(stack):
+    """The 2-norm of every matrix of a stack: its largest singular value,
+    from one scipy.linalg.svdvals call per matrix."""
+    return np.array([scipy.linalg.svdvals(m)[0] for m in stack])

@@ -198,9 +198,9 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("lam, kw", [(1.0, {"ggev": [8]}), (0.0, {"eigvals": [8]})])
     def test_one_slice_stack_per_call(self, tmp_path, monkeypatch, lam, kw):
         # the ladder keeps the roots its projections read, and the one
-        # branch's eight rank-1 projections are one stack; one stacked SVD
-        # each for the branch residuals, the report ladder's idempotency and
-        # the limit (eight rung norms and its idempotency)
+        # branch's eight rank-1 projections are one stack, which also gives
+        # their norms; one stacked SVD each for the branch residuals, the
+        # report ladder's idempotency and the limit's idempotency
         tup = js.MatrixTuple([np.diag([0.0, 2.0, 1.0]), np.diag([1.0, 1.0, 1.0])
                               + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)])
         inp = write_json(tmp_path / "input.json",
@@ -208,7 +208,7 @@ class TestAnalyzeCommand:
         solves = count_solves(monkeypatch)
         assert main(["analyze", "--input", inp, "--out", str(tmp_path / "a.json")]) == 0
         assert solves == {"ggev": [], "eigvals": [], "rank1": [8], "schur": 0,
-                          "svd": [8, 8, 9], **kw}
+                          "svd": [8, 8, 1], **kw}
 
 
 def _analyze_along(tmp_path, tup, lam, direction):
@@ -334,9 +334,9 @@ class TestDemoBlowupCommand:
     def test_one_slice_stack_per_call(self, tmp_path, monkeypatch):
         solves = count_solves(monkeypatch)
         assert main(["demo-blowup", "--out", str(tmp_path / "demo.json")]) == 3
-        # two branches, ten rungs each: one rank-1 stack, and one stacked SVD
-        # for the profile norms, none for the rung projections' idempotency
-        assert solves == {"ggev": [10], "eigvals": [], "rank1": [20], "schur": 0, "svd": [20]}
+        # two branches, ten rungs each: one rank-1 stack, which also gives the
+        # profile norms, and no SVD
+        assert solves == {"ggev": [10], "eigvals": [], "rank1": [20], "schur": 0, "svd": []}
 
     def test_samples_set_the_ladder(self, tmp_path):
         out = tmp_path / "demo.json"

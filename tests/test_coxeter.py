@@ -116,6 +116,15 @@ class TestCoxeterMatrix:
                                              "finite numbers and 'inf'"):
             js.CoxeterMatrix.from_json([[1, order], [order, 1]])
 
+    @pytest.mark.parametrize("order", [math.nan, 10**400, -math.inf, True, "3", None],
+                             ids=["nan", "huge-integer", "minus-inf", "bool", "string", "none"])
+    def test_init_refuses_orders_that_are_no_finite_number(self, order):
+        # as from_json does: 10**400 raised OverflowError, NaN "not symmetric"
+        with pytest.raises(ValueError, match="^coxeter_matrix must be a list of rows of "
+                                             "finite numbers and 'inf'") as exc:
+            js.CoxeterMatrix([[1, order], [order, 1]])
+        assert type(exc.value) is ValueError
+
     def test_from_json_reads_an_infinite_number_as_inf(self):
         assert js.CoxeterMatrix.from_json([[1, math.inf], [math.inf, 1]]) == js.dihedral(math.inf)
 

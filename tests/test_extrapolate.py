@@ -69,6 +69,19 @@ def test_power_law_fit():
     assert abs(extrapolate.fit_power_law(ts, np.full(10, 2.0))) <= 1e-12
 
 
+def test_power_law_fit_of_every_column(monkeypatch):
+    # one polyfit for all columns; each slope that of its column alone, to rounding
+    ts = ladder(0.1, 10)
+    mags = np.stack([3.0 * ts**-1.0, np.full(10, 2.0), ts**0.5 * (1.0 + 0.1 * ts)], axis=1)
+    alone = [extrapolate.fit_power_law(ts, column) for column in mags.T]
+    calls = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *args: calls.append(args) or polyfit(*args))
+    slopes = extrapolate.fit_power_law(ts, mags)
+    assert len(calls) == 1 and slopes.shape == (3,)
+    assert_allclose(slopes, alone, rtol=1e-14, atol=1e-15)
+
+
 # -- the stacked kernel against the one-series oracle, bit for bit -----------
 
 

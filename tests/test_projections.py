@@ -26,6 +26,7 @@ from oracles import (
     quadrature_projection,
     rung_solves,
 )
+import oracles
 import slices
 from slices import count_solves
 
@@ -200,9 +201,10 @@ class TestRankOneKernel:
         # point, and F - delta I is not
         ts = 1e-2 * 2.0 ** -np.arange(8)
         f = np.array([np.diag([0.0, 1e-3 * tk]) for tk in ts], dtype=complex)
-        p = projections._rank_one_projections(f)
+        p, norms = projections._rank_one_projections(f)
         assert_allclose(p, np.broadcast_to(np.diag([1.0, 0.0]), p.shape), rtol=0, atol=1e-15)
-        assert_allclose(projections._rank_one_projections(f[:, ::-1, ::-1]),
+        assert_allclose(norms, 1.0, rtol=1e-15)
+        assert_allclose(projections._rank_one_projections(f[:, ::-1, ::-1])[0],
                         np.broadcast_to(np.diag([0.0, 1.0]), p.shape), rtol=0, atol=1e-15)
 
     def test_exactly_singular_ladder(self):
@@ -285,7 +287,9 @@ class TestRungOracle:
                 for got, a, b in zip(ladder.roots["nonzero"], alpha, beta):
                     want = a[b != 0] / b[b != 0]
                     want = np.sort_complex(want[np.isfinite(want)])
-                    assert got.tobytes() == want.tobytes()
+                    # the finite roots, then the table's nan padding
+                    assert got[:want.size].tobytes() == want.tobytes()
+                    assert np.isnan(got[want.size:]).all()
 
     # every eigenvalue but at N = 32, where lambda = 1 as in the verify-large benchmark;
     # verify_pair refuses the non-normal blow-up pair before it solves a slice.
@@ -310,7 +314,7 @@ class TestRungOracle:
         monkeypatch.setattr(relations, "_rung_stack", kept)
         js.verify_pair(t, lam=lam, check_hypotheses=False)
         assert made
-        for tt, bs, (stack, ranks, radii) in made:
+        for tt, bs, (stack, ranks, radii, _) in made:
             assert all(b._rung_roots is not None and b.multiplicity == 1 for b in bs)
             assert len(stack) == len(ranks) == len(radii) == sum(len(b.samples) for b in bs)
             rows = iter(zip(stack, ranks, radii))
@@ -478,15 +482,23 @@ class TestRungStack:
     def test_projection_ladders_equal_the_stack(self, make, lam, kw):
         t = make()
         branches = js.local_branches(t, lam, [1.0], **kw)
-        stack, ranks, radii = projections._rung_stack(t, branches)
+        stack, ranks, radii, norms = projections._rung_stack(t, branches)
         ladders = js.projection_ladders(t, branches)
         got = [cp for ladder in ladders for cp in ladder]
         assert len(got) == len(stack) == sum(len(b.samples) for b in branches)
         assert np.array([cp.matrix for cp in got]).tobytes() == stack.tobytes()
         assert [cp.rank for cp in got] == ranks
         assert [cp.radius for cp in got] == radii
+        assert norms.shape == (len(stack),)
         assert [[cp.t for cp in ladder] for ladder in ladders] == [
             [tk for tk, _ in b.samples] for b in branches]
+
+    @staticmethod
+    def schur_norms(branches):
+        """The SVD stacks of the rung norms: one of the Schur kernel's rows
+        (the repeated branch's rungs), none when every rung is rank 1."""
+        rows = sum(len(b.samples) for b in branches if b.multiplicity > 1)
+        return [rows] if rows else []
 
     @pytest.mark.parametrize("make, lam, kw", _STACK_CASES)
     def test_projection_ladders_take_one_idempotency_stack(self, make, lam, kw, monkeypatch):
@@ -494,18 +506,19 @@ class TestRungStack:
         branches = js.local_branches(t, lam, [1.0], **kw)
         solves = count_solves(monkeypatch)
         js.projection_ladders(t, branches)
-        assert solves["svd"] == [sum(len(b.samples) for b in branches)]
+        assert solves["svd"] == self.schur_norms(branches) + [
+            sum(len(b.samples) for b in branches)]
 
     @pytest.mark.parametrize("make, lam, kw", _STACK_CASES[:3])
     def test_limit_projection_takes_no_svd_over_rung_projections(self, make, lam, kw,
                                                                  monkeypatch):
-        # one stack: the rung norms and the limit's idempotency, no
-        # idempotency of a rung projection
+        # the rank-1 kernel gives its rungs' norms: one stack of the limit's
+        # idempotency, after one of the Schur rows' norms if there are any
         t = make()
         b = js.local_branches(t, lam, [1.0], **kw)[0]
         solves = count_solves(monkeypatch)
         js.limit_projection(t, b)
-        assert solves["svd"] == [len(b.samples) + 1]
+        assert solves["svd"] == self.schur_norms([b]) + [1]
 
     @pytest.mark.parametrize("make, lam, kw", _STACK_CASES[:3])
     def test_limits_leave_the_stack_unchanged(self, make, lam, kw):
@@ -513,10 +526,49 @@ class TestRungStack:
         # ComponentProjection that views the stack keeps its matrix
         t = make()
         branches = js.local_branches(t, lam, [1.0], **kw)
-        stack = projections._rung_stack(t, branches)[0]
-        before = stack.copy()
-        projections._limits(branches, stack)
-        assert stack.tobytes() == before.tobytes()
+        rungs = projections._rung_stack(t, branches)
+        before = rungs.stack.copy()
+        projections._limits(branches, rungs)
+        assert rungs.stack.tobytes() == before.tobytes()
+
+
+# (tuple, eigenvalues, local_branches keywords) for the rung norms: both kinds
+# at N = 4..32, the blow-up pair, whose norms grow like 1/t, and a repeated
+# branch, whose rungs take the Schur kernel
+_NORM_CASES = [
+    *[pytest.param(lambda dim=dim, zero=zero: regular_random_pair(dim, dim,
+                                                                  zero_eigenvalue=zero)[0],
+                   None, {}, False, id=f"random-{dim}-{zero}")
+      for dim in (4, 8, 16, 32) for zero in (False, True)],
+    pytest.param(blowup_demo_pair, [1.0], {"t_max": 0.1, "samples": 10}, False, id="blowup"),
+    pytest.param(lambda: js.MatrixTuple([np.diag([1.0, 1.0, 2.0]), np.eye(3)]), None, {}, True,
+                 id="repeated"),
+]
+
+
+class TestRungNorms:
+    """The rung norms of the rank-1 kernel, 1 / |y* z|, against an SVD of
+    every rung projection."""
+
+    @pytest.mark.parametrize("make, lams, kw, repeated", _NORM_CASES)
+    def test_kernel_norms_equal_the_svd(self, make, lams, kw, repeated, monkeypatch):
+        t = make()
+        lams = lams or [c for c, _ in slices.ladder(t).reference]
+        schur_rows = 0
+        for lam in lams:
+            branches = js.local_branches(t, lam, [1.0], **kw)
+            solves = count_solves(monkeypatch)
+            rungs = projections._rung_stack(t, branches)
+            monkeypatch.undo()
+            want = oracles.operator_norms(rungs.stack)
+            assert np.all(np.abs(rungs.norms - want) <= 1e-14 * want)
+            # only the Schur kernel's rows, those of a repeated branch here,
+            # take an SVD for their norms
+            schur = sum(len(b.samples) for b in branches if b.multiplicity > 1)
+            assert solves["schur"] == schur
+            assert solves["svd"] == ([schur] if schur else [])
+            schur_rows += schur
+        assert (schur_rows > 0) == repeated
 
 
 class TestNormProfile:

@@ -484,11 +484,10 @@ class TestOneAnalysisPerEigenvalue:
 
     @staticmethod
     def assert_two_svd_stacks(svd, rank1):
-        """A verify_pair call takes two stacked SVDs: the limits' (every rung
-        projection of the analysed branches of both pairs, and their limits:
-        branches x (rungs + 1) matrices), then the reports'; none over the
-        rung projections' idempotency."""
-        assert len(svd) == 2 and svd[0] == sum(rank1) // 8 * (8 + 1)
+        """A verify_pair call takes two stacked SVDs: the limits' idempotency
+        (one matrix per analysed branch of both pairs), then the reports';
+        none over the rung projections, whose norms the rank-1 kernel gives."""
+        assert len(svd) == 2 and svd[0] == sum(rank1) // 8
 
     @pytest.mark.parametrize("make, lam, rank1", [
         (lambda: regular_random_pair(5, 8)[0], None, [64, 64]),
@@ -565,18 +564,18 @@ class TestOneAnalysisPerEigenvalue:
         t, _ = regular_random_pair(*args, zero_eigenvalue=lam == 0.0)
         solves.update(ggev=[], eigvals=[])
         js.analyze_pair(t, lam)
-        # one stacked SVD, the limits': no idempotency of a rung projection
-        want = {"ggev": [8], "eigvals": [], "rank1": [16], "svd": [2 * 9]} if lam else {
-            "ggev": [], "eigvals": [8], "rank1": [8], "svd": [1 * 9]}
+        # one stacked SVD, the limits' idempotency: none over a rung projection
+        want = {"ggev": [8], "eigvals": [], "rank1": [16], "svd": [2]} if lam else {
+            "ggev": [], "eigvals": [8], "rank1": [8], "svd": [1]}
         assert solves == {**want, "schur": 0}
 
     @pytest.mark.parametrize("wrapper", [js.verify_same_projection_lemma,
                                          js.verify_square_relation])
     def test_product_pair_wrappers_solve_one_stack_per_pair(self, solves, wrapper):
         wrapper(dihedral_pair(np.pi / 3), 1.0)
-        # each analysis' limit stack, then the two residuals of the pair
+        # each analysis' limit idempotency, then the two residuals of the pair
         assert solves == {"ggev": [8] * 2, "eigvals": [], "rank1": [8] * 2, "schur": 0,
-                          "svd": [9, 9, 2]}
+                          "svd": [1, 1, 2]}
 
     @pytest.mark.parametrize("args, kwargs, accepted", [
         ((5, 8), {}, 50000),
