@@ -240,7 +240,7 @@ def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values, out=None):
     v A_1 + t xhat.A_rest - I for the nonzero kind, A_1 + t xhat.A_rest - v I
     for the zero kind.  It is singular where v is a root of the slice at t.
 
-    The stack is written into out, a contiguous complex stack, when given;
+    The stack is written into out, a complex stack, when given;
     one stack-sized temporary is made either way.
     """
     ts = np.asarray(ts, dtype=float)[:, None, None]
@@ -255,8 +255,7 @@ def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values, out=None):
     else:
         np.multiply(v, t.matrices[0], out=out)
         out += ts * rest
-        # the diagonal, a view: out less I
-        out.reshape(len(out), -1)[:, ::t.dim + 1] -= 1.0
+        out[:, range(t.dim), range(t.dim)] -= 1.0
     return out
 
 
@@ -384,10 +383,8 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
     of local_branches.
 
     The roots in the selection disk of every rung come from one comparison
-    on the kind's root table.  A simple eigenvalue whose disk holds one root
-    at every rung takes those roots as its track (_isolated_track); every
-    other eigenvalue clusters each rung's roots and matches the clusters
-    rung to rung.
+    on the kind's root table; each rung's roots are clustered, and the
+    clusters are matched rung to rung.
     """
     refs, kinds = ladder.reference, ladder.kinds
     i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
@@ -408,9 +405,6 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
 
     table = ladder.roots[kind]
     inside = np.abs(table - center) <= sel_radius
-    track = _isolated_track(table, inside, mult_lam)
-    if track is not None:
-        return lam0, kind, center, [(track, 1)]
     levels = [[(c, len(idx)) for c, idx in _cluster_values(roots[keep], coincide_tol)]
               for roots, keep in zip(table, inside)]
 
@@ -448,17 +442,6 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
 
     tracks.sort(key=lambda tr: (tr[0][0].real, tr[0][0].imag))
     return lam0, kind, center, [([c for c, _ in tr], tr[0][1]) for tr in tracks]
-
-
-def _isolated_track(table, inside, multiplicity):
-    """The track of a simple eigenvalue whose selection disk holds one root
-    at every rung (inside marks the roots of table in the disk): that root,
-    rung by rung.  Clustering one value keeps it and matching one candidate
-    takes it, so _track would find the same track.  None otherwise.
-    """
-    if multiplicity == 1 and (inside.sum(axis=1) == 1).all():
-        return list(table[inside])
-    return None
 
 
 def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):

@@ -71,10 +71,11 @@ class CoxeterMatrix:
         else (NaN, an integer past the float range)."""
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             _refuse_orders(rows)
-        orders = _orders([[INF if v == "inf" else v for v in row] for row in rows])
         try:
-            return cls(orders)
+            return cls([[INF if v == "inf" else v for v in row] for row in rows])
         except ValueError as exc:
+            if str(exc).startswith("coxeter_matrix"):  # _refuse_orders names it
+                raise
             raise ValueError(f"coxeter_matrix: {exc}") from None
 
 

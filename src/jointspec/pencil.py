@@ -199,10 +199,16 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
 
 def _root_table(solved):
     """The finite roots of each LineRoots of solved as one row, padded with nan."""
-    width = max((r.finite.size for r in solved), default=0)
-    table = np.full((len(solved), width), np.nan, dtype=complex)
-    for row, r in zip(table, solved):
-        row[:r.finite.size] = r.finite
+    return _padded_table([r.finite for r in solved])
+
+
+def _padded_table(rows):
+    """The 1-D arrays rows as one complex table, each padded with nan to the
+    longest."""
+    width = max((r.size for r in rows), default=0)
+    table = np.full((len(rows), width), np.nan, dtype=complex)
+    for out, r in zip(table, rows):
+        out[:r.size] = r
     return table
 
 

@@ -42,7 +42,7 @@ from scipy.linalg.lapack import ztrsyl
 from . import extrapolate
 from .branches import Branch, _ladder_roots, _nearest_unambiguous, _shifted_pencils
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
-from .pencil import MatrixTuple, _svd_extremes
+from .pencil import MatrixTuple, _padded_table, _svd_extremes
 from .serialize import complex_to_pair, matrix_to_json
 
 
@@ -167,7 +167,7 @@ def _schur_component(t: MatrixTuple, b: Branch, tparam, value, center, own_tol):
             f"nearest excluded eigenvalue at distance {dmin:.3e} from the "
             f"branch eigenvalue; component is not separated (t={tparam})"
         )
-    return p, rank, _radius(dmin, center)
+    return p, rank, float(_radius(dmin, abs(center)))
 
 
 def _rank_one_projections(f):
@@ -232,16 +232,11 @@ def _components(t: MatrixTuple, branches, rungs):
     rooted = np.array([tab is not None for _, _, tab in rungs], dtype=bool)[owner]
     gaps = np.zeros(len(ts))
     if tables:
-        table = np.full((rooted.sum(), max(tab.shape[1] for tab in tables)), np.nan,
-                        dtype=complex)
-        start = 0
-        for tab in tables:
-            table[start:start + len(tab), :tab.shape[1]] = tab
-            start += len(tab)
+        table = _padded_table([row for tab in tables for row in tab])
         gaps[rooted] = _root_gaps(zero[rooted], values[rooted], table, t.dim)
     simple = gaps > 2.0 * own_tol
-    # _radius of every row; the Schur kernel's rows get theirs below
-    radii = np.where(np.isfinite(gaps), 0.5 * gaps, 0.5 * (1.0 + abs_center)).tolist()
+    # the Schur kernel's rows get their radii below
+    radii = _radius(gaps, abs_center).tolist()
     ranks = [1] * len(ts)
     stack = np.empty((len(ts), t.dim, t.dim), dtype=complex)
     norms = np.empty(len(ts))
@@ -255,11 +250,12 @@ def _components(t: MatrixTuple, branches, rungs):
         norms[schur] = _svd_extremes(stack[schur])[1]
     if simple.any():
         # the separated rows, grouped by kind and direction, each group's
-        # pencils one broadcast written in place
+        # pencils one broadcast written in place; a key with no separated
+        # row (a repeated branch's) makes no group
         keys = [(b.kind, tuple(b.direction)) for b in branches]
         f = np.empty((simple.sum(), t.dim, t.dim), dtype=complex)
         rows = []
-        for key in dict.fromkeys(keys):
+        for key in dict.fromkeys(keys[j] for j in owner[simple].tolist()):
             group = np.flatnonzero(simple & np.array([k == key for k in keys])[owner])
             _shifted_pencils(t, key[0], np.asarray(key[1]), ts[group], values[group],
                              out=f[len(rows):len(rows) + group.size])
@@ -268,8 +264,10 @@ def _components(t: MatrixTuple, branches, rungs):
     return _RungStack(stack, ranks, radii, norms)
 
 
-def _radius(dmin, center):
-    return 0.5 * dmin if np.isfinite(dmin) else 0.5 * (1.0 + abs(center))
+def _radius(dmin, abs_center):
+    """Half the tested distance dmin, or 0.5 (1 + |c|) where it is infinite;
+    elementwise."""
+    return np.where(np.isfinite(dmin), 0.5 * dmin, 0.5 * (1.0 + abs_center))
 
 
 def _ladders(branches, rungs, ts=None):

@@ -556,96 +556,27 @@ class TestClusterValues:
                 (complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in want]
 
     def test_regularity_on_the_acceptance_suite(self, monkeypatch):
-        # the oracle side clusters every eigenvalue's roots, also where the
-        # fast side takes the direct track of an isolated simple eigenvalue
         from test_acceptance import random_suite
 
-        direct, clustered = [], []
-        isolated, cluster = branches._isolated_track, branches._cluster_values
-
-        def counted_isolated(*args):
-            track = isolated(*args)
-            direct.append(track is not None)
-            return track
+        lone = []
+        cluster = branches._cluster_values
 
         def counted(values, tol):
-            clustered.append(np.size(values))
+            lone.append(np.size(values) == 1)
             return cluster(values, tol)
 
         for tup, _, _ in random_suite():
             a1, a2 = tup.matrices
             for tt in (tup, js.MatrixTuple([a1, a1 @ a2])):
-                monkeypatch.setattr(branches, "_isolated_track", counted_isolated)
                 monkeypatch.setattr(branches, "_cluster_values", counted)
                 fast = js.check_regularity(tt, [1.0])
-                monkeypatch.setattr(branches, "_isolated_track", lambda *args: None)
                 monkeypatch.setattr(branches, "_cluster_values", oracles.cluster_values)
                 slow = js.check_regularity(tt, [1.0])
                 monkeypatch.undo()
                 # reports compare their branches, whose samples and derivatives compare exactly
                 assert fast == slow
                 assert [r.to_json() for r in fast] == [r.to_json() for r in slow]
-        # most eigenvalues take the direct track, and the clustering path still runs
-        assert sum(direct) > len(direct) // 2
-        assert clustered
-
-
-class TestIsolatedTrack:
-    """An isolated simple eigenvalue takes its roots as its track, as the
-    clustering and matching path would."""
-
-    @staticmethod
-    def tuples():
-        from test_acceptance import random_suite
-
-        for tup, _, _ in random_suite():
-            a1, a2 = tup.matrices
-            yield tup
-            yield js.MatrixTuple([a1, a1 @ a2])
-        # a planted double eigenvalue of A_1 whose branches stay double
-        yield js.MatrixTuple([np.diag([1.0, 1.0, 2.0, -0.5]), np.eye(4)])
-
-    def test_branch_sets_equal_the_clustering_path(self, monkeypatch):
-        direct = []
-        isolated = branches._isolated_track
-
-        def counted(*args):
-            track = isolated(*args)
-            direct.append(track is not None)
-            return track
-
-        for tup in self.tuples():
-            ladder = slices.ladder(tup)
-            lams = [c for c, _ in ladder.reference]
-            monkeypatch.setattr(branches, "_isolated_track", counted)
-            fast = branches._branch_sets(tup, ladder, lams)
-            monkeypatch.setattr(branches, "_isolated_track", lambda *args: None)
-            slow = branches._branch_sets(tup, ladder, lams)
-            monkeypatch.undo()
-            assert len(fast) == len(slow) == len(lams)
-            for got, want in zip(fast, slow):
-                if isinstance(want, Exception):
-                    assert (type(got), str(got)) == (type(want), str(want))
-                else:
-                    # samples, multiplicities and derivatives compare exactly
-                    assert got == want
-                    assert [b.to_json() for b in got] == [b.to_json() for b in want]
-                    assert all(b._rung_roots is ladder.roots[b.kind] for b in got)
-        assert any(direct) and not all(direct)
-
-    def test_a_double_eigenvalue_takes_the_clustering_path(self, monkeypatch):
-        clustered = []
-        cluster = branches._cluster_values
-
-        def counted(values, tol):
-            clustered.append(len(values))
-            return cluster(values, tol)
-
-        monkeypatch.setattr(branches, "_cluster_values", counted)
-        (b,) = js.local_branches(js.MatrixTuple([np.diag([1.0, 1.0, 2.0]), np.eye(3)]), 1.0, [1.0])
-        assert b.multiplicity == 2
-        # A_1's eigenvalues, then the two roots in the disk at every rung
-        assert clustered == [3] + [2] * 8
+        assert sum(lone) > len(lone) // 2
 
 
 class TestCrossModuleDerivativePrediction:

@@ -301,6 +301,20 @@ class TestVerifyPair:
         assert len(reports) > 0
         assert all(r.passed is None for r in reports)
 
+    def test_ungated_mixed_kinds_with_a_repeated_branch(self):
+        # the simple zero-kind branch at 0 and the double branch at 1 share
+        # one rung stack, where only the branch at 0 has rank-1 rows; the
+        # call reports what the two eigenvalues report one at a time
+        t = js.MatrixTuple([np.diag([0.0, 1.0, 1.0]), np.eye(3)])
+        reports = js.verify_pair(t, check_hypotheses=False)
+        assert reports == (js.verify_pair(t, lam=0.0, check_hypotheses=False)
+                           + js.verify_pair(t, lam=1.0, check_hypotheses=False))
+        assert [(r.relation_id, r.lam) for r in reports] == [
+            ("resolution", 0), ("first_moment_zero_case", 0), ("second_moment_zero_case", 0),
+            *((f"prime_relation_{k}", 0) for k in range(1, 5)),
+            ("resolution", 1), *((f"prime_relation_{k}", 1) for k in range(1, 5))]
+        assert all(r.passed is None and r.residual <= 1e-15 for r in reports)
+
     def test_scaling_consistency(self):
         # replacing A1 by A1/lam maps the lam-analysis to the 1-analysis
         t, _ = regular_random_pair(41, 4)
