@@ -373,38 +373,91 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8):
     return found
 
 
-def _track(t: MatrixTuple, ladder: SliceLadder, lam):
-    """The branches through lambda on ladder, before differentiation.
+def _selection_disks(t: MatrixTuple, reference, positions, kind):
+    """Center and selection radius of the clusters of A_1 at positions (indices
+    into reference, the clusters of _reference_spectrum), all of kind, from
+    one pairwise-distance computation.
 
-    Returns (lambda_0, kind, center, tracks): the reference eigenvalue of
-    A_1 nearest lam, its kind, the branches' value at t = 0, and one
+    A cluster's branches pass through its center at t = 0: 1/lambda_0 for
+    the nonzero kind, 0 for the zero kind.  The radius is half the distance
+    to the nearest other cluster's center in that chart (nonzero clusters
+    within 1e-12 of 0 have none), or half of 1 + |center| (nonzero kind) or
+    1 + ||A_1|| (zero kind) when there is no other cluster.  The distances
+    are hypot's, which is abs of a complex scalar.
+    """
+    values = np.array([c for c, _ in reference])
+    own = values[positions]
+    others = values[None, :] != own[:, None]
+    if kind == "zero":
+        centers = np.zeros(own.shape, dtype=complex)
+        dist = np.hypot(values.real, values.imag)[None, :]
+    else:
+        charted = np.hypot(values.real, values.imag) > 1e-12
+        inverse = 1.0 / np.where(charted, values, 1.0)
+        centers = inverse[positions]
+        delta = inverse[None, :] - centers[:, None]
+        dist = np.hypot(delta.real, delta.imag)
+        others &= charted
+    radii = 0.5 * np.where(others, dist, np.inf).min(axis=1)
+    alone = ~others.any(axis=1)
+    if alone.any():
+        # the zero kind's default costs an opnorm, so it is taken only here
+        radii[alone] = 0.5 * (1.0 + (opnorm(t.matrices[0]) if kind == "zero"
+                                     else np.hypot(centers.real, centers.imag)[alone]))
+    return centers, radii
+
+
+def _tracks(t: MatrixTuple, ladder: SliceLadder, positions):
+    """The branches of the clusters of A_1 at positions (indices into
+    ladder.reference) on ladder, before differentiation: one pass per kind.
+
+    Each entry is (lambda_0, kind, center, tracks), or the TrackingError or
+    BranchCollisionError the cluster's branches raise: lambda_0 is the
+    cluster's value, center the branches' value at t = 0, and tracks one
     (values down the ladder, multiplicity) per branch, in the order of the
-    first values.  Raises UnknownEigenvalueError and the tracking errors
-    of local_branches.
+    first values.
 
-    The roots in the selection disk of every rung come from one comparison
-    on the kind's root table; each rung's roots are clustered, and the
-    clusters are matched rung to rung.
+    The selection disks of a kind's clusters come from _selection_disks,
+    and which roots of every rung lie in which disk from one comparison on
+    the kind's root table.  A simple cluster whose disk holds one root at
+    every rung takes that column of roots as its track: clustering one
+    value returns it and matching one candidate accepts it, so _track would
+    give the same.  Every other cluster is tracked by _track.
     """
     refs, kinds = ladder.reference, ladder.kinds
-    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
-    lam0, mult_lam, kind = refs[i][0], len(refs[i][1]), kinds[i]
-    if kind == "zero":
-        center = 0.0 + 0.0j
-        others = [c for c, _ in refs if abs(c - lam0) > 0]
-        # not min(..., default=...): the default would cost an opnorm every time
-        sel_radius = 0.5 * (min(abs(c) for c in others) if others
-                            else 1.0 + opnorm(t.matrices[0]))
-    else:
-        center = 1.0 / lam0
-        others = [c for c, _ in refs if abs(c - lam0) > 0 and abs(c) > 1e-12]
-        sel_radius = 0.5 * min(
-            (abs(1.0 / c - center) for c in others), default=1.0 + abs(center)
-        )
-    coincide_tol = 1e-6 * (1.0 + abs(center))
+    out = [None] * len(positions)
+    for kind in sorted({kinds[i] for i in positions}):
+        mine = [n for n, i in enumerate(positions) if kinds[i] == kind]
+        at = [positions[n] for n in mine]
+        centers, radii = _selection_disks(t, refs, at, kind)
+        table = ladder.roots[kind]
+        inside = np.abs(table[:, :, None] - centers) <= radii
+        lone = (inside.sum(axis=1) == 1).all(axis=0)
+        if lone.any():  # then the table has a column
+            columns = np.take_along_axis(table, inside.argmax(axis=1), axis=1)
+        for s, (n, i) in enumerate(zip(mine, at)):
+            lam0, members = refs[i]
+            center = centers[s]
+            if lone[s] and len(members) == 1:
+                out[n] = (lam0, kind, center, [(columns[:, s], 1)])
+                continue
+            try:
+                out[n] = (lam0, kind, center, _track(table, inside[:, :, s], center, len(members)))
+            except JointSpecError as exc:
+                out[n] = exc
+    return out
 
-    table = ladder.roots[kind]
-    inside = np.abs(table - center) <= sel_radius
+
+def _track(table, inside, center, multiplicity):
+    """The branches through center on one kind's root table, whose roots in
+    the selection disk are marked in inside: one (values down the ladder,
+    multiplicity) per branch, in the order of the first values.  Raises the
+    tracking errors of local_branches.
+
+    Each rung's roots in the disk are clustered, and the clusters are
+    matched rung to rung; multiplicity is that of the eigenvalue of A_1.
+    """
+    coincide_tol = 1e-6 * (1.0 + abs(center))
     levels = [[(c, len(idx)) for c, idx in _cluster_values(roots[keep], coincide_tol)]
               for roots, keep in zip(table, inside)]
 
@@ -414,9 +467,9 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
             f"tracked cluster count changed along the ladder: {[len(lv) for lv in levels]}"
         )
     total = sum(sz for _, sz in levels[-1])
-    if total != mult_lam:
+    if total != multiplicity:
         raise TrackingError(
-            f"found total multiplicity {total} near {center}, expected {mult_lam}"
+            f"found total multiplicity {total} near {center}, expected {multiplicity}"
         )
 
     # continue clusters coarse -> fine with linear prediction toward the center
@@ -441,25 +494,21 @@ def _track(t: MatrixTuple, ladder: SliceLadder, lam):
             track.append(cands[best])
 
     tracks.sort(key=lambda tr: (tr[0][0].real, tr[0][0].imag))
-    return lam0, kind, center, [([c for c, _ in tr], tr[0][1]) for tr in tracks]
+    return [([c for c, _ in tr], tr[0][1]) for tr in tracks]
 
 
-def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
-    """The branches local_branches finds at each lambda of lams on ladder:
-    one entry per lambda, its list of branches or the error it raises.
+def _differentiated(t: MatrixTuple, ladder: SliceLadder, positions):
+    """_tracks' entries with each branch's derivatives: (lambda_0, kind,
+    tracks, derivatives, failure), derivatives holding (d1, d1_error, d2,
+    d2_error) per track, all None when the ladder has fewer than 5 rungs.
 
-    Every lambda is tracked on its own.  With samples >= 5 the first and
-    second derivatives of every tracked branch, at all the lambdas, come
-    from one stacked first_derivative and one second_derivative call; a
-    lambda with a branch whose derivatives did not converge gets the
-    ExtrapolationError of the first such branch, d1 before d2.
+    With 5 rungs or more the first and second derivatives of every tracked
+    branch, at all the positions, come from one stacked first_derivative
+    and one second_derivative call; failure is the ExtrapolationError of
+    the cluster's first branch whose derivatives did not converge, d1
+    before d2, or None.
     """
-    tracked = []
-    for lam in lams:
-        try:
-            tracked.append(_track(t, ladder, lam))
-        except JointSpecError as exc:
-            tracked.append(exc)
+    tracked = _tracks(t, ladder, positions)
     found = [tr for tr in tracked if not isinstance(tr, Exception)]
     flat = [(vals, center) for _, _, center, tracks in found for vals, _ in tracks]
     derivs = iter([(None,) * 6] * len(flat))
@@ -475,28 +524,64 @@ def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
         if isinstance(tr, Exception):
             out.append(tr)
             continue
-        lam0, kind, center, tracks = tr
-        branches, failure = [], None
-        for j, (vals, mult) in enumerate(tracks):
+        lam0, kind, _, tracks = tr
+        each, failure = [], None
+        for _ in tracks:
             d1, e1, f1, d2, e2, f2 = next(derivs)
             failure = failure or f1 or f2
-            branches.append(
-                Branch(
-                    lam=complex(lam0),
-                    kind=kind,
-                    direction=ladder.direction,
-                    index=j,
-                    samples=tuple((float(tk), complex(v)) for tk, v in zip(ladder.ts, vals)),
-                    multiplicity=mult,
-                    d1=None if d1 is None else complex(d1),
-                    d2=None if d2 is None else complex(d2),
-                    d1_error=None if e1 is None else float(e1),
-                    d2_error=None if e2 is None else float(e2),
-                    pencil=t,
-                    _rung_roots=ladder.roots[kind],
-                )
-            )
-        out.append(failure or branches)
+            each.append((d1, e1, d2, e2))
+        out.append((lam0, kind, tracks, each, failure))
+    return out
+
+
+def _branches(t: MatrixTuple, ladder: SliceLadder, lam0, kind, tracks, derivatives):
+    """The Branch objects of one cluster's tracks and derivatives (_differentiated's)."""
+    return [
+        Branch(
+            lam=complex(lam0),
+            kind=kind,
+            direction=ladder.direction,
+            index=j,
+            samples=tuple((float(tk), complex(v)) for tk, v in zip(ladder.ts, vals)),
+            multiplicity=mult,
+            d1=None if d1 is None else complex(d1),
+            d2=None if d2 is None else complex(d2),
+            d1_error=None if e1 is None else float(e1),
+            d2_error=None if e2 is None else float(e2),
+            pencil=t,
+            _rung_roots=ladder.roots[kind],
+        )
+        for j, ((vals, mult), (d1, e1, d2, e2)) in enumerate(zip(tracks, derivatives))
+    ]
+
+
+def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
+    """The branches local_branches finds at each lambda of lams on ladder:
+    one entry per lambda, its list of branches or the error it raises.
+
+    Each lambda is looked up among the clusters of A_1 (a lambda that is
+    none of them gets UnknownEigenvalueError), and the clusters found are
+    tracked and differentiated together (_differentiated).  A lambda with
+    a branch whose derivatives did not converge gets the ExtrapolationError
+    of the first such branch, d1 before d2.
+    """
+    values = np.array([c for c, _ in ladder.reference])
+    positions = []
+    for lam in lams:
+        try:
+            positions.append(_nearest_eigenvalue(values, lam, "A1"))
+        except UnknownEigenvalueError as exc:
+            positions.append(exc)
+    known = [p for p in positions if not isinstance(p, Exception)]
+    found = iter(_differentiated(t, ladder, known))
+    out = []
+    for p in positions:
+        entry = p if isinstance(p, Exception) else next(found)
+        if isinstance(entry, Exception):
+            out.append(entry)
+        else:
+            lam0, kind, tracks, derivatives, failure = entry
+            out.append(failure or _branches(t, ladder, lam0, kind, tracks, derivatives))
     return out
 
 
@@ -540,8 +625,11 @@ def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
     A_1's eigenvalue clusters.
 
     All eigenvalues are tracked on one slice ladder, which solves every kind
-    of A_1 without eigenvectors, and the derivatives of all their branches
-    come from one stacked extrapolation each (see local_branches).  An
+    of A_1 without eigenvectors, in one pass per kind: a simple eigenvalue
+    whose selection disk holds one root at every rung takes that column of
+    roots, and every other one is clustered and matched rung to rung (see
+    local_branches).  The derivatives of all their branches come from one
+    stacked extrapolation each.  An
     eigenvalue whose branches cannot be tracked gets a report with failed
     conditions a) and b) and the failure's message.  So does one whose
     derivatives do not converge, and its report keeps the ExtrapolationError
@@ -557,14 +645,20 @@ def check_regularity(t: MatrixTuple, xhat, t_max=1e-2, samples=8):
         t, _solve_ladder(t, xhat, t_max, samples, *_reference_spectrum(a1, opnorm(a1))))
 
 
-def _regularity_reports(t: MatrixTuple, ladder: SliceLadder):
-    """check_regularity's reports from the branches tracked on ladder, which
-    must solve every kind of A_1."""
-    lams = [c for c, _ in ladder.reference]
+def _regularity_reports(t: MatrixTuple, ladder: SliceLadder, keep=None):
+    """check_regularity's reports on ladder, which must solve every kind of
+    A_1: one _differentiated pass over the clusters of A_1, by position.
+
+    Only the reports at the positions in keep (every report when keep is
+    None) carry their branches; the others hold the conditions alone.
+    """
     reports = []
-    for lam, found in zip(lams, _branch_sets(t, ladder, lams)):
-        if isinstance(found, Exception):
-            tracking = isinstance(found, (BranchCollisionError, TrackingError))
+    positions = range(len(ladder.reference))
+    for i, ((lam, _), entry) in enumerate(zip(ladder.reference,
+                                               _differentiated(t, ladder, positions))):
+        failure = entry if isinstance(entry, Exception) else entry[4]
+        if failure is not None:
+            tracking = isinstance(failure, (BranchCollisionError, TrackingError))
             reports.append(RegularityReport(
                 lam=complex(lam),
                 condition_a=False,
@@ -572,11 +666,16 @@ def _regularity_reports(t: MatrixTuple, ladder: SliceLadder):
                 branch_derivative_gaps=0.0,
                 tangency_margin=0.0,
                 tangency_ok=False,
-                failure=str(found),
-                error=None if tracking else found,
+                failure=str(failure),
+                error=None if tracking else failure,
             ))
-        else:
-            reports.append(regularity_report(found))
+            continue
+        lam0, kind, tracks, derivatives, _ = entry
+        branches = (_branches(t, ladder, lam0, kind, tracks, derivatives)
+                    if keep is None or i in keep else ())
+        reports.append(_conditions(complex(lam0), [m for _, m in tracks],
+                                   [d1 for d1, _, _, _ in derivatives],
+                                   [v for v, _ in tracks], ladder.ts, branches))
     return tuple(reports)
 
 
@@ -586,44 +685,56 @@ def regularity_report(branches):
     Condition b) compares first derivatives, so the branches must have been
     tracked with samples >= 5; branches without d1 raise ValueError.
     """
-    if any(b.d1 is None for b in branches):
+    return _conditions(branches[0].lam, [b.multiplicity for b in branches],
+                       [b.d1 for b in branches], [[v for _, v in b.samples] for b in branches],
+                       [tk for tk, _ in branches[0].samples], branches)
+
+
+def _conditions(lam, multiplicities, d1s, series, ts, branches):
+    """The RegularityReport at lam of the branches with these multiplicities,
+    first derivatives and values down the ladder ts, carrying branches.
+
+    The one implementation of conditions a) and b): regularity_report and
+    the gate both call it.  A d1 of None raises ValueError.
+    """
+    if any(d1 is None for d1 in d1s):
         raise ValueError(
             "condition b) needs the first derivatives of the branches: "
             "track them with samples >= 5"
         )
-    cond_a = all(b.multiplicity == 1 for b in branches)
+    cond_a = all(m == 1 for m in multiplicities)
 
     # expand derivatives by multiplicity: a repeated sheet has gap 0
-    d1s = []
-    for b in branches:
-        d1s.extend([b.d1] * b.multiplicity)
-    if len(d1s) < 2:
+    expanded = []
+    for d1, m in zip(d1s, multiplicities):
+        expanded.extend([complex(d1)] * m)
+    if len(expanded) < 2:
         gap = float("inf")
     else:
         gap = min(
-            abs(d1s[i] - d1s[j]) for i in range(len(d1s)) for j in range(i + 1, len(d1s))
+            abs(expanded[i] - expanded[j])
+            for i in range(len(expanded)) for j in range(i + 1, len(expanded))
         )
-    scale = 1.0 + max((abs(d) for d in d1s), default=0.0)
+    scale = 1.0 + max((abs(d) for d in expanded), default=0.0)
     cond_b = bool(gap > 1e-6 * scale)
 
-    if len(branches) < 2:
+    if len(series) < 2:
         margin = 0.0 if not cond_b else float("inf")
     else:
         margin = float("inf")
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                for (tk, vi), (_, vj) in zip(branches[i].samples, branches[j].samples):
+        for i in range(len(series)):
+            for j in range(i + 1, len(series)):
+                for tk, vi, vj in zip(ts, series[i], series[j]):
                     margin = min(margin, abs(vi - vj) / tk)
-    if any(b.multiplicity > 1 for b in branches):
+    if any(m > 1 for m in multiplicities):
         margin = 0.0
 
     return RegularityReport(
-        lam=branches[0].lam,
+        lam=lam,
         condition_a=cond_a,
         condition_b=cond_b,
         branch_derivative_gaps=float(gap) if np.isfinite(gap) else float("inf"),
-        tangency_margin=margin,
+        tangency_margin=float(margin),
         tangency_ok=bool(margin > 1e-6),
         branches=tuple(branches),
     )
-

@@ -91,7 +91,9 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
     eigenvalue of A1, with separated branch derivatives so the ladder
     extrapolations stay well conditioned.  Returns (tuple, accepted_seed);
     gives up after 40 draws.  The two pairs share A1's eigenvalue clusters,
-    and each gets the reports check_regularity gives, from one slice ladder.
+    and each gets the reports check_regularity gives, from one slice ladder
+    and one tracking pass per kind; they hold conditions a/b and the gaps,
+    with no Branch objects built.
 
     min_gap bounds those gaps from below.  verify_pair's finest ladder rung,
     t = 1e-2 * 2^-7, parts two branches by about gap * t.  A simple
@@ -111,13 +113,14 @@ def regular_random_pair(seed, dim, zero_eigenvalue=False, min_gap=0.1):
         ok = True
         for tt in (t, t2):
             ladder = _solve_ladder(tt, _unit_direction(tt, [1.0]), 1e-2, 8, *reference)
-            for rep in _regularity_reports(tt, ladder):
+            for rep in _regularity_reports(tt, ladder, keep=()):
                 if rep.error is not None:
                     raise rep.error
                 if not (rep.condition_a and rep.condition_b):
                     ok = False
                     break
-                if rep.branch_derivative_gaps < min_gap and len(rep.branches) > 1:
+                # one simple branch has gap inf; one repeated branch fails a)
+                if rep.branch_derivative_gaps < min_gap:
                     ok = False
                     break
             if not ok:

@@ -23,6 +23,7 @@ from .branches import (
     _branch_sets,
     _is_integer,
     _kind_of,
+    _nearest_eigenvalue,
     _nearest_unambiguous,
     _reference_spectrum,
     _regularity_reports,
@@ -331,23 +332,27 @@ def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
 _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 
-def _gated_branches(t: MatrixTuple, pair, ladder, res: SpectralResolution):
-    """The branches check_regularity's reports track on ladder, by index of
-    their eigenvalue in res; walking the eigenvalues in order, the first
-    failure raises: the error a report keeps, or HypothesisNotMet."""
-    gated = {}
-    for rep in _regularity_reports(t, ladder):
+def _gated_branches(t: MatrixTuple, pair, ladder, res: SpectralResolution, wanted):
+    """The branches check_regularity tracks on ladder at each eigenvalue of
+    wanted (indices into res); walking every eigenvalue of A_1 in order, the
+    first failure raises: the error a report keeps, or HypothesisNotMet.
+
+    Only the reports at wanted carry their branches.
+    """
+    values = np.array([c for c, _ in ladder.reference])
+    at = [_nearest_eigenvalue(values, res.eigenvalues[k], "A1") for k in wanted]
+    reports = _regularity_reports(t, ladder, set(at))
+    for rep in reports:
         if rep.error is not None:
             raise rep.error
-        k = res.index_of(rep.lam)
         if not (rep.condition_a and rep.condition_b):
             detail = f": {rep.failure or 'conditions a/b'}" if pair == 0 else ""
             raise HypothesisNotMet(
-                f"regularity fails at lambda={res.eigenvalues[k]} for {_PAIR_NAMES[pair]}"
-                f"{detail}; pass check_hypotheses=False to report residuals without a claim"
+                f"regularity fails at lambda={res.eigenvalues[res.index_of(rep.lam)]} for "
+                f"{_PAIR_NAMES[pair]}{detail}; pass check_hypotheses=False to report "
+                f"residuals without a claim"
             )
-        gated[k] = rep.branches
-    return gated
+    return [reports[i].branches for i in at]
 
 
 def verify_pair(
@@ -362,10 +367,12 @@ def verify_pair(
 
     A1's operator norm, eigenvalue clusters and their kinds are computed
     once and serve both pairs.  The slices of each pair are solved once (one
-    slice ladder per pair), and check_regularity tracks (A1, A2) and
-    (A1, A1 A2) on them at every eigenvalue of A1, also when lam is given:
-    all branch derivatives of a pair come from one stacked extrapolation
-    each.  The analyses at lam reuse those branches.  The projections at
+    slice ladder per pair), and the gate tracks (A1, A2) and (A1, A1 A2) on
+    them at every eigenvalue of A1, also when lam is given, in one tracking
+    pass per (pair, kind): all branch derivatives of a pair come from one
+    stacked extrapolation each, and the gate reads conditions a/b from the
+    tracks.  Branch objects are built only at the eigenvalues analysed,
+    whose analyses reuse those branches.  The projections at
     every rung of every analysed branch of a pair are one stack, with no
     ComponentProjection built; its rank-1 projections are one stacked
     inverse iteration.  P and P'(0) of every analysed branch of both pairs
@@ -409,7 +416,8 @@ def verify_pair(
                              else sorted({_kind_of(reference, eigs[k]) for k in wanted[pair]}))
                for pair, tt in enumerate(pairs)]
     if check_hypotheses:
-        gated = [_gated_branches(tt, pair, ladders[pair], res) for pair, tt in enumerate(pairs)]
+        gated = [_gated_branches(tt, pair, ladders[pair], res, wanted[pair])
+                 for pair, tt in enumerate(pairs)]
     # each pair's branches and rung projections; the limits of both pairs
     # are extrapolated together below, so a failure here is raised after
     # those of the pairs before it, as when each pair was finished in turn
@@ -417,7 +425,7 @@ def verify_pair(
     for pair, tt in enumerate(pairs):
         try:
             if check_hypotheses:
-                found = [gated[pair][k] for k in wanted[pair]]
+                found = gated[pair]
             else:
                 found = _branch_sets(tt, ladders[pair], [eigs[k] for k in wanted[pair]])
                 for out in found:

@@ -46,9 +46,12 @@ def matrix_to_json(m):
 
 def json_to_matrix(rows, field="a matrix"):
     """rows of numbers and [re, im] pairs as a complex array; ValueError
-    naming field unless rows is a list of lists."""
+    naming field unless rows is a list of lists of one length."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError(f"{field} must be a list of rows, each a list of entries")
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{field} must have rows of one length; got row lengths {lengths}")
     entry = f"every entry of {field}"
     return np.array([[pair_to_complex(v, entry) for v in row] for row in rows], dtype=complex)
 

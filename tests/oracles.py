@@ -13,6 +13,8 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from jointspec.errors import BranchCollisionError, TrackingError
+
 
 def quadratic_roots(a, b, c):
     """Roots of a x^2 + b x + c by the quadratic formula."""
@@ -281,6 +283,64 @@ def cluster_values(values, tol):
     clusters = [(values[idx].mean(), list(idx)) for idx in groups.values()]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
+
+
+def track_branches(roots, reference, kinds, a1, lam):
+    """The branches of one eigenvalue of A_1 on a slice ladder, one eigenvalue
+    at a time: (lambda_0, kind, center, tracks), or the tracking error.
+
+    roots maps each kind to its root table (a row per rung, padded with
+    nan), reference holds A_1's (value, members) clusters and kinds their
+    kinds.  The selection radius is half the distance from the center to
+    the nearest other cluster (in 1/lambda for the nonzero kind), each
+    rung's roots in the disk are clustered by union-find, and clusters are
+    matched rung to rung: the nearest to the halfway prediction must be 4x
+    nearer than the runner-up.
+    """
+    values = [c for c, _ in reference]
+    i = min(range(len(values)), key=lambda k: abs(values[k] - lam))
+    lam0, mult, kind = values[i], len(reference[i][1]), kinds[i]
+    others = [c for c in values if abs(c - lam0) > 0]
+    if kind == "zero":
+        center = 0.0 + 0.0j
+        radius = 0.5 * (min(abs(c) for c in others) if others
+                        else 1.0 + np.linalg.norm(a1, 2))
+    else:
+        center = 1.0 / lam0
+        charted = [1.0 / c for c in others if abs(c) > 1e-12]
+        radius = 0.5 * min((abs(w - center) for w in charted), default=1.0 + abs(center))
+    tol = 1e-6 * (1.0 + abs(center))
+    levels = []
+    for row in roots[kind]:
+        near = [r for r in row if abs(r - center) <= radius]
+        levels.append([(c, len(idx)) for c, idx in cluster_values(near, tol)])
+
+    if len({len(lv) for lv in levels}) != 1:
+        raise TrackingError(
+            f"tracked cluster count changed along the ladder: {[len(lv) for lv in levels]}")
+    total = sum(size for _, size in levels[-1])
+    if total != mult:
+        raise TrackingError(f"found total multiplicity {total} near {center}, expected {mult}")
+    tracks = [[cl] for cl in levels[0]]
+    for lv in levels[1:]:
+        used = set()
+        for track in tracks:
+            prev, size = track[-1]
+            pred = center + 0.5 * (prev - center)
+            d = sorted((abs(c - pred), k) for k, (c, _) in enumerate(lv))
+            if len(d) > 1 and d[0][0] > 0.25 * d[1][0]:
+                raise BranchCollisionError(
+                    f"ambiguous branch continuation near t-level with values "
+                    f"{[c for c, _ in lv]}")
+            best = d[0][1]
+            if best in used:
+                raise BranchCollisionError("two tracked branches matched the same root cluster")
+            if lv[best][1] != size:
+                raise TrackingError("branch multiplicity changed along the ladder")
+            used.add(best)
+            track.append(lv[best])
+    tracks.sort(key=lambda tr: (tr[0][0].real, tr[0][0].imag))
+    return lam0, kind, center, [([c for c, _ in tr], tr[0][1]) for tr in tracks]
 
 
 # -- dihedral spectrum components, by equation --------------------------------

@@ -1,5 +1,5 @@
 """Slice roots through the library's batched kernel, the library's slice
-ladder, and a count of the slice eigensolves, for tests.
+ladder, and counts of the slice eigensolves and of branch tracking, for tests.
 
 Not an oracle: it calls jointspec.line_roots_batch and the private
 branches._solve_ladder.
@@ -73,4 +73,31 @@ def count_solves(monkeypatch):
     monkeypatch.setattr(projections, "_spectral_projection", counted_schur)
     for module in (pencil, branches, projections, relations):
         monkeypatch.setattr(module, "_svd_extremes", counted_svd)
+    return counts
+
+
+def count_tracking(monkeypatch):
+    """Count the tracking work done from here on: "pass" the clusters of A_1
+    each branches._tracks pass takes, "track" the clusters it tracks by
+    clustering and matching (branches._track), and "cluster" the
+    branches._cluster_values calls, the eigenvalue clusters of A_1 included.
+    """
+    counts = {"pass": [], "track": 0, "cluster": 0}
+    passes, track, cluster = branches._tracks, branches._track, branches._cluster_values
+
+    def counted_pass(t, ladder, positions):
+        counts["pass"].append(len(positions))
+        return passes(t, ladder, positions)
+
+    def counted_track(*args):
+        counts["track"] += 1
+        return track(*args)
+
+    def counted_cluster(*args):
+        counts["cluster"] += 1
+        return cluster(*args)
+
+    monkeypatch.setattr(branches, "_tracks", counted_pass)
+    monkeypatch.setattr(branches, "_track", counted_track)
+    monkeypatch.setattr(branches, "_cluster_values", counted_cluster)
     return counts

@@ -558,25 +558,121 @@ class TestClusterValues:
     def test_regularity_on_the_acceptance_suite(self, monkeypatch):
         from test_acceptance import random_suite
 
-        lone = []
-        cluster = branches._cluster_values
+        sizes, passed = [], []
+        cluster, passes = branches._cluster_values, branches._tracks
 
         def counted(values, tol):
-            lone.append(np.size(values) == 1)
+            sizes.append(np.size(values))
             return cluster(values, tol)
+
+        def counted_pass(t, ladder, positions):
+            before = len(sizes)
+            out = passes(t, ladder, positions)
+            # a cluster of A_1 takes its root column unless it has several
+            # branches or a repeated one: then each rung is clustered
+            several = [entry for entry in out if len(entry[3]) > 1 or entry[3][0][1] > 1]
+            passed.append((sizes[before:], ladder.ts.size * len(several)))
+            return out
 
         for tup, _, _ in random_suite():
             a1, a2 = tup.matrices
             for tt in (tup, js.MatrixTuple([a1, a1 @ a2])):
                 monkeypatch.setattr(branches, "_cluster_values", counted)
+                monkeypatch.setattr(branches, "_tracks", counted_pass)
                 fast = js.check_regularity(tt, [1.0])
+                monkeypatch.undo()
                 monkeypatch.setattr(branches, "_cluster_values", oracles.cluster_values)
                 slow = js.check_regularity(tt, [1.0])
                 monkeypatch.undo()
                 # reports compare their branches, whose samples and derivatives compare exactly
                 assert fast == slow
                 assert [r.to_json() for r in fast] == [r.to_json() for r in slow]
-        assert sum(lone) > len(lone) // 2
+        # each pass clusters every rung of the planted double at 1, and only there
+        assert len(passed) == 40
+        assert all(want == 8 and got == [2] * want for got, want in passed)
+
+
+def _tracking_cases():
+    """(tuple, ladder keywords) for the tracking pass against its oracle: the
+    acceptance suite and random pairs with a zero eigenvalue, both pairs
+    each, then disks that hold two roots or none on some rung, and a root
+    table with no column."""
+    from test_acceptance import random_suite
+
+    pairs = [tup for tup, _, _ in random_suite()]
+    pairs += [js.fixtures.random_normal_pair(seed, dim, zero_eigenvalue=True)
+              for dim in (4, 8, 16, 32) for seed in (1, 2)]
+    cases = [(tt, {}) for tup in pairs
+             for tt in (tup, js.MatrixTuple([tup.matrices[0], tup.matrices[0] @ tup.matrices[1]]))]
+    # the planted double at 1 merges below resolution; the simple 1 meets the
+    # branch from 1.5 in its disk on the first rung; x1 = 1 - 10 t leaves its disk
+    cases += [(js.MatrixTuple([np.eye(2), np.diag([1.0, 1.0 + 1e-3])]), {}),
+              (js.MatrixTuple([np.diag([1.0, 1.5]), np.diag([0.0, -4.0])]), {"t_max": 0.1}),
+              (js.MatrixTuple([np.diag([1.0, 3.0]), np.diag([10.0, 0.0])]),
+               {"t_max": 0.1, "samples": 4}),
+              (js.MatrixTuple([np.diag([1.0, 3.0]), np.diag([10.0, 0.0])]),
+               {"t_max": 0.1, "samples": 2}),
+              (js.MatrixTuple([np.diag([0.0, 0.0]), np.eye(2)]), {}),
+              (js.MatrixTuple([np.diag([0.0, 1.0, 1.0]), np.eye(3)]), {})]
+    # t B - I is singular on the kernel of A_1 at both rungs (B there is
+    # diag(1, 2)), so the nonzero kind has no finite root on either rung
+    b = np.array([[0.0, 0.3, 0.3], [0.3, 1.0, 0.0], [0.3, 0.0, 2.0]])
+    cases.append((js.MatrixTuple([np.diag([1.0, 0.0, 0.0]), b]), {"t_max": 1.0, "samples": 2}))
+    return cases
+
+
+def _oracle_pass(t, ladder, positions):
+    """branches._tracks, one eigenvalue at a time by oracles.track_branches."""
+    out = []
+    for i in positions:
+        try:
+            out.append(oracles.track_branches(ladder.roots, ladder.reference, ladder.kinds,
+                                              t.matrices[0], ladder.reference[i][0]))
+        except (js.TrackingError, js.BranchCollisionError) as exc:
+            out.append(exc)
+    return out
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+class TestTrackingPass:
+    """One pass per kind tracks every eigenvalue of A_1 as the oracle does,
+    one eigenvalue at a time."""
+
+    def test_tracks_equal_the_oracle_bit_for_bit(self):
+        refused = direct = 0
+        for t, kw in _tracking_cases():
+            ladder = slices.ladder(t, **kw)
+            positions = range(len(ladder.reference))
+            for got, want in zip(branches._tracks(t, ladder, positions),
+                                 _oracle_pass(t, ladder, positions)):
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    refused += 1
+                    continue
+                (lam0, kind, center, tracks), (lam1, kind1, center1, tracks1) = got, want
+                assert (_bits(lam0), kind, _bits(center)) == (_bits(lam1), kind1, _bits(center1))
+                assert [([_bits(v) for v in vals], m) for vals, m in tracks] == [
+                    ([_bits(v) for v in vals], m) for vals, m in tracks1]
+                direct += len(tracks) == 1 and tracks[0][1] == 1
+        # the nine refusals are those of the two-root and empty disks
+        assert refused == 9 and direct > 300
+
+    def test_reports_equal_those_of_the_oracle(self, monkeypatch):
+        for t, kw in _tracking_cases():
+            def outcome():
+                try:
+                    reps = js.check_regularity(t, [1.0], **kw)
+                except ValueError as exc:  # fewer than 5 rungs: no derivatives
+                    return str(exc)
+                return reps, [r.to_json() for r in reps]
+
+            fast = outcome()
+            monkeypatch.setattr(branches, "_tracks", _oracle_pass)
+            assert outcome() == fast
+            monkeypatch.undo()
 
 
 class TestCrossModuleDerivativePrediction:

@@ -139,6 +139,17 @@ class TestAnalyzeCommand:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_ragged_matrix_rows_exit_two(self, tmp_path, capsys):
+        obj = {**dihedral_pair(1.0).to_json(), "schema_version": 1, "lambda": [1.0, 0]}
+        obj["matrices"][1][1] = [[0.5, 0.0]]
+        inp = write_json(tmp_path / "ragged.json", obj)
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--input", inp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: each of the tuple's 'matrices' must have rows of one length; "
+            "got row lengths [2, 1]\n")
+        assert not out.exists()
+
     def test_numerical_refusal_writes_a_report(self, dihedral_input, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise js.TrackingError("branch lost at t=0.005")
@@ -467,6 +478,10 @@ class TestCoxeterCheckCommand:
          "every entry of each of the tuple's 'matrices' must be finite; got [0.0, -inf]"),
         ("NaN rep entry", ("rep",), {"matrices": [[[math.nan]]]},
          "every entry of each of rep's 'matrices' must be finite; got nan"),
+        ("ragged tuple matrix", ("tuple", "matrices", 0, 1), [1.0],
+         "each of the tuple's 'matrices' must have rows of one length; got row lengths [5, 1, 5"),
+        ("ragged rep matrix", ("rep",), {"matrices": [[[1.0, 0.0], [0.0]]]},
+         "each of rep's 'matrices' must have rows of one length; got row lengths [2, 1]"),
         ("rep a list", ("rep",), [1], "'rep' must be an object"),
         ("assignment a number", ("rep", "assignment"), 3, "assignment must be a list"),
         ("null angle", ("rep", "assignment", 0, 1), None, "two_dim summand needs a real angle"),

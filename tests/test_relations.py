@@ -27,7 +27,7 @@ from oracles import (
     pencil_root_near,
     quadratic_fit_d2,
 )
-from slices import count_solves
+from slices import count_solves, count_tracking
 
 
 def analysis(t, lam, **kw):
@@ -356,22 +356,22 @@ class TestUnitaryConjugation:
 class TestOneAnalysisPerEigenvalue:
     @pytest.fixture
     def work(self, monkeypatch):
-        """The tracks of every eigenvalue tracked (one _track call each, from
-        check_regularity or the relations layer), and the branches of each
-        rung stack the relations layer projects (_rung_stack)."""
+        """The tracks of every eigenvalue tracked (one entry of a branches._tracks
+        pass each, from check_regularity or the relations layer), and the
+        branches of each rung stack the relations layer projects (_rung_stack)."""
         counts = {"tracked": [], "ladders": []}
-        track, ladders = branches._track, relations._rung_stack
+        passes, ladders = branches._tracks, relations._rung_stack
 
-        def counted_track(*args):
-            out = track(*args)
-            counts["tracked"].append(out[3])
+        def counted_pass(*args):
+            out = passes(*args)
+            counts["tracked"].extend(entry[3] for entry in out)
             return out
 
         def counted_ladders(t, bs):
             counts["ladders"].append(list(bs))
             return ladders(t, bs)
 
-        monkeypatch.setattr(branches, "_track", counted_track)
+        monkeypatch.setattr(branches, "_tracks", counted_pass)
         monkeypatch.setattr(relations, "_rung_stack", counted_ladders)
         return counts
 
@@ -399,6 +399,16 @@ class TestOneAnalysisPerEigenvalue:
         a1, a2 = t.matrices
         assert ladders == [js.local_branches(t, 1.0, [1.0]),
                            js.local_branches(js.MatrixTuple([a1, a1 @ a2]), 1.0, [1.0])]
+
+    @pytest.mark.parametrize("lam", [None, 1.0])
+    def test_only_the_planted_double_is_clustered(self, lam, monkeypatch):
+        # every simple eigenvalue takes its root column; the double at 1 is
+        # clustered at each of the 8 rungs, once per pair, and the spectral
+        # resolution and the reference spectrum cluster A_1 once each
+        t, _ = regular_random_pair(17, 4)
+        counts = count_tracking(monkeypatch)
+        js.verify_pair(t, lam=lam)
+        assert counts == {"pass": [3, 3], "track": 2, "cluster": 2 + 2 * 8}
 
     @pytest.mark.parametrize("lam", [None, 1.0])
     def test_gate_computes_no_residuals_and_classifies_once_per_call(self, lam, monkeypatch):
