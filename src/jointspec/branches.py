@@ -36,29 +36,38 @@ from .serialize import complex_to_pair
 
 
 def _cluster_values(values, tol):
-    """Single-linkage clustering of complex values at absolute tolerance tol."""
+    """Single-linkage clustering of complex values at absolute tolerance tol:
+    (value, indices) per cluster, sorted by value; a cluster's value is the
+    mean of its members.
+
+    The near pairs come from one comparison of all differences; the
+    union-find runs only when some pair is near."""
     values = np.asarray(values, dtype=complex)
     n = values.size
     if n == 1:
         return [(values[0], [0])]
-    parent = list(range(n))
+    rows, cols = np.nonzero(np.abs(values[:, None] - values) <= tol)
+    upper = rows < cols
+    if not upper.any():
+        groups = [[i] for i in range(n)]
+    else:
+        parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [(values[idx].mean(), list(idx)) for idx in groups.values()]
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+            pi, pj = find(i), find(j)
+            if pi != pj:
+                parent[pi] = pj
+        roots = {}
+        for i in range(n):
+            roots.setdefault(find(i), []).append(i)
+        groups = list(roots.values())
+    clusters = [(values[idx[0]] if len(idx) == 1 else values[idx].mean(), idx) for idx in groups]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
 

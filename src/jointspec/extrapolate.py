@@ -7,30 +7,22 @@ eliminates one power per column; the returned entry is chosen adaptively by
 a Ridders-style error estimate, which keeps roundoff from the finest ladder
 levels out of the result.
 
-Every function takes a stack of series sampled on one ladder, shape
-(series, rungs, ...), and runs the tableau arithmetic on all of them at
-once; each series keeps its own choice of entry and its own stopping row.
+Every tableau entry is a fixed real combination of the rung samples, so the
+tableau is one linear map: its coefficient rows are computed once per rung
+count, every error estimate of a stack of series comes from one matmul, and
+each series' limit is its chosen row applied to its samples.  Matrix series
+are first reduced to their rung span by one R-only QR, which keeps every
+norm of a rung combination.  Every function takes a stack of series sampled
+on one ladder, shape (series, rungs, ...); each series keeps its own choice
+of entry and its own stopping row.
 """
+
+import functools
+import math
 
 import numpy as np
 
 from .errors import ExtrapolationError
-
-
-def _mags(x):
-    """|x| of each series' entry (x has shape (series, ...)): the modulus of a
-    scalar, the Frobenius norm of anything else.
-
-    They equal abs(complex) and np.linalg.norm bit for bit: hypot for
-    scalars, and for arrays the square root of the dot products of the real
-    and imaginary parts, taken by a stacked matmul as norm takes them by dot.
-    """
-    if x.ndim == 1:
-        return np.hypot(x.real, x.imag)
-    flat = x.reshape(x.shape[0], -1)
-    re, im = flat.real, flat.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0]
-                   + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def _check_halving(ts):
@@ -49,6 +41,45 @@ def _not_converged(error):
     return ExtrapolationError(f"extrapolation did not converge (error estimate {error:.3e})")
 
 
+@functools.lru_cache(maxsize=None)
+def _tableau(rungs):
+    """The tableau on rungs samples as real coefficient rows over the rungs.
+
+    Entry p = k (k - 1) / 2 + j - 1 is T[k][j], 1 <= j <= k < rungs, in the
+    order the tableau builds them, from T[k][0] = v_k and
+    T[k][j] = (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1).  Returns
+    (entries, differences, support): entries[p] is T[k][j]'s row,
+    differences[p] the row of its difference from its upper parent
+    T[k-1][j-1], and support[p] marks the rungs k - j .. k that both rows
+    read.  Its difference from its left parent is 2^-j times that one, so
+    the larger of the two, the tableau's error estimate, is always the
+    upper difference.
+    """
+    eye = np.eye(rungs)
+    above = [eye[0]]
+    entries, differences, support = [], [], []
+    for k in range(1, rungs):
+        row = [eye[k]]
+        for j in range(1, k + 1):
+            fac = 2.0**j
+            entry = (fac * row[j - 1] - above[j - 1]) / (fac - 1.0)
+            row.append(entry)
+            entries.append(entry)
+            differences.append(fac * (row[j - 1] - above[j - 1]) / (fac - 1.0))
+            support.append((np.arange(rungs) >= k - j) & (np.arange(rungs) <= k))
+        above = row
+    out = (np.array(entries), np.array(differences), np.array(support, dtype=float))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _rows(x):
+    """The complex (series, n, m) array x as a real (series, n, 2 m) array:
+    each row's real and imaginary parts, interleaved."""
+    return np.ascontiguousarray(x).view(float)
+
+
 def richardson_limit(ts, values):
     """Extrapolate each series of values, samples v(t_k) on a halving
     ladder, to t = 0.
@@ -57,7 +88,8 @@ def richardson_limit(ts, values):
     per ladder level.  Each tableau grows row by row (fine levels last);
     per-entry errors compare against both parents.  Once a whole new row of
     a series is twice as bad as its best entry, roundoff from the fine
-    levels has taken over and that series stops growing.
+    levels has taken over and that series stops growing.  An entry that
+    reads a non-finite sample has an infinite error.
 
     Returns (limits, errors), of shapes (series, ...) and (series,).  When
     the best entry of a series cannot be trusted to 1e-2 relative accuracy,
@@ -70,39 +102,52 @@ def richardson_limit(ts, values):
     vals = np.asarray(values, dtype=complex)
     if vals.ndim < 2 or vals.shape[1] != ts.size:
         raise ExtrapolationError("ts and values must have equal length")
+    count, rungs = vals.shape[:2]
+    entries, differences, support = _tableau(rungs)
+    x = vals.reshape(count, rungs, math.prod(vals.shape[2:]))
+    finite = np.isfinite(x).all(axis=2)
+    clean = x if finite.all() else np.where(finite[:, :, None], x, 0.0)
+    samples = _rows(clean)
 
-    # row holds the last tableau row; while row k is built, row[:j] is
-    # already row k and row[j - 1:] still row k - 1
-    row = [vals[:, 0]]
-    best = vals[:, 0].copy()
-    best_err = np.full(vals.shape[0], np.inf)
-    growing = np.ones(vals.shape[0], dtype=bool)
-    for k in range(1, ts.size):
-        entry = vals[:, k]
-        row_best = np.full(vals.shape[0], np.inf)
-        for j in range(1, k + 1):
-            fac = 2.0**j
-            left, up = entry, row[j - 1]
-            entry = (fac * left - up) / (fac - 1.0)
-            lo, hi = _mags(entry - left), _mags(entry - up)
-            err = np.where(hi > lo, hi, lo)
-            row[j - 1] = left
-            row_best = np.where(err < row_best, err, row_best)
-            better = growing & (err < best_err)
-            best[better] = entry[better]
-            best_err[better] = err[better]
-        row.append(entry)
+    # a matrix series is reduced to its rung span, the R factor of
+    # X^T = Q R: Q has orthonormal columns, so every combination of the
+    # rungs keeps its norm
+    span = samples
+    if x.shape[2] > rungs:
+        span = _rows(np.linalg.qr(clean.transpose(0, 2, 1), mode="r").transpose(0, 2, 1))
+    diffs = differences @ span
+    errors = np.sqrt(np.einsum("spm,spm->sp", diffs, diffs))
+    errors[np.isnan(errors)] = np.inf
+    if not finite.all():
+        errors[(~finite @ support.T) > 0] = np.inf
+
+    # the first least error of a row is the entry the tableau's strict
+    # updates settle on; best -1 is T[0][0], the first sample
+    best = np.full(count, -1)
+    best_err = np.full(count, np.inf)
+    growing = np.ones(count, dtype=bool)
+    series = np.arange(count)
+    for k in range(1, rungs):
+        first = k * (k - 1) // 2
+        pick = first + errors[:, first:first + k].argmin(axis=1)
+        row_best = errors[series, pick]
+        better = growing & (row_best < best_err)
+        best[better] = pick[better]
+        best_err[better] = row_best[better]
         if k >= 3:
             growing &= ~(row_best >= 2.0 * best_err)
             if not growing.any():
                 break
 
-    failed = ~np.isfinite(best_err) | (best_err > 1e-2 * (1.0 + _mags(best)))
+    limits = (entries[best][:, None, :] @ samples).view(complex)[:, 0]
+    limits[best < 0] = x[best < 0, 0]
+    failed = ~np.isfinite(best_err) | (best_err > 1e-2 * (1.0 + np.linalg.norm(limits, axis=1)))
+    limits = limits.reshape(vals.shape[:1] + vals.shape[2:])
     if failed.any():
         exc = _not_converged(best_err[np.argmax(failed)])
-        exc.limits, exc.errors, exc.failed = best, best_err, failed
+        exc.limits, exc.errors, exc.failed = limits, best_err, failed
         raise exc
-    return best, best_err
+    return limits, best_err
 
 
 def _each_series(stacked, ts, values, *args):

@@ -418,7 +418,9 @@ def _limits(branches, *rungs):
     The P(t_k) are copied once into a buffer _limits owns; the stacks and
     views of them stay unchanged.  P and P'(0) of all branches come from one
     stacked richardson_limit call each (P'(0) from the quotients
-    (P(t_k) - P) / t_k, made in that buffer), the idempotency residuals of
+    (P(t_k) - P) / t_k, made in that buffer); each call reads the error
+    estimates of a series from the R factor of its rungs, which forms no
+    Q, and its limit from the buffer itself.  The idempotency residuals of
     the limits from one stacked SVD of their P @ P - P, and the profiles
     from the rung norms (_norm_profiles).  Returns (profiles, limits):
     limits[i] is the LimitProjection of branches[i], or the

@@ -218,6 +218,17 @@ def first_order_eigenvalue_derivative(a2, i):
     return complex(np.asarray(a2)[i, i])
 
 
+def simple_branch_closed_form(a1, a2, lam):
+    """(d1, P(0)) of the branch through 1/lam, a simple nonzero eigenvalue of
+    a normal A_1, along e_1: with u its unit eigenvector from a direct
+    eigensolve, d1 = -u* A_2 u / lam and P(0) = u u* (first-order
+    perturbation theory, Kato II §§1-2)."""
+    w, v = np.linalg.eig(np.asarray(a1, dtype=complex))
+    u = v[:, np.argmin(np.abs(w - lam))]
+    u = u / np.linalg.norm(u)
+    return complex(-(u.conj() @ np.asarray(a2) @ u) / lam), np.outer(u, u.conj())
+
+
 def quadratic_fit_d2(ts, values, v0):
     """Second derivative at 0 from a least-squares quadratic through (t, v)."""
     ts = np.asarray(ts, dtype=float)

@@ -555,6 +555,30 @@ class TestClusterValues:
             assert [(complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in got] == [
                 (complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in want]
 
+    @staticmethod
+    def _hex(clusters):
+        return [(complex(c).real.hex(), complex(c).imag.hex(), i) for c, i in clusters]
+
+    @pytest.mark.parametrize("values", [[0.0, 0.8, 1.6], [1.6, 5.0, 0.0, 0.8], [0.8j, 3.0, 1.6j, 0.0]])
+    def test_single_linkage_chain(self, values):
+        # a - b - c with |a - c| = 1.6 > tol: one cluster through b
+        got = branches._cluster_values(values, 1.0)
+        assert self._hex(got) == self._hex(oracles.cluster_values(values, 1.0))
+        assert sorted(len(i) for _, i in got) == ([3] if len(values) == 3 else [1, 3])
+
+    @pytest.mark.parametrize("first", ["ring", "pair"])
+    def test_equal_mean_ties(self, first):
+        # a square ring of step 0.5 around 0 and a pair at +-0.25, 0.75 from
+        # it: two clusters whose means are both exactly 0, kept in index order
+        side = np.arange(-1.0, 1.0, 0.5)
+        ring = np.concatenate([side - 1j, 1 + 1j * side, -side + 1j, -1 - 1j * side])
+        pair = np.array([-0.25, 0.25])
+        values = np.concatenate([ring, pair] if first == "ring" else [pair, ring])
+        got = branches._cluster_values(values, 0.5)
+        assert [c for c, _ in got] == [0, 0]
+        assert [len(i) for _, i in got] == ([16, 2] if first == "ring" else [2, 16])
+        assert self._hex(got) == self._hex(oracles.cluster_values(values, 0.5))
+
     def test_regularity_on_the_acceptance_suite(self, monkeypatch):
         from test_acceptance import random_suite
 
