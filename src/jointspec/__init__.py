@@ -59,21 +59,13 @@ from .projections import (
     component_projection,
     limit_projection,
     projection_ladders,
-    projection_norm_profile,
 )
 from .relations import (
     HypothesisNotMet,
     PairAnalysis,
     RelationReport,
     analyze_pair,
-    verify_cross_moment_zero,
-    verify_first_moment,
-    verify_orthogonality_and_resolution,
     verify_pair,
-    verify_prime_relations,
-    verify_same_projection_lemma,
-    verify_second_moment,
-    verify_square_relation,
 )
 
 __version__ = "0.1.0"

@@ -216,12 +216,6 @@ def _reference_spectrum(a1, a1_norm):
     return refs, ["zero" if abs(c) <= tol else "nonzero" for c, _ in refs]
 
 
-def _kind_of(reference, lam):
-    """The kind of the cluster of A_1 nearest lam; reference is _reference_spectrum's."""
-    refs, kinds = reference
-    return kinds[_nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")]
-
-
 def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
     """The roots of kind on the slice along t_k xhat as a table, one row for
     every t_k in ts, padded with nan.  This is the one place slice pencils
@@ -373,13 +367,16 @@ def local_branches(t: MatrixTuple, lam, xhat, t_max=1e-2, samples=8):
     """
     xhat = _unit_direction(t, xhat)
     a1 = t.matrices[0]
-    reference = _reference_spectrum(a1, opnorm(a1))
-    kind = _kind_of(reference, lam)
-    ladder = _solve_ladder(t, xhat, t_max, samples, *reference, (kind,))
-    (found,) = _branch_sets(t, ladder, [lam])
-    if isinstance(found, Exception):
-        raise found
-    return found
+    refs, kinds = _reference_spectrum(a1, opnorm(a1))
+    i = _nearest_eigenvalue(np.array([c for c, _ in refs]), lam, "A1")
+    ladder = _solve_ladder(t, xhat, t_max, samples, refs, kinds, (kinds[i],))
+    (entry,) = _differentiated(t, ladder, [i])
+    if isinstance(entry, Exception):
+        raise entry
+    lam0, kind, tracks, derivatives, failure = entry
+    if failure is not None:
+        raise failure
+    return _branches(t, ladder, lam0, kind, tracks, derivatives)
 
 
 def _selection_disks(t: MatrixTuple, reference, positions, kind):
@@ -562,36 +559,6 @@ def _branches(t: MatrixTuple, ladder: SliceLadder, lam0, kind, tracks, derivativ
         )
         for j, ((vals, mult), (d1, e1, d2, e2)) in enumerate(zip(tracks, derivatives))
     ]
-
-
-def _branch_sets(t: MatrixTuple, ladder: SliceLadder, lams):
-    """The branches local_branches finds at each lambda of lams on ladder:
-    one entry per lambda, its list of branches or the error it raises.
-
-    Each lambda is looked up among the clusters of A_1 (a lambda that is
-    none of them gets UnknownEigenvalueError), and the clusters found are
-    tracked and differentiated together (_differentiated).  A lambda with
-    a branch whose derivatives did not converge gets the ExtrapolationError
-    of the first such branch, d1 before d2.
-    """
-    values = np.array([c for c, _ in ladder.reference])
-    positions = []
-    for lam in lams:
-        try:
-            positions.append(_nearest_eigenvalue(values, lam, "A1"))
-        except UnknownEigenvalueError as exc:
-            positions.append(exc)
-    known = [p for p in positions if not isinstance(p, Exception)]
-    found = iter(_differentiated(t, ladder, known))
-    out = []
-    for p in positions:
-        entry = p if isinstance(p, Exception) else next(found)
-        if isinstance(entry, Exception):
-            out.append(entry)
-        else:
-            lam0, kind, tracks, derivatives, failure = entry
-            out.append(failure or _branches(t, ladder, lam0, kind, tracks, derivatives))
-    return out
 
 
 @dataclass(frozen=True)

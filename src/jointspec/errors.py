@@ -13,8 +13,9 @@ class NotNormalError(JointSpecError):
     """A1 fails the normality test required for a spectral resolution.
 
     Limit projections are not guaranteed to exist in this case; the
-    norm-profile diagnostics (projection_norm_profile / the demo-blowup
-    CLI command) are the supported path for such inputs.
+    norm-profile diagnostics (the demo-blowup CLI command, and the
+    NormProfile a ProjectionBlowupError carries) are the supported path for
+    such inputs.
     """
 
     def __init__(self, commutator_norm, tolerance):

@@ -367,12 +367,6 @@ def _norm_profiles(branches, norms):
             for row, e in zip(norms.tolist(), exponents)]
 
 
-def projection_norm_profile(t: MatrixTuple, b: Branch):
-    """Projection norms down the ladder, from its rung stack, with a fitted
-    power-law exponent."""
-    return _norm_profiles([b], _rung_stack(t, [b]).norms)[0]
-
-
 @dataclass(frozen=True)
 class LimitProjection:
     """Extrapolated limit P of the component projections at t = 0 and P'(0)."""

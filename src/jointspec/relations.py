@@ -1,16 +1,16 @@
 """Numerical verification of the limit-projection identities for pairs.
 
 Every identity is checked in operator norm; a RelationReport records the
-residual, the tolerance used, and the verdict.  Each identity's residual
+residual, the tolerance used, and the verdict.  The identities are reported
+by verify_pair, one report per relation_id: each identity's residual
 matrices come from one private helper, and a call's operator norms from one
-stacked SVD.  The pair-level aggregator computes one analysis per (pair,
-eigenvalue): it tracks the branches of (A1, A2) and (A1, A1 A2) once at
-each eigenvalue of A1, derives the regularity gate from those branches
-(normal leading matrix, conditions a/b at every eigenvalue,
-multiplicity-1 branches) and refuses when it fails; the rung projections
-and limits are built once from the same branches, and the limits serve
-every identity at that eigenvalue.  check_hypotheses=False computes
-residuals anyway with no pass/fail claim.
+stacked SVD.  verify_pair computes one analysis per (pair, eigenvalue): it
+tracks the branches of (A1, A2) and (A1, A1 A2) once at each eigenvalue of
+A1, derives the regularity gate from those branches (normal leading matrix,
+conditions a/b at every eigenvalue, multiplicity-1 branches) and refuses
+when it fails; the rung projections and limits are built once from the
+same branches, and the limits serve every identity at that eigenvalue.
+check_regularity diagnoses an instance the gate refuses.
 """
 
 from dataclasses import dataclass
@@ -20,9 +20,7 @@ import numpy as np
 from .branches import (
     SpectralResolution,
     TOperator,
-    _branch_sets,
     _is_integer,
-    _kind_of,
     _nearest_eigenvalue,
     _nearest_unambiguous,
     _reference_spectrum,
@@ -51,7 +49,7 @@ class RelationReport:
     branch_indices: tuple
     residual: float
     tolerance: float
-    passed: bool  # None when residuals are reported without a pass/fail claim
+    passed: bool
 
     def to_json(self):
         return {
@@ -123,11 +121,6 @@ def _orthogonality_and_resolution(projs, res: SpectralResolution, lam):
     return residuals
 
 
-def verify_orthogonality_and_resolution(projs, res: SpectralResolution, lam, tol=1e-5):
-    """Pairwise products vanish and the limit projections sum to the eigenprojection."""
-    return _reports(_orthogonality_and_resolution(projs, res, lam), tol)
-
-
 def _cross_moment_zero(proj_i, proj_j, a2):
     if proj_i.branch_index == proj_j.branch_index:
         raise ValueError("cross moment needs two distinct branches")
@@ -138,11 +131,6 @@ def _cross_moment_zero(proj_i, proj_j, a2):
                      (proj_j.matrix @ np.asarray(a2, dtype=complex) @ proj_i.matrix,))
 
 
-def verify_cross_moment_zero(proj_i, proj_j, a2, tol=1e-5):
-    """P_j A2 P_i = 0 for distinct branches at the same eigenvalue."""
-    return _reports([_cross_moment_zero(proj_i, proj_j, a2)], tol)[0]
-
-
 def _first_moment(proj, a2, d1):
     if proj.rank > 1:
         raise HypothesisNotMet("first-moment identity requires a multiplicity-1 branch")
@@ -151,16 +139,6 @@ def _first_moment(proj, a2, d1):
     coeff = -d1 if proj.kind == "zero" else proj.lam * d1
     rel = "first_moment_zero_case" if proj.kind == "zero" else "first_moment"
     return _Residual(rel, proj.lam, (proj.branch_index,), (p @ a2 @ p + coeff * p,))
-
-
-def verify_first_moment(proj, a2, d1, tol=1e-5):
-    """P A2 P + lam * d1 * P = 0 (nonzero kind) or P A2 P - d1 * P = 0 (zero kind).
-
-    The lam factor is forced by scale invariance: A1 -> A1/lam maps the
-    analysis at lam to the one at 1 and multiplies the branch derivative by
-    lam, leaving the identity unchanged.
-    """
-    return _reports([_first_moment(proj, a2, d1)], tol)[0]
 
 
 def _second_moment(proj, a2, t_op: TOperator, d2):
@@ -174,11 +152,6 @@ def _second_moment(proj, a2, t_op: TOperator, d2):
     rel = "second_moment_zero_case" if proj.kind == "zero" else "second_moment"
     return _Residual(rel, proj.lam, (proj.branch_index,),
                      (p @ a2 @ t_op.matrix @ a2 @ p + sign * (d2 / 2.0) * p,))
-
-
-def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
-    """P A2 T A2 P = -(d2/2) P (nonzero kind) or +(d2/2) P (zero kind)."""
-    return _reports([_second_moment(proj, a2, t_op, d2)], tol)[0]
 
 
 def _prime_relations(limits, a1, a2, branches):
@@ -207,17 +180,6 @@ def _prime_relations(limits, a1, a2, branches):
         residuals.append(_Residual("prime_relation_4", b.lam, (b.index, *others),
                                    tuple(pi @ r_op @ dp for pi in siblings)))
     return residuals
-
-
-def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
-    """The four derivative identities linking P, P' and the branch derivatives.
-
-    limits[k] is the LimitProjection of branches[k]; P and P'(0) are read
-    from its matrix and derivative.  All branches must share the eigenvalue.
-    The cross relations (3, 4) are reported with residual 0 when there is no
-    sibling branch.
-    """
-    return _reports(_prime_relations(limits, a1, a2, branches), tol)
 
 
 @dataclass(frozen=True)
@@ -294,41 +256,6 @@ def _product_pair(ax: PairAnalysis, az: PairAnalysis):
     )
 
 
-def _product_pair_analyses(t: MatrixTuple, lam, identity):
-    if t.n != 2:
-        raise ValueError(f"the {identity} identity is stated for pairs")
-    if abs(complex(lam)) < 1e-12:
-        raise ValueError(f"the {identity} identity requires lam != 0")
-    a1, a2 = t.matrices
-    ax = analyze_pair(t, lam)
-    az = analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution)
-    return ax, az
-
-
-def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5):
-    """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0.
-
-    A tol that is not a finite real > 0 raises ValueError before anything
-    is analysed.
-    """
-    _check_tol(tol)
-    ax, az = _product_pair_analyses(t, lam, "same-projection")
-    return _reports(_product_pair(ax, az), tol)[0]
-
-
-def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
-    """P A2^2 P = ((z'' + 2 lam^3 x'^2 - lam^2 x'') / 2 lam) P at lam != 0.
-
-    x', x'' are the branch derivatives for (A1, A2) and z'' the second
-    derivative of the matched branch for (A1, A1 A2); branches are matched
-    through z'(0) = lam * x'(0).  A tol that is not a finite real > 0
-    raises ValueError before anything is analysed.
-    """
-    _check_tol(tol)
-    ax, az = _product_pair_analyses(t, lam, "square")
-    return _reports(_product_pair(ax, az), tol)[1]
-
-
 _PAIR_NAMES = ("(A1, A2)", "(A1, A1*A2)")
 
 
@@ -349,48 +276,36 @@ def _gated_branches(t: MatrixTuple, pair, ladder, res: SpectralResolution, wante
             detail = f": {rep.failure or 'conditions a/b'}" if pair == 0 else ""
             raise HypothesisNotMet(
                 f"regularity fails at lambda={res.eigenvalues[res.index_of(rep.lam)]} for "
-                f"{_PAIR_NAMES[pair]}{detail}; pass check_hypotheses=False to report "
-                f"residuals without a claim"
+                f"{_PAIR_NAMES[pair]}{detail}; check_regularity reports conditions a/b, "
+                f"the gaps and the failure at every eigenvalue"
             )
     return [reports[i].branches for i in at]
 
 
-def verify_pair(
-    t: MatrixTuple,
-    lam=None,
-    tol=1e-5,
-    check_hypotheses=True,
-    t_max=1e-2,
-    samples=8,
-):
+def verify_pair(t: MatrixTuple, lam=None, tol=1e-5, t_max=1e-2, samples=8):
     """Run every identity check for a pair, at one or all eigenvalues of A1.
 
     A1's operator norm, eigenvalue clusters and their kinds are computed
     once and serve both pairs.  The slices of each pair are solved once (one
-    slice ladder per pair), and the gate tracks (A1, A2) and (A1, A1 A2) on
-    them at every eigenvalue of A1, also when lam is given, in one tracking
-    pass per (pair, kind): all branch derivatives of a pair come from one
-    stacked extrapolation each, and the gate reads conditions a/b from the
-    tracks.  Branch objects are built only at the eigenvalues analysed,
-    whose analyses reuse those branches.  The projections at
-    every rung of every analysed branch of a pair are one stack, with no
-    ComponentProjection built; its rank-1 projections are one stacked
-    inverse iteration.  P and P'(0) of every analysed branch of both pairs
-    come from one stacked extrapolation each, and the call takes two
-    stacked SVDs: the limits' idempotency and the reports'.  The rung
-    norms of the blow-up test come from the rank-1 kernel, so no rung
-    projection is decomposed when every rung is rank 1.  Failures are
-    raised in the order of analysing one eigenvalue and one branch at a
-    time.
-
-    Each pair's slice ladder solves every kind of A1 once, for its roots
-    only, for the gate and the projections alike.  With
-    check_hypotheses=False nothing is gated, and each ladder solves only
-    the kinds its pair analyses.
+    slice ladder per pair, every kind of A1 solved for its roots only), and
+    the gate tracks (A1, A2) and (A1, A1 A2) on them at every eigenvalue of
+    A1, also when lam is given, in one tracking pass per (pair, kind): all
+    branch derivatives of a pair come from one stacked extrapolation each,
+    and the gate reads conditions a/b from the tracks.  Branch objects are
+    built only at the eigenvalues analysed, whose analyses reuse those
+    branches.  The projections at every rung of every analysed branch of a
+    pair are one stack, with no ComponentProjection built; its rank-1
+    projections are one stacked inverse iteration.  P and P'(0) of every
+    analysed branch of both pairs come from one stacked extrapolation each,
+    and the call takes two stacked SVDs: the limits' idempotency and the
+    reports'.  The rung norms of the blow-up test come from the rank-1
+    kernel, so no rung projection is decomposed when every rung is rank 1.
+    Failures are raised in the order of analysing one eigenvalue and one
+    branch at a time.
 
     Raises NotNormalError for non-normal A1 and HypothesisNotMet when the
-    regularity gate fails (unless check_hypotheses=False, in which case all
-    reports carry passed=None).  The moments and the gate read branch
+    regularity gate fails; check_regularity reports the conditions at every
+    eigenvalue of such an instance.  The moments and the gate read branch
     derivatives, so samples < 5 raises ValueError, as do a tol that is not a
     finite real > 0, a t_max that is not, and a non-integer samples.
     """
@@ -410,42 +325,32 @@ def verify_pair(
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
     # (A1, A1 A2) is analysed at the nonzero eigenvalues only
     wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
-    # with no gate to feed, each pair's ladder solves only the kinds it analyses
-    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference,
-                             solved=None if check_hypotheses
-                             else sorted({_kind_of(reference, eigs[k]) for k in wanted[pair]}))
-               for pair, tt in enumerate(pairs)]
-    if check_hypotheses:
-        gated = [_gated_branches(tt, pair, ladders[pair], res, wanted[pair])
-                 for pair, tt in enumerate(pairs)]
-    # each pair's branches and rung projections; the limits of both pairs
-    # are extrapolated together below, so a failure here is raised after
-    # those of the pairs before it, as when each pair was finished in turn
-    sets, pending = [], None
-    for pair, tt in enumerate(pairs):
+    ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference)
+               for tt in pairs]
+    gated = [_gated_branches(tt, pair, ladders[pair], res, wanted[pair])
+             for pair, tt in enumerate(pairs)]
+    # each pair's rung projections; the limits of both pairs are
+    # extrapolated together below, so a failure here is raised after those
+    # of the pairs before it, as when each pair was finished in turn
+    stacks, pending = [], None
+    for found, tt in zip(gated, pairs):
         try:
-            if check_hypotheses:
-                found = gated[pair]
-            else:
-                found = _branch_sets(tt, ladders[pair], [eigs[k] for k in wanted[pair]])
-                for out in found:
-                    if isinstance(out, Exception):
-                        raise out
-            sets.append((found, _rung_stack(tt, [b for bs in found for b in bs])))
+            stacks.append(_rung_stack(tt, [b for bs in found for b in bs]))
         except Exception as exc:  # raised below, after the limits before it
             pending = exc
             break
-    tracked = [b for found, _ in sets for bs in found for b in bs]
-    limits = iter([_checked(*pl) for pl in zip(*_limits(tracked, *[s for _, s in sets]))])
+    tracked = [b for found in gated[:len(stacks)] for bs in found for b in bs]
+    limits = iter([_checked(*pl) for pl in zip(*_limits(tracked, *stacks))])
     if pending is not None:
         raise pending
 
     analyses = [
         {k: _analysis(pairs[pair], bs, [next(limits) for _ in bs], res)
-         for k, bs in zip(wanted[pair], found)}
-        for pair, (found, _) in enumerate(sets)
+         for k, bs in zip(wanted[pair], gated[pair])}
+        for pair in range(2)
     ]
 
+    # the gate admits simple branches only, so every identity applies
     residuals = []
     for k in ks:
         ax = analyses[0][k]
@@ -456,23 +361,9 @@ def verify_pair(
                     residuals.append(_cross_moment_zero(ax.limits[i], ax.limits[j], a2))
         t_op = t_operator(res, ax.lam)
         for b, lp in zip(ax.branches, ax.limits):
-            if b.multiplicity == 1:
-                residuals.append(_first_moment(lp, a2, b.d1))
-                residuals.append(_second_moment(lp, a2, t_op, b.d2))
+            residuals.append(_first_moment(lp, a2, b.d1))
+            residuals.append(_second_moment(lp, a2, t_op, b.d2))
         residuals.extend(_prime_relations(ax.limits, a1, a2, ax.branches))
         if k in analyses[1]:
-            try:
-                residuals.extend(_product_pair(ax, analyses[1][k]))
-            except HypothesisNotMet:
-                if check_hypotheses:
-                    raise
-                # run-anyway mode: these identities have no meaning for
-                # repeated branches, so they are skipped rather than reported
-
-    reports = _reports(residuals, tol)
-    if not check_hypotheses:
-        reports = [
-            RelationReport(r.relation_id, r.lam, r.branch_indices, r.residual, r.tolerance, None)
-            for r in reports
-        ]
-    return reports
+            residuals.extend(_product_pair(ax, analyses[1][k]))
+    return _reports(residuals, tol)

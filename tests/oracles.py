@@ -2,7 +2,9 @@
 
 Everything here computes expected results through a different route than the
 library (closed forms, direct eigensolves, quadratic formula, first-order
-perturbation), so the tests stay two-sided.
+perturbation), so the tests stay two-sided.  The exception is the last
+section: the per-relation checks, one identity at a time, written over the
+library's private residual helpers (verify_pair reports every identity).
 """
 
 import json
@@ -13,7 +15,20 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from jointspec import projections, relations
+from jointspec.branches import Branch, SpectralResolution, TOperator
 from jointspec.errors import BranchCollisionError, TrackingError
+from jointspec.pencil import MatrixTuple
+from jointspec.relations import (
+    _check_tol,
+    _cross_moment_zero,
+    _first_moment,
+    _orthogonality_and_resolution,
+    _prime_relations,
+    _product_pair,
+    _reports,
+    _second_moment,
+)
 
 
 def quadratic_roots(a, b, c):
@@ -573,3 +588,87 @@ def operator_norms(stack):
     """The 2-norm of every matrix of a stack: its largest singular value,
     from one scipy.linalg.svdvals call per matrix."""
     return np.array([scipy.linalg.svdvals(m)[0] for m in stack])
+
+
+# -- the per-relation checks, one identity at a time --------------------------
+#
+# Not oracles: each reports one identity from the private residual helper
+# verify_pair reads, for the tests that check one identity on a chosen
+# analysis; the norm profile of one branch reads its rung stack.
+
+
+def verify_orthogonality_and_resolution(projs, res: SpectralResolution, lam, tol=1e-5):
+    """Pairwise products vanish and the limit projections sum to the eigenprojection."""
+    return _reports(_orthogonality_and_resolution(projs, res, lam), tol)
+
+
+def verify_cross_moment_zero(proj_i, proj_j, a2, tol=1e-5):
+    """P_j A2 P_i = 0 for distinct branches at the same eigenvalue."""
+    return _reports([_cross_moment_zero(proj_i, proj_j, a2)], tol)[0]
+
+
+def verify_first_moment(proj, a2, d1, tol=1e-5):
+    """P A2 P + lam * d1 * P = 0 (nonzero kind) or P A2 P - d1 * P = 0 (zero kind).
+
+    The lam factor is forced by scale invariance: A1 -> A1/lam maps the
+    analysis at lam to the one at 1 and multiplies the branch derivative by
+    lam, leaving the identity unchanged.
+    """
+    return _reports([_first_moment(proj, a2, d1)], tol)[0]
+
+
+def verify_second_moment(proj, a2, t_op: TOperator, d2, tol=1e-5):
+    """P A2 T A2 P = -(d2/2) P (nonzero kind) or +(d2/2) P (zero kind)."""
+    return _reports([_second_moment(proj, a2, t_op, d2)], tol)[0]
+
+
+def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
+    """The four derivative identities linking P, P' and the branch derivatives.
+
+    limits[k] is the LimitProjection of branches[k]; P and P'(0) are read
+    from its matrix and derivative.  All branches must share the eigenvalue.
+    The cross relations (3, 4) are reported with residual 0 when there is no
+    sibling branch.
+    """
+    return _reports(_prime_relations(limits, a1, a2, branches), tol)
+
+
+def _product_pair_analyses(t: MatrixTuple, lam, identity):
+    if t.n != 2:
+        raise ValueError(f"the {identity} identity is stated for pairs")
+    if abs(complex(lam)) < 1e-12:
+        raise ValueError(f"the {identity} identity requires lam != 0")
+    a1, a2 = t.matrices
+    ax = relations.analyze_pair(t, lam)
+    az = relations.analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution)
+    return ax, az
+
+
+def verify_same_projection_lemma(t: MatrixTuple, lam, tol=1e-5):
+    """Limit projections of (A1, A2) and (A1, A1 A2) coincide at lam != 0.
+
+    A tol that is not a finite real > 0 raises ValueError before anything
+    is analysed.
+    """
+    _check_tol(tol)
+    ax, az = _product_pair_analyses(t, lam, "same-projection")
+    return _reports(_product_pair(ax, az), tol)[0]
+
+
+def verify_square_relation(t: MatrixTuple, lam, tol=1e-5):
+    """P A2^2 P = ((z'' + 2 lam^3 x'^2 - lam^2 x'') / 2 lam) P at lam != 0.
+
+    x', x'' are the branch derivatives for (A1, A2) and z'' the second
+    derivative of the matched branch for (A1, A1 A2); branches are matched
+    through z'(0) = lam * x'(0).  A tol that is not a finite real > 0
+    raises ValueError before anything is analysed.
+    """
+    _check_tol(tol)
+    ax, az = _product_pair_analyses(t, lam, "square")
+    return _reports(_product_pair(ax, az), tol)[1]
+
+
+def projection_norm_profile(t: MatrixTuple, b: Branch):
+    """Projection norms down the ladder, from its rung stack, with a fitted
+    power-law exponent."""
+    return projections._norm_profiles([b], projections._rung_stack(t, [b]).norms)[0]

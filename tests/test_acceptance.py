@@ -19,6 +19,7 @@ from jointspec.fixtures import (
     regular_random_pair,
 )
 
+import oracles
 from oracles import eigenprojection_direct, pencil_root_near
 from slices import e1_line_roots
 
@@ -76,7 +77,7 @@ def test_criterion_1_nonnormal_counterexample():
     err = np.max(np.abs(cp.matrix - np.array([[1.0, 4.5], [0.0, 0.0]])))
     assert err <= 1e-10
     # fitted blow-up exponent over the ladder t in [1e-4, 1e-1]
-    profile = js.projection_norm_profile(tup, branch)
+    profile = oracles.projection_norm_profile(tup, branch)
     ts = [t for t, _ in profile.points]
     assert max(ts) <= 1e-1 + 1e-12 and min(ts) >= 1e-4
     assert abs(profile.exponent + 1.0) <= 0.05
@@ -127,8 +128,8 @@ def test_criterion_4_moment_relations():
         for ax in analyses_for(tup):
             t_op = js.t_operator(ax.resolution, ax.lam)
             for b, lp in zip(ax.branches, ax.limits):
-                r1 = js.verify_first_moment(lp, a2, b.d1, tol=1e-5)
-                r2 = js.verify_second_moment(lp, a2, t_op, b.d2, tol=1e-5)
+                r1 = oracles.verify_first_moment(lp, a2, b.d1, tol=1e-5)
+                r2 = oracles.verify_second_moment(lp, a2, t_op, b.d2, tol=1e-5)
                 assert r1.residual <= 1e-5, (seed, ax.lam, r1.residual)
                 assert r2.residual <= 1e-5, (seed, ax.lam, r2.residual)
                 if b.kind == "zero":
@@ -144,13 +145,13 @@ def test_criterion_5_orthogonality_resolution():
     fixtures = [commuting_diagonal_pair(), dihedral_pair(math.pi / 3)]
     for tup in fixtures:
         for ax in analyses_for(tup):
-            for r in js.verify_orthogonality_and_resolution(
+            for r in oracles.verify_orthogonality_and_resolution(
                 ax.limits, ax.resolution, ax.lam, tol=1e-7
             ):
                 assert r.residual <= 1e-7
     for tup, seed, _ in random_suite():
         for ax in analyses_for(tup):
-            for r in js.verify_orthogonality_and_resolution(
+            for r in oracles.verify_orthogonality_and_resolution(
                 ax.limits, ax.resolution, ax.lam, tol=1e-7
             ):
                 assert r.residual <= 1e-7, (seed, ax.lam, r.relation_id, r.residual)
@@ -159,15 +160,15 @@ def test_criterion_5_orthogonality_resolution():
 @criterion("6 (same-projection and square identities)")
 def test_criterion_6_lemma_and_square():
     for tup, seed, _ in random_suite():
-        lemma = js.verify_same_projection_lemma(tup, 1.0, tol=1e-5)
-        square = js.verify_square_relation(tup, 1.0, tol=1e-5)
+        lemma = oracles.verify_same_projection_lemma(tup, 1.0, tol=1e-5)
+        square = oracles.verify_square_relation(tup, 1.0, tol=1e-5)
         assert lemma.residual <= 1e-5, (seed, lemma.residual)
         assert square.residual <= 1e-5, (seed, square.residual)
     # involutive-A2 dihedral fixtures reproduce coefficient 1 exactly
     for alpha in (math.pi / 3, 2 * math.pi / 5):
-        square = js.verify_square_relation(dihedral_pair(alpha), 1.0, tol=1e-8)
+        square = oracles.verify_square_relation(dihedral_pair(alpha), 1.0, tol=1e-8)
         assert square.residual <= 1e-8
-        lemma = js.verify_same_projection_lemma(dihedral_pair(alpha), 1.0, tol=1e-7)
+        lemma = oracles.verify_same_projection_lemma(dihedral_pair(alpha), 1.0, tol=1e-7)
         assert lemma.residual <= 1e-7
 
 

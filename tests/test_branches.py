@@ -276,24 +276,24 @@ class TestSliceLadder:
             if zero:
                 want = np.linalg.eigvals(a1 + tk * a2)
                 assert ladder.roots["zero"][k].tobytes() == want.tobytes()
-        for lam in js.spectral_resolution(a1).eigenvalues:
+        calls.clear()
+        count(np.linalg, "svd")
+        count(branches, "opnorm")
+        # the branches at every eigenvalue, tracked on the ladder as the gate does
+        found = [b for rep in branches._regularity_reports(t, ladder) for b in rep.branches]
+        assert calls == []
+        for b in found:
+            first = b.residuals
+            assert calls == ["svd"]
+            assert b.residuals is first
+            assert calls == ["svd"]
             calls.clear()
-            count(np.linalg, "svd")
-            count(branches, "opnorm")
-            (found,) = branches._branch_sets(t, ladder, [lam])
-            assert calls == []
-            for b in found:
-                first = b.residuals
-                assert calls == ["svd"]
-                assert b.residuals is first
-                assert calls == ["svd"]
-                calls.clear()
-            monkeypatch.undo()
-            for b in found:
-                for (tk, v), res in zip(b.samples, b.residuals):
-                    m = a1 + tk * a2 - v * eye if b.kind == "zero" else v * a1 + tk * a2 - eye
-                    s = np.linalg.svd(m, compute_uv=False)
-                    assert np.float64(s[-1] / (1.0 + s[0])).tobytes() == np.float64(res).tobytes()
+        monkeypatch.undo()
+        for b in found:
+            for (tk, v), res in zip(b.samples, b.residuals):
+                m = a1 + tk * a2 - v * eye if b.kind == "zero" else v * a1 + tk * a2 - eye
+                s = np.linalg.svd(m, compute_uv=False)
+                assert np.float64(s[-1] / (1.0 + s[0])).tobytes() == np.float64(res).tobytes()
 
 
 @lru_cache(maxsize=1)

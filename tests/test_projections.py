@@ -312,7 +312,7 @@ class TestRungOracle:
             return made[-1][2]
 
         monkeypatch.setattr(relations, "_rung_stack", kept)
-        js.verify_pair(t, lam=lam, check_hypotheses=False)
+        js.verify_pair(t, lam=lam)
         assert made
         for tt, bs, (stack, ranks, radii, _) in made:
             assert all(b._rung_roots is not None and b.multiplicity == 1 for b in bs)
@@ -496,10 +496,11 @@ class TestClosedForm:
             res = js.spectral_resolution(a1)
             lams = [lam for lam, m in zip(res.eigenvalues, res.multiplicities)
                     if m == 1 and abs(lam) > 1e-12]
-            # every branch on one ladder and one stacked extrapolation, as verify_pair
-            ladder = branches._solve_ladder(t, branches._unit_direction(t, [1.0]), 1e-2, 8,
-                                            *branches._reference_spectrum(a1, js.opnorm(a1)))
-            found = [b for bs in branches._branch_sets(t, ladder, lams) for b in bs]
+            # every branch on one ladder and one stacked extrapolation, as
+            # verify_pair's gate; a simple eigenvalue has one branch
+            reports = branches._regularity_reports(t, slices.ladder(t))
+            found = [rep.branches[0] for rep in reports
+                     if len(rep.branches) == 1 and abs(rep.lam) > 1e-12]
             _, limits = projections._limits(found, projections._rung_stack(t, found))
             assert len(found) == len(lams) == dim - 2 - zero
             for b, lp in zip(found, limits):
@@ -553,6 +554,22 @@ class TestRungStack:
         solves = count_solves(monkeypatch)
         js.limit_projection(t, b)
         assert solves["svd"] == self.schur_norms([b]) + [1]
+
+    def test_mixed_kinds_with_a_repeated_branch(self):
+        # the simple zero-kind branch at 0 and the double branch at 1 share
+        # one rung stack, where only the branch at 0 has rank-1 rows; the
+        # call gives what the two eigenvalues give one at a time
+        t = js.MatrixTuple([np.diag([0.0, 1.0, 1.0]), np.eye(3)])
+        at_zero, at_one = js.local_branches(t, 0.0, [1.0]), js.local_branches(t, 1.0, [1.0])
+        ladders = js.projection_ladders(t, at_zero + at_one)
+        assert [[cp.rank for cp in ladder] for ladder in ladders] == [[1] * 8, [2] * 8]
+        alone = js.projection_ladders(t, at_zero) + js.projection_ladders(t, at_one)
+
+        def rows(ladders):
+            return [[(cp.branch_index, cp.lam, cp.kind, cp.t, cp.rank, cp.radius,
+                      cp.matrix.tobytes()) for cp in ladder] for ladder in ladders]
+
+        assert rows(ladders) == rows(alone)
 
     @pytest.mark.parametrize("make, lam, kw", _STACK_CASES[:3])
     def test_limits_leave_the_stack_unchanged(self, make, lam, kw):
@@ -610,7 +627,7 @@ class TestNormProfile:
         t = blowup_demo_pair()
         branches = js.local_branches(t, 1.0, [1.0], t_max=0.1, samples=10)
         b = [bb for bb in branches if abs(bb.d1 + 1) < 1e-6][0]
-        prof = js.projection_norm_profile(t, b)
+        prof = oracles.projection_norm_profile(t, b)
         assert abs(prof.exponent + 1.0) <= 0.05
         # closed-form norm oracle: || [[1, g],[0,0]] || = sqrt(1 + g^2), g = (1-t)/2t
         for tk, norm in prof.points:
@@ -620,12 +637,12 @@ class TestNormProfile:
     def test_dihedral_profile_bounded(self):
         t = dihedral_pair(np.pi / 3)
         b = js.local_branches(t, 1.0, [1.0])[0]
-        prof = js.projection_norm_profile(t, b)
+        prof = oracles.projection_norm_profile(t, b)
         assert abs(prof.exponent) <= 0.05
 
     def test_commuting_profile_constant(self):
         t = commuting_diagonal_pair()
         b = js.local_branches(t, 1.0, [1.0])[0]
-        prof = js.projection_norm_profile(t, b)
+        prof = oracles.projection_norm_profile(t, b)
         norms = [v for _, v in prof.points]
         assert max(norms) - min(norms) <= 1e-10

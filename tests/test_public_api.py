@@ -24,11 +24,9 @@ EXPORTS = [
     "dihedral_pair_decomposition", "equivalence_evidence",
     "extended_tuple", "extract_invariant_subspace", "geometric_representation",
     "limit_projection", "line_roots_batch", "local_branches", "normality_report", "opnorm",
-    "projection_ladders", "projection_norm_profile", "regularity_report", "rigidity_check",
+    "projection_ladders", "regularity_report", "rigidity_check",
     "sample_spectrum_curve", "spectral_mask", "spectral_resolution", "t_operator",
-    "verify_cross_moment_zero", "verify_first_moment", "verify_orthogonality_and_resolution",
-    "verify_pair", "verify_prime_relations", "verify_restriction",
-    "verify_same_projection_lemma", "verify_second_moment", "verify_square_relation",
+    "verify_pair", "verify_restriction",
 ]
 
 # every public function with at least one defaulted parameter; the rest have none
@@ -36,10 +34,7 @@ DEFAULTED = {
     "CoxeterRep.validate": 1, "analyze_pair": 1, "build_representation": 1,
     "check_condition_I": 1, "check_condition_II": 3, "check_regularity": 2,
     "local_branches": 2, "rigidity_check": 3,
-    "sample_spectrum_curve": 2, "verify_cross_moment_zero": 1, "verify_first_moment": 1,
-    "verify_orthogonality_and_resolution": 1, "verify_pair": 5, "verify_prime_relations": 1,
-    "verify_restriction": 1, "verify_same_projection_lemma": 1, "verify_second_moment": 1,
-    "verify_square_relation": 1,
+    "sample_spectrum_curve": 2, "verify_pair": 4, "verify_restriction": 1,
 }
 
 
@@ -98,13 +93,13 @@ def defaulted(fn):
 
 def test_exports():
     assert exports() == EXPORTS
-    assert len(EXPORTS) == 63
+    assert len(EXPORTS) == 55
 
 
 def test_defaulted_parameters():
     counts = {name: defaulted(fn) for name, fn in public_functions()}
     assert {name: n for name, n in counts.items() if n} == DEFAULTED
-    assert sum(counts.values()) == 29
+    assert sum(counts.values()) == 21
 
 
 def test_dataclass_fields():

@@ -1,6 +1,5 @@
 """Tests for the projection identity verifications."""
 
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -48,7 +47,7 @@ class TestOrthogonalityAndResolution:
     def test_commuting_diagonal_exact(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        reports = js.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-10)
+        reports = oracles.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-10)
         assert {r.relation_id for r in reports} == {"orthogonality", "resolution"}
         assert all(r.residual <= 1e-10 and r.passed for r in reports)
 
@@ -56,7 +55,7 @@ class TestOrthogonalityAndResolution:
         t = block_pair_with_trivial_summand(np.pi / 3)
         ax = analysis(t, 1.0)
         assert len(ax.limits) == 2
-        reports = js.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-8)
+        reports = oracles.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-8)
         assert all(r.residual <= 1e-8 for r in reports)
         mats = sorted((lp.matrix for lp in ax.limits), key=lambda m: m[0, 0].real)
         e3 = np.zeros((3, 3)); e3[2, 2] = 1.0
@@ -67,7 +66,7 @@ class TestOrthogonalityAndResolution:
     def test_single_branch_matches_eigenprojection(self):
         t = dihedral_pair(1.2)
         ax = analysis(t, 1.0)
-        reports = js.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-8)
+        reports = oracles.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=1e-8)
         res_report = [r for r in reports if r.relation_id == "resolution"][0]
         assert res_report.residual <= 1e-8
 
@@ -77,21 +76,21 @@ class TestOrthogonalityAndResolution:
         a = js.limit_projection(t, js.local_branches(t, 1.0, [1.0, 0.0])[0])
         b = js.limit_projection(t, js.local_branches(t, 1.0, [0.0, 1.0])[0])
         with pytest.raises(ValueError):
-            js.verify_orthogonality_and_resolution([a, b], js.spectral_resolution(t.matrices[0]), 1.0)
+            oracles.verify_orthogonality_and_resolution([a, b], js.spectral_resolution(t.matrices[0]), 1.0)
 
 
 class TestCrossMomentZero:
     def test_commuting_diagonal_exact(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        r = js.verify_cross_moment_zero(ax.limits[0], ax.limits[1], t.matrices[1], tol=1e-12)
+        r = oracles.verify_cross_moment_zero(ax.limits[0], ax.limits[1], t.matrices[1], tol=1e-12)
         assert r.residual <= 1e-12
 
     def test_two_one_dim_irreps(self):
         # rho(g1) = rho(g2) = I summed with rho(g1) = I, rho(g2) = -I
         t = js.MatrixTuple([np.eye(2), np.diag([1.0, -1.0])])
         ax = analysis(t, 1.0)
-        r = js.verify_cross_moment_zero(ax.limits[0], ax.limits[1], t.matrices[1], tol=1e-10)
+        r = oracles.verify_cross_moment_zero(ax.limits[0], ax.limits[1], t.matrices[1], tol=1e-10)
         assert r.residual <= 1e-10
 
     def test_random_instance_against_small_t_oracle(self):
@@ -99,38 +98,38 @@ class TestCrossMomentZero:
         a1, a2 = t.matrices
         ax = analysis(t, 1.0)
         assert len(ax.limits) == 2
-        r = js.verify_cross_moment_zero(ax.limits[0], ax.limits[1], a2, tol=1e-6)
+        r = oracles.verify_cross_moment_zero(ax.limits[0], ax.limits[1], a2, tol=1e-6)
         assert r.residual <= 1e-6
         # independent oracle: continue each eigenprojection to t = 1e-6 directly
         tt = 1e-6
-        oracles = []
+        direct = []
         for b in ax.branches:
             x1 = b.lam ** -1 + b.d1 * tt + 0.5 * b.d2 * tt**2
             m = x1 * a1 + tt * a2
             evs = np.linalg.eigvals(m)
             target = evs[np.argmin(np.abs(evs - 1.0))]
-            oracles.append(eigenprojection_direct(m, target, 1e-9))
-        assert js.opnorm(oracles[1] @ a2 @ oracles[0]) <= 1e-5
+            direct.append(eigenprojection_direct(m, target, 1e-9))
+        assert js.opnorm(direct[1] @ a2 @ direct[0]) <= 1e-5
 
     def test_same_index_rejected(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
         with pytest.raises(ValueError):
-            js.verify_cross_moment_zero(ax.limits[0], ax.limits[0], t.matrices[1])
+            oracles.verify_cross_moment_zero(ax.limits[0], ax.limits[0], t.matrices[1])
 
 
 class TestFirstMoment:
     def test_dihedral(self):
         t = dihedral_pair(np.pi / 3)
         ax = analysis(t, 1.0)
-        r = js.verify_first_moment(ax.limits[0], t.matrices[1], ax.branches[0].d1, tol=1e-8)
+        r = oracles.verify_first_moment(ax.limits[0], t.matrices[1], ax.branches[0].d1, tol=1e-8)
         assert r.residual <= 1e-8
 
     def test_line_component(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
         for b, lp in zip(ax.branches, ax.limits):
-            r = js.verify_first_moment(lp, t.matrices[1], b.d1, tol=1e-9)
+            r = oracles.verify_first_moment(lp, t.matrices[1], b.d1, tol=1e-9)
             assert r.residual <= 1e-9
 
     def test_zero_eigenvalue_case_with_perturbation_oracle(self):
@@ -140,7 +139,7 @@ class TestFirstMoment:
         ax = analysis(t, 0.0)
         b = ax.branches[0]
         assert abs(b.d1 - first_order_eigenvalue_derivative(a2, 0)) <= 1e-6
-        r = js.verify_first_moment(ax.limits[0], a2, b.d1, tol=1e-6)
+        r = oracles.verify_first_moment(ax.limits[0], a2, b.d1, tol=1e-6)
         assert r.relation_id == "first_moment_zero_case"
         assert r.residual <= 1e-6
 
@@ -149,7 +148,7 @@ class TestFirstMoment:
         b = js.local_branches(t, 1.0, [1.0])[0]
         lp = js.limit_projection(t, b)
         with pytest.raises(js.HypothesisNotMet):
-            js.verify_first_moment(lp, t.matrices[1], b.d1)
+            oracles.verify_first_moment(lp, t.matrices[1], b.d1)
 
     def test_slope_recovered_by_minimization(self):
         # the scalar c minimizing ||P A2 P - c P|| recovers the branch slope
@@ -173,7 +172,7 @@ class TestSecondMoment:
         p = ax.limits[0].matrix
         lhs = p @ t.matrices[1] @ t_op.matrix @ t.matrices[1] @ p
         assert_allclose(lhs, (np.sin(alpha) ** 2 / 2.0) * p, atol=1e-8)
-        r = js.verify_second_moment(ax.limits[0], t.matrices[1], t_op, ax.branches[0].d2, tol=1e-8)
+        r = oracles.verify_second_moment(ax.limits[0], t.matrices[1], t_op, ax.branches[0].d2, tol=1e-8)
         assert r.residual <= 1e-8
 
     def test_commuting_diagonal_both_sides_zero(self):
@@ -181,7 +180,7 @@ class TestSecondMoment:
         ax = analysis(t, 1.0)
         t_op = js.t_operator(ax.resolution, 1.0)
         for b, lp in zip(ax.branches, ax.limits):
-            r = js.verify_second_moment(lp, t.matrices[1], t_op, b.d2, tol=1e-9)
+            r = oracles.verify_second_moment(lp, t.matrices[1], t_op, b.d2, tol=1e-9)
             assert r.residual <= 1e-9
 
     def test_random_instance_with_quadratic_fit_oracle(self):
@@ -190,7 +189,7 @@ class TestSecondMoment:
         ax = analysis(t, 1.0)
         t_op = js.t_operator(ax.resolution, 1.0)
         for b, lp in zip(ax.branches, ax.limits):
-            r = js.verify_second_moment(lp, a2, t_op, b.d2, tol=1e-5)
+            r = oracles.verify_second_moment(lp, a2, t_op, b.d2, tol=1e-5)
             assert r.residual <= 1e-5
             # oracle: d2 from a plain quadratic fit at t in {1e-3, 5e-4, 2.5e-4}
             ts = np.array([1e-3, 5e-4, 2.5e-4])
@@ -198,7 +197,7 @@ class TestSecondMoment:
                     for tv in ts]
             d2_fit = quadratic_fit_d2(ts, vals, 1.0 / b.lam)
             assert abs(d2_fit - b.d2) <= 5e-4  # fit truncation is O(d3 * t)
-            r2 = js.verify_second_moment(lp, a2, t_op, d2_fit, tol=1e-3)
+            r2 = oracles.verify_second_moment(lp, a2, t_op, d2_fit, tol=1e-3)
             assert r2.residual <= 1e-3
 
 
@@ -206,20 +205,20 @@ class TestPrimeRelations:
     def test_dihedral_all_four(self):
         t = dihedral_pair(np.pi / 3)
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
+        reports = oracles.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert len(reports) == 4
         assert all(r.residual <= 1e-6 for r in reports)
 
     def test_commuting_diagonal_reduce_to_zero(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-8)
+        reports = oracles.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-8)
         assert all(r.residual <= 1e-8 for r in reports)
 
     def test_two_line_variant(self):
         t = commuting_diagonal_pair()
         ax = analysis(t, 1.0)
-        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
+        reports = oracles.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert {r.relation_id for r in reports} == {
             "prime_relation_1", "prime_relation_2", "prime_relation_3", "prime_relation_4"
         }
@@ -231,27 +230,27 @@ class TestPrimeRelations:
         a2 /= js.opnorm(a2)
         t = js.MatrixTuple([np.diag([0.0, 1.5, -2.0]), a2])
         ax = analysis(t, 0.0)
-        reports = js.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
+        reports = oracles.verify_prime_relations(ax.limits, *t.matrices, ax.branches, tol=1e-6)
         assert all(r.residual <= 1e-6 for r in reports)
 
 
 class TestSameProjectionLemma:
     def test_dihedral(self):
-        r = js.verify_same_projection_lemma(dihedral_pair(np.pi / 3), 1.0, tol=1e-7)
+        r = oracles.verify_same_projection_lemma(dihedral_pair(np.pi / 3), 1.0, tol=1e-7)
         assert r.residual <= 1e-7
 
     def test_commuting_diagonal(self):
-        r = js.verify_same_projection_lemma(commuting_diagonal_pair(), 1.0, tol=1e-9)
+        r = oracles.verify_same_projection_lemma(commuting_diagonal_pair(), 1.0, tol=1e-9)
         assert r.residual <= 1e-9
 
     def test_random_instance_with_small_t_oracle(self):
         t, _ = regular_random_pair(29, 4)
-        r = js.verify_same_projection_lemma(t, 1.0, tol=1e-5)
+        r = oracles.verify_same_projection_lemma(t, 1.0, tol=1e-5)
         assert r.residual <= 1e-5
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            js.verify_same_projection_lemma(commuting_diagonal_pair(), 0.0)
+            oracles.verify_same_projection_lemma(commuting_diagonal_pair(), 0.0)
 
 
 class TestSquareRelation:
@@ -261,21 +260,21 @@ class TestSquareRelation:
             c = np.cos(alpha)
             coeff = ((1 - c**2) + 2 * c**2 - (-1 + c**2)) / 2.0
             assert abs(coeff - 1.0) <= 1e-15
-            r = js.verify_square_relation(dihedral_pair(alpha), 1.0, tol=1e-8)
+            r = oracles.verify_square_relation(dihedral_pair(alpha), 1.0, tol=1e-8)
             assert r.residual <= 1e-8
 
     def test_commuting_diagonal_involutive(self):
-        r = js.verify_square_relation(commuting_diagonal_pair(), 1.0, tol=1e-9)
+        r = oracles.verify_square_relation(commuting_diagonal_pair(), 1.0, tol=1e-9)
         assert r.residual <= 1e-9
 
     def test_random_non_involutive(self):
         t, _ = regular_random_pair(31, 4)
-        r = js.verify_square_relation(t, 1.0, tol=1e-5)
+        r = oracles.verify_square_relation(t, 1.0, tol=1e-5)
         assert r.residual <= 1e-5
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            js.verify_square_relation(commuting_diagonal_pair(), 0.0)
+            oracles.verify_square_relation(commuting_diagonal_pair(), 0.0)
 
 
 class TestVerifyPair:
@@ -284,36 +283,25 @@ class TestVerifyPair:
         assert len(reports) > 0
         assert all(r.passed for r in reports)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_fewer_than_five_samples_refused(self, check):
+    def test_fewer_than_five_samples_refused(self):
         with pytest.raises(ValueError, match="samples >= 5"):
-            js.verify_pair(dihedral_pair(np.pi / 3), samples=4, check_hypotheses=check)
+            js.verify_pair(dihedral_pair(np.pi / 3), samples=4)
 
     def test_nonnormal_refused(self):
         with pytest.raises(js.NotNormalError):
             js.verify_pair(blowup_demo_pair())
 
     def test_irregular_instance_refused_then_flagged(self):
+        # the refusal names the eigenvalue and the pair, and its hint is
+        # check_regularity, which flags the failed conditions
         t = js.MatrixTuple([np.diag([1.0, 1.0]), np.eye(2)])
-        with pytest.raises(js.HypothesisNotMet):
+        with pytest.raises(js.HypothesisNotMet) as exc:
             js.verify_pair(t)
-        reports = js.verify_pair(t, check_hypotheses=False)
-        assert len(reports) > 0
-        assert all(r.passed is None for r in reports)
-
-    def test_ungated_mixed_kinds_with_a_repeated_branch(self):
-        # the simple zero-kind branch at 0 and the double branch at 1 share
-        # one rung stack, where only the branch at 0 has rank-1 rows; the
-        # call reports what the two eigenvalues report one at a time
-        t = js.MatrixTuple([np.diag([0.0, 1.0, 1.0]), np.eye(3)])
-        reports = js.verify_pair(t, check_hypotheses=False)
-        assert reports == (js.verify_pair(t, lam=0.0, check_hypotheses=False)
-                           + js.verify_pair(t, lam=1.0, check_hypotheses=False))
-        assert [(r.relation_id, r.lam) for r in reports] == [
-            ("resolution", 0), ("first_moment_zero_case", 0), ("second_moment_zero_case", 0),
-            *((f"prime_relation_{k}", 0) for k in range(1, 5)),
-            ("resolution", 1), *((f"prime_relation_{k}", 1) for k in range(1, 5))]
-        assert all(r.passed is None and r.residual <= 1e-15 for r in reports)
+        assert str(exc.value) == (
+            "regularity fails at lambda=(1+0j) for (A1, A2): conditions a/b; check_regularity "
+            "reports conditions a/b, the gaps and the failure at every eigenvalue")
+        (report,) = js.check_regularity(t, [1.0])
+        assert not report.condition_a and report.lam == 1.0
 
     def test_scaling_consistency(self):
         # replacing A1 by A1/lam maps the lam-analysis to the 1-analysis
@@ -486,7 +474,7 @@ class TestOneAnalysisPerEigenvalue:
         assert stacks == want == [2, 2, 2, 2, 4, 4]
         ax = analysis(t, 1.0)
         stacks.clear()
-        js.verify_prime_relations(ax.limits, *t.matrices, ax.branches)
+        oracles.verify_prime_relations(ax.limits, *t.matrices, ax.branches)
         assert stacks == []
 
     @pytest.mark.parametrize("args, kwargs, lam", [
@@ -548,21 +536,6 @@ class TestOneAnalysisPerEigenvalue:
         self.assert_two_svd_stacks(solves.pop("svd"), rank1)
         assert solves == {"ggev": [8] * 2, "eigvals": eigvals, "rank1": rank1, "schur": 0}
 
-    @pytest.mark.parametrize("lam, ggev, eigvals, rank1", [
-        (None, [8] * 2, [8], [32, 24]),
-        # (A1, A1 A2) is never analysed at 0, so its ladder solves nothing
-        (0.0, [], [8], [8]),
-    ])
-    def test_ungated_ladders_solve_only_the_analysed_kinds(self, solves, lam, ggev, eigvals,
-                                                           rank1):
-        t, _ = regular_random_pair(100, 4, zero_eigenvalue=True)
-        gated = js.verify_pair(t, lam=lam)
-        solves.update(ggev=[], eigvals=[], rank1=[], svd=[])
-        ungated = js.verify_pair(t, lam=lam, check_hypotheses=False)
-        self.assert_two_svd_stacks(solves.pop("svd"), rank1)
-        assert solves == {"ggev": ggev, "eigvals": eigvals, "rank1": rank1, "schur": 0}
-        assert ungated == [dataclasses.replace(r, passed=None) for r in gated]
-
     @pytest.mark.parametrize("args, kwargs, eigvals", [
         ((5, 8), {}, []),
         ((100, 4), {"zero_eigenvalue": True}, [8, 8]),
@@ -593,8 +566,8 @@ class TestOneAnalysisPerEigenvalue:
             "ggev": [], "eigvals": [8], "rank1": [8], "svd": [1]}
         assert solves == {**want, "schur": 0}
 
-    @pytest.mark.parametrize("wrapper", [js.verify_same_projection_lemma,
-                                         js.verify_square_relation])
+    @pytest.mark.parametrize("wrapper", [oracles.verify_same_projection_lemma,
+                                         oracles.verify_square_relation])
     def test_product_pair_wrappers_solve_one_stack_per_pair(self, solves, wrapper):
         wrapper(dihedral_pair(np.pi / 3), 1.0)
         # each analysis' limit idempotency, then the two residuals of the pair
@@ -616,11 +589,12 @@ class TestOneAnalysisPerEigenvalue:
         t = dihedral_pair(np.pi / 3)
         inside = [r for r in js.verify_pair(t)
                   if r.relation_id == "same_projection_lemma" and abs(r.lam - 1.0) < 1e-12]
-        assert inside == [js.verify_same_projection_lemma(t, 1.0)]
+        assert inside == [oracles.verify_same_projection_lemma(t, 1.0)]
 
 
 class TestToleranceInput:
-    """A tol that is not a finite real > 0 is an input error in every verify_* function."""
+    """A tol that is not a finite real > 0 is an input error in verify_pair
+    and in every per-relation check of tests/oracles.py."""
 
     BAD = [0, 0.0, -1, -1e-5, float("nan"), float("inf"), True, 1e-5j]
 
@@ -638,8 +612,8 @@ class TestToleranceInput:
             js.verify_pair(t, lam=1.0, tol=tol)
 
     @pytest.mark.parametrize("tol", BAD)
-    @pytest.mark.parametrize("check", [js.verify_same_projection_lemma,
-                                       js.verify_square_relation])
+    @pytest.mark.parametrize("check", [oracles.verify_same_projection_lemma,
+                                       oracles.verify_square_relation])
     def test_product_pair_checks_refuse_before_any_analysis(self, check, tol, monkeypatch):
         # the blow-up pair's analysis fails (A1 is not normal), but the input
         # error comes first, with no analysis made
@@ -661,17 +635,17 @@ class TestToleranceInput:
         ax = analysis(t, 1.0)
         lp, b = ax.limits[0], ax.branches[0]
         checks = [
-            lambda: js.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=tol),
-            lambda: js.verify_first_moment(lp, a2, b.d1, tol=tol),
-            lambda: js.verify_second_moment(lp, a2, js.t_operator(ax.resolution, 1.0), b.d2,
+            lambda: oracles.verify_orthogonality_and_resolution(ax.limits, ax.resolution, 1.0, tol=tol),
+            lambda: oracles.verify_first_moment(lp, a2, b.d1, tol=tol),
+            lambda: oracles.verify_second_moment(lp, a2, js.t_operator(ax.resolution, 1.0), b.d2,
                                             tol=tol),
-            lambda: js.verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol),
-            lambda: js.verify_same_projection_lemma(t, 1.0, tol=tol),
-            lambda: js.verify_square_relation(t, 1.0, tol=tol),
+            lambda: oracles.verify_prime_relations(ax.limits, a1, a2, ax.branches, tol=tol),
+            lambda: oracles.verify_same_projection_lemma(t, 1.0, tol=tol),
+            lambda: oracles.verify_square_relation(t, 1.0, tol=tol),
         ]
         c = commuting_diagonal_pair()
         cx = analysis(c, 1.0)
-        checks.append(lambda: js.verify_cross_moment_zero(cx.limits[0], cx.limits[1],
+        checks.append(lambda: oracles.verify_cross_moment_zero(cx.limits[0], cx.limits[1],
                                                           c.matrices[1], tol=tol))
         for check in checks:
             with pytest.raises(ValueError, match="tol must be a finite real > 0"):
@@ -770,9 +744,7 @@ class TestRefusalOrder:
             js.verify_pair(t)
         assert str(exc.value) == messages[0]
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_limits_of_the_first_pair_come_before_the_second_pair(self, corrupt, monkeypatch,
-                                                                  check):
+    def test_limits_of_the_first_pair_come_before_the_second_pair(self, corrupt, monkeypatch):
         # P of the first branch of (A1, A2) does not converge, and the
         # rung projections of (A1, A1 A2) are refused: the first pair's
         # limits were due first.  The stacked calls: d1, d2 of each pair, then
@@ -789,28 +761,12 @@ class TestRefusalOrder:
 
         monkeypatch.setattr(relations, "_rung_stack", refuse_second)
         with pytest.raises(js.SeparationError):
-            js.verify_pair(t, check_hypotheses=check)
+            js.verify_pair(t)
         made.clear()
         messages = corrupt("richardson_limit", 4, [0])
         with pytest.raises(js.ExtrapolationError) as exc:
-            js.verify_pair(t, check_hypotheses=check)
+            js.verify_pair(t)
         assert str(exc.value) == messages[0]
-
-    def test_unchecked_limits_of_the_first_pair_come_before_the_second_pair_tracking(
-            self, corrupt, monkeypatch):
-        # without the gate each pair is tracked in turn: d1 of (A1, A1 A2)
-        # does not converge, and then also P of (A1, A2), which was due first
-        t, _ = regular_random_pair(17, 4)
-        late = corrupt("first_derivative", 1, [0])
-        with pytest.raises(js.ExtrapolationError) as exc:
-            js.verify_pair(t, check_hypotheses=False)
-        assert str(exc.value) == late[0]
-        monkeypatch.undo()
-        corrupt("first_derivative", 1, [0])
-        early = corrupt("richardson_limit", 4, [0])
-        with pytest.raises(js.ExtrapolationError) as exc:
-            js.verify_pair(t, check_hypotheses=False)
-        assert str(exc.value) == early[0]
 
 
 class TestRegularRandomPair:
@@ -829,7 +785,7 @@ class TestRegularRandomPair:
 
 class TestReportSerialization:
     def test_relation_report_json(self):
-        r = js.verify_same_projection_lemma(dihedral_pair(1.0), 1.0, tol=1e-7)
+        r = oracles.verify_same_projection_lemma(dihedral_pair(1.0), 1.0, tol=1e-7)
         obj = r.to_json()
         assert obj["relation_id"] == "same_projection_lemma"
         assert isinstance(obj["lambda"], list) and obj["passed"] in (True, False)
