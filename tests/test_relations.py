@@ -303,6 +303,20 @@ class TestVerifyPair:
         (report,) = js.check_regularity(t, [1.0])
         assert not report.condition_a and report.lam == 1.0
 
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.0])
+    def test_mixed_kinds_with_a_repeated_branch_refused(self, lam, monkeypatch):
+        # the simple zero-kind branch at 0 is regular and the double at 1 is
+        # not; the gate covers every eigenvalue of A_1, so even lam=0 is
+        # refused at 1, before any rung projection is made
+        t = js.MatrixTuple([np.diag([0.0, 1.0, 1.0]), np.eye(3)])
+        zero, one = js.check_regularity(t, [1.0])
+        assert zero.lam == 0 and zero.condition_a and zero.condition_b
+        assert one.lam == 1 and not one.condition_a and not one.condition_b
+        solves = count_solves(monkeypatch)
+        with pytest.raises(js.HypothesisNotMet, match=r"lambda=\(1\+0j\) for \(A1, A2\)"):
+            js.verify_pair(t, lam=lam)
+        assert solves["rank1"] == [] and solves["schur"] == 0
+
     def test_scaling_consistency(self):
         # replacing A1 by A1/lam maps the lam-analysis to the 1-analysis
         t, _ = regular_random_pair(41, 4)
