@@ -27,7 +27,6 @@ from .pencil import (
     MatrixTuple,
     _commutator_test,
     _is_real,
-    _root_table,
     _svd_extremes,
     line_roots_batch,
     opnorm,
@@ -222,8 +221,8 @@ def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
     are assembled to be solved, and nothing solves them with eigenvectors.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
-    = 0 from one line_roots_batch call (_root_table): the bases are the rows
-    (0, t_k xhat) and every direction is e_1.  For the zero kind, the
+    = 0: the table of one line_roots_batch call whose bases are the rows
+    (0, t_k xhat) and whose directions are all e_1.  For the zero kind, the
     eigenvalues of A_1 + t_k xhat.A_rest from one stacked eigvals, which
     fill every row.
     """
@@ -235,7 +234,7 @@ def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return _root_table(line_roots_batch(t, bases, e1))
+    return line_roots_batch(t, bases, e1)
 
 
 def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values, out=None):

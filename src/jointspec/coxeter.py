@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssignmentError, EmptySubspaceError, SeparationError
-from .pencil import MatrixTuple, _is_real, _root_table, line_roots_batch, opnorm
+from .pencil import MatrixTuple, _is_real, line_roots_batch, opnorm
 from .serialize import matrix_to_json
 
 INF = math.inf
@@ -364,7 +364,8 @@ def _unmatched(bases, lines, roots, others, center, radius):
     """y + s u for the first root s of roots, line by line, whose point on
     its line y + s u (y in bases, u in lines) lies within radius of center
     and that no root of others on the same line matches within
-    _MEMBERSHIP_TOL (1 + |s|), or None; roots and others are _root_tables."""
+    _MEMBERSHIP_TOL (1 + |s|), or None; roots and others are line_roots_batch
+    tables."""
     gaps = np.fmin.reduce(np.abs(roots[:, :, None] - others[:, None, :]), axis=2, initial=INF)
     points = bases[:, None] + roots[:, :, None] * lines[:, None]
     bad = ((gaps > _MEMBERSHIP_TOL * (1.0 + np.abs(roots)))
@@ -388,7 +389,7 @@ def _line_inclusion(src: MatrixTuple, dst: MatrixTuple, seed):
     _check_generators(src, dst)
     lines = _generic_lines(src.n, seed)
     bases = np.zeros(lines.shape)
-    a, b = (_root_table(line_roots_batch(tup, bases, lines)) for tup in (src, dst))
+    a, b = (line_roots_batch(tup, bases, lines) for tup in (src, dst))
     return _unmatched(bases, lines, a, b, 0.0, INF), _unmatched(bases, lines, b, a, 0.0, INF)
 
 
@@ -448,7 +449,7 @@ def check_condition_II(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_cou
     offsets = 0.4 * epsilon * _random_directions(rng, count, ext_a.n) * rng.uniform(size=(count, 1))
     bases = np.repeat(centers, sample_count, axis=0) + offsets
     lines = _random_directions(rng, count, ext_a.n)
-    roots_a, roots_r = (_root_table(line_roots_batch(tup, bases, lines)) for tup in (ext_a, ext_r))
+    roots_a, roots_r = (line_roots_batch(tup, bases, lines) for tup in (ext_a, ext_r))
     results, witnesses = {}, {}
     for b, key in enumerate(balls):
         part = slice(b * sample_count, (b + 1) * sample_count)

@@ -3,9 +3,9 @@
 A tuple ``(A_1, ..., A_n)`` of square complex matrices defines the pencil
 ``A(x) = x_1 A_1 + ... + x_n A_n``.  The proper joint spectrum is the affine
 set of points ``x`` where ``A(x) - I`` is singular.  This module provides two
-batched kernels, the roots of many lines as generalized eigenvalue problems
-(line_roots_batch) and the membership test of many points (spectral_mask),
-and real curve sampling for plots.
+batched kernels, the roots of many lines as generalized eigenvalue problems,
+one nan-padded row per line (line_roots_batch), and the membership test of
+many points (spectral_mask), and real curve sampling for plots.
 
 Nothing here computes a determinant: distances to the spectrum come from the
 relative smallest singular value, which neither overflows nor underflows as
@@ -152,22 +152,16 @@ def _ggev_stack(a, b):
     return alpha, beta
 
 
-@dataclass(frozen=True)
-class LineRoots:
-    """Solutions s of det(A(base + s * direction) - I) = 0.
-
-    finite holds all finite roots with multiplicity (sorted by real part,
-    then imaginary part); infinite counts the degenerate directions where
-    the leading pencil coefficient is singular.
-    """
-
-    finite: np.ndarray
-    infinite: int
-
-
 def line_roots_batch(t: MatrixTuple, bases, directions):
     """Intersect each line bases[i] + s * directions[i] with the proper joint
-    spectrum; one LineRoots each.
+    spectrum: the finite roots s of det(A(base + s * direction) - I) = 0 as
+    one complex table of shape (lines, width).
+
+    Row i holds line i's finite roots with multiplicity, sorted by real
+    part, then imaginary part, and padded with nan; width is the largest
+    finite-root count of any line, so no lines give shape (0, 0).  The rest
+    of a row's t.dim roots are infinite, the directions where the leading
+    coefficient is singular: t.dim - (~np.isnan(row)).sum() of them.
 
     Each line is the generalized eigenvalue problem
     det((I - A(base)) - s A(direction)) = 0, which is numerically stable
@@ -183,7 +177,7 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     if bases.shape != directions.shape:
         raise DimensionMismatchError("one direction is needed for every base")
     if bases.shape[0] == 0:
-        return []
+        return np.zeros((0, 0), dtype=complex)
     alpha, beta = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
                               _pencil_stack(t, directions))
     # beta == 0 is an infinite root, and so is a quotient that overflows.
@@ -194,22 +188,9 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     # finite roots first, each line's sorted by real part, then imaginary part
     order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
     roots = np.take_along_axis(roots, order, axis=-1)
-    return [LineRoots(r[:k], t.dim - k) for r, k in zip(roots, finite.sum(axis=1).tolist())]
-
-
-def _root_table(solved):
-    """The finite roots of each LineRoots of solved as one row, padded with nan."""
-    return _padded_table([r.finite for r in solved])
-
-
-def _padded_table(rows):
-    """The 1-D arrays rows as one complex table, each padded with nan to the
-    longest."""
-    width = max((r.size for r in rows), default=0)
-    table = np.full((len(rows), width), np.nan, dtype=complex)
-    for out, r in zip(table, rows):
-        out[:r.size] = r
-    return table
+    counts = finite.sum(axis=1)
+    roots[np.arange(t.dim) >= counts[:, None]] = np.nan
+    return roots[:, :counts.max()]
 
 
 def _is_pair(v):
@@ -256,9 +237,9 @@ def sample_spectrum_curve(t: MatrixTuple, window=((-2.0, 2.0), (-2.0, 2.0)), gri
     x2s = np.linspace(x2lo, x2hi, n2)
     dx = (x1hi - x1lo) / max(n1 - 1, 1)
     bases = np.stack([np.zeros(n2), x2s], axis=1)
-    solved = line_roots_batch(t, bases, np.tile([1.0, 0.0], (n2, 1)))
-    cols = np.repeat(np.arange(n2), [r.finite.size for r in solved])
-    roots = np.concatenate([np.zeros(0, dtype=complex)] + [r.finite for r in solved])
+    table = line_roots_batch(t, bases, np.tile([1.0, 0.0], (n2, 1)))
+    cols, idx = np.nonzero(~np.isnan(table))
+    roots = table[cols, idx]
     keep = ((np.abs(roots[:, None] - x1s).min(axis=1) <= 0.75 * dx)
             & (x1lo - 1e-9 <= roots.real) & (roots.real <= x1hi + 1e-9))
     cols, roots = cols[keep], roots[keep]

@@ -42,7 +42,7 @@ from scipy.linalg.lapack import ztrsyl
 from . import extrapolate
 from .branches import Branch, _ladder_roots, _nearest_unambiguous, _shifted_pencils
 from .errors import ProjectionBlowupError, SeparationError, TrackingError
-from .pencil import MatrixTuple, _padded_table, _svd_extremes
+from .pencil import MatrixTuple, _svd_extremes
 from .serialize import complex_to_pair, matrix_to_json
 
 
@@ -207,6 +207,18 @@ class _RungStack(NamedTuple):
     norms: np.ndarray
 
 
+def _padded_table(tables):
+    """The 2-D complex tables stacked as one table, each padded with nan to
+    the widest."""
+    width = max(tab.shape[1] for tab in tables)
+    table = np.full((sum(len(tab) for tab in tables), width), np.nan, dtype=complex)
+    row = 0
+    for tab in tables:
+        table[row:row + len(tab), :tab.shape[1]] = tab
+        row += len(tab)
+    return table
+
+
 def _components(t: MatrixTuple, branches, rungs):
     """The _RungStack of branches by component_projection's rule; rungs[j]
     holds (ts, values, table) of branches[j]: its rungs' t_k, its values
@@ -232,7 +244,7 @@ def _components(t: MatrixTuple, branches, rungs):
     rooted = np.array([tab is not None for _, _, tab in rungs], dtype=bool)[owner]
     gaps = np.zeros(len(ts))
     if tables:
-        table = _padded_table([row for tab in tables for row in tab])
+        table = _padded_table(tables)
         gaps[rooted] = _root_gaps(zero[rooted], values[rooted], table, t.dim)
     simple = gaps > 2.0 * own_tol
     # the Schur kernel's rows get their radii below

@@ -194,15 +194,14 @@ class PairAnalysis:
     limits: tuple
 
 
-def analyze_pair(t: MatrixTuple, lam, resolution=None):
+def analyze_pair(t: MatrixTuple, lam):
     """Track branches at lam along e_1 on the default ladder (t_max 1e-2, 8
     samples), project every branch at every rung, extrapolate limits.
 
     The ladder is solved once, and the projections test separation against
     its roots.  The rung projections go to the extrapolation as one stack.
     """
-    if resolution is None:
-        resolution = spectral_resolution(t.matrices[0])
+    resolution = spectral_resolution(t.matrices[0])
     branches = local_branches(t, lam, np.eye(t.n - 1)[0])
     limits = [_checked(*pl) for pl in zip(*_limits(branches, _rung_stack(t, branches)))]
     return _analysis(t, branches, limits, resolution)
@@ -234,7 +233,8 @@ def _pair_by_derivative(x_branches, z_branches, lam):
 
 def _product_pair(ax: PairAnalysis, az: PairAnalysis):
     """Same-projection and square residuals from the analyses of (A1, A2) and
-    (A1, A1 A2) at one lam != 0, with branches matched through z'(0) = lam * x'(0)."""
+    (A1, A1 A2) at one lam of the nonzero kind, with branches matched through
+    z'(0) = lam * x'(0)."""
     if any(b.multiplicity != 1 for b in ax.branches + az.branches):
         raise HypothesisNotMet(
             "the same-projection and square identities require multiplicity-1 branches"
@@ -323,12 +323,12 @@ def verify_pair(t: MatrixTuple, lam=None, tol=1e-5, t_max=1e-2, samples=8):
     eigs = res.eigenvalues
     reference = _reference_spectrum(a1, a1_norm)
     ks = range(len(eigs)) if lam is None else [res.index_of(lam)]
-    # (A1, A1 A2) is analysed at the nonzero eigenvalues only
-    wanted = (ks, [k for k in ks if abs(eigs[k]) > 1e-12])
     ladders = [_solve_ladder(tt, _unit_direction(tt, [1.0]), t_max, samples, *reference)
                for tt in pairs]
-    gated = [_gated_branches(tt, pair, ladders[pair], res, wanted[pair])
-             for pair, tt in enumerate(pairs)]
+    gated = [_gated_branches(t, 0, ladders[0], res, ks)]
+    # (A1, A1 A2) is analysed at the eigenvalues of the nonzero kind only
+    wanted = (ks, [k for k, bs in zip(ks, gated[0]) if bs[0].kind == "nonzero"])
+    gated.append(_gated_branches(pairs[1], 1, ladders[1], res, wanted[1]))
     # each pair's rung projections; the limits of both pairs are
     # extrapolated together below, so a failure here is raised after those
     # of the pairs before it, as when each pair was finished in turn

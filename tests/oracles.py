@@ -640,7 +640,7 @@ def _product_pair_analyses(t: MatrixTuple, lam, identity):
         raise ValueError(f"the {identity} identity requires lam != 0")
     a1, a2 = t.matrices
     ax = relations.analyze_pair(t, lam)
-    az = relations.analyze_pair(MatrixTuple([a1, a1 @ a2]), lam, resolution=ax.resolution)
+    az = relations.analyze_pair(MatrixTuple([a1, a1 @ a2]), lam)
     return ax, az
 
 

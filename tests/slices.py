@@ -12,7 +12,8 @@ from jointspec import branches, pencil, projections, relations
 
 
 def e1_line_roots(t, rests):
-    """One LineRoots per line s -> (s, rest): line_roots_batch along e_1.
+    """The finite roots of each line s -> (s, rest), one array per line:
+    the rows of line_roots_batch along e_1 with their nan padding dropped.
 
     Each rest holds the coordinates x_2, ..., x_n of its line's base (for a
     pair, x_2 alone); the base's x_1 is 0.
@@ -21,7 +22,7 @@ def e1_line_roots(t, rests):
     bases = np.concatenate([np.zeros((len(rests), 1)), rests], axis=1)
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return js.line_roots_batch(t, bases, e1)
+    return [row[~np.isnan(row)] for row in js.line_roots_batch(t, bases, e1)]
 
 
 def ladder(t, xhat=(1.0,), t_max=1e-2, samples=8):

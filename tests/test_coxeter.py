@@ -233,7 +233,7 @@ class TestCatalog:
                            (cat_z, js.MatrixTuple([g1, g1 @ g2]))):
             for _ in range(100):
                 t = (rng.standard_normal() + 1j * rng.standard_normal()) * 0.5
-                for x1 in e1_line_roots(pair, [t])[0].finite:
+                for x1 in e1_line_roots(pair, [t])[0]:
                     assert abs(desc.evaluate(x1, t)) <= 1e-9
 
 
@@ -346,8 +346,9 @@ def worst_root_match(src, dst, seed):
     bases = np.zeros(lines.shape)
     worst = 0.0
     for a, b in zip(js.line_roots_batch(src, bases, lines), js.line_roots_batch(dst, bases, lines)):
-        gaps = np.abs(a.finite[:, None] - b.finite).min(axis=1, initial=math.inf)
-        worst = max(worst, float(np.max(gaps / (1.0 + np.abs(a.finite)), initial=0.0)))
+        a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+        gaps = np.abs(a[:, None] - b).min(axis=1, initial=math.inf)
+        worst = max(worst, float(np.max(gaps / (1.0 + np.abs(a)), initial=0.0)))
     return worst
 
 

@@ -33,8 +33,8 @@ class TestRootsSatisfyClosedForms:
     ], ids=["scalar_pencil", "two_lines", "dihedral_ellipse"])
     def test_batch_roots_are_zeros(self, tup, poly):
         for x2, r in zip(self.X2S, e1_line_roots(tup, self.X2S)):
-            assert r.finite.size == 2 and r.infinite == 0
-            for x1 in r.finite:
+            assert r.size == 2  # every root of the dim-2 pencil is finite
+            for x1 in r:
                 assert abs(poly(x1, x2)) <= 1e-12
 
 
@@ -47,6 +47,10 @@ def random_rows(rng, count, n=3):
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
 
 
+def finite_count(row):
+    return int((~np.isnan(row)).sum())
+
+
 class TestLineRootsBatch:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_equals_scipy_eigvals_bit_for_bit(self, dim):
@@ -57,15 +61,19 @@ class TestLineRootsBatch:
         t = js.MatrixTuple(mats)
         bases, directions = random_rows(rng, 12), random_rows(rng, 12)
         directions[5] = (0.0, 1.0, 0.0)
-        for base, direction, got in zip(bases, directions,
-                                        js.line_roots_batch(t, bases, directions)):
+        table = js.line_roots_batch(t, bases, directions)
+        assert table.dtype == complex and table.shape == (12, dim)
+        for base, direction, row in zip(bases, directions, table):
             vals = scipy.linalg.eigvals(np.eye(dim) - pencil_at(t.matrices, base),
                                         pencil_at(t.matrices, direction))
             finite = vals[np.isfinite(vals)]
             want = finite[np.lexsort((finite.imag, finite.real))]
-            assert got.finite.tobytes() == want.tobytes()
-            assert got.infinite == vals.size - finite.size
-        assert js.line_roots_batch(t, bases[5:6], directions[5:6])[0].infinite == 1
+            assert row[:finite.size].tobytes() == want.tobytes()
+            assert np.isnan(row[finite.size:]).all()
+            assert dim - finite_count(row) == vals.size - finite.size
+        assert dim - finite_count(table[5]) == 1
+        # the width is the largest finite count, so a lone row 5 is one shorter
+        assert js.line_roots_batch(t, bases[5:6], directions[5:6]).shape == (1, dim - 1)
 
     def test_chunking_does_not_change_roots(self):
         rng = np.random.default_rng(1)
@@ -76,8 +84,24 @@ class TestLineRootsBatch:
                  for r in js.line_roots_batch(t, bases[lo:hi], directions[lo:hi])]
         singles = [js.line_roots_batch(t, [b], [d])[0] for b, d in zip(bases, directions)]
         for got in (parts, singles):
-            assert [r.finite.tobytes() for r in got] == [r.finite.tobytes() for r in whole]
-            assert [r.infinite for r in got] == [r.infinite for r in whole]
+            assert [r.tobytes() for r in got] == [r.tobytes() for r in whole]
+
+    def test_infinite_roots_are_the_padding(self):
+        # along e_1 the leading coefficient diag(1, 0) is singular: one
+        # finite root and one infinite; along e_2 it is I: two finite roots
+        t = js.MatrixTuple([np.diag([1.0, 0.0]), np.eye(2)])
+        table = js.line_roots_batch(t, [(0.0, 0.1), (0.3, 0.0)], [(1.0, 0.0), (0.0, 1.0)])
+        assert table.shape == (2, 2)
+        assert_allclose(table[0, 0], 0.9, atol=1e-12)
+        assert np.isnan(table[0, 1])
+        assert_allclose(np.sort_complex(table[1]), [0.7, 1.0], atol=1e-12)
+        assert [t.dim - finite_count(row) for row in table] == [1, 0]
+
+    def test_no_finite_root_gives_width_zero(self):
+        # A(direction) = 0: every root of every line is infinite
+        t = js.MatrixTuple([np.eye(3), np.zeros((3, 3))])
+        table = js.line_roots_batch(t, [(0.1, 0.0), (0.2, 0.5)], [(0.0, 1.0), (0.0, 2.0)])
+        assert table.dtype == complex and table.shape == (2, 0)
 
     def test_failed_qz_raises(self, monkeypatch):
         real = scipy.linalg.get_lapack_funcs
@@ -98,8 +122,9 @@ class TestLineRootsBatch:
 
     def test_empty_stack(self):
         t = random_tuple(np.random.default_rng(3), 3)
-        assert js.line_roots_batch(t, np.zeros((0, 3)), np.zeros((0, 3))) == []
-        assert js.line_roots_batch(t, [], []) == []
+        for empty in (np.zeros((0, 3)), []):
+            table = js.line_roots_batch(t, empty, empty)
+            assert table.dtype == complex and table.shape == (0, 0)
 
     def test_rows_must_match_the_tuple(self):
         t = random_tuple(np.random.default_rng(4), 3)
@@ -114,7 +139,7 @@ class TestSpectralMask:
         rng = np.random.default_rng(5)
         t = random_tuple(rng, 4, n=2)
         x2s = (-0.7, 0.2, 1.1)
-        pts = [(x1, x2) for x2, r in zip(x2s, e1_line_roots(t, x2s)) for x1 in r.finite]
+        pts = [(x1, x2) for x2, r in zip(x2s, e1_line_roots(t, x2s)) for x1 in r]
         pts = np.array(pts + list(map(tuple, random_rows(rng, 6, n=2))))
         pts[3, 0] += 1e-7  # just off the spectrum
         got = js.spectral_mask(t, pts, 1e-9)
@@ -146,34 +171,33 @@ class TestSpectralMask:
 class TestSliceRootsAlongE1:
     def test_two_lines(self, two_lines):
         r, = e1_line_roots(two_lines, [0.3])
-        assert_allclose(sorted(r.finite.real), [0.7, 1.3], atol=1e-12)
-        assert r.infinite == 0
+        assert_allclose(sorted(r.real), [0.7, 1.3], atol=1e-12)
+        assert r.size == 2  # no infinite root
 
     def test_dihedral_at_zero_gives_eigenvalue_reciprocals(self):
         r, = e1_line_roots(dihedral_pair(np.pi / 3), [0.0])
-        assert_allclose(sorted(r.finite.real), [-1.0, 1.0], atol=1e-12)
+        assert_allclose(sorted(r.real), [-1.0, 1.0], atol=1e-12)
 
     def test_dihedral_quadratic_oracle(self):
         # roots of x^2 + 2 cos(pi/3) * 0.2 x + 0.04 - 1 = 0
         expected = quadratic_roots(1.0, 2 * np.cos(np.pi / 3) * 0.2, 0.2**2 - 1.0)
         r, = e1_line_roots(dihedral_pair(np.pi / 3), [0.2])
-        assert_allclose(sorted(r.finite, key=lambda z: z.real), expected, atol=1e-12)
+        assert_allclose(sorted(r, key=lambda z: z.real), expected, atol=1e-12)
 
     def test_multiplicity_preserved(self):
         r, = e1_line_roots(js.MatrixTuple([np.eye(2), np.eye(2)]), [0.25])
-        assert_allclose(r.finite, [0.75, 0.75], atol=1e-10)
+        assert_allclose(r, [0.75, 0.75], atol=1e-10)
 
     def test_singular_leading_matrix_reports_infinite(self):
         r, = e1_line_roots(js.MatrixTuple([np.diag([0.0, 1.0]), np.eye(2)]), [0.1])
-        assert r.infinite == 1
-        assert r.finite.size == 1
+        assert r.size == 1  # and one infinite root
 
     def test_matches_inverse_spectrum_at_zero(self):
         rng = np.random.default_rng(3)
         a1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         r, = e1_line_roots(js.MatrixTuple([a1, np.eye(4)]), [0.0])
         expected = np.sort_complex(1.0 / np.linalg.eigvals(a1))
-        assert_allclose(np.sort_complex(r.finite), expected, atol=1e-9)
+        assert_allclose(np.sort_complex(r), expected, atol=1e-9)
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
@@ -181,7 +205,7 @@ class TestSliceRootsAlongE1:
         t = dihedral_pair(0.9)
         scale = complex(tre, tim)
         r, = e1_line_roots(t, [scale])
-        assert js.spectral_mask(t, [(x1, scale) for x1 in r.finite], 1e-9).all()
+        assert js.spectral_mask(t, [(x1, scale) for x1 in r], 1e-9).all()
 
 
 class TestSampleSpectrumCurve:

@@ -1,13 +1,16 @@
 """The public API, pinned: the names jointspec exports, the defaulted
-parameters of every public function and the fields of every exported
-dataclass, so that each API change shows as a diff here.
+parameters of every public function and the fields of every public-named
+dataclass a jointspec module defines, exported or not (such as the return
+type of a public function), so that each API change shows as a diff here.
 
 A public function is an exported function or a public method of an exported
 class; exception classes are left out.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import jointspec as js
 
@@ -31,14 +34,15 @@ EXPORTS = [
 
 # every public function with at least one defaulted parameter; the rest have none
 DEFAULTED = {
-    "CoxeterRep.validate": 1, "analyze_pair": 1, "build_representation": 1,
+    "CoxeterRep.validate": 1, "build_representation": 1,
     "check_condition_I": 1, "check_condition_II": 3, "check_regularity": 2,
     "local_branches": 2, "rigidity_check": 3,
     "sample_spectrum_curve": 2, "verify_pair": 4, "verify_restriction": 1,
 }
 
 
-# the field names of every exported dataclass, in declaration order
+# the field names of every public-named dataclass of a jointspec module, in
+# declaration order
 FIELDS = {
     "Branch": ["lam", "kind", "direction", "index", "samples", "multiplicity", "d1", "d2",
                "d1_error", "d2_error", "pencil", "_rung_roots"],
@@ -47,6 +51,10 @@ FIELDS = {
     "CoxeterMatrix": ["orders"],
     "CoxeterRep": ["cm", "generators"],
     "DihedralIrrep": ["kind", "angle"],
+    "EquivalenceEvidence": ["max_discrepancy", "character_bound", "word_length",
+                            "relation_discrepancy", "end_dim", "zero_margin", "gap",
+                            "words_checked"],
+    "InvariantSubspace": ["basis", "dim", "invariance_residuals", "restrictions"],
     "LimitProjection": ["branch_index", "lam", "kind", "direction", "matrix",
                         "extrapolation_error", "rank", "idempotency_residual", "derivative"],
     "MatrixTuple": ["matrices"],
@@ -57,10 +65,16 @@ FIELDS = {
                          "tangency_margin", "tangency_ok", "branches", "failure", "error"],
     "RelationReport": ["relation_id", "lam", "branch_indices", "residual", "tolerance",
                        "passed"],
+    "RestrictionReport": ["unitary_residuals", "selfadjoint_residuals", "relation_residuals",
+                          "recovered_orders", "expected_orders", "exponents_ok",
+                          "exponent_candidates", "exponent_ambiguous", "spectra_match",
+                          "spectra_witness"],
     "RigidityReport": ["condition_star", "condition_I", "condition_I_witness", "condition_II",
                        "condition_II_witnesses", "applicable", "generator_norms", "norms_ok",
                        "dim_L", "L_basis", "invariance_residuals", "restriction",
                        "equivalence", "nonspecial", "seed", "epsilon", "failure"],
+    "RunConfig": ["command", "input", "out", "tol", "t_max", "samples", "seed", "epsilon"],
+    "SliceLadder": ["direction", "ts", "reference", "kinds", "roots"],
     "SpectralResolution": ["eigenvalues", "projections", "multiplicities"],
     "TOperator": ["base_eigenvalue", "matrix"],
 }
@@ -99,10 +113,19 @@ def test_exports():
 def test_defaulted_parameters():
     counts = {name: defaulted(fn) for name, fn in public_functions()}
     assert {name: n for name, n in counts.items() if n} == DEFAULTED
-    assert sum(counts.values()) == 21
+    assert sum(counts.values()) == 20
+
+
+def module_dataclasses():
+    """(name, class) of every public-named dataclass a jointspec module defines."""
+    for info in pkgutil.iter_modules(js.__path__):
+        module = importlib.import_module(f"{js.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            if (not name.startswith("_") and inspect.isclass(value)
+                    and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)):
+                yield name, value
 
 
 def test_dataclass_fields():
-    got = {name: [f.name for f in dataclasses.fields(getattr(js, name))]
-           for name in exports() if dataclasses.is_dataclass(getattr(js, name))}
+    got = {name: [f.name for f in dataclasses.fields(cls)] for name, cls in module_dataclasses()}
     assert got == FIELDS

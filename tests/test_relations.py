@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -316,6 +317,22 @@ class TestVerifyPair:
         with pytest.raises(js.HypothesisNotMet, match=r"lambda=\(1\+0j\) for \(A1, A2\)"):
             js.verify_pair(t, lam=lam)
         assert solves["rank1"] == [] and solves["schur"] == 0
+
+    def test_tiny_eigenvalue_is_analysed_as_an_exact_zero(self):
+        # 5e-11 is within 1e-9 max(1, ||A_1||) of 0, so its branches are of
+        # the zero kind and (A1, A1 A2) is not analysed there: no product
+        # pair check divides by 2 lam there
+        t, _ = regular_random_pair(3, 6, zero_eigenvalue=True)
+        a1, a2 = t.matrices
+        schur, z = scipy.linalg.schur(a1, output="complex")
+        d = np.diag(schur).copy()
+        at = int(np.argmin(np.abs(d)))
+        ids = []
+        for value in (0.0, 5e-11):
+            d[at] = value
+            tt = js.MatrixTuple([z @ np.diag(d) @ z.conj().T, a2])
+            ids.append([r.relation_id for r in js.verify_pair(tt) if abs(r.lam) < 1e-6])
+        assert ids[0] and ids[1] == ids[0]
 
     def test_scaling_consistency(self):
         # replacing A1 by A1/lam maps the lam-analysis to the 1-analysis
