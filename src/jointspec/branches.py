@@ -27,8 +27,8 @@ from .pencil import (
     MatrixTuple,
     _commutator_test,
     _is_real,
+    _qz_line_roots,
     _svd_extremes,
-    line_roots_batch,
     opnorm,
 )
 from .serialize import complex_to_pair
@@ -221,10 +221,11 @@ def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
     are assembled to be solved, and nothing solves them with eigenvectors.
 
     For the nonzero kind, the finite x_1 of det(x_1 A_1 + t_k xhat.A_rest - I)
-    = 0: the table of one line_roots_batch call whose bases are the rows
-    (0, t_k xhat) and whose directions are all e_1.  For the zero kind, the
-    eigenvalues of A_1 + t_k xhat.A_rest from one stacked eigvals, which
-    fill every row.
+    = 0: the line_roots_batch table of the lines with bases (0, t_k xhat)
+    and direction e_1, every one solved by QZ (pencil._qz_line_roots), as
+    the derivatives' second differences multiply any change of rounding by
+    4/t_k^2.  For the zero kind, the eigenvalues of A_1 + t_k xhat.A_rest
+    from one stacked eigvals, which fill every row.
     """
     ts = np.asarray(ts, dtype=float)
     if kind == "zero":
@@ -234,7 +235,7 @@ def _ladder_roots(t: MatrixTuple, kind, xhat, ts):
     bases[:, 1:] = ts[:, None] * xhat
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return line_roots_batch(t, bases, e1)
+    return _qz_line_roots(t, bases, e1)
 
 
 def _shifted_pencils(t: MatrixTuple, kind, xhat, ts, values, out=None):

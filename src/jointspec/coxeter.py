@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssignmentError, EmptySubspaceError, SeparationError
-from .pencil import MatrixTuple, _is_real, line_roots_batch, opnorm
+from .pencil import MatrixTuple, _is_real, _opnorms, line_roots_batch, opnorm
 from .serialize import matrix_to_json
 
 INF = math.inf
@@ -156,15 +156,17 @@ class CoxeterRep:
         return MatrixTuple(self.generators)
 
     def relation_residuals(self):
-        res = {}
+        powers = {}
         for i in range(self.n):
             for j in range(i, self.n):
                 m = self.cm.order(i, j)
                 if math.isinf(m):
                     continue
                 w = self.generators[i] @ self.generators[j]
-                res[(i + 1, j + 1)] = opnorm(np.linalg.matrix_power(w, int(m)) - np.eye(self.dim))
-        return res
+                powers[(i + 1, j + 1)] = np.linalg.matrix_power(w, int(m)) - np.eye(self.dim)
+        if not powers:
+            return {}
+        return dict(zip(powers, _opnorms(list(powers.values())).tolist()))
 
     def validate(self, tol=1e-10):
         """Raise AssignmentError unless the generators are cm.n square matrices
@@ -175,9 +177,9 @@ class CoxeterRep:
                 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or shapes[0][0] == 0):
             raise AssignmentError(f"a representation needs {self.cm.n} square generator "
                                   f"matrices of one size; got shapes {shapes}")
-        for g in self.generators:
-            if opnorm(g @ g - np.eye(self.dim)) > tol or opnorm(g - g.conj().T) > tol:
-                raise AssignmentError("generators must be unitary involutions")
+        gens, eye = self.generators, np.eye(self.dim)
+        if (_opnorms([g @ g - eye for g in gens] + [g - g.conj().T for g in gens]) > tol).any():
+            raise AssignmentError("generators must be unitary involutions")
         for (i, j), r in self.relation_residuals().items():
             if r > tol:
                 raise AssignmentError(
@@ -486,7 +488,7 @@ def extract_invariant_subspace(t: MatrixTuple):
     v = z[:, mask]
     proj = v @ v.conj().T
     eye = np.eye(t.dim)
-    residuals = tuple(opnorm((eye - proj) @ m @ proj) for m in t.matrices)
+    residuals = tuple(_opnorms([(eye - proj) @ m @ proj for m in t.matrices]).tolist())
     restrictions = tuple(v.conj().T @ m @ v for m in t.matrices)
     return InvariantSubspace(
         basis=v, dim=int(v.shape[1]), invariance_residuals=residuals, restrictions=restrictions
@@ -545,8 +547,8 @@ def verify_restriction(sub: InvariantSubspace, cm: CoxeterMatrix, rep: CoxeterRe
     """
     gens = sub.restrictions
     eye = np.eye(sub.dim)
-    unit = tuple(opnorm(g.conj().T @ g - eye) for g in gens)
-    sa = tuple(opnorm(g - g.conj().T) for g in gens)
+    norms = _opnorms([g.conj().T @ g - eye for g in gens] + [g - g.conj().T for g in gens]).tolist()
+    unit, sa = tuple(norms[:len(gens)]), tuple(norms[len(gens):])
     restricted = CoxeterRep(cm=cm, generators=tuple(gens))
     rel = restricted.relation_residuals()
 
@@ -716,7 +718,7 @@ def equivalence_evidence(generators_a, generators_b, cm: CoxeterMatrix):
     u = w @ vh
     discrepancy = max(np.linalg.norm(ak @ u - u @ bk, "nuc") for ak, bk in zip(a, b))
     length = _longest_word_length(cm) if is_finite_type(cm) else _INFINITE_WORD_LENGTH
-    growth = max([1.0] + [opnorm(g) for g in a + b]) ** (length - 1)
+    growth = max([1.0] + _opnorms(a + b).tolist()) ** (length - 1)
     relation = max(max(CoxeterRep(cm=cm, generators=tuple(g)).relation_residuals().values())
                    for g in (a, b))
     return EquivalenceEvidence(
@@ -863,7 +865,7 @@ def rigidity_check(t: MatrixTuple, rep: CoxeterRep, epsilon=0.15, sample_count=4
     but no representation claim is attached to it.
     """
     _check_ball_sampling(epsilon, sample_count)
-    norms = tuple(opnorm(m) for m in t.matrices)
+    norms = tuple(_opnorms(t.matrices).tolist())
     norms_ok = all(abs(v - 1.0) <= 1e-8 for v in norms[1:])
     star = check_condition_star(rep)
     cond1, w1 = check_condition_I(t, rep, seed=seed)

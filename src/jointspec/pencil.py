@@ -3,9 +3,11 @@
 A tuple ``(A_1, ..., A_n)`` of square complex matrices defines the pencil
 ``A(x) = x_1 A_1 + ... + x_n A_n``.  The proper joint spectrum is the affine
 set of points ``x`` where ``A(x) - I`` is singular.  This module provides two
-batched kernels, the roots of many lines as generalized eigenvalue problems,
-one nan-padded row per line (line_roots_batch), and the membership test of
-many points (spectral_mask), and real curve sampling for plots.
+batched kernels, the roots of many lines, one nan-padded row per line
+(line_roots_batch: the standard form from one stacked LU solve and one
+stacked eigvals, QZ for the lines it cannot trust; _qz_line_roots, QZ on
+every line, solves the slice ladders), and the membership test of many
+points (spectral_mask), and real curve sampling for plots.
 
 Nothing here computes a determinant: distances to the spectrum come from the
 relative smallest singular value, which neither overflows nor underflows as
@@ -24,11 +26,12 @@ from .serialize import json_to_matrix, matrix_to_json
 
 
 def opnorm(m):
-    """Operator 2-norm (largest singular value)."""
+    """Operator 2-norm (largest singular value), bit for bit np.linalg.norm(m, 2)
+    without its axis handling."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,12 @@ def _svd_extremes(stack):
     return s[..., -1], s[..., 0]
 
 
+def _opnorms(mats):
+    """The opnorm of every matrix of a list of one shape, as an array, from
+    one stacked SVD: bit for bit one opnorm each."""
+    return _svd_extremes(np.array(mats, dtype=complex))[1]
+
+
 def spectral_mask(t: MatrixTuple, points, tol):
     """Whether A(x) - I is singular at relative tolerance tol, for each row x of points.
 
@@ -131,15 +140,26 @@ def spectral_mask(t: MatrixTuple, points, tol):
     return smin <= tol * (1.0 + smax)
 
 
+# A line's standard form W = (I - A(base))^-1 A(direction) is trusted
+# while max|I - A(base)| max|W| <= _STANDARD_FORM_GROWTH max|A(direction)|.
+# The left side, how far the solve amplified A(direction), underestimates
+# cond(I - A(base)), and the roots' deviation from QZ grew with it.  On the
+# 10,839 lines of coxeter-rigidity and cli-mix rounds (seeds 101, 7 and
+# 12345) the deviation stayed within 2.5e-11 (1 + |s|) up to 1e4, and
+# reached 1.1e-10 (1 + |s|) at 1.5e5, where QZ was exact to 1.5e-15.  Above
+# the bound are 39 of those lines, and the dihedral pair's bases within
+# 1e-4 of its singular point (0, 1) along e_1.
+_STANDARD_FORM_GROWTH = 1e4
+
+
 def _ggev_stack(a, b):
     """The (alpha, beta) of LAPACK ggev, eigenvalues only, on every pencil
-    (a[i], b[i]) of two complex stacks: the eigenvalues are alpha / beta.
+    (a[i], b[i]) of two finite complex stacks: the eigenvalues are
+    alpha / beta.
 
-    The finiteness check and the workspace query are made once per stack; a
-    nonzero info raises LinAlgError.
+    The workspace query is made once per stack; a nonzero info raises
+    LinAlgError.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (a[0], b[0]))
     lwork = int(ggev(a[0], b[0], lwork=-1)[-2][0].real)
     alpha = np.empty(a.shape[:2], dtype=complex)
@@ -150,6 +170,52 @@ def _ggev_stack(a, b):
         if info != 0:
             raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info={info}")
     return alpha, beta
+
+
+def _line_pencils(t: MatrixTuple, bases, directions):
+    """(I - A(bases[i]), A(directions[i])) for every line, as two stacks.
+
+    Rows that do not match the tuple raise DimensionMismatchError, and
+    stacks with a non-finite entry ValueError.
+    """
+    bases = _coord_rows(t, bases)
+    directions = _coord_rows(t, directions)
+    if bases.shape != directions.shape:
+        raise DimensionMismatchError("one direction is needed for every base")
+    m = np.eye(t.dim) - _pencil_stack(t, bases)
+    d = _pencil_stack(t, directions)
+    if not (np.isfinite(m).all() and np.isfinite(d).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return m, d
+
+
+def _qz_roots(m, d):
+    """The roots s of det(m[i] - s d[i]) = 0 of every pencil, from
+    _ggev_stack: beta == 0 is an infinite root, and so is a quotient that
+    overflows."""
+    alpha, beta = _ggev_stack(m, d)
+    roots = np.full(alpha.shape, np.inf, dtype=complex)
+    nonzero = beta != 0
+    roots[nonzero] = alpha[nonzero] / beta[nonzero]
+    return roots
+
+
+def _root_table(roots):
+    """The finite roots of each row of roots, sorted by real part, then
+    imaginary part, and padded with nan to the largest finite count."""
+    finite = np.isfinite(roots)
+    order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
+    roots = np.take_along_axis(roots, order, axis=-1)
+    counts = finite.sum(axis=1)
+    roots[np.arange(roots.shape[1]) >= counts[:, None]] = np.nan
+    return roots[:, :counts.max()]
+
+
+def _qz_line_roots(t: MatrixTuple, bases, directions):
+    """line_roots_batch with every line solved by QZ, whose roots equal
+    those of scipy.linalg.eigvals bit for bit: the slice ladders' solver,
+    whose roots feed second differences that scale rounding by 4/t^2."""
+    return _root_table(_qz_roots(*_line_pencils(t, bases, directions)))
 
 
 def line_roots_batch(t: MatrixTuple, bases, directions):
@@ -163,34 +229,33 @@ def line_roots_batch(t: MatrixTuple, bases, directions):
     of a row's t.dim roots are infinite, the directions where the leading
     coefficient is singular: t.dim - (~np.isnan(row)).sum() of them.
 
-    Each line is the generalized eigenvalue problem
-    det((I - A(base)) - s A(direction)) = 0, which is numerically stable
-    where polynomial root-finding on the determinant is not.  Both pencils
-    of every line are assembled as stacks, and each line is one call of
-    LAPACK's QZ driver ggev (Moler & Stewart 1973) with eigenvectors off.
-    The finiteness check and the workspace query are made once per batch,
-    not once per line as in scipy.linalg.eigvals, whose roots these equal
-    bit for bit.
+    Each line is the pencil det((I - A(base)) - s A(direction)) = 0, solved
+    in the standard form: s = 1 / mu for the eigenvalues mu of
+    W = (I - A(base))^-1 A(direction), with mu == 0, or a quotient that
+    overflows, an infinite root.  All lines take one stacked LU solve and
+    one stacked eigvals.  The standard form is stable only where
+    I - A(base) is well conditioned, while QZ (Moler & Stewart 1973) is
+    backward stable for the pencil (Golub & Van Loan, Matrix Computations,
+    7.7).  So a line whose solve grew past _STANDARD_FORM_GROWTH is solved
+    by LAPACK's QZ routine ggev instead, and so is every line of a batch
+    whose solve meets an exactly singular I - A(base).
     """
-    bases = _coord_rows(t, bases)
-    directions = _coord_rows(t, directions)
-    if bases.shape != directions.shape:
-        raise DimensionMismatchError("one direction is needed for every base")
-    if bases.shape[0] == 0:
+    m, d = _line_pencils(t, bases, directions)
+    if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
-    alpha, beta = _ggev_stack(np.eye(t.dim) - _pencil_stack(t, bases),
-                              _pencil_stack(t, directions))
-    # beta == 0 is an infinite root, and so is a quotient that overflows.
-    roots = np.full(alpha.shape, np.inf, dtype=complex)
-    nonzero = beta != 0
-    roots[nonzero] = alpha[nonzero] / beta[nonzero]
-    finite = np.isfinite(roots)
-    # finite roots first, each line's sorted by real part, then imaginary part
-    order = np.lexsort((roots.imag, roots.real, ~finite), axis=-1)
-    roots = np.take_along_axis(roots, order, axis=-1)
-    counts = finite.sum(axis=1)
-    roots[np.arange(t.dim) >= counts[:, None]] = np.nan
-    return roots[:, :counts.max()]
+    try:
+        w = np.linalg.solve(m, d)
+    except np.linalg.LinAlgError:  # numpy does not say which line was singular
+        return _root_table(_qz_roots(m, d))
+    m_peak, w_peak, d_peak = (np.abs(a).max(axis=(1, 2)) for a in (m, w, d))
+    trusted = m_peak * w_peak <= _STANDARD_FORM_GROWTH * d_peak  # False where w overflowed
+    roots = np.empty(m.shape[:2], dtype=complex)
+    if trusted.any():
+        with np.errstate(all="ignore"):  # 1 / 0 and an overflow are infinite roots
+            roots[trusted] = 1.0 / np.linalg.eigvals(w if trusted.all() else w[trusted])
+    if not trusted.all():
+        roots[~trusted] = _qz_roots(m[~trusted], d[~trusted])
+    return _root_table(roots)
 
 
 def _is_pair(v):

@@ -460,6 +460,18 @@ def _line_roots(mats, base, direction):
     return finite[np.lexsort((finite.imag, finite.real))]
 
 
+def line_roots_qz(t: MatrixTuple, bases, directions):
+    """The root table of line_roots_batch from one scipy.linalg.eigvals (QZ)
+    per line: row i holds line i's finite roots of
+    det((I - A(base)) - s A(direction)), sorted by real part, then imaginary
+    part, padded with nan to the largest finite count of any line."""
+    rows = [_line_roots(t.matrices, b, d) for b, d in zip(bases, directions)]
+    table = np.full((len(rows), max((r.size for r in rows), default=0)), np.nan, dtype=complex)
+    for row, r in zip(table, rows):
+        row[:r.size] = r
+    return table
+
+
 def _is_member(mats, x, tol=1e-8):
     s = np.linalg.svd(pencil_at(mats, x) - np.eye(mats[0].shape[0]), compute_uv=False)
     return bool(s[-1] <= tol * (1.0 + s[0]))
@@ -636,9 +648,11 @@ def verify_prime_relations(limits, a1, a2, branches, tol=1e-5):
 def _product_pair_analyses(t: MatrixTuple, lam, identity):
     if t.n != 2:
         raise ValueError(f"the {identity} identity is stated for pairs")
-    if abs(complex(lam)) < 1e-12:
-        raise ValueError(f"the {identity} identity requires lam != 0")
     a1, a2 = t.matrices
+    # the zero kind of branches._reference_spectrum, where verify_pair
+    # analyses no product pair
+    if abs(complex(lam)) <= 1e-9 * max(1.0, float(np.linalg.norm(a1, 2))):
+        raise ValueError(f"the {identity} identity requires lam != 0, not of the zero kind")
     ax = relations.analyze_pair(t, lam)
     az = relations.analyze_pair(MatrixTuple([a1, a1 @ a2]), lam)
     return ax, az

@@ -1,7 +1,8 @@
-"""Slice roots through the library's batched kernel, the library's slice
+"""Slice roots through the library's slice solver, the library's slice
 ladder, and counts of the slice eigensolves and of branch tracking, for tests.
 
-Not an oracle: it calls jointspec.line_roots_batch and the private
+Not an oracle: it calls the private pencil._qz_line_roots (or another line
+solver with its signature, such as jointspec.line_roots_batch) and
 branches._solve_ladder.
 """
 
@@ -11,9 +12,10 @@ import jointspec as js
 from jointspec import branches, pencil, projections, relations
 
 
-def e1_line_roots(t, rests):
+def e1_line_roots(t, rests, solve=pencil._qz_line_roots):
     """The finite roots of each line s -> (s, rest), one array per line:
-    the rows of line_roots_batch along e_1 with their nan padding dropped.
+    the rows of solve's root table along e_1 with their nan padding
+    dropped; by default the slice ladders' QZ solver.
 
     Each rest holds the coordinates x_2, ..., x_n of its line's base (for a
     pair, x_2 alone); the base's x_1 is 0.
@@ -22,7 +24,7 @@ def e1_line_roots(t, rests):
     bases = np.concatenate([np.zeros((len(rests), 1)), rests], axis=1)
     e1 = np.zeros_like(bases)
     e1[:, 0] = 1.0
-    return [row[~np.isnan(row)] for row in js.line_roots_batch(t, bases, e1)]
+    return [row[~np.isnan(row)] for row in solve(t, bases, e1)]
 
 
 def ladder(t, xhat=(1.0,), t_max=1e-2, samples=8):

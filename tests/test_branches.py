@@ -247,8 +247,8 @@ class TestSliceLadder:
     @pytest.mark.parametrize("args, kwargs", [((17, 4), {"zero_eigenvalue": True}),
                                               ((5, 8), {})])
     def test_batches_equal_one_solve_per_rung_bit_for_bit(self, args, kwargs, monkeypatch):
-        # one line_roots_batch call (nonzero kind) and one stacked eigvals (zero
-        # kind) give the per-rung roots; tracking on them makes no SVD, and
+        # one QZ line solve (nonzero kind) and one stacked eigvals (zero kind)
+        # give the per-rung roots; tracking on them makes no SVD, and
         # each branch's first read of residuals makes one stacked SVD
         t = regular_random_pair(*args, **kwargs)[0]
         calls = []
@@ -257,14 +257,15 @@ class TestSliceLadder:
             fn = getattr(mod, name)
             monkeypatch.setattr(mod, name, lambda *a, **kw: calls.append(name) or fn(*a, **kw))
 
-        for mod, name in ((branches, "line_roots_batch"), (np.linalg, "eigvals"),
+        for mod, name in ((branches, "_qz_line_roots"), (np.linalg, "eigvals"),
                           (np.linalg, "svd")):
             count(mod, name)
         ladder = slices.ladder(t)
         monkeypatch.undo()
         zero = "zero" in ladder.roots
-        # the eigvals of A_1 for the reference spectrum, then one solve per kind
-        assert calls == ["eigvals", "line_roots_batch"] + ["eigvals"] * zero
+        # ||A_1|| (one SVD) and the eigvals of A_1 for the reference spectrum,
+        # then one solve per kind
+        assert calls == ["svd", "eigvals", "_qz_line_roots"] + ["eigvals"] * zero
         a1, a2 = t.matrices
         eye = np.eye(t.dim)
         for k, tk in enumerate(ladder.ts):

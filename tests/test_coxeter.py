@@ -18,7 +18,7 @@ from jointspec.fixtures import dihedral_pair, planted_tuple
 from jointspec.serialize import _report_text
 import oracles
 from oracles import group_character_gap, word_character_gap
-from slices import e1_line_roots
+from slices import count_solves, e1_line_roots
 
 EQUIVALENCE_KEYS = {"max_discrepancy", "character_bound", "word_length",
                     "relation_discrepancy", "end_dim", "zero_margin", "gap"}
@@ -842,6 +842,19 @@ class TestRigidityPipeline:
         assert rig.equivalence.max_discrepancy <= 1e-6
         obj = rig.to_json()
         assert obj["applicable"] is True and obj["dim_L"] == rep.dim
+
+    def test_every_line_in_the_standard_form(self, monkeypatch):
+        # conditions (I) and (II) and spectra_match solve each tuple's lines
+        # with one stacked eigvals and none by QZ: 5 generic lines, 4 balls
+        # of 40.  One stacked SVD each: the generator norms, the invariance
+        # residuals, the restriction's unitary and self-adjoint residuals,
+        # its relation residuals (3 pairs), and in the equivalence test the
+        # norms of both tuples and the relation residuals of each
+        t, rep = planted_dihedral(4, extra=("one_dim_pm",))
+        solves = count_solves(monkeypatch)
+        js.rigidity_check(t, rep, seed=0)
+        assert solves == {"ggev": [], "eigvals": [5, 5, 160, 160, 5, 5], "rank1": [],
+                          "schur": 0, "svd": [2, 2, 4, 3, 4, 3, 3]}
 
     @pytest.mark.parametrize("control, order, candidates", [
         ("one_dim_pm swapped for one_dim_mp", 4, [[[1, 4]]]),

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jointspec as js
+from jointspec import pencil
 from jointspec.fixtures import blowup_demo_pair, dihedral_pair, regular_random_pair
 
-from oracles import pencil_at, quadratic_roots, real_slice_roots
-from slices import e1_line_roots
+from oracles import line_roots_qz, pencil_at, quadratic_roots, real_slice_roots
+from slices import count_solves, e1_line_roots
 
 
 @pytest.fixture
@@ -32,10 +33,12 @@ class TestRootsSatisfyClosedForms:
          lambda x1, x2: x1**2 + 2 * np.cos(0.7) * x1 * x2 + x2**2 - 1),
     ], ids=["scalar_pencil", "two_lines", "dihedral_ellipse"])
     def test_batch_roots_are_zeros(self, tup, poly):
-        for x2, r in zip(self.X2S, e1_line_roots(tup, self.X2S)):
-            assert r.size == 2  # every root of the dim-2 pencil is finite
-            for x1 in r:
-                assert abs(poly(x1, x2)) <= 1e-12
+        # the standard form of line_roots_batch and the ladders' QZ
+        for solve in (js.line_roots_batch, pencil._qz_line_roots):
+            for x2, r in zip(self.X2S, e1_line_roots(tup, self.X2S, solve)):
+                assert r.size == 2  # every root of the dim-2 pencil is finite
+                for x1 in r:
+                    assert abs(poly(x1, x2)) <= 1e-12
 
 
 def random_tuple(rng, dim, n=3):
@@ -51,26 +54,38 @@ def finite_count(row):
     return int((~np.isnan(row)).sum())
 
 
+def assert_matches_qz(table, want):
+    """table has want's shape and nan padding, so every line has as many
+    finite roots, and each root lies within 1e-10 (1 + |s|) of one of its
+    line's roots in want, both ways."""
+    assert table.dtype == complex and table.shape == want.shape
+    assert (np.isnan(table) == np.isnan(want)).all()
+    for got, ref in zip(table, want):
+        got, ref = got[~np.isnan(got)], ref[~np.isnan(ref)]
+        gaps = np.abs(got[:, None] - ref[None, :])
+        assert (gaps.min(axis=1, initial=np.inf) <= 1e-10 * (1.0 + np.abs(got))).all()
+        assert (gaps.min(axis=0, initial=np.inf) <= 1e-10 * (1.0 + np.abs(ref))).all()
+
+
+def random_line_batch(dim):
+    """A tuple with A_2 singular and twelve random lines; line 5 runs along
+    e_2, so it has one infinite root."""
+    rng = np.random.default_rng(dim)
+    mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(3)]
+    mats[1][:, 0] = 0.0
+    bases, directions = random_rows(rng, 12), random_rows(rng, 12)
+    directions[5] = (0.0, 1.0, 0.0)
+    return js.MatrixTuple(mats), bases, directions
+
+
 class TestLineRootsBatch:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_equals_scipy_eigvals_bit_for_bit(self, dim):
-        rng = np.random.default_rng(dim)
-        mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                for _ in range(3)]
-        mats[1][:, 0] = 0.0  # A_2 singular: a direction along e_2 has an infinite root
-        t = js.MatrixTuple(mats)
-        bases, directions = random_rows(rng, 12), random_rows(rng, 12)
-        directions[5] = (0.0, 1.0, 0.0)
+    def test_matches_qz_per_line(self, dim):
+        t, bases, directions = random_line_batch(dim)
         table = js.line_roots_batch(t, bases, directions)
-        assert table.dtype == complex and table.shape == (12, dim)
-        for base, direction, row in zip(bases, directions, table):
-            vals = scipy.linalg.eigvals(np.eye(dim) - pencil_at(t.matrices, base),
-                                        pencil_at(t.matrices, direction))
-            finite = vals[np.isfinite(vals)]
-            want = finite[np.lexsort((finite.imag, finite.real))]
-            assert row[:finite.size].tobytes() == want.tobytes()
-            assert np.isnan(row[finite.size:]).all()
-            assert dim - finite_count(row) == vals.size - finite.size
+        assert table.shape == (12, dim)
+        assert_matches_qz(table, line_roots_qz(t, bases, directions))
         assert dim - finite_count(table[5]) == 1
         # the width is the largest finite count, so a lone row 5 is one shorter
         assert js.line_roots_batch(t, bases[5:6], directions[5:6]).shape == (1, dim - 1)
@@ -86,22 +101,31 @@ class TestLineRootsBatch:
         for got in (parts, singles):
             assert [r.tobytes() for r in got] == [r.tobytes() for r in whole]
 
-    def test_infinite_roots_are_the_padding(self):
+    def test_infinite_roots_are_the_padding(self, monkeypatch):
         # along e_1 the leading coefficient diag(1, 0) is singular: one
-        # finite root and one infinite; along e_2 it is I: two finite roots
+        # finite root and one infinite (mu == 0 exactly, no QZ); along e_2
+        # it is I: two finite roots
         t = js.MatrixTuple([np.diag([1.0, 0.0]), np.eye(2)])
-        table = js.line_roots_batch(t, [(0.0, 0.1), (0.3, 0.0)], [(1.0, 0.0), (0.0, 1.0)])
+        bases, directions = [(0.0, 0.1), (0.3, 0.0)], [(1.0, 0.0), (0.0, 1.0)]
+        solves = count_solves(monkeypatch)
+        table = js.line_roots_batch(t, bases, directions)
+        assert solves["ggev"] == []
+        assert_matches_qz(table, line_roots_qz(t, bases, directions))
         assert table.shape == (2, 2)
         assert_allclose(table[0, 0], 0.9, atol=1e-12)
         assert np.isnan(table[0, 1])
         assert_allclose(np.sort_complex(table[1]), [0.7, 1.0], atol=1e-12)
         assert [t.dim - finite_count(row) for row in table] == [1, 0]
 
-    def test_no_finite_root_gives_width_zero(self):
-        # A(direction) = 0: every root of every line is infinite
+    def test_no_finite_root_gives_width_zero(self, monkeypatch):
+        # A(direction) = 0, and a zero direction: every root of every line
+        # is infinite, W = 0 and no line goes to QZ
         t = js.MatrixTuple([np.eye(3), np.zeros((3, 3))])
-        table = js.line_roots_batch(t, [(0.1, 0.0), (0.2, 0.5)], [(0.0, 1.0), (0.0, 2.0)])
-        assert table.dtype == complex and table.shape == (2, 0)
+        solves = count_solves(monkeypatch)
+        table = js.line_roots_batch(t, [(0.1, 0.0), (0.2, 0.5), (0.3, 0.1)],
+                                    [(0.0, 1.0), (0.0, 2.0), (0.0, 0.0)])
+        assert table.dtype == complex and table.shape == (3, 0)
+        assert solves["ggev"] == []
 
     def test_failed_qz_raises(self, monkeypatch):
         real = scipy.linalg.get_lapack_funcs
@@ -116,9 +140,10 @@ class TestLineRootsBatch:
             return (call,)
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
-        t = random_tuple(np.random.default_rng(2), 3)
-        with pytest.raises(np.linalg.LinAlgError):
-            js.line_roots_batch(t, [(0.1, 0.2, 0.3)], [(1.0, 0.0, 0.0)])
+        for solve, base in ((js.line_roots_batch, (0.0, 1.0)),  # singular: the QZ fallback
+                            (pencil._qz_line_roots, (0.1, 0.2))):  # the ladders' solver
+            with pytest.raises(np.linalg.LinAlgError, match=r"\(ggev\) failed: info=3"):
+                solve(dihedral_pair(np.pi / 3), [base], [(1.0, 0.0)])
 
     def test_empty_stack(self):
         t = random_tuple(np.random.default_rng(3), 3)
@@ -132,6 +157,91 @@ class TestLineRootsBatch:
             js.line_roots_batch(t, [(0.0, 0.0)], [(1.0, 0.0)])
         with pytest.raises(js.DimensionMismatchError):
             js.line_roots_batch(t, np.zeros((2, 3)), np.ones((3, 3)))
+
+
+class TestQzLineRoots:
+    """The slice ladders' solver: every line by QZ, bit for bit as
+    scipy.linalg.eigvals, the finiteness check and the workspace query made
+    once per batch."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_equals_scipy_eigvals_bit_for_bit(self, dim):
+        t, bases, directions = random_line_batch(dim)
+        table = pencil._qz_line_roots(t, bases, directions)
+        assert table.shape == (12, dim)
+        assert table.tobytes() == line_roots_qz(t, bases, directions).tobytes()
+        assert dim - finite_count(table[5]) == 1
+
+    def test_non_finite_input_is_a_value_error(self):
+        t = dihedral_pair(np.pi / 3)
+        for solve in (pencil._qz_line_roots, js.line_roots_batch):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve(t, [(0.0, np.nan)], [(1.0, 0.0)])
+
+
+class TestConditioningRule:
+    """Lines whose I - A(base) is singular or ill conditioned are solved by
+    QZ, the rest in the standard form.  The dihedral pair's I - A(0, +-1) is
+    singular, and along e_1 its roots at x_2 = +-1 are 0 and -+1 (angle pi/3)."""
+
+    T = dihedral_pair(np.pi / 3)
+
+    def roots_and_qz_lines(self, monkeypatch, bases):
+        solves = count_solves(monkeypatch)
+        directions = [(1.0, 0.0)] * len(bases)
+        table = js.line_roots_batch(self.T, bases, directions)
+        assert_matches_qz(table, line_roots_qz(self.T, bases, directions))
+        return table, sum(solves["ggev"])
+
+    def test_singular_bases_are_solved_by_qz(self, monkeypatch):
+        # (0, 1) is singular in the LU solve, so the whole batch goes to QZ;
+        # (0, -1) alone is not, by rounding, and trips the growth bound
+        for bases in ([(0.0, 1.0), (0.0, -1.0), (0.0, 0.5)], [(0.0, -1.0)]):
+            table, qz = self.roots_and_qz_lines(monkeypatch, bases)
+            assert qz == len(bases)
+            for (_, x2), row in zip(bases, table):
+                if abs(x2) == 1.0:
+                    assert_allclose(row, sorted([0.0, -x2]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("offset", [1e-14, 1e-12, 1e-10, 1e-8, 1e-6])
+    def test_nearly_singular_bases_are_solved_by_qz(self, monkeypatch, offset):
+        bases = [(0.0, 1.0 - offset), (0.0, 1.0 + offset), (0.0, -1.0 + offset),
+                 (0.0, -1.0 - offset)]
+        table, qz = self.roots_and_qz_lines(monkeypatch, bases)
+        assert qz == 4
+        c = np.cos(np.pi / 3)
+        for (_, x2), row in zip(bases, table):
+            want = quadratic_roots(1.0, 2.0 * c * x2, x2 * x2 - 1.0)
+            assert_allclose(row, want, rtol=0, atol=1e-14)
+
+    def test_well_conditioned_bases_take_the_standard_form(self, monkeypatch):
+        _, qz = self.roots_and_qz_lines(monkeypatch, [(0.0, 1.0 - 1e-3), (0.0, -1.0 - 1e-3),
+                                                      (0.0, 0.0), (0.0, 0.3)])
+        assert qz == 0
+
+
+class TestOpnorm:
+    MATS = [
+        np.eye(4), np.zeros((3, 3)), np.ones((5, 5)), np.diag([1e-300, 1.0, 1e300]),
+        np.diag(np.ones(5), 1), np.array([[1.0, 1e8], [0.0, 1.0]]),
+        dihedral_pair(0.7).matrices[1], np.array([[2.5]]), np.arange(12.0).reshape(3, 4),
+    ]
+
+    def test_equals_numpy_two_norm_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        mats = self.MATS + [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                            for n in (1, 2, 3, 5, 8, 16, 32)]
+        for m in mats:
+            want = np.linalg.norm(np.asarray(m, dtype=complex), 2)
+            assert np.float64(js.opnorm(m)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+    def test_a_stack_equals_one_opnorm_each(self, dim):
+        rng = np.random.default_rng(dim)
+        mats = list(rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim)))
+        mats.append(np.eye(dim))
+        got = pencil._opnorms(mats)
+        assert got.tobytes() == np.array([js.opnorm(m) for m in mats]).tobytes()
 
 
 class TestSpectralMask:

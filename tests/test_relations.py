@@ -34,6 +34,17 @@ def analysis(t, lam, **kw):
     return js.analyze_pair(t, lam, **kw)
 
 
+def tiny_eigenvalue_pair(value):
+    """regular_random_pair(3, 6, zero_eigenvalue=True) with A_1's eigenvalue 0
+    set to value in its Schur basis."""
+    t, _ = regular_random_pair(3, 6, zero_eigenvalue=True)
+    a1, a2 = t.matrices
+    schur, z = scipy.linalg.schur(a1, output="complex")
+    d = np.diag(schur).copy()
+    d[int(np.argmin(np.abs(d)))] = value
+    return js.MatrixTuple([z @ np.diag(d) @ z.conj().T, a2])
+
+
 def block_pair_with_trivial_summand(alpha):
     # 3x3 oracle: dihedral 2-dim irrep ⊕ the trivial 1-dim irrep; the two
     # limit projections at lambda = 1 are e1 e1* and e3 e3* by construction
@@ -277,6 +288,14 @@ class TestSquareRelation:
         with pytest.raises(ValueError):
             oracles.verify_square_relation(commuting_diagonal_pair(), 0.0)
 
+    @pytest.mark.parametrize("check", [oracles.verify_square_relation,
+                                       oracles.verify_same_projection_lemma])
+    def test_rejects_an_eigenvalue_of_the_zero_kind(self, check):
+        # 5e-11 is of the zero kind, where verify_pair analyses no product
+        # pair; analysed anyway, the square relation's residual was 1.4e5
+        with pytest.raises(ValueError, match="zero kind"):
+            check(tiny_eigenvalue_pair(5e-11), 5e-11)
+
 
 class TestVerifyPair:
     def test_dihedral_full_pass(self):
@@ -322,16 +341,8 @@ class TestVerifyPair:
         # 5e-11 is within 1e-9 max(1, ||A_1||) of 0, so its branches are of
         # the zero kind and (A1, A1 A2) is not analysed there: no product
         # pair check divides by 2 lam there
-        t, _ = regular_random_pair(3, 6, zero_eigenvalue=True)
-        a1, a2 = t.matrices
-        schur, z = scipy.linalg.schur(a1, output="complex")
-        d = np.diag(schur).copy()
-        at = int(np.argmin(np.abs(d)))
-        ids = []
-        for value in (0.0, 5e-11):
-            d[at] = value
-            tt = js.MatrixTuple([z @ np.diag(d) @ z.conj().T, a2])
-            ids.append([r.relation_id for r in js.verify_pair(tt) if abs(r.lam) < 1e-6])
+        ids = [[r.relation_id for r in js.verify_pair(tiny_eigenvalue_pair(value))
+                if abs(r.lam) < 1e-6] for value in (0.0, 5e-11)]
         assert ids[0] and ids[1] == ids[0]
 
     def test_scaling_consistency(self):
